@@ -7,19 +7,26 @@ Contexts are interned per order into sorted arrays.  A context of order n
 where ``suffix_rank`` is the rank of its length-(n-2) suffix among order-(n-1)
 contexts and ``B = J + 1`` (the begin-of-sentence symbol is J).  Ranks stay
 below the number of distinct contexts, so codes never overflow regardless of
-the order.  N-gram types are stored per order as sorted ``rank * B + word``
-keys with parallel count arrays, which makes successor enumeration a slice and
-(context, word) lookup two binary searches.
+the order (the sorted-array context encoding of Pauls & Klein 2011).  Every
+position is counted with full left bos-padding.
 
-Every position is counted with full left bos-padding, so each target has a
-well-defined context at every order.  Continuation statistics for order n
-(the number of distinct single-symbol left extensions of each n-gram) are
-derived from the order-(n+1) type inventory.
+Each order holds raw counts and, below the top order, continuation counts
+(distinct single-symbol left extensions, from the order-(n+1) types) in one
+layout: sorted ``rank * B + word`` type keys, parallel counts, and an
+(n_ctx, 4) stats array of total, n1, n2 and n3p per context.  Successors are
+a slice; a (context, word) lookup is two binary searches.  Distinct
+successors are not stored: each has a count of at least 1, so their number
+is n1 + n2 + n3p, in a fold view too.  Fold views never copy the corpus:
+per-(type, fold) count deltas and per-(context, fold) deltas of the four
+stats, built once per kind, give ``full - fold`` exactly.
 
-Cross-validation views never copy the corpus: fold-tagged per-type counts and
-per-(context, fold) stat deltas are accumulated once, and a view serves
-``full - fold`` counts exactly, including unique-successor and count-of-count
-statistics and continuation counts.
+File format 2: ``MXCT``; version and order (u32); vocabulary size, token
+count and the number of contexts over all orders (u64); the vocabulary
+fingerprint as a u32 length and ASCII bytes.  Then per order ctx_codes,
+type_keys, type_counts and stats, and below the top order cont_type_keys,
+cont_type_counts and cont_stats, each as a u64 element count and int64
+values (stats row by row), all little-endian.  A file that is cut short, has
+trailing bytes or disagrees with its header raises ``CountError``.
 """
 
 from __future__ import annotations
@@ -27,14 +34,17 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import BOS, EncodedCorpus, Vocabulary
 
 _BIN_MAGIC = b"MXCT"
-_BIN_VERSION = 1
+_BIN_VERSION = 2
+_HEADER = struct.Struct("<IIQQQ")
+_STATS = ("total", "n1", "n2", "n3p")  # columns of every stats array
 
 
 class CountError(ValueError):
@@ -51,43 +61,32 @@ class _OrderData:
     """Arrays for one n-gram order (contexts of length order-1)."""
 
     ctx_codes: np.ndarray  # sorted int64 context codes
-    ctx_total: np.ndarray
-    ctx_unique: np.ndarray
-    ctx_n1: np.ndarray
-    ctx_n2: np.ndarray
-    ctx_n3p: np.ndarray
     type_keys: np.ndarray  # sorted rank * B + word
     type_counts: np.ndarray
-    # continuation arrays (absent at the top order)
+    stats: np.ndarray  # (n_ctx, 4): total, n1, n2, n3p
+    # continuation counts in the same layout (absent at the top order)
     cont_type_keys: np.ndarray | None = None
     cont_type_counts: np.ndarray | None = None
-    cont_ctx_total: np.ndarray | None = None
-    cont_ctx_unique: np.ndarray | None = None
-    cont_ctx_n1: np.ndarray | None = None
-    cont_ctx_n2: np.ndarray | None = None
-    cont_ctx_n3p: np.ndarray | None = None
+    cont_stats: np.ndarray | None = None
 
 
 @dataclass
 class _FoldData:
-    """Per-order fold-exclusion arrays for one n-gram order."""
+    """Per-order fold-exclusion deltas: view value = full value - delta."""
 
-    ft_keys: np.ndarray  # type_index * F + fold
-    ft_counts: np.ndarray
-    cf_keys: np.ndarray  # ctx_rank * F + fold
-    cf_total: np.ndarray  # count mass of fold inside context
-    cf_du: np.ndarray  # deltas: view_stat = full_stat - delta
-    cf_dn1: np.ndarray
-    cf_dn2: np.ndarray
-    cf_dn3p: np.ndarray
-    cft_keys: np.ndarray | None = None  # cont_type_index * F + fold
-    cft_excl: np.ndarray | None = None  # left-extension types living only in fold
-    ccf_keys: np.ndarray | None = None  # ctx_rank * F + fold (continuation stats)
-    ccf_dtotal: np.ndarray | None = None
-    ccf_du: np.ndarray | None = None
-    ccf_dn1: np.ndarray | None = None
-    ccf_dn2: np.ndarray | None = None
-    ccf_dn3p: np.ndarray | None = None
+    type_keys: np.ndarray  # type_index * F + fold
+    type_counts: np.ndarray  # occurrences of the type inside the fold
+    stat_keys: np.ndarray  # ctx_rank * F + fold
+    stat_deltas: np.ndarray  # (m, 4), columns as in the stats arrays
+    # continuation counts in the same layout; a continuation type loses one
+    # count for each left extension that occurs only inside the fold
+    cont_type_keys: np.ndarray | None = None
+    cont_type_counts: np.ndarray | None = None
+    cont_stat_keys: np.ndarray | None = None
+    cont_stat_deltas: np.ndarray | None = None
+
+
+_NO_FOLDS = _FoldData(None, None, None, None)  # the fold arrays of a table without folds
 
 
 class CountTable:
@@ -107,10 +106,7 @@ class CountTable:
 
     def count_of_counts(self, order: int, continuation: bool = False) -> tuple[int, int, int, int]:
         """Global (n1, n2, n3, n4) over type counts at one order."""
-        od = self.orders[order]
-        counts = od.cont_type_counts if continuation else od.type_counts
-        if counts is None:
-            raise CountError(f"no continuation counts at order {order}")
+        counts = self.view()._kind(order, continuation).counts
         small = counts[counts <= 4]
         cc = np.bincount(small, minlength=5)
         return int(cc[1]), int(cc[2]), int(cc[3]), int(cc[4])
@@ -129,44 +125,54 @@ class CountTable:
     def write_binary(self, fh: io.BufferedIOBase) -> None:
         n_records = sum(len(self.orders[n].ctx_codes) for n in range(1, self.order + 1))
         fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<IIQQQ", _BIN_VERSION, self.order, self.vocab_size,
-                             self.token_count, n_records))
+        fh.write(_HEADER.pack(_BIN_VERSION, self.order, self.vocab_size,
+                              self.token_count, n_records))
         fp = self.vocab_fingerprint.encode("ascii")
         fh.write(struct.pack("<I", len(fp)))
         fh.write(fp)
         for n in range(1, self.order + 1):
             od = self.orders[n]
-            arrays = [od.ctx_codes, od.ctx_total, od.ctx_unique, od.ctx_n1,
-                      od.ctx_n2, od.ctx_n3p, od.type_keys, od.type_counts]
+            arrays = [od.ctx_codes, od.type_keys, od.type_counts, od.stats]
             if n < self.order:
-                arrays += [od.cont_type_keys, od.cont_type_counts, od.cont_ctx_total,
-                           od.cont_ctx_unique, od.cont_ctx_n1, od.cont_ctx_n2, od.cont_ctx_n3p]
+                arrays += [od.cont_type_keys, od.cont_type_counts, od.cont_stats]
             for arr in arrays:
-                fh.write(struct.pack("<Q", len(arr)))
-                fh.write(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+                fh.write(struct.pack("<Q", arr.size))
+                fh.write(np.ascontiguousarray(arr, dtype="<i8").tobytes())
 
     @classmethod
     def read_binary(cls, fh: io.BufferedIOBase) -> "CountTable":
+        def read(size: int) -> bytes:
+            data = fh.read(size)
+            if len(data) != size:
+                raise CountError("count-table file is truncated")
+            return data
+
+        def read_arr() -> np.ndarray:
+            (size,) = struct.unpack("<Q", read(8))
+            return np.frombuffer(read(size * 8), dtype="<i8").astype(np.int64)
+
         if fh.read(4) != _BIN_MAGIC:
             raise CountError("not a count-table file")
-        version, order, vocab_size, token_count, _ = struct.unpack("<IIQQQ", fh.read(32))
+        version, order, vocab_size, token_count, n_records = _HEADER.unpack(read(_HEADER.size))
         if version != _BIN_VERSION:
             raise CountError(f"unsupported count-table version {version}")
-        (fp_len,) = struct.unpack("<I", fh.read(4))
-        fingerprint = fh.read(fp_len).decode("ascii")
-
-        def read_arr():
-            (size,) = struct.unpack("<Q", fh.read(8))
-            return np.frombuffer(fh.read(size * 8), dtype=np.int64).copy()
+        (fp_len,) = struct.unpack("<I", read(4))
+        fingerprint = read(fp_len).decode("ascii")
 
         orders: list = [None]
         for n in range(1, order + 1):
-            od = _OrderData(*[read_arr() for _ in range(8)])
-            if n < order:
-                (od.cont_type_keys, od.cont_type_counts, od.cont_ctx_total,
-                 od.cont_ctx_unique, od.cont_ctx_n1, od.cont_ctx_n2,
-                 od.cont_ctx_n3p) = [read_arr() for _ in range(7)]
-            orders.append(od)
+            ctx_codes = read_arr()
+            kinds = []
+            for _ in range(2 if n < order else 1):  # raw, then continuation
+                keys, counts, stats = read_arr(), read_arr(), read_arr()
+                if len(keys) != len(counts) or len(stats) != 4 * len(ctx_codes):
+                    raise CountError(f"order-{n} arrays disagree in length")
+                kinds += [keys, counts, stats.reshape(-1, 4)]
+            orders.append(_OrderData(ctx_codes, *kinds))
+        if sum(len(od.ctx_codes) for od in orders[1:]) != n_records:
+            raise CountError("context count disagrees with the header")
+        if fh.read(1):
+            raise CountError("trailing bytes after the last array")
         return cls(order, int(vocab_size), orders, int(token_count), fingerprint)
 
     # -- text dump -------------------------------------------------------
@@ -178,27 +184,14 @@ class CountTable:
         lines = []
         for n in range(1, self.order + 1):
             od = self.orders[n]
-            ctx_words = self._context_strings(n, vocab)
-            ranks = od.type_keys // self.base
-            words = od.type_keys % self.base
+            ctx_words = [" ".join(map(vocab.word_of, self.context_tuple(n, r)))
+                         for r in range(len(od.ctx_codes))]
+            ranks, words = np.divmod(od.type_keys, self.base)
             for r, w, c in zip(ranks.tolist(), words.tolist(), od.type_counts.tolist()):
                 lines.append((n, ctx_words[r], vocab.word_of(w), c))
         lines.sort(key=lambda x: (x[0], x[1], x[2]))
         for _, ctx, word, count in lines:
             fh.write(f"{ctx}\t{word}\t{count}\n")
-
-    def _context_strings(self, order: int, vocab: Vocabulary) -> list[str]:
-        """Render every order-n context by walking the suffix chain."""
-        if order == 1:
-            return [""]
-        parent = self._context_strings(order - 1, vocab)
-        od = self.orders[order]
-        out = []
-        for code in od.ctx_codes.tolist():
-            left = vocab.word_of(code % self.base) if code % self.base != vocab.bos_id else BOS
-            suffix = parent[code // self.base]
-            out.append(left if not suffix else f"{left} {suffix}")
-        return out
 
     def context_tuple(self, order: int, rank: int) -> tuple[int, ...]:
         """Recover the id-sequence of a context from its rank."""
@@ -215,11 +208,11 @@ class CountTable:
 def load_text(fh: io.TextIOBase, vocab: Vocabulary, order: int) -> CountTable:
     """Ingest a text dump of raw n-gram counts (all orders 1..order required).
 
-    Context totals, unique-successor and continuation statistics are derived
-    from the listed types, so the result satisfies the same invariants as a
-    table accumulated from a corpus.
+    Context statistics and continuation counts are derived from the listed
+    types, so the result satisfies the same invariants as a table accumulated
+    from a corpus.
     """
-    per_order: dict[int, list[tuple[tuple[int, ...], int, int]]] = {n: [] for n in range(1, order + 1)}
+    per_order: list[list] = [[] for _ in range(order + 1)]
     for lineno, line in enumerate(fh, 1):
         if not line.strip():
             continue
@@ -232,62 +225,47 @@ def load_text(fh: io.TextIOBase, vocab: Vocabulary, order: int) -> CountTable:
         if n > order:
             raise CountError(f"line {lineno}: order {n} exceeds table order {order}")
         ctx_ids = tuple(vocab.bos_id if t == BOS else vocab.id_of(t) for t in ctx_tokens)
-        wid = vocab.id_of(word)
-        per_order[n].append((ctx_ids, wid, int(count)))
+        per_order[n].append((ctx_ids, vocab.id_of(word), int(count)))
 
     base = vocab.size + 1
-    rank_maps: list[dict[tuple[int, ...], int]] = [{}, {(): 0}]
-    raw: list = [None]
-    token_count = 0
-    for n in range(1, order + 1):
-        entries = per_order[n]
-        if not entries:
-            raise CountError(f"no order-{n} counts in dump; orders 1..{order} are required")
-        if n > 1:
-            prev = rank_maps[n - 1]
-            codes = set()
-            for ctx, _, _ in entries:
-                suffix = ctx[1:]
-                if suffix not in prev:
-                    raise CountError(f"context {ctx} lacks its order-{n - 1} suffix in the dump")
-                codes.add(prev[suffix] * base + ctx[0])
-            ctx_codes = np.array(sorted(codes), dtype=np.int64)
-            code_rank = {c: i for i, c in enumerate(ctx_codes.tolist())}
-            rank_maps.append({ctx: code_rank[prev[ctx[1:]] * base + ctx[0]]
-                              for ctx, _, _ in entries})
-        else:
-            ctx_codes = np.zeros(1, dtype=np.int64)
-        rm = rank_maps[n]
-        agg: dict[int, int] = {}
-        for ctx, wid, count in entries:
-            key = rm[ctx] * base + wid
-            agg[key] = agg.get(key, 0) + count
-        keys = np.array(sorted(agg), dtype=np.int64)
-        counts = np.array([agg[k] for k in keys.tolist()], dtype=np.int64)
-        if n == 1:
-            token_count = int(counts.sum())
-        raw.append((ctx_codes, keys, counts))
-
+    rank_of = {(): 0}  # context tuple -> rank among the contexts of its order
     orders: list = [None]
     for n in range(1, order + 1):
-        ctx_codes, keys, counts = raw[n]
-        orders.append(_derive_order(ctx_codes, keys, counts, base))
+        if not per_order[n]:
+            raise CountError(f"no order-{n} counts in dump; orders 1..{order} are required")
+        contexts, words, counts = zip(*per_order[n])
+        if n > 1:
+            for ctx in contexts:
+                if ctx[1:] not in rank_of:
+                    raise CountError(f"context {ctx} lacks its order-{n - 1} suffix in the dump")
+            ctx_codes, rank = np.unique([rank_of[c[1:]] * base + c[0] for c in contexts],
+                                        return_inverse=True)
+            rank_of = dict(zip(contexts, rank.tolist()))
+        else:
+            ctx_codes, rank = np.zeros(1, dtype=np.int64), np.zeros(len(words), dtype=np.int64)
+        keys, inv = np.unique(rank * base + np.array(words), return_inverse=True)
+        type_counts = np.bincount(inv, weights=counts).astype(np.int64)
+        orders.append(_derive_order(ctx_codes, keys, type_counts, base))
     _attach_continuations(orders, order, base)
-    return CountTable(order, vocab.size, orders, token_count, _vocab_fingerprint(vocab))
+    return CountTable(order, vocab.size, orders, int(orders[1].type_counts.sum()),
+                      _vocab_fingerprint(vocab))
 
 
 # -- accumulation ---------------------------------------------------------
 
 
+def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int) -> np.ndarray:
+    """(n_groups, 4) stats of the counts in each group: total, n1, n2, n3p."""
+    out = np.empty((n_groups, 4), dtype=np.int64)
+    out[:, 0] = np.bincount(groups, weights=counts, minlength=n_groups)
+    for j, level in enumerate((counts == 1, counts == 2, counts >= 3), 1):
+        out[:, j] = np.bincount(groups[level], minlength=n_groups)
+    return out
+
+
 def _derive_order(ctx_codes, type_keys, type_counts, base) -> _OrderData:
-    n_ctx = len(ctx_codes)
-    ranks = type_keys // base
-    total = np.bincount(ranks, weights=type_counts, minlength=n_ctx).astype(np.int64)
-    unique = np.bincount(ranks, minlength=n_ctx).astype(np.int64)
-    n1 = np.bincount(ranks[type_counts == 1], minlength=n_ctx).astype(np.int64)
-    n2 = np.bincount(ranks[type_counts == 2], minlength=n_ctx).astype(np.int64)
-    n3p = np.bincount(ranks[type_counts >= 3], minlength=n_ctx).astype(np.int64)
-    return _OrderData(ctx_codes, total, unique, n1, n2, n3p, type_keys, type_counts)
+    return _OrderData(ctx_codes, type_keys, type_counts,
+                      _tally(type_keys // base, type_counts, len(ctx_codes)))
 
 
 def _attach_continuations(orders: list, order: int, base: int) -> list[np.ndarray]:
@@ -299,50 +277,45 @@ def _attach_continuations(orders: list, order: int, base: int) -> list[np.ndarra
     inverses: list = [None] * (order + 1)
     for n in range(1, order):
         hi = orders[n + 1]
-        hi_ranks = hi.type_keys // base
-        suffix_rank = hi.ctx_codes[hi_ranks] // base
-        words = hi.type_keys % base
-        cc_keys, inverse, cc_counts = np.unique(
-            suffix_rank * base + words, return_inverse=True, return_counts=True)
+        suffix_rank = hi.ctx_codes[hi.type_keys // base] // base
+        keys, inverses[n], counts = np.unique(
+            suffix_rank * base + hi.type_keys % base, return_inverse=True, return_counts=True)
         od = orders[n]
-        n_ctx = len(od.ctx_codes)
-        ranks = cc_keys // base
-        od.cont_type_keys = cc_keys
-        od.cont_type_counts = cc_counts.astype(np.int64)
-        od.cont_ctx_total = np.bincount(ranks, weights=cc_counts, minlength=n_ctx).astype(np.int64)
-        od.cont_ctx_unique = np.bincount(ranks, minlength=n_ctx).astype(np.int64)
-        od.cont_ctx_n1 = np.bincount(ranks[cc_counts == 1], minlength=n_ctx).astype(np.int64)
-        od.cont_ctx_n2 = np.bincount(ranks[cc_counts == 2], minlength=n_ctx).astype(np.int64)
-        od.cont_ctx_n3p = np.bincount(ranks[cc_counts >= 3], minlength=n_ctx).astype(np.int64)
-        inverses[n] = inverse
+        od.cont_type_keys, od.cont_type_counts = keys, counts
+        od.cont_stats = _tally(keys // base, counts, len(od.ctx_codes))
     return inverses
+
+
+def _fold_kind(type_keys, type_counts, occurrences, folds, base):
+    """Fold arrays of one kind from the ``type_index * F + fold`` key of each
+    in-fold occurrence of a type.
+
+    Returns the sorted per-(type, fold) keys and counts, then the sorted
+    ``ctx_rank * F + fold`` keys and the (m, 4) stat deltas: the full-table
+    stats of the affected types minus their view stats.
+    """
+    fold_keys, fold_counts = np.unique(occurrences, return_counts=True)
+    ti, fold = np.divmod(fold_keys, folds)
+    full = type_counts[ti]
+    keys, inv = np.unique(type_keys[ti] // base * folds + fold, return_inverse=True)
+    deltas = _tally(inv, full, len(keys)) - _tally(inv, full - fold_counts, len(keys))
+    return fold_keys, fold_counts, keys, deltas
 
 
 def _corpus_stream(corpus: EncodedCorpus, order: int):
     """Concatenate bos-padded sentences; return stream, target indices, sentence ids."""
-    pad = order - 1
-    bos = corpus.vocab.bos_id
-    total = sum(len(s) + pad for s in corpus.sentences)
-    stream = np.empty(total, dtype=np.int64)
-    n_targets = corpus.token_count
-    targets = np.empty(n_targets, dtype=np.int64)
-    sent_of = np.empty(n_targets, dtype=np.int64)
-    pos = 0
-    t = 0
-    for si, sent in enumerate(corpus.sentences):
-        stream[pos:pos + pad] = bos
-        stream[pos + pad:pos + pad + len(sent)] = sent
-        targets[t:t + len(sent)] = np.arange(pos + pad, pos + pad + len(sent))
-        sent_of[t:t + len(sent)] = si
-        pos += pad + len(sent)
-        t += len(sent)
+    sents = corpus.sentences
+    sent_of = np.repeat(np.arange(len(sents), dtype=np.int64), [len(x) for x in sents])
+    targets = np.arange(len(sent_of), dtype=np.int64) + (order - 1) * (sent_of + 1)
+    stream = np.full(len(sent_of) + (order - 1) * len(sents), corpus.vocab.bos_id, dtype=np.int64)
+    if sents:
+        stream[targets] = np.concatenate(sents)
     return stream, targets, sent_of
 
 
 def accumulate(corpus: EncodedCorpus, order: int) -> CountTable:
     """Count all n-grams of orders 1..order with full bos padding."""
-    table, _ = _build(corpus, order, folds=None)
-    return table
+    return _build(corpus, order, folds=None)[0]
 
 
 def _build(corpus: EncodedCorpus, order: int, folds: int | None):
@@ -364,7 +337,7 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
             ctx_codes, rank = np.unique(rank * base + left, return_inverse=True)
         keys, inverse, counts = np.unique(rank * base + words,
                                           return_inverse=True, return_counts=True)
-        orders.append(_derive_order(ctx_codes, keys, counts.astype(np.int64), base))
+        orders.append(_derive_order(ctx_codes, keys, counts, base))
         type_inverse.append(inverse)
     cont_inverse = _attach_continuations(orders, order, base)
     table = CountTable(order, corpus.vocab.size, orders, corpus.token_count,
@@ -379,65 +352,20 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
     fold_assignment = np.arange(len(corpus.sentences), dtype=np.int64) % folds
     fold_of_t = fold_assignment[sent_of]
 
-    fold_data: list = [None]
-    for n in range(1, order + 1):
+    fold_data: list = [None] * (order + 1)
+    for n in range(order, 0, -1):
         od = orders[n]
-        ft_keys, ft_counts = np.unique(type_inverse[n] * folds + fold_of_t, return_counts=True)
-        ft_counts = ft_counts.astype(np.int64)
-        ti = ft_keys // folds
-        f = ft_keys % folds
-        c_full = od.type_counts[ti]
-        c_view = c_full - ft_counts
-        ranks = od.type_keys[ti] // base
-        cf_keys, inv = np.unique(ranks * folds + f, return_inverse=True)
-        fd = _FoldData(
-            ft_keys=ft_keys, ft_counts=ft_counts, cf_keys=cf_keys,
-            cf_total=np.bincount(inv, weights=ft_counts).astype(np.int64),
-            cf_du=np.bincount(inv, weights=(c_view == 0)).astype(np.int64),
-            cf_dn1=np.bincount(inv, weights=(c_full == 1).astype(np.int64)
-                               - (c_view == 1)).astype(np.int64),
-            cf_dn2=np.bincount(inv, weights=(c_full == 2).astype(np.int64)
-                               - (c_view == 2)).astype(np.int64),
-            cf_dn3p=np.bincount(inv, weights=(c_full >= 3).astype(np.int64)
-                                - (c_view >= 3)).astype(np.int64),
-        )
-        fold_data.append(fd)
-
-    for n in range(1, order):
-        od = orders[n]
-        hi_fd = fold_data[n + 1]
-        hi = orders[n + 1]
-        # types of order n+1 whose occurrences all sit in a single fold
-        folds_per_type = np.bincount(hi_fd.ft_keys // folds, minlength=len(hi.type_keys))
-        sel = folds_per_type[hi_fd.ft_keys // folds] == 1
-        excl_ti = hi_fd.ft_keys[sel] // folds
-        excl_fold = hi_fd.ft_keys[sel] % folds
-        cc_ti = cont_inverse[n][excl_ti]
-        fd = fold_data[n]
-        if len(cc_ti) == 0:
-            n_keys = np.zeros(0, dtype=np.int64)
-            fd.cft_keys, fd.cft_excl = n_keys, n_keys.copy()
-            fd.ccf_keys = n_keys.copy()
-            fd.ccf_dtotal = fd.ccf_du = fd.ccf_dn1 = fd.ccf_dn2 = fd.ccf_dn3p = n_keys.copy()
-            continue
-        cft_keys, cft_excl = np.unique(cc_ti * folds + excl_fold, return_counts=True)
-        cft_excl = cft_excl.astype(np.int64)
-        fd.cft_keys, fd.cft_excl = cft_keys, cft_excl
-        cti = cft_keys // folds
-        f = cft_keys % folds
-        cc_full = od.cont_type_counts[cti]
-        cc_view = cc_full - cft_excl
-        ranks = od.cont_type_keys[cti] // base
-        ccf_keys, inv = np.unique(ranks * folds + f, return_inverse=True)
-        fd.ccf_keys = ccf_keys
-        fd.ccf_dtotal = np.bincount(inv, weights=cft_excl).astype(np.int64)
-        fd.ccf_du = np.bincount(inv, weights=(cc_view == 0)).astype(np.int64)
-        fd.ccf_dn1 = np.bincount(inv, weights=(cc_full == 1).astype(np.int64)
-                                 - (cc_view == 1)).astype(np.int64)
-        fd.ccf_dn2 = np.bincount(inv, weights=(cc_full == 2).astype(np.int64)
-                                 - (cc_view == 2)).astype(np.int64)
-        fd.ccf_dn3p = np.bincount(inv, weights=(cc_full >= 3).astype(np.int64)
-                                  - (cc_view >= 3)).astype(np.int64)
+        fd = fold_data[n] = _FoldData(*_fold_kind(
+            od.type_keys, od.type_counts, type_inverse[n] * folds + fold_of_t, folds, base))
+        if n < order:
+            # an order-(n+1) type whose occurrences all sit in one fold is a
+            # left extension that the fold's view loses
+            hi = fold_data[n + 1].type_keys
+            excl = hi[np.bincount(hi // folds)[hi // folds] == 1]
+            (fd.cont_type_keys, fd.cont_type_counts, fd.cont_stat_keys,
+             fd.cont_stat_deltas) = _fold_kind(
+                od.cont_type_keys, od.cont_type_counts,
+                cont_inverse[n][excl // folds] * folds + excl % folds, folds, base)
 
     folded = FoldedCounts(table, folds, fold_assignment, fold_data)
     return table, folded
@@ -445,8 +373,7 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
 
 def cv_fold_counts(corpus: EncodedCorpus, order: int, folds: int = 10) -> "FoldedCounts":
     """Accumulate counts with leave-one-fold-out views (sentence i -> fold i % folds)."""
-    _, folded = _build(corpus, order, folds=folds)
-    return folded
+    return _build(corpus, order, folds=folds)[1]
 
 
 class FoldedCounts:
@@ -469,23 +396,49 @@ class FoldedCounts:
         return [self.view(f) for f in range(self.n_folds)]
 
 
-def _lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """values[query] treating (keys, values) as a sorted sparse map, default 0."""
-    idx = np.searchsorted(keys, query)
-    idx_c = np.minimum(idx, len(keys) - 1) if len(keys) else np.zeros_like(idx)
-    hit = (idx < len(keys)) & (keys[idx_c] == query) if len(keys) else np.zeros(len(query), bool)
-    out = np.zeros(len(query), dtype=values.dtype if len(values) else np.int64)
-    out[hit] = values[idx_c[hit]]
-    return out
+def _index(keys: np.ndarray, key) -> int:
+    """Position of one key in sorted keys, or -1 when absent."""
+    i = int(np.searchsorted(keys, key))
+    return i if i < len(keys) and keys[i] == key else -1
 
 
-@dataclass
-class ContextStats:
+def _find(keys: np.ndarray, query: np.ndarray):
+    """Positions of query in non-empty sorted keys (clamped) and which are there."""
+    idx = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return idx, keys[idx] == query
+
+
+def _subtract(out: np.ndarray, keys: np.ndarray, deltas: np.ndarray,
+              query: np.ndarray, where: np.ndarray) -> None:
+    """out[t] -= deltas[i] for each t in ``where`` with keys[i] == query[t]."""
+    if len(keys):
+        idx, hit = _find(keys, query)
+        hit &= where
+        out[hit] -= deltas[idx[hit]]
+
+
+class ContextStats(NamedTuple):
     total: int
-    unique: int
     n1: int
     n2: int
     n3p: int
+
+    @property
+    def unique(self) -> int:
+        """Distinct successors: every one falls in exactly one count level."""
+        return self.n1 + self.n2 + self.n3p
+
+
+class _Kind(NamedTuple):
+    """One kind of statistics at one order, with its fold deltas if any."""
+
+    keys: np.ndarray
+    counts: np.ndarray
+    stats: np.ndarray
+    fold_keys: np.ndarray | None
+    fold_counts: np.ndarray | None
+    stat_keys: np.ndarray | None
+    stat_deltas: np.ndarray | None
 
 
 class CountView:
@@ -499,12 +452,28 @@ class CountView:
         self._chain_memo: dict[tuple[int, ...], np.ndarray] = {}
 
     @property
-    def order(self) -> int:
-        return self.table.order
-
-    @property
     def vocab_size(self) -> int:
         return self.table.vocab_size
+
+    def _kind(self, order: int, continuation: bool) -> _Kind:
+        """Raw or continuation arrays of one order: the one place that picks."""
+        od = self.table.orders[order]
+        fd = self.folded.fold_data[order] if self.folded is not None else _NO_FOLDS
+        if not continuation:
+            return _Kind(od.type_keys, od.type_counts, od.stats,
+                         fd.type_keys, fd.type_counts, fd.stat_keys, fd.stat_deltas)
+        if od.cont_type_keys is None:
+            raise CountError(f"no continuation counts at order {order}")
+        return _Kind(od.cont_type_keys, od.cont_type_counts, od.cont_stats, fd.cont_type_keys,
+                     fd.cont_type_counts, fd.cont_stat_keys, fd.cont_stat_deltas)
+
+    def _in_view(self, value, keys: np.ndarray, deltas: np.ndarray, index: int):
+        """A full-table value at ``index`` less its delta in this view's fold."""
+        if self.fold is not None:
+            j = _index(keys, index * self.folded.n_folds + self.fold)
+            if j >= 0:
+                return value - deltas[j]
+        return value
 
     # -- context resolution ------------------------------------------------
 
@@ -525,105 +494,50 @@ class CountView:
         chain[0] = 0
         rank = 0
         for k in range(1, len(context) + 1):
-            code = rank * base + context[len(context) - k]
-            codes = self.table.orders[k + 1].ctx_codes
-            i = int(np.searchsorted(codes, code))
-            if i >= len(codes) or codes[i] != code:
+            rank = _index(self.table.orders[k + 1].ctx_codes,
+                          rank * base + context[len(context) - k])
+            if rank < 0:
                 break
-            rank = i
-            chain[k] = i
+            chain[k] = rank
         self._chain_memo[context] = chain
         return chain
 
-    def _fd(self, order: int) -> _FoldData | None:
-        if self.fold is None or self.folded is None:
-            return None
-        return self.folded.fold_data[order]
-
     # -- scalar queries ------------------------------------------------------
 
+    def _stats(self, order: int, rank: int, continuation: bool) -> ContextStats:
+        kind = self._kind(order, continuation)
+        s = self._in_view(kind.stats[rank], kind.stat_keys, kind.stat_deltas, rank)
+        return ContextStats._make(s.tolist())
+
     def stats(self, order: int, rank: int) -> ContextStats:
-        od = self.table.orders[order]
-        s = ContextStats(int(od.ctx_total[rank]), int(od.ctx_unique[rank]),
-                         int(od.ctx_n1[rank]), int(od.ctx_n2[rank]), int(od.ctx_n3p[rank]))
-        fd = self._fd(order)
-        if fd is not None:
-            key = np.int64(rank) * self.folded.n_folds + self.fold
-            i = int(np.searchsorted(fd.cf_keys, key))
-            if i < len(fd.cf_keys) and fd.cf_keys[i] == key:
-                s.total -= int(fd.cf_total[i])
-                s.unique -= int(fd.cf_du[i])
-                s.n1 -= int(fd.cf_dn1[i])
-                s.n2 -= int(fd.cf_dn2[i])
-                s.n3p -= int(fd.cf_dn3p[i])
-        return s
+        return self._stats(order, rank, False)
 
     def cont_stats(self, order: int, rank: int) -> ContextStats:
-        od = self.table.orders[order]
-        if od.cont_type_keys is None:
-            raise CountError(f"no continuation counts at order {order}")
-        s = ContextStats(int(od.cont_ctx_total[rank]), int(od.cont_ctx_unique[rank]),
-                         int(od.cont_ctx_n1[rank]), int(od.cont_ctx_n2[rank]),
-                         int(od.cont_ctx_n3p[rank]))
-        fd = self._fd(order)
-        if fd is not None and fd.ccf_keys is not None and len(fd.ccf_keys):
-            key = np.int64(rank) * self.folded.n_folds + self.fold
-            i = int(np.searchsorted(fd.ccf_keys, key))
-            if i < len(fd.ccf_keys) and fd.ccf_keys[i] == key:
-                s.total -= int(fd.ccf_dtotal[i])
-                s.unique -= int(fd.ccf_du[i])
-                s.n1 -= int(fd.ccf_dn1[i])
-                s.n2 -= int(fd.ccf_dn2[i])
-                s.n3p -= int(fd.ccf_dn3p[i])
-        return s
+        return self._stats(order, rank, True)
+
+    def _count(self, order: int, rank: int, word: int, continuation: bool) -> int:
+        kind = self._kind(order, continuation)
+        i = _index(kind.keys, rank * self.table.base + word)
+        if i < 0:
+            return 0
+        return int(self._in_view(kind.counts[i], kind.fold_keys, kind.fold_counts, i))
 
     def count(self, order: int, rank: int, word: int) -> int:
-        od = self.table.orders[order]
-        key = np.int64(rank) * self.table.base + word
-        i = int(np.searchsorted(od.type_keys, key))
-        if i >= len(od.type_keys) or od.type_keys[i] != key:
-            return 0
-        c = int(od.type_counts[i])
-        fd = self._fd(order)
-        if fd is not None:
-            fkey = np.int64(i) * self.folded.n_folds + self.fold
-            j = int(np.searchsorted(fd.ft_keys, fkey))
-            if j < len(fd.ft_keys) and fd.ft_keys[j] == fkey:
-                c -= int(fd.ft_counts[j])
-        return c
+        return self._count(order, rank, word, False)
 
     def cont_count(self, order: int, rank: int, word: int) -> int:
-        od = self.table.orders[order]
-        key = np.int64(rank) * self.table.base + word
-        i = int(np.searchsorted(od.cont_type_keys, key))
-        if i >= len(od.cont_type_keys) or od.cont_type_keys[i] != key:
-            return 0
-        c = int(od.cont_type_counts[i])
-        fd = self._fd(order)
-        if fd is not None and fd.cft_keys is not None and len(fd.cft_keys):
-            fkey = np.int64(i) * self.folded.n_folds + self.fold
-            j = int(np.searchsorted(fd.cft_keys, fkey))
-            if j < len(fd.cft_keys) and fd.cft_keys[j] == fkey:
-                c -= int(fd.cft_excl[j])
-        return c
+        return self._count(order, rank, word, True)
 
     def successors(self, order: int, rank: int, continuation: bool = False):
         """(word ids, view counts) with zero-count entries removed."""
-        od = self.table.orders[order]
-        keys = od.cont_type_keys if continuation else od.type_keys
-        counts = od.cont_type_counts if continuation else od.type_counts
+        kind = self._kind(order, continuation)
         base = self.table.base
-        lo = np.searchsorted(keys, np.int64(rank) * base)
-        hi = np.searchsorted(keys, np.int64(rank + 1) * base)
-        words = keys[lo:hi] % base
-        vals = counts[lo:hi].copy()
-        fd = self._fd(order)
-        if fd is not None:
-            fkeys = fd.cft_keys if continuation else fd.ft_keys
-            fvals = fd.cft_excl if continuation else fd.ft_counts
-            if fkeys is not None and len(fkeys):
-                q = np.arange(lo, hi, dtype=np.int64) * self.folded.n_folds + self.fold
-                vals -= _lookup(fkeys, fvals, q)
+        lo, hi = np.searchsorted(kind.keys, [rank * base, (rank + 1) * base])
+        words = kind.keys[lo:hi] % base
+        vals = kind.counts[lo:hi].copy()
+        if self.fold is not None:
+            q = np.arange(lo, hi, dtype=np.int64) * self.folded.n_folds + self.fold
+            _subtract(vals, kind.fold_keys, kind.fold_counts, q, True)
         keep = vals > 0
         return words[keep], vals[keep]
 
@@ -645,75 +559,44 @@ class CountView:
         prev = np.zeros(T, dtype=np.int64)
         alive = np.ones(T, dtype=bool)
         for n in range(2, table.order + 1):
-            left = stream[targets - (n - 1)]
-            code = prev * base + left
-            codes = table.orders[n].ctx_codes
-            idx = np.searchsorted(codes, code)
-            idx_c = np.minimum(idx, len(codes) - 1)
-            hit = alive & (codes[idx_c] == code) & (idx < len(codes))
-            ranks[hit, n - 1] = idx_c[hit]
-            prev = idx_c
-            alive = hit
+            prev, hit = _find(table.orders[n].ctx_codes, prev * base + stream[targets - (n - 1)])
+            alive &= hit
+            ranks[alive, n - 1] = prev[alive]
         return ranks, words, sent_of
+
+    def _folds(self, folds: np.ndarray | None, size: int) -> np.ndarray | None:
+        """Per-position fold to exclude, or None for full-table values."""
+        if folds is None and self.fold is not None:
+            return np.full(size, self.fold, dtype=np.int64)
+        return folds if self.folded is not None else None
 
     def bulk_counts(self, order: int, ranks: np.ndarray, words: np.ndarray,
                     folds: np.ndarray | None = None, continuation: bool = False) -> np.ndarray:
         """Vectorized (context rank, word) -> view count; rank -1 yields 0."""
-        od = self.table.orders[order]
-        keys = od.cont_type_keys if continuation else od.type_keys
-        counts = od.cont_type_counts if continuation else od.type_counts
+        kind = self._kind(order, continuation)
         valid = ranks >= 0
-        q = np.where(valid, ranks, 0) * self.table.base + words
-        idx = np.searchsorted(keys, q)
-        idx_c = np.minimum(idx, len(keys) - 1)
-        hit = valid & (idx < len(keys)) & (keys[idx_c] == q)
-        out = np.zeros(len(ranks), dtype=np.int64)
-        out[hit] = counts[idx_c[hit]]
-        if folds is None and self.fold is not None:
-            folds = np.full(len(ranks), self.fold, dtype=np.int64)
-        if folds is not None and self.folded is not None:
-            fd = self.folded.fold_data[order]
-            fkeys = fd.cft_keys if continuation else fd.ft_keys
-            fvals = fd.cft_excl if continuation else fd.ft_counts
-            if fkeys is not None and len(fkeys):
-                fq = idx_c * self.folded.n_folds + folds
-                delta = np.zeros(len(ranks), dtype=np.int64)
-                delta[hit] = _lookup(fkeys, fvals, fq[hit])
-                out -= delta
+        idx, hit = _find(kind.keys, np.where(valid, ranks, 0) * self.table.base + words)
+        hit &= valid
+        out = np.where(hit, kind.counts[idx], 0)
+        folds = self._folds(folds, len(ranks))
+        if folds is not None:
+            _subtract(out, kind.fold_keys, kind.fold_counts,
+                      idx * self.folded.n_folds + folds, hit)
         return out
 
     def bulk_stats(self, order: int, ranks: np.ndarray,
                    folds: np.ndarray | None = None, continuation: bool = False):
         """Vectorized per-context stats -> dict of arrays (total/unique/n1/n2/n3p)."""
-        od = self.table.orders[order]
-        if continuation:
-            src = (od.cont_ctx_total, od.cont_ctx_unique, od.cont_ctx_n1,
-                   od.cont_ctx_n2, od.cont_ctx_n3p)
-        else:
-            src = (od.ctx_total, od.ctx_unique, od.ctx_n1, od.ctx_n2, od.ctx_n3p)
+        kind = self._kind(order, continuation)
         valid = ranks >= 0
         r = np.where(valid, ranks, 0)
-        out = {}
-        names = ("total", "unique", "n1", "n2", "n3p")
-        for name, arr in zip(names, src):
-            vals = arr[r].copy()
-            vals[~valid] = 0
-            out[name] = vals
-        if folds is None and self.fold is not None:
-            folds = np.full(len(ranks), self.fold, dtype=np.int64)
-        if folds is not None and self.folded is not None:
-            fd = self.folded.fold_data[order]
-            fkeys = fd.ccf_keys if continuation else fd.cf_keys
-            if fkeys is not None and len(fkeys):
-                if continuation:
-                    deltas = (fd.ccf_dtotal, fd.ccf_du, fd.ccf_dn1, fd.ccf_dn2, fd.ccf_dn3p)
-                else:
-                    deltas = (fd.cf_total, fd.cf_du, fd.cf_dn1, fd.cf_dn2, fd.cf_dn3p)
-                q = r * self.folded.n_folds + folds
-                for name, darr in zip(names, deltas):
-                    adj = _lookup(fkeys, darr, q)
-                    adj[~valid] = 0
-                    out[name] -= adj
+        s = kind.stats[r]
+        s[~valid] = 0
+        folds = self._folds(folds, len(ranks))
+        if folds is not None:
+            _subtract(s, kind.stat_keys, kind.stat_deltas, r * self.folded.n_folds + folds, valid)
+        out = dict(zip(_STATS, s.T))
+        out["unique"] = out["n1"] + out["n2"] + out["n3p"]
         return out
 
 

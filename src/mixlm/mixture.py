@@ -154,14 +154,3 @@ def mask_and_renormalize(lam_raw: np.ndarray, mask: np.ndarray) -> MixtureWeight
         raise MixtureError("no weight left after masking invalid columns")
     return kept / total
 
-
-def check_mixture_weights(lam: MixtureWeights, mask: np.ndarray | None = None,
-                          tol: float = 1e-6) -> None:
-    """Assert the simplex invariants; raises MixtureError on violation."""
-    lam = np.asarray(lam)
-    if np.any(lam < 0):
-        raise MixtureError("negative mixture weight")
-    if abs(float(lam.sum()) - 1.0) > tol:
-        raise MixtureError(f"mixture weights sum to {lam.sum()}, not 1")
-    if mask is not None and np.any(lam[: len(mask)][~np.asarray(mask)] != 0):
-        raise MixtureError("nonzero weight on a masked column")

@@ -18,66 +18,43 @@ import numpy as np
 from ..counts import CountView
 from ..smoothing import SmoothingSpec
 
-_BLOCK_NAMES = ("observed", "log_count", "log_unique", "log_discounted_sum")
-
 
 def feature_width(spec: SmoothingSpec) -> int:
     """Length of the count-feature vector for a full-length context."""
-    per_block = 4 if spec.family == "kn" else 3
-    return spec.order * per_block
+    return spec.order * (4 if spec.family == "kn" else 3)
 
 
 def context_features(store, context, spec: SmoothingSpec) -> np.ndarray:
     """Feature vector for one context (orders 1..len(context)+1 concatenated)."""
     view = store.view() if not isinstance(store, CountView) else store
-    context = tuple(int(c) for c in context)
-    per_block = 4 if spec.family == "kn" else 3
-    chain = view.rank_chain(context)
-    out = np.zeros((len(context) + 1) * per_block)
-    for n in range(1, len(context) + 2):
-        rank = int(chain[n - 1])
-        if rank < 0:
-            continue
-        s = view.stats(n, rank)
-        if s.total <= 0:
-            continue
-        at = (n - 1) * per_block
-        out[at] = 1.0
-        out[at + 1] = np.log(s.total)
-        out[at + 2] = np.log(s.unique)
-        if spec.family == "kn":
-            use = view.cont_stats(n, rank) if spec.uses_continuation(n) else s
-            if use.total > 0:
-                kept = use.total - spec.discounts[n].mass(use.n1, use.n2, use.n3p)
-                if kept > 0:
-                    out[at + 3] = np.log(kept)
-    return out
+    chain = view.rank_chain(tuple(int(c) for c in context))
+    ranks = np.full((1, spec.order), -1, dtype=np.int64)
+    ranks[0, :len(chain)] = chain
+    width = len(chain) * feature_width(spec) // spec.order
+    return bulk_context_features(view, spec, ranks)[0, :width]
 
 
 def bulk_context_features(view: CountView, spec: SmoothingSpec, ranks: np.ndarray,
                           folds: np.ndarray | None = None) -> np.ndarray:
     """Vectorized ``context_features`` over positions; ranks is (T, order)."""
-    T = ranks.shape[0]
-    per_block = 4 if spec.family == "kn" else 3
-    out = np.zeros((T, spec.order * per_block))
+    out = np.zeros((ranks.shape[0], feature_width(spec)))
+    per_block = out.shape[1] // spec.order
     for n in range(1, spec.order + 1):
         r = ranks[:, n - 1]
         s = view.bulk_stats(n, r, folds=folds)
         ok = (r >= 0) & (s["total"] > 0)
         at = (n - 1) * per_block
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[ok, at] = 1.0
-            out[ok, at + 1] = np.log(s["total"][ok])
-            out[ok, at + 2] = np.log(s["unique"][ok])
-            if spec.family == "kn":
-                if spec.uses_continuation(n):
-                    use = view.bulk_stats(n, r, folds=folds, continuation=True)
-                else:
-                    use = s
-                kept = use["total"] - spec.discounts[n].mass(
-                    use["n1"], use["n2"], use["n3p"])
-                good = ok & (use["total"] > 0) & (kept > 0)
-                out[good, at + 3] = np.log(kept[good])
+        out[ok, at] = 1.0
+        out[ok, at + 1] = np.log(s["total"][ok])
+        out[ok, at + 2] = np.log(s["unique"][ok])
+        if spec.family == "kn":
+            if spec.uses_continuation(n):
+                use = view.bulk_stats(n, r, folds=folds, continuation=True)
+            else:
+                use = s
+            kept = use["total"] - spec.discounts[n].mass(use["n1"], use["n2"], use["n3p"])
+            good = ok & (use["total"] > 0) & (kept > 0)
+            out[good, at + 3] = np.log(kept[good])
     return out
 
 

@@ -279,22 +279,6 @@ def concat_cols(parts) -> Tensor:
     return out
 
 
-def concat_rows(parts) -> Tensor:
-    parts = [_wrap(p) for p in parts]
-    out = Tensor(np.concatenate([p.value for p in parts], axis=0), tuple(parts))
-    heights = [p.value.shape[0] for p in parts]
-
-    def backward(g):
-        at = 0
-        for p, h in zip(parts, heights):
-            if p.requires_grad:
-                p._accum(g[at:at + h])
-            at += h
-
-    out._backward = backward
-    return out
-
-
 def slice_cols(a, start, stop) -> Tensor:
     a = _wrap(a)
     out = Tensor(a.value[:, start:stop], (a,))

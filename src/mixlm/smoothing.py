@@ -38,9 +38,8 @@ class Discounts:
     d3p: float
 
     def applied(self, counts: np.ndarray) -> np.ndarray:
-        """Discount subtracted from each count (0 for zero counts)."""
-        c = np.asarray(counts)
-        return np.select([c >= 3, c == 2, c == 1], [self.d3p, self.d2, self.d1], 0.0)
+        """Discount subtracted from each non-negative count (0 for zero counts)."""
+        return np.array([0.0, self.d1, self.d2, self.d3p])[np.minimum(counts, 3)]
 
     def mass(self, n1, n2, n3p) -> float | np.ndarray:
         """Total subtracted mass for a context with the given count-of-counts."""
@@ -114,48 +113,67 @@ def _masked() -> SparseDistribution:
     return SparseDistribution(np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
-def ml_distribution(store, context) -> SparseDistribution:
-    """Relative-frequency estimate c(context,w)/c(context); masked if unseen."""
+def kn_terms(d: Discounts, total, n1, n2, n3p, counts=None):
+    """Discounting arithmetic of the scalar and bulk paths, on scalars or arrays.
+
+    For observed contexts (total > 0) returns (p, alpha, degenerate): p of
+    each count, (c - d(c)) renormalized over the kept mass (None without
+    counts); alpha, the removed mass fraction; and whether discounting
+    removed all the mass, where p is uniform over observed successors and
+    alpha is 1.
+    """
+    removed = d.mass(n1, n2, n3p) / total
+    keep_total = 1.0 - removed
+    degenerate = keep_total <= _MIN_KEEP
+    alpha = np.where(degenerate, 1.0, np.minimum(np.maximum(removed, 0.0), 1.0))
+    if counts is None:
+        return None, alpha, degenerate
+    kept = counts - d.applied(counts)
+    if (kept < 0).any():
+        raise ValueError("discount exceeds an observed count")
+    p = np.where(degenerate, (counts > 0) / (n1 + n2 + n3p),
+                 kept / (total * np.maximum(keep_total, _MIN_KEEP)))
+    return p, alpha, degenerate
+
+
+def witten_bell_alpha(total, unique):
+    """alpha = u/(c+u): the chance the next word is one not yet seen here."""
+    return unique / (total + unique)
+
+
+def _observed(store, context, continuation: bool = False):
+    """(view, order, rank, stats) of a context, or None when its column is masked."""
     view = _as_view(store)
     rank = int(view.rank_chain(tuple(context))[len(context)])
     if rank < 0:
-        return _masked()
+        return None
     order = len(context) + 1
-    total = view.stats(order, rank).total
-    if total <= 0:
+    s = view.cont_stats(order, rank) if continuation else view.stats(order, rank)
+    return (view, order, rank, s) if s.total > 0 else None
+
+
+def ml_distribution(store, context) -> SparseDistribution:
+    """Relative-frequency estimate c(context,w)/c(context); masked if unseen."""
+    found = _observed(store, context)
+    if found is None:
         return _masked()
+    view, order, rank, s = found
     words, counts = view.successors(order, rank)
-    return SparseDistribution(words, counts / float(total))
+    return SparseDistribution(words, counts / float(s.total))
 
 
 def discounted_distribution(store, context, d, continuation: bool = False):
-    """Normalized absolute-discounted distribution and its fallback mass.
-
-    Subtracts a per-count-level discount from every successor count, yielding
-    mass (c - d(c))/total per word; the removed fraction beta is returned and
-    the kept mass is renormalized to sum to 1.  When discounting removes all
-    the mass, the column is the limiting uniform distribution over observed
-    successors and beta stays 1.
-    """
-    view = _as_view(store)
+    """Normalized absolute-discounted distribution and its fallback mass beta
+    (``kn_terms``); masked with beta 1 for an unobserved context."""
     if not isinstance(d, Discounts):
         d = Discounts(float(d), float(d), float(d))
-    rank = int(view.rank_chain(tuple(context))[len(context)])
-    if rank < 0:
+    found = _observed(store, context, continuation)
+    if found is None:
         return _masked(), 1.0
-    order = len(context) + 1
-    stats = view.cont_stats(order, rank) if continuation else view.stats(order, rank)
-    if stats.total <= 0:
-        return _masked(), 1.0
+    view, order, rank, s = found
     words, counts = view.successors(order, rank, continuation=continuation)
-    kept = counts - d.applied(counts)
-    if np.any(kept < 0):
-        raise ValueError(f"discount exceeds an observed count at order {order}")
-    keep_total = kept.sum() / float(stats.total)
-    if keep_total <= _MIN_KEEP:
-        return SparseDistribution(words, np.full(len(words), 1.0 / len(words))), 1.0
-    beta = min(max(1.0 - keep_total, 0.0), 1.0)
-    return SparseDistribution(words, kept / kept.sum()), float(beta)
+    p, beta, _ = kn_terms(d, float(s.total), s.n1, s.n2, s.n3p, counts)
+    return SparseDistribution(words, p), float(beta)
 
 
 @dataclass(frozen=True)
@@ -212,8 +230,11 @@ class SmoothingSpec:
         if self.family == "ml":
             return witten_bell_fallback(store, context)
         order = len(context) + 1
-        return discounted_distribution(store, context, self.discounts[order],
-                                       continuation=self.uses_continuation(order))[1]
+        found = _observed(store, context, self.uses_continuation(order))
+        if found is None:
+            return 1.0
+        s = found[3]
+        return float(kn_terms(self.discounts[order], float(s.total), s.n1, s.n2, s.n3p)[1])
 
     def to_dict(self) -> dict:
         out = {"family": self.family, "order": self.order,
@@ -236,21 +257,17 @@ def kn_distribution(store, context, spec: SmoothingSpec) -> SparseDistribution:
     order = len(context) + 1
     if order > spec.order:
         raise ValueError("context longer than the smoothing order supports")
-    dist, _ = discounted_distribution(store, context, spec.discounts[order],
-                                      continuation=spec.uses_continuation(order))
-    return dist
+    return discounted_distribution(store, context, spec.discounts[order],
+                                   continuation=spec.uses_continuation(order))[0]
 
 
 def witten_bell_fallback(store, context) -> float:
-    """alpha = u/(c+u): the chance the next word is one not yet seen here."""
-    view = _as_view(store)
-    rank = int(view.rank_chain(tuple(context))[len(context)])
-    if rank < 0:
+    """Witten-Bell fallback of one context; 1 for a masked column."""
+    found = _observed(store, context)
+    if found is None:
         return 1.0
-    s = view.stats(len(context) + 1, rank)
-    if s.total <= 0:
-        return 1.0
-    return s.unique / float(s.total + s.unique)
+    s = found[3]
+    return witten_bell_alpha(float(s.total), s.unique)
 
 
 def heuristic_lambda(alphas) -> np.ndarray:
@@ -287,35 +304,25 @@ def bulk_column_rows(view: CountView, spec: SmoothingSpec, ranks: np.ndarray,
     valid[t, n-1] False exactly when that context is unobserved (masked
     column, alpha forced to 1).  Agrees with the scalar builders entrywise.
     """
-    T = len(words)
-    N = spec.order
-    probs = np.zeros((T, N))
-    alphas = np.ones((T, N))
-    valid = np.zeros((T, N), dtype=bool)
-    for n in range(1, N + 1):
+    shape = (len(words), spec.order)
+    probs = np.zeros(shape)
+    alphas = np.ones(shape)
+    valid = np.zeros(shape, dtype=bool)
+    for n in range(1, spec.order + 1):
         r = ranks[:, n - 1]
         cont = spec.uses_continuation(n)
         stats = view.bulk_stats(n, r, folds=folds, continuation=cont)
-        total = stats["total"].astype(np.float64)
         ok = (r >= 0) & (stats["total"] > 0)
         valid[:, n - 1] = ok
+        total = np.where(ok, stats["total"], 1).astype(np.float64)
         counts = view.bulk_counts(n, r, words, folds=folds, continuation=cont)
         with np.errstate(divide="ignore", invalid="ignore"):
             if spec.family == "ml":
-                p = np.where(ok, counts / total, 0.0)
-                a = np.where(ok, stats["unique"] / (total + stats["unique"]), 1.0)
+                p = counts / total
+                a = witten_bell_alpha(total, stats["unique"])
             else:
-                d = spec.discounts[n]
-                kept = counts - d.applied(counts)
-                removed = d.mass(stats["n1"], stats["n2"], stats["n3p"])
-                keep_total = np.where(ok, 1.0 - removed / np.where(ok, total, 1.0), 0.0)
-                degenerate = ok & (keep_total <= _MIN_KEEP)
-                p = np.where(ok, kept / (np.where(ok, total, 1.0) * np.maximum(keep_total, _MIN_KEEP)), 0.0)
-                if np.any(degenerate):
-                    p[degenerate] = ((counts[degenerate] > 0)
-                                     / stats["unique"][degenerate].astype(np.float64))
-                a = np.where(ok, np.clip(removed / np.where(ok, total, 1.0), 0.0, 1.0), 1.0)
-                a[degenerate] = 1.0
-        probs[:, n - 1] = p
-        alphas[:, n - 1] = a
+                p, a, _ = kn_terms(spec.discounts[n], total, stats["n1"], stats["n2"],
+                                   stats["n3p"], counts)
+        probs[:, n - 1] = np.where(ok, p, 0.0)
+        alphas[:, n - 1] = np.where(ok, a, 1.0)
     return probs, alphas, valid

@@ -26,6 +26,23 @@ def encode(lines, max_size=None):
     return encode_corpus(lines, vocab)
 
 
+# (order, folds, seed) over which the fold-view and bulk-column parity tests run
+PARITY_CASES = [(order, folds, seed) for order in (1, 2, 4, 6) for folds in (2, 5)
+                for seed in (23, 61)]
+
+
+def parity_id(case):
+    return "order{}-folds{}-seed{}".format(*case)
+
+
+def parity_corpora(seed, n_words=9):
+    """Training text whose capped vocabulary puts <unk> into it, and held-out
+    text that also has words the training text never saw."""
+    train = encode(synthetic_lines(40, n_words=n_words, seed=seed), max_size=n_words - 2)
+    held = encode_corpus(synthetic_lines(8, n_words=n_words + 4, seed=seed + 1), train.vocab)
+    return train, held
+
+
 def synthetic_lines(n_sentences, n_words=30, seed=0, avg_len=8.0):
     """Markov-generated sentences with a skewed unigram marginal.
 

@@ -14,11 +14,12 @@ from mixlm.smoothing import (
     estimate_discounts,
     heuristic_lambda,
     kn_distribution,
+    kn_terms,
     ml_distribution,
     witten_bell_fallback,
 )
 
-from helpers import encode, synthetic_lines, toy_corpus
+from helpers import PARITY_CASES, encode, parity_corpora, parity_id, synthetic_lines, toy_corpus
 
 
 def all_contexts(table, order):
@@ -106,6 +107,12 @@ class TestDiscountedDistribution:
         assert beta == 1.0
         np.testing.assert_allclose(dist.probs, [1 / 3] * 3)
         assert dist.support_total == pytest.approx(1.0)
+        # the shared helper flags the context, as a scalar and inside an array
+        _, alpha, degenerate = kn_terms(Discounts(1.0, 1.0, 1.0), 3.0, 3, 0, 0)
+        assert alpha == 1.0 and degenerate
+        _, _, flags = kn_terms(Discounts(1.0, 1.0, 1.0), np.array([3.0, 3.0]),
+                               np.array([3, 1]), np.array([0, 1]), np.array([0, 0]))
+        np.testing.assert_array_equal(flags, [True, False])
 
     def test_oversized_discount_rejected(self):
         with pytest.raises(ValueError):
@@ -271,15 +278,12 @@ class TestRecursionEquivalence:
 class TestBulkColumnRows:
     """The vectorized per-position path must match scalar column builders."""
 
-    ORDER = 3
-
-    def setup_method(self):
-        lines = synthetic_lines(40, n_words=9, seed=17)
-        self.train = encode(lines)
-        self.folded = cv_fold_counts(self.train, self.ORDER, folds=5)
+    @pytest.fixture(autouse=True, params=PARITY_CASES, ids=parity_id)
+    def case(self, request):
+        self.ORDER, self.FOLDS, seed = request.param
+        self.train, self.held = parity_corpora(seed)
+        self.folded = cv_fold_counts(self.train, self.ORDER, folds=self.FOLDS)
         self.table = self.folded.table
-        self.held = encode_corpus(synthetic_lines(6, n_words=9, seed=77),
-                                  self.train.vocab)
 
     def _scalar_row(self, view, spec, context, word):
         probs, alphas = [], []
@@ -289,9 +293,12 @@ class TestBulkColumnRows:
             alphas.append(spec.fallback(view, ctx))
         return probs, alphas
 
-    def _check(self, spec, corpus, view, folds_array=None):
+    def _check(self, spec, corpus, with_folds=False):
+        """Bulk rows against the scalar path; with_folds gives sentence i the
+        fold view that leaves out fold i % F."""
+        view = self.folded.view()
         ranks, words, sent_of = view.bulk_ranks(corpus)
-        folds = None if folds_array is None else folds_array[sent_of]
+        folds = sent_of % self.FOLDS if with_folds else None
         probs, alphas, valid = bulk_column_rows(view, spec, ranks, words, folds=folds)
         bos = corpus.vocab.bos_id
         t = 0
@@ -299,7 +306,7 @@ class TestBulkColumnRows:
             padded = [bos] * (self.ORDER - 1) + [int(x) for x in sent]
             for i in range(self.ORDER - 1, len(padded)):
                 ctx = tuple(padded[i - self.ORDER + 1:i])
-                sview = self.folded.view(int(folds[t])) if folds is not None else view
+                sview = self.folded.view(int(folds[t])) if with_folds else view
                 p_ref, a_ref = self._scalar_row(sview, spec, ctx, padded[i])
                 np.testing.assert_allclose(probs[t], p_ref, atol=1e-12, err_msg=str(ctx))
                 np.testing.assert_allclose(alphas[t], a_ref, atol=1e-12, err_msg=str(ctx))
@@ -307,16 +314,18 @@ class TestBulkColumnRows:
         assert t == len(words)
 
     def test_ml_on_training_data(self):
-        self._check(SmoothingSpec.ml(self.ORDER), self.train, self.folded.view())
+        self._check(SmoothingSpec.ml(self.ORDER), self.train)
+        self._check(SmoothingSpec.ml(self.ORDER), self.train, with_folds=True)
 
     def test_kn_on_held_out_data(self):
         spec = SmoothingSpec.kn(self.table, self.ORDER)
-        self._check(spec, self.held, self.folded.view())
+        self._check(spec, self.held)
+        self._check(SmoothingSpec.ml(self.ORDER), self.held)
 
     def test_kn_with_fold_views(self):
         spec = SmoothingSpec.kn(self.table, self.ORDER)
-        self._check(spec, self.train, self.folded.view(),
-                    folds_array=self.folded.fold_assignment)
+        self._check(spec, self.train, with_folds=True)
+        self._check(spec, self.held, with_folds=True)
 
     def test_valid_flags_track_observed_contexts(self):
         spec = SmoothingSpec.kn(self.table, self.ORDER)
