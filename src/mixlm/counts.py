@@ -26,7 +26,8 @@ fingerprint as a u32 length and ASCII bytes.  Then per order ctx_codes,
 type_keys, type_counts and stats, and below the top order cont_type_keys,
 cont_type_counts and cont_stats, each as a u64 element count and int64
 values (stats row by row), all little-endian.  A file that is cut short, has
-trailing bytes or disagrees with its header raises ``CountError``.
+trailing bytes or disagrees with its header raises ``CountError``, and so
+does text encoded with a vocabulary whose fingerprint is not the table's.
 """
 
 from __future__ import annotations
@@ -179,8 +180,7 @@ class CountTable:
 
     def dump_text(self, vocab: Vocabulary, fh: io.TextIOBase) -> None:
         """One "context TAB word TAB count" line per raw n-gram type, sorted."""
-        if vocab.size != self.vocab_size:
-            raise CountError("vocabulary size does not match count table")
+        self._check_vocab(vocab)
         lines = []
         for n in range(1, self.order + 1):
             od = self.orders[n]
@@ -192,6 +192,11 @@ class CountTable:
         lines.sort(key=lambda x: (x[0], x[1], x[2]))
         for _, ctx, word, count in lines:
             fh.write(f"{ctx}\t{word}\t{count}\n")
+
+    def _check_vocab(self, vocab: Vocabulary) -> None:
+        """Reject ids from a vocabulary other than the one counted with."""
+        if _vocab_fingerprint(vocab) != self.vocab_fingerprint:
+            raise CountError("vocabulary does not match the count table's")
 
     def context_tuple(self, order: int, rank: int) -> tuple[int, ...]:
         """Recover the id-sequence of a context from its rank."""
@@ -550,6 +555,7 @@ class CountView:
         sentence index[T]).  Rank columns follow ascending order 1..N.
         """
         table = self.table
+        table._check_vocab(corpus.vocab)
         base = table.base
         stream, targets, sent_of = _corpus_stream(corpus, table.order)
         words = stream[targets]

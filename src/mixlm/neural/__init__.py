@@ -4,10 +4,8 @@ from .tensor import Tensor, constant, param  # noqa: F401
 from .layers import (  # noqa: F401
     FeedForward,
     LSTM,
-    NetworkConfig,
     OutputLayer,
     block_dropout_mask,
-    block_dropout_vector,
     standard_dropout,
 )
 from .optim import Adam, OptimError, adam_step, clip_gradients, gradient_check  # noqa: F401

@@ -8,71 +8,24 @@ bias, which starts at 1 so long-range memory survives early training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
 
 
-@dataclass
-class NetworkConfig:
-    """Architecture and regularization choices for the weighting network."""
-
-    architecture: str = "ff"  # "ff" | "lstm"
-    hidden_size: int = 200
-    embedding_size: int | None = None  # defaults to hidden_size
-    input_features: str = "c"  # "c" counts only | "cr" counts + word embedding
-    dropout_rate: float = 0.5
-    block_dropout_rate: float = 0.5
-    dtype: str = "float64"
-
-    def __post_init__(self):
-        self.architecture = self.architecture.lower()
-        self.input_features = self.input_features.lower()
-        if self.architecture not in ("ff", "lstm"):
-            raise ValueError(f"unknown architecture {self.architecture!r}")
-        if self.input_features not in ("c", "cr"):
-            raise ValueError(f"unknown input feature set {self.input_features!r}")
-        if self.embedding_size is None:
-            self.embedding_size = self.hidden_size
-        if self.hidden_size <= 0 or self.embedding_size <= 0:
-            raise ValueError("network sizes must be positive")
-        for rate in (self.dropout_rate, self.block_dropout_rate):
-            if not 0.0 <= rate < 1.0:
-                raise ValueError("dropout rates must lie in [0, 1)")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError("dtype must be float64 or float32")
-
-    @property
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
-
-    def to_dict(self) -> dict:
-        return {"architecture": self.architecture, "hidden_size": self.hidden_size,
-                "embedding_size": self.embedding_size,
-                "input_features": self.input_features,
-                "dropout_rate": self.dropout_rate,
-                "block_dropout_rate": self.block_dropout_rate, "dtype": self.dtype}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkConfig":
-        return cls(**d)
-
-
-def _init(rng: np.random.Generator, shape, dtype, scale=0.1) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape).astype(dtype)
+def _init(rng: np.random.Generator, shape, scale=0.1) -> np.ndarray:
+    return rng.uniform(-scale, scale, size=shape)
 
 
 class FeedForward:
     """One affine layer with a tanh nonlinearity: h = tanh(x W + b)."""
 
     def __init__(self, in_size: int, hidden_size: int, rng: np.random.Generator,
-                 dtype=np.float64, prefix: str = "ff"):
+                 prefix: str = "ff"):
         self.in_size = in_size
-        self.W = T.param(_init(rng, (in_size, hidden_size), dtype), f"{prefix}.W")
-        self.b = T.param(np.zeros(hidden_size, dtype=dtype), f"{prefix}.b")
+        self.W = T.param(_init(rng, (in_size, hidden_size)), f"{prefix}.W")
+        self.b = T.param(np.zeros(hidden_size), f"{prefix}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.value.shape[1] != self.in_size:
@@ -88,18 +41,17 @@ class LSTM:
     candidate] along the last axis; forget-gate bias starts at 1."""
 
     def __init__(self, in_size: int, hidden_size: int, rng: np.random.Generator,
-                 dtype=np.float64, prefix: str = "lstm"):
+                 prefix: str = "lstm"):
         self.in_size = in_size
         self.hidden_size = hidden_size
-        self.dtype = dtype
-        self.W_x = T.param(_init(rng, (in_size, 4 * hidden_size), dtype), f"{prefix}.W_x")
-        self.W_h = T.param(_init(rng, (hidden_size, 4 * hidden_size), dtype), f"{prefix}.W_h")
-        b = np.zeros(4 * hidden_size, dtype=dtype)
+        self.W_x = T.param(_init(rng, (in_size, 4 * hidden_size)), f"{prefix}.W_x")
+        self.W_h = T.param(_init(rng, (hidden_size, 4 * hidden_size)), f"{prefix}.W_h")
+        b = np.zeros(4 * hidden_size)
         b[hidden_size:2 * hidden_size] = 1.0
         self.b = T.param(b, f"{prefix}.b")
 
     def initial_state(self, batch: int):
-        z = np.zeros((batch, self.hidden_size), dtype=self.dtype)
+        z = np.zeros((batch, self.hidden_size))
         return T.constant(z), T.constant(z.copy())
 
     def step(self, x: Tensor, state):
@@ -121,13 +73,14 @@ class LSTM:
 
 
 class OutputLayer:
-    """Affine map to K logits, then softmax with optional mask-renormalize."""
+    """Affine map to K logits, then softmax; the one place that zeroes the
+    weights of masked columns and renormalizes the rest."""
 
     def __init__(self, hidden_size: int, out_size: int, rng: np.random.Generator,
-                 dtype=np.float64, prefix: str = "out"):
+                 prefix: str = "out"):
         self.out_size = out_size
-        self.W = T.param(_init(rng, (hidden_size, out_size), dtype), f"{prefix}.W")
-        self.b = T.param(np.zeros(out_size, dtype=dtype), f"{prefix}.b")
+        self.W = T.param(_init(rng, (hidden_size, out_size)), f"{prefix}.W")
+        self.b = T.param(np.zeros(out_size), f"{prefix}.b")
 
     def __call__(self, h: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Mixture weights: softmax(h W + b), zeroed at masked columns and
@@ -172,16 +125,3 @@ def block_dropout_mask(batch: int, n_count: int, width: int, rate: float,
     mask[dropped, :n_count] = 0.0
     return mask
 
-
-def block_dropout_vector(lam: np.ndarray, n_count: int, rate: float,
-                         rng: np.random.Generator, training: bool = True) -> np.ndarray:
-    """Reference single-example form: zero the count entries and renormalize
-    the identity segment, with probability ``rate``."""
-    if not training or rate == 0.0 or rng.random() >= rate:
-        return np.asarray(lam, dtype=np.float64).copy()
-    out = np.asarray(lam, dtype=np.float64).copy()
-    out[:n_count] = 0.0
-    total = out.sum()
-    if total <= 0.0:
-        raise ValueError("block dropout removed all probability mass")
-    return out / total

@@ -189,7 +189,6 @@ class SmoothingSpec:
     family: str
     order: int
     discounts: tuple | None = None  # index by order; [0] unused
-    continuation: bool = True
 
     def __post_init__(self):
         if self.family not in ("ml", "kn"):
@@ -200,25 +199,23 @@ class SmoothingSpec:
 
     @classmethod
     def ml(cls, order: int) -> "SmoothingSpec":
-        return cls("ml", order, None, False)
+        return cls("ml", order)
 
     @classmethod
     def kn(cls, store, order: int, modified: bool = True,
-           fixed_discount: float | None = None,
-           continuation: bool = True) -> "SmoothingSpec":
+           fixed_discount: float | None = None) -> "SmoothingSpec":
         """Estimate (or fix) per-order discounts against a count table."""
         ds: list = [None]
         for n in range(1, order + 1):
             if fixed_discount is not None:
                 ds.append(Discounts(fixed_discount, fixed_discount, fixed_discount))
             else:
-                cont = continuation and n < order
-                ds.append(estimate_discounts(store, n, continuation=cont,
+                ds.append(estimate_discounts(store, n, continuation=n < order,
                                              modified=modified))
-        return cls("kn", order, tuple(ds), continuation)
+        return cls("kn", order, tuple(ds))
 
     def uses_continuation(self, order: int) -> bool:
-        return self.family == "kn" and self.continuation and order < self.order
+        return self.family == "kn" and order < self.order
 
     def column(self, store, context) -> SparseDistribution:
         if self.family == "ml":
@@ -237,8 +234,7 @@ class SmoothingSpec:
         return float(kn_terms(self.discounts[order], float(s.total), s.n1, s.n2, s.n3p)[1])
 
     def to_dict(self) -> dict:
-        out = {"family": self.family, "order": self.order,
-               "continuation": self.continuation}
+        out = {"family": self.family, "order": self.order}
         if self.discounts is not None:
             out["discounts"] = [None] + [list(d.as_tuple()) for d in self.discounts[1:]]
         return out
@@ -248,7 +244,7 @@ class SmoothingSpec:
         ds = data.get("discounts")
         if ds is not None:
             ds = tuple([None] + [Discounts(*d) for d in ds[1:]])
-        return cls(data["family"], data["order"], ds, data["continuation"])
+        return cls(data["family"], data["order"], ds)
 
 
 def kn_distribution(store, context, spec: SmoothingSpec) -> SparseDistribution:

@@ -209,6 +209,17 @@ class TestBulkQueries:
         held = encode_corpus(synthetic_lines(10, n_words=10, seed=99), self.train.vocab)
         self._check_corpus(held)
 
+    def test_rejects_other_vocabulary(self):
+        lines = synthetic_lines(50, n_words=10, seed=11)
+        larger = encode(synthetic_lines(50, n_words=20, seed=11))
+        renamed = encode([line.replace("w", "v") for line in lines])
+        assert larger.vocab.size > self.train.vocab.size == renamed.vocab.size
+        for other in (larger, renamed):
+            with pytest.raises(CountError, match="vocabulary"):
+                self.view.bulk_ranks(other)
+            with pytest.raises(CountError, match="vocabulary"):
+                self.table.dump_text(other.vocab, io.StringIO())
+
     def test_bulk_continuation_counts(self):
         ranks, words, _ = self.view.bulk_ranks(self.train)
         for n in (1, 2):

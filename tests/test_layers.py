@@ -9,39 +9,14 @@ import mixlm.neural.tensor as T
 from mixlm.neural.layers import (
     LSTM,
     FeedForward,
-    NetworkConfig,
     OutputLayer,
     block_dropout_mask,
-    block_dropout_vector,
     standard_dropout,
 )
 
 
 def sigma(x):
     return 1.0 / (1.0 + math.exp(-x))
-
-
-class TestNetworkConfig:
-    def test_defaults(self):
-        cfg = NetworkConfig()
-        assert cfg.architecture == "ff"
-        assert cfg.hidden_size == 200
-        assert cfg.embedding_size == 200  # follows hidden_size
-        assert cfg.dropout_rate == 0.5
-
-    def test_round_trip(self):
-        cfg = NetworkConfig(architecture="lstm", hidden_size=50, input_features="cr")
-        assert NetworkConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(architecture="transformer")
-        with pytest.raises(ValueError):
-            NetworkConfig(hidden_size=0)
-        with pytest.raises(ValueError):
-            NetworkConfig(dropout_rate=1.0)
-        with pytest.raises(ValueError):
-            NetworkConfig(input_features="q")
 
 
 class TestFeedForward:
@@ -186,34 +161,6 @@ class TestStandardDropout:
 
 
 class TestBlockDropout:
-    def test_dropped_example_renormalizes_identity_segment(self):
-        lam = np.array([0.2, 0.3, 0.5])
-        rng = np.random.default_rng(0)  # first draw 0.6369... < 0.99 -> dropped
-        out = block_dropout_vector(lam, n_count=2, rate=0.99, rng=rng)
-        np.testing.assert_allclose(out, [0.0, 0.0, 1.0])
-
-    def test_rate_zero_unchanged_and_no_rng_consumed(self):
-        lam = np.array([0.2, 0.3, 0.5])
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        out = block_dropout_vector(lam, 2, 0.0, rng)
-        np.testing.assert_allclose(out, lam)
-        assert rng.bit_generator.state == before
-
-    def test_eval_mode_unchanged(self):
-        lam = np.array([0.5, 0.5])
-        out = block_dropout_vector(lam, 1, 0.9, np.random.default_rng(0), training=False)
-        np.testing.assert_allclose(out, lam)
-
-    def test_drop_frequency_concentrates(self):
-        rng = np.random.default_rng(123)
-        lam = np.array([0.5, 0.25, 0.25])
-        dropped = 0
-        for _ in range(10_000):
-            out = block_dropout_vector(lam, 1, 0.5, rng)
-            dropped += out[0] == 0.0
-        assert 0.48 <= dropped / 10_000 <= 0.52
-
     def test_batched_mask_matches_vector_semantics(self):
         rate, n_count, width = 0.5, 2, 5
         mask = block_dropout_mask(1000, n_count, width, rate, np.random.default_rng(7),
@@ -232,8 +179,3 @@ class TestBlockDropout:
         np.testing.assert_array_equal(
             block_dropout_mask(10, 2, 4, 0.9, rng, training=False), 1.0)
         assert rng.bit_generator.state == before
-
-    def test_all_mass_on_counts_is_an_error_when_dropped(self):
-        lam = np.array([0.6, 0.4, 0.0])
-        with pytest.raises(ValueError):
-            block_dropout_vector(lam, 2, 0.999999, np.random.default_rng(0))

@@ -1,4 +1,4 @@
-"""Mixture assembly: probabilities, gradients, masking."""
+"""Mixture assembly: probabilities and masking."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from mixlm.mixture import (
     MixtureError,
     context_distributions,
     full_distribution,
-    mask_and_renormalize,
-    nll_and_lambda_gradient,
     word_probability,
 )
 from mixlm.smoothing import SmoothingSpec, SparseDistribution, heuristic_lambda
@@ -38,8 +36,7 @@ def random_dists(rng, n_cols, J, identity=False):
 
 
 def random_lambda(rng, dists):
-    lam = rng.dirichlet(np.ones(dists.weight_length))
-    return mask_and_renormalize(lam, dists.full_mask())
+    return rng.dirichlet(np.ones(dists.weight_length))
 
 
 class TestWordProbability:
@@ -56,6 +53,12 @@ class TestWordProbability:
         dists = ContextDistributions([masked_col(), sparse({2: 0.2, 0: 0.8})], 3)
         p = word_probability(dists, np.array([0.0, 1.0]), 2)
         assert p == pytest.approx(0.2)
+        # weight on a masked column adds no mass: its support is empty
+        lam = np.array([0.5, 0.5])
+        assert word_probability(dists, lam, 2) == pytest.approx(0.1)
+        assert word_probability(dists, lam, 1) == 0.0
+        np.testing.assert_allclose(full_distribution(dists, lam), [0.4, 0.0, 0.1])
+        assert dists.mask.tolist() == [False, True]
 
     def test_identity_block_entry(self):
         dists = ContextDistributions([sparse({0: 1.0})], 3, has_identity_block=True)
@@ -132,78 +135,6 @@ class TestFullDistribution:
         assert full_distribution(dists, lam).sum() == pytest.approx(1.0, abs=1e-9)
 
 
-class TestNLLAndGradient:
-    def test_hand_worked_example(self):
-        dists = ContextDistributions([sparse({3: 0.5, 0: 0.5}), sparse({3: 0.25, 1: 0.75})], 4)
-        loss, grad = nll_and_lambda_gradient(dists, np.array([0.5, 0.5]), 3)
-        assert loss == pytest.approx(-np.log(0.375))
-        np.testing.assert_allclose(grad, [-0.5 / 0.375, -0.25 / 0.375])
-
-    def test_identity_certain_event(self):
-        dists = ContextDistributions([], 3, has_identity_block=True)
-        lam = np.array([0.0, 1.0, 0.0])
-        loss, grad = nll_and_lambda_gradient(dists, lam, 1)
-        assert loss == pytest.approx(0.0)
-        np.testing.assert_allclose(grad, [0.0, -1.0, 0.0])
-
-    def test_zero_probability_event_is_an_error(self):
-        dists = ContextDistributions([sparse({0: 1.0})], 3, context=(7,))
-        with pytest.raises(MixtureError, match="zero probability"):
-            nll_and_lambda_gradient(dists, np.array([1.0]), 2)
-
-    def test_finite_difference_oracle(self):
-        """Analytic gradient vs central differences on random instances."""
-        rng = np.random.default_rng(11)
-        eps = 1e-6
-        for trial in range(100):
-            J = int(rng.integers(2, 10))
-            dists = random_dists(rng, int(rng.integers(1, 4)), J,
-                                 identity=bool(rng.integers(0, 2)))
-            lam = random_lambda(rng, dists) * 0.9 + 0.1 / dists.weight_length
-            word = int(rng.integers(0, J))
-            if word_probability(dists, lam, word) <= 1e-9:
-                continue
-            loss, grad = nll_and_lambda_gradient(dists, lam, word)
-            for k in range(dists.weight_length):
-                up, down = lam.copy(), lam.copy()
-                up[k] += eps
-                down[k] -= eps
-                lu, _ = nll_and_lambda_gradient(dists, up, word)
-                ld, _ = nll_and_lambda_gradient(dists, down, word)
-                fd = (lu - ld) / (2 * eps)
-                assert abs(grad[k] - fd) / max(1.0, abs(grad[k])) < 1e-6, (trial, k)
-
-    def test_gradient_zero_on_masked_columns(self):
-        cols = [masked_col(), sparse({0: 0.5, 1: 0.5})]
-        dists = ContextDistributions(cols, 2)
-        loss, grad = nll_and_lambda_gradient(dists, np.array([0.0, 1.0]), 0)
-        assert grad[0] == 0.0
-
-
-class TestMaskAndRenormalize:
-    def test_mask_first_two(self):
-        out = mask_and_renormalize(np.array([0.2, 0.3, 0.5]),
-                                   np.array([False, False, True]))
-        np.testing.assert_allclose(out, [0.0, 0.0, 1.0])
-
-    def test_mask_none_is_identity(self):
-        lam = np.array([0.25, 0.25, 0.25, 0.25])
-        np.testing.assert_allclose(mask_and_renormalize(lam, np.ones(4, bool)), lam)
-
-    def test_mask_half(self):
-        out = mask_and_renormalize(np.array([0.5, 0.5, 0.0, 0.0]),
-                                   np.array([False, True, True, True]))
-        np.testing.assert_allclose(out, [0.0, 1.0, 0.0, 0.0])
-
-    def test_all_masked_is_an_error(self):
-        with pytest.raises(MixtureError):
-            mask_and_renormalize(np.array([0.5, 0.5]), np.array([False, False]))
-
-    def test_zero_weight_on_valid_columns_is_an_error(self):
-        with pytest.raises(MixtureError):
-            mask_and_renormalize(np.array([1.0, 0.0]), np.array([False, True]))
-
-
 class TestContextDistributionsBuilder:
     def test_builds_one_column_per_order(self):
         corpus = encode(synthetic_lines(30, n_words=8, seed=3))
@@ -214,7 +145,7 @@ class TestContextDistributionsBuilder:
         bos = corpus.vocab.bos_id
         ctx = (bos, int(sent[0]))
         dists = context_distributions(table.view(), spec, ctx)
-        assert dists.n_count_columns == 3
+        assert len(dists.columns) == 3
         assert dists.mask.all()  # training context: all orders observed
         lam = heuristic_lambda([spec.fallback(table, ctx),
                                 spec.fallback(table, ctx[1:])])
