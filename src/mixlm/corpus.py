@@ -153,11 +153,6 @@ def encode_corpus(lines: Iterable[str], vocab: Vocabulary) -> EncodedCorpus:
     return EncodedCorpus(sentences=sentences, vocab=vocab)
 
 
-def read_corpus(path: str, vocab: Vocabulary) -> EncodedCorpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        return encode_corpus(fh, vocab)
-
-
 def write_vocabulary(vocab: Vocabulary, fh: io.TextIOBase) -> None:
     """Versioned text format: header line, then one word per line in id order."""
     fh.write(

@@ -20,14 +20,16 @@ is n1 + n2 + n3p, in a fold view too.  Fold views never copy the corpus:
 per-(type, fold) count deltas and per-(context, fold) deltas of the four
 stats, built once per kind, give ``full - fold`` exactly.
 
-File format 2: ``MXCT``; version and order (u32); vocabulary size, token
-count and the number of contexts over all orders (u64); the vocabulary
-fingerprint as a u32 length and ASCII bytes.  Then per order ctx_codes,
-type_keys, type_counts and stats, and below the top order cont_type_keys,
-cont_type_counts and cont_stats, each as a u64 element count and int64
-values (stats row by row), all little-endian.  A file that is cut short, has
-trailing bytes or disagrees with its header raises ``CountError``, and so
-does text encoded with a vocabulary whose fingerprint is not the table's.
+A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
+a ``CountView`` and written to disk in one form, binary file format 2:
+``MXCT``; version and order (u32); vocabulary size, token count and the
+number of contexts over all orders (u64); the vocabulary fingerprint as a u32
+length and ASCII bytes.  Then per order ctx_codes, type_keys, type_counts and
+stats, and below the top order cont_type_keys, cont_type_counts and
+cont_stats, each as a u64 element count and int64 values (stats row by row),
+all little-endian.  A file that is cut short, has trailing bytes or
+disagrees with its header raises ``CountError``, and so does text encoded
+with a vocabulary whose fingerprint is not the table's.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import BOS, EncodedCorpus, Vocabulary
+from .corpus import EncodedCorpus, Vocabulary
 
 _BIN_MAGIC = b"MXCT"
 _BIN_VERSION = 2
@@ -176,84 +178,10 @@ class CountTable:
             raise CountError("trailing bytes after the last array")
         return cls(order, int(vocab_size), orders, int(token_count), fingerprint)
 
-    # -- text dump -------------------------------------------------------
-
-    def dump_text(self, vocab: Vocabulary, fh: io.TextIOBase) -> None:
-        """One "context TAB word TAB count" line per raw n-gram type, sorted."""
-        self._check_vocab(vocab)
-        lines = []
-        for n in range(1, self.order + 1):
-            od = self.orders[n]
-            ctx_words = [" ".join(map(vocab.word_of, self.context_tuple(n, r)))
-                         for r in range(len(od.ctx_codes))]
-            ranks, words = np.divmod(od.type_keys, self.base)
-            for r, w, c in zip(ranks.tolist(), words.tolist(), od.type_counts.tolist()):
-                lines.append((n, ctx_words[r], vocab.word_of(w), c))
-        lines.sort(key=lambda x: (x[0], x[1], x[2]))
-        for _, ctx, word, count in lines:
-            fh.write(f"{ctx}\t{word}\t{count}\n")
-
     def _check_vocab(self, vocab: Vocabulary) -> None:
         """Reject ids from a vocabulary other than the one counted with."""
         if _vocab_fingerprint(vocab) != self.vocab_fingerprint:
             raise CountError("vocabulary does not match the count table's")
-
-    def context_tuple(self, order: int, rank: int) -> tuple[int, ...]:
-        """Recover the id-sequence of a context from its rank."""
-        syms = []
-        n, r = order, rank
-        while n > 1:
-            code = int(self.orders[n].ctx_codes[r])
-            syms.append(code % self.base)
-            r = code // self.base
-            n -= 1
-        return tuple(syms)
-
-
-def load_text(fh: io.TextIOBase, vocab: Vocabulary, order: int) -> CountTable:
-    """Ingest a text dump of raw n-gram counts (all orders 1..order required).
-
-    Context statistics and continuation counts are derived from the listed
-    types, so the result satisfies the same invariants as a table accumulated
-    from a corpus.
-    """
-    per_order: list[list] = [[] for _ in range(order + 1)]
-    for lineno, line in enumerate(fh, 1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 3:
-            raise CountError(f"line {lineno}: expected 'context\\tword\\tcount'")
-        ctx_str, word, count = parts
-        ctx_tokens = ctx_str.split() if ctx_str else []
-        n = len(ctx_tokens) + 1
-        if n > order:
-            raise CountError(f"line {lineno}: order {n} exceeds table order {order}")
-        ctx_ids = tuple(vocab.bos_id if t == BOS else vocab.id_of(t) for t in ctx_tokens)
-        per_order[n].append((ctx_ids, vocab.id_of(word), int(count)))
-
-    base = vocab.size + 1
-    rank_of = {(): 0}  # context tuple -> rank among the contexts of its order
-    orders: list = [None]
-    for n in range(1, order + 1):
-        if not per_order[n]:
-            raise CountError(f"no order-{n} counts in dump; orders 1..{order} are required")
-        contexts, words, counts = zip(*per_order[n])
-        if n > 1:
-            for ctx in contexts:
-                if ctx[1:] not in rank_of:
-                    raise CountError(f"context {ctx} lacks its order-{n - 1} suffix in the dump")
-            ctx_codes, rank = np.unique([rank_of[c[1:]] * base + c[0] for c in contexts],
-                                        return_inverse=True)
-            rank_of = dict(zip(contexts, rank.tolist()))
-        else:
-            ctx_codes, rank = np.zeros(1, dtype=np.int64), np.zeros(len(words), dtype=np.int64)
-        keys, inv = np.unique(rank * base + np.array(words), return_inverse=True)
-        type_counts = np.bincount(inv, weights=counts).astype(np.int64)
-        orders.append(_derive_order(ctx_codes, keys, type_counts, base))
-    _attach_continuations(orders, order, base)
-    return CountTable(order, vocab.size, orders, int(orders[1].type_counts.sum()),
-                      _vocab_fingerprint(vocab))
 
 
 # -- accumulation ---------------------------------------------------------
@@ -266,11 +194,6 @@ def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int) -> np.ndarray:
     for j, level in enumerate((counts == 1, counts == 2, counts >= 3), 1):
         out[:, j] = np.bincount(groups[level], minlength=n_groups)
     return out
-
-
-def _derive_order(ctx_codes, type_keys, type_counts, base) -> _OrderData:
-    return _OrderData(ctx_codes, type_keys, type_counts,
-                      _tally(type_keys // base, type_counts, len(ctx_codes)))
 
 
 def _attach_continuations(orders: list, order: int, base: int) -> list[np.ndarray]:
@@ -342,7 +265,8 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
             ctx_codes, rank = np.unique(rank * base + left, return_inverse=True)
         keys, inverse, counts = np.unique(rank * base + words,
                                           return_inverse=True, return_counts=True)
-        orders.append(_derive_order(ctx_codes, keys, counts, base))
+        orders.append(_OrderData(ctx_codes, keys, counts,
+                                 _tally(keys // base, counts, len(ctx_codes))))
         type_inverse.append(inverse)
     cont_inverse = _attach_continuations(orders, order, base)
     table = CountTable(order, corpus.vocab.size, orders, corpus.token_count,
@@ -395,10 +319,6 @@ class FoldedCounts:
         if fold is not None and not (0 <= fold < self.n_folds):
             raise CountError(f"fold {fold} out of range")
         return CountView(self.table, self, fold)
-
-    @property
-    def folds(self) -> list["CountView"]:
-        return [self.view(f) for f in range(self.n_folds)]
 
 
 def _index(keys: np.ndarray, key) -> int:
@@ -454,7 +374,8 @@ class CountView:
         self.table = table
         self.folded = folded
         self.fold = fold
-        self._chain_memo: dict[tuple[int, ...], np.ndarray] = {}
+        # the latest context resolved and its rank chain
+        self._latest: tuple[tuple[int, ...], np.ndarray] = ((), np.zeros(1, dtype=np.int64))
 
     @property
     def vocab_size(self) -> int:
@@ -486,26 +407,29 @@ class CountView:
         """Ranks of the length-0..len(context) suffixes of ``context``.
 
         Entry k is the rank of the last k symbols as an order-(k+1) context,
-        or -1 when that context never occurs in the full table.
+        or -1 when that context never occurs in the full table.  The view
+        keeps only the latest chain: a suffix of the latest context reads a
+        prefix of it, and a context that extends the latest one continues it.
         """
         context = tuple(int(c) for c in context)
         if len(context) >= self.table.order:
             raise CountError("context longer than order - 1")
-        cached = self._chain_memo.get(context)
-        if cached is not None:
-            return cached
-        base = self.table.base
-        chain = np.full(len(context) + 1, -1, dtype=np.int64)
-        chain[0] = 0
-        rank = 0
-        for k in range(1, len(context) + 1):
-            rank = _index(self.table.orders[k + 1].ctx_codes,
-                          rank * base + context[len(context) - k])
+        last, chain = self._latest
+        k = len(context)
+        if context == last[len(last) - k:]:
+            return chain[:k + 1]
+        if context[k - len(last):] != last:
+            last, chain = (), chain[:1]
+        out = np.full(k + 1, -1, dtype=np.int64)
+        out[:len(chain)] = chain
+        base, orders = self.table.base, self.table.orders
+        rank = int(out[len(last)])
+        for i in range(len(last) + 1, k + 1):
             if rank < 0:
                 break
-            chain[k] = rank
-        self._chain_memo[context] = chain
-        return chain
+            rank = out[i] = _index(orders[i + 1].ctx_codes, rank * base + context[k - i])
+        self._latest = (context, out)
+        return out
 
     # -- scalar queries ------------------------------------------------------
 
@@ -604,18 +528,3 @@ class CountView:
         out = dict(zip(_STATS, s.T))
         out["unique"] = out["n1"] + out["n2"] + out["n3p"]
         return out
-
-
-def query(view: CountView | CountTable, context: tuple[int, ...], word: int):
-    """(count, context total, unique successors) for one (context, word)."""
-    if isinstance(view, CountTable):
-        view = view.view()
-    chain = view.rank_chain(tuple(context))
-    order = len(context) + 1
-    rank = int(chain[len(context)])
-    if rank < 0:
-        return 0, 0, 0
-    s = view.stats(order, rank)
-    if s.total <= 0:
-        return 0, 0, 0
-    return view.count(order, rank, word), s.total, s.unique

@@ -24,10 +24,9 @@ def feature_width(spec: SmoothingSpec) -> int:
     return spec.order * (4 if spec.family == "kn" else 3)
 
 
-def context_features(store, context, spec: SmoothingSpec) -> np.ndarray:
+def context_features(view: CountView, context, spec: SmoothingSpec) -> np.ndarray:
     """Feature vector for one context (orders 1..len(context)+1 concatenated)."""
-    view = store.view() if not isinstance(store, CountView) else store
-    chain = view.rank_chain(tuple(int(c) for c in context))
+    chain = view.rank_chain(context)
     ranks = np.full((1, spec.order), -1, dtype=np.int64)
     ranks[0, :len(chain)] = chain
     width = len(chain) * feature_width(spec) // spec.order

@@ -25,10 +25,6 @@ from .counts import CountTable, CountView
 _MIN_KEEP = 1e-12
 
 
-def _as_view(store) -> CountView:
-    return store.view() if isinstance(store, CountTable) else store
-
-
 @dataclass(frozen=True)
 class Discounts:
     """Count-level absolute discounts (counts of 1, 2, and 3 or more)."""
@@ -49,27 +45,22 @@ class Discounts:
         return (self.d1, self.d2, self.d3p)
 
 
-def estimate_discounts(store, order: int, continuation: bool = False,
-                       modified: bool = True) -> Discounts:
-    """Closed-form discount estimates from global count-of-counts.
+def estimate_discounts(table: CountTable, order: int, continuation: bool = False) -> Discounts:
+    """Closed-form modified-KN discounts from a table's global count-of-counts.
 
-    Y = n1/(n1+2*n2); the modified variant derives one discount per count
-    level (d1 = 1-2Y*n2/n1, d2 = 2-3Y*n3/n2, d3+ = 3-4Y*n4/n3), each clamped
-    to [0, level] and falling back to Y when its denominator is empty.  With
-    no singletons at all, discounting is disabled.
+    Y = n1/(n1+2*n2); each count level gets its own discount (d1 = 1-2Y*n2/n1,
+    d2 = 2-3Y*n3/n2, d3+ = 3-4Y*n4/n3; Chen & Goodman 1999), clamped to
+    [0, level] and falling back to Y when its denominator is empty.  With no
+    singletons at all, discounting is disabled.
     """
-    table = store.table if isinstance(store, CountView) else store
     n1, n2, n3, n4 = table.count_of_counts(order, continuation=continuation)
-    return discounts_from_count_of_counts(n1, n2, n3, n4, modified=modified)
+    return discounts_from_count_of_counts(n1, n2, n3, n4)
 
 
-def discounts_from_count_of_counts(n1: int, n2: int, n3: int, n4: int,
-                                   modified: bool = True) -> Discounts:
+def discounts_from_count_of_counts(n1: int, n2: int, n3: int, n4: int) -> Discounts:
     if n1 == 0:
         return Discounts(0.0, 0.0, 0.0)
     y = n1 / (n1 + 2.0 * n2)
-    if not modified:
-        return Discounts(y, y, y)
 
     def level(i: int, num: int, den: int) -> float:
         d = i - (i + 1.0) * y * num / den if den > 0 else y
@@ -90,10 +81,6 @@ class SparseDistribution:
     probs: np.ndarray
 
     @property
-    def support_total(self) -> float:
-        return float(self.probs.sum())
-
-    @property
     def masked(self) -> bool:
         return len(self.words) == 0
 
@@ -102,11 +89,6 @@ class SparseDistribution:
         if i < len(self.words) and self.words[i] == word:
             return float(self.probs[i])
         return 0.0
-
-    def dense(self, size: int) -> np.ndarray:
-        out = np.zeros(size)
-        out[self.words] = self.probs
-        return out
 
 
 def _masked() -> SparseDistribution:
@@ -141,36 +123,34 @@ def witten_bell_alpha(total, unique):
     return unique / (total + unique)
 
 
-def _observed(store, context, continuation: bool = False):
-    """(view, order, rank, stats) of a context, or None when its column is masked."""
-    view = _as_view(store)
-    rank = int(view.rank_chain(tuple(context))[len(context)])
+def _observed(view: CountView, context, continuation: bool = False):
+    """(order, rank, stats) of a context, or None when its column is masked."""
+    rank = int(view.rank_chain(context)[len(context)])
     if rank < 0:
         return None
     order = len(context) + 1
     s = view.cont_stats(order, rank) if continuation else view.stats(order, rank)
-    return (view, order, rank, s) if s.total > 0 else None
+    return (order, rank, s) if s.total > 0 else None
 
 
-def ml_distribution(store, context) -> SparseDistribution:
+def ml_distribution(view: CountView, context) -> SparseDistribution:
     """Relative-frequency estimate c(context,w)/c(context); masked if unseen."""
-    found = _observed(store, context)
+    found = _observed(view, context)
     if found is None:
         return _masked()
-    view, order, rank, s = found
+    order, rank, s = found
     words, counts = view.successors(order, rank)
     return SparseDistribution(words, counts / float(s.total))
 
 
-def discounted_distribution(store, context, d, continuation: bool = False):
+def discounted_distribution(view: CountView, context, d: Discounts,
+                            continuation: bool = False):
     """Normalized absolute-discounted distribution and its fallback mass beta
     (``kn_terms``); masked with beta 1 for an unobserved context."""
-    if not isinstance(d, Discounts):
-        d = Discounts(float(d), float(d), float(d))
-    found = _observed(store, context, continuation)
+    found = _observed(view, context, continuation)
     if found is None:
         return _masked(), 1.0
-    view, order, rank, s = found
+    order, rank, s = found
     words, counts = view.successors(order, rank, continuation=continuation)
     p, beta, _ = kn_terms(d, float(s.total), s.n1, s.n2, s.n3p, counts)
     return SparseDistribution(words, p), float(beta)
@@ -183,7 +163,8 @@ class SmoothingSpec:
     ``family`` is "ml" (relative frequencies, Witten-Bell fallback) or "kn"
     (discounted counts, continuation counts below the top order).  Discounts
     are stored per order so that estimates never drift between training and
-    evaluation.
+    evaluation: ``kn`` estimates modified-KN discounts on a table, and the
+    constructor takes explicit ``Discounts``.
     """
 
     family: str
@@ -202,35 +183,34 @@ class SmoothingSpec:
         return cls("ml", order)
 
     @classmethod
-    def kn(cls, store, order: int, modified: bool = True,
-           fixed_discount: float | None = None) -> "SmoothingSpec":
-        """Estimate (or fix) per-order discounts against a count table."""
-        ds: list = [None]
-        for n in range(1, order + 1):
-            if fixed_discount is not None:
-                ds.append(Discounts(fixed_discount, fixed_discount, fixed_discount))
-            else:
-                ds.append(estimate_discounts(store, n, continuation=n < order,
-                                             modified=modified))
-        return cls("kn", order, tuple(ds))
+    def kn(cls, table: CountTable, order: int) -> "SmoothingSpec":
+        """Modified-KN discounts per order, estimated on a count table."""
+        ds = [estimate_discounts(table, n, continuation=n < order) for n in range(1, order + 1)]
+        return cls("kn", order, (None, *ds))
 
     def uses_continuation(self, order: int) -> bool:
         return self.family == "kn" and order < self.order
 
-    def column(self, store, context) -> SparseDistribution:
+    def column(self, view: CountView, context) -> SparseDistribution:
+        """The column of one context: ML, or KN with continuation counts below
+        the top order and raw counts at the top."""
         if self.family == "ml":
-            return ml_distribution(store, context)
-        return kn_distribution(store, context, self)
+            return ml_distribution(view, context)
+        order = len(context) + 1
+        if order > self.order:
+            raise ValueError("context longer than the smoothing order supports")
+        return discounted_distribution(view, context, self.discounts[order],
+                                       self.uses_continuation(order))[0]
 
-    def fallback(self, store, context) -> float:
+    def fallback(self, view: CountView, context) -> float:
         """Interpolation coefficient toward lower orders for this context."""
         if self.family == "ml":
-            return witten_bell_fallback(store, context)
+            return witten_bell_fallback(view, context)
         order = len(context) + 1
-        found = _observed(store, context, self.uses_continuation(order))
+        found = _observed(view, context, self.uses_continuation(order))
         if found is None:
             return 1.0
-        s = found[3]
+        s = found[2]
         return float(kn_terms(self.discounts[order], float(s.total), s.n1, s.n2, s.n3p)[1])
 
     def to_dict(self) -> dict:
@@ -247,22 +227,12 @@ class SmoothingSpec:
         return cls(data["family"], data["order"], ds)
 
 
-def kn_distribution(store, context, spec: SmoothingSpec) -> SparseDistribution:
-    """Per-order Kneser-Ney column: discounted continuation counts below the
-    top order, discounted raw counts at the top."""
-    order = len(context) + 1
-    if order > spec.order:
-        raise ValueError("context longer than the smoothing order supports")
-    return discounted_distribution(store, context, spec.discounts[order],
-                                   continuation=spec.uses_continuation(order))[0]
-
-
-def witten_bell_fallback(store, context) -> float:
+def witten_bell_fallback(view: CountView, context) -> float:
     """Witten-Bell fallback of one context; 1 for a masked column."""
-    found = _observed(store, context)
+    found = _observed(view, context)
     if found is None:
         return 1.0
-    s = found[3]
+    s = found[2]
     return witten_bell_alpha(float(s.total), s.unique)
 
 

@@ -115,3 +115,62 @@ def drop_fold(corpus: EncodedCorpus, fold: int, n_folds: int) -> EncodedCorpus:
     """Corpus without the sentences assigned to one cross-validation fold."""
     kept = [s for i, s in enumerate(corpus.sentences) if i % n_folds != fold]
     return EncodedCorpus(sentences=kept, vocab=corpus.vocab)
+
+
+def _retally(groups, counts, n_groups):
+    """(n_groups, 4) total, n1, n2, n3p of the counts in each group, by a loop."""
+    out = np.zeros((n_groups, 4), dtype=np.int64)
+    for g, c in zip(groups.tolist(), counts.tolist()):
+        out[g, 0] += c
+        out[g, min(c, 3)] += 1
+    return out
+
+
+def _assert_strictly_sorted(keys, where):
+    assert np.all(np.diff(keys) > 0), f"{where}: keys not strictly sorted"
+
+
+def assert_store_invariants(table, folded=None):
+    """Check what every count store keeps true, with its fold data if given.
+
+    Keys are strictly sorted, type counts are at least 1, each stats array
+    equals a re-tally of its type arrays, the raw totals of every order sum
+    to the token count, and no fold delta exceeds the full value it is
+    subtracted from.
+    """
+    base = table.base
+    for n in range(1, table.order + 1):
+        od = table.orders[n]
+        _assert_strictly_sorted(od.ctx_codes, f"order {n} contexts")
+        if n > 1:
+            assert np.all(od.ctx_codes // base < len(table.orders[n - 1].ctx_codes)), n
+        kinds = [("raw", od.type_keys, od.type_counts, od.stats)]
+        if n < table.order:
+            kinds.append(("continuation", od.cont_type_keys, od.cont_type_counts, od.cont_stats))
+        for name, keys, counts, stats in kinds:
+            where = f"order {n} {name}"
+            _assert_strictly_sorted(keys, where)
+            assert len(counts) == len(keys) and np.all(counts >= 1), where
+            groups = keys // base
+            assert np.all(groups < len(od.ctx_codes)), where
+            np.testing.assert_array_equal(stats, _retally(groups, counts, len(od.ctx_codes)),
+                                          err_msg=where)
+        assert od.stats[:, 0].sum() == table.token_count, n
+    if folded is None:
+        return
+    assert folded.table is table
+    F = folded.n_folds
+    for n in range(1, table.order + 1):
+        od, fd = table.orders[n], folded.fold_data[n]
+        kinds = [("raw", od.type_counts, od.stats, fd.type_keys, fd.type_counts,
+                  fd.stat_keys, fd.stat_deltas)]
+        if n < table.order:
+            kinds.append(("continuation", od.cont_type_counts, od.cont_stats, fd.cont_type_keys,
+                          fd.cont_type_counts, fd.cont_stat_keys, fd.cont_stat_deltas))
+        for name, counts, stats, type_keys, type_deltas, stat_keys, stat_deltas in kinds:
+            where = f"order {n} {name} folds"
+            _assert_strictly_sorted(type_keys, where)
+            _assert_strictly_sorted(stat_keys, where)
+            assert np.all(type_deltas >= 1), where
+            assert np.all(type_deltas <= counts[type_keys // F]), where
+            assert np.all(stat_deltas <= stats[stat_keys // F]), where

@@ -7,17 +7,11 @@ import numpy as np
 import pytest
 
 from mixlm.corpus import build_vocabulary, encode_corpus
-from mixlm.counts import (
-    CountError,
-    CountTable,
-    accumulate,
-    cv_fold_counts,
-    load_text,
-    query,
-)
+from mixlm.counts import CountError, CountTable, CountView, accumulate, cv_fold_counts
 
 from helpers import (
     TOY_LINES,
+    assert_store_invariants,
     brute_context_stats,
     brute_continuation,
     brute_ngrams,
@@ -48,10 +42,11 @@ class TestToyCounts:
 
     def test_unigram_count(self):
         a = self.v.id_of("a")
-        c, total, unique = query(self.table, (), a)
-        assert c == 3
-        assert total == 7  # five words plus two sentence ends
-        assert unique == 4  # a, b, c, </s>
+        assert self.view.rank_chain(()).tolist() == [0]
+        assert self.view.count(1, 0, a) == 3
+        s = self.view.stats(1, 0)
+        assert s.total == 7  # five words plus two sentence ends
+        assert s.unique == 4  # a, b, c, </s>
 
     def test_bigram_context_a(self):
         a, b = self.v.id_of("a"), self.v.id_of("b")
@@ -77,14 +72,17 @@ class TestToyCounts:
     def test_unseen_returns_zero(self):
         a, b = self.v.id_of("a"), self.v.id_of("b")
         # context "b" was only ever followed by "a"
-        assert query(self.table, (b,), a) == (1, 1, 1)
-        assert query(self.table, (b,), b) == (0, 1, 1)
-        # unseen context entirely
-        assert query(self.table, (b, b), b) == (0, 0, 0)
+        rank = resolve(self.view, (b,))
+        s = self.view.stats(2, rank)
+        assert (s.total, s.unique) == (1, 1)
+        assert self.view.count(2, rank, a) == 1
+        assert self.view.count(2, rank, b) == 0
+        # unseen context entirely: its suffix "b" resolves, "b b" does not
+        assert self.view.rank_chain((b, b)).tolist() == [0, rank, -1]
 
     def test_context_longer_than_order_rejected(self):
         with pytest.raises(CountError):
-            query(self.table, (1, 1, 1), 0)
+            self.view.rank_chain((1, 1, 1))
 
     def test_count_of_counts(self):
         n1, n2, n3, n4 = self.table.count_of_counts(1)
@@ -151,14 +149,37 @@ class TestBruteForceEquivalence:
     def test_random_absent_probes_are_zero(self):
         rng = np.random.default_rng(3)
         J = self.corpus.vocab.size
+        contexts = [None] + [{ctx for ctx, _ in self.grams[n]} for n in range(1, self.ORDER + 1)]
         for _ in range(200):
             n = int(rng.integers(1, self.ORDER + 1))
             ctx = tuple(int(x) for x in rng.integers(0, J, size=n - 1))
             w = int(rng.integers(0, J))
-            c, total, unique = query(self.view, ctx, w)
-            assert c == self.grams[n].get((ctx, w), 0)
-            if (ctx, w) not in self.grams[n] and total == 0:
-                assert unique == 0
+            rank = resolve(self.view, ctx)
+            assert (rank >= 0) == (ctx in contexts[n])
+            if rank >= 0:
+                assert self.view.count(n, rank, w) == self.grams[n].get((ctx, w), 0)
+                assert self.view.stats(n, rank).unique > 0
+            else:
+                assert self.view.count(n, rank, w) == 0
+
+    def test_rank_chain_of_long_lived_view_matches_fresh_view(self):
+        """One view asked about many contexts, their suffixes and extensions
+        in turn gives the chain a fresh view gives for each."""
+        rng = np.random.default_rng(17)
+        J = self.corpus.vocab.size
+        seen = [ctx for ctx, _ in self.grams[self.ORDER]]
+        for _ in range(300):
+            if rng.random() < 0.7:
+                full = seen[int(rng.integers(len(seen)))]
+            else:
+                full = tuple(int(x) for x in rng.integers(0, J + 1, size=self.ORDER - 1))
+            lengths = [range(self.ORDER), range(self.ORDER - 1, -1, -1),
+                       rng.permutation(self.ORDER)][int(rng.integers(3))]
+            for k in lengths:
+                ctx = full[len(full) - k:]
+                np.testing.assert_array_equal(self.view.rank_chain(ctx),
+                                              CountView(self.table).rank_chain(ctx),
+                                              err_msg=str(ctx))
 
     def test_global_count_of_counts(self):
         for n in range(1, self.ORDER + 1):
@@ -217,8 +238,6 @@ class TestBulkQueries:
         for other in (larger, renamed):
             with pytest.raises(CountError, match="vocabulary"):
                 self.view.bulk_ranks(other)
-            with pytest.raises(CountError, match="vocabulary"):
-                self.table.dump_text(other.vocab, io.StringIO())
 
     def test_bulk_continuation_counts(self):
         ranks, words, _ = self.view.bulk_ranks(self.train)
@@ -334,6 +353,7 @@ class TestFoldViews:
                             view.bulk_counts(n, r, words, folds=same, continuation=cont))
 
     def test_fold_validation(self):
+        assert [self.folded.view(f).fold for f in range(self.FOLDS)] == list(range(self.FOLDS))
         with pytest.raises(CountError):
             self.folded.view(self.FOLDS)
         with pytest.raises(CountError):
@@ -342,10 +362,15 @@ class TestFoldViews:
         with pytest.raises(CountError):
             cv_fold_counts(tiny, 2, folds=10)
 
-    def test_folds_property(self):
-        views = self.folded.folds
-        assert len(views) == self.FOLDS
-        assert [v.fold for v in views] == list(range(self.FOLDS))
+    def test_store_invariants(self):
+        """Counted, folded and file-loaded stores all keep the store invariants."""
+        table = accumulate(self.corpus, self.ORDER)
+        assert_store_invariants(table)
+        assert_store_invariants(self.folded.table, self.folded)
+        buf = io.BytesIO()
+        table.write_binary(buf)
+        buf.seek(0)
+        assert_store_invariants(CountTable.read_binary(buf))
 
 
 def assert_tables_equal(a, b):
@@ -404,29 +429,6 @@ class TestSerialization:
             with pytest.raises(CountError):
                 CountTable.load(str(path))
 
-    def test_text_dump_round_trip(self):
-        vocab = self.corpus.vocab
-        buf = io.StringIO()
-        self.table.dump_text(vocab, buf)
-        buf.seek(0)
-        assert_tables_equal(self.table, load_text(buf, vocab, order=3))
-
-    def test_text_dump_is_sorted_and_readable(self):
-        buf = io.StringIO()
-        self.table.dump_text(self.corpus.vocab, buf)
-        lines = buf.getvalue().splitlines()
-        assert all(len(l.split("\t")) == 3 for l in lines)
-        # unigram section first: empty context field
-        assert lines[0].split("\t")[0] == ""
-
-    def test_text_load_requires_all_orders(self):
-        with pytest.raises(CountError):
-            load_text(io.StringIO("a\tb\t1\n"), self.corpus.vocab, order=2)
-
-    def test_text_load_rejects_bad_line(self):
-        with pytest.raises(CountError):
-            load_text(io.StringIO("only two fields\t1\n"), self.corpus.vocab, order=1)
-
 
 class TestInputValidation:
     def test_order_zero_rejected(self):
@@ -437,3 +439,30 @@ class TestInputValidation:
         corpus = toy_corpus()
         table = accumulate(corpus, 2)
         assert int(table.orders[1].stats[0, 0]) == corpus.token_count == 7
+
+
+def test_store_invariants_catch_damage():
+    def damage_type_order(t, f):
+        t.orders[2].type_keys[[0, 1]] = t.orders[2].type_keys[[1, 0]]
+
+    def damage_type_count(t, f):
+        t.orders[2].type_counts[0] += 1
+
+    def damage_token_count(t, f):
+        t.token_count += 1
+
+    def damage_fold_count(t, f):
+        fd = f.fold_data[1]
+        fd.type_counts[0] = t.orders[1].type_counts[fd.type_keys[0] // f.n_folds] + 1
+
+    def damage_fold_stats(t, f):
+        f.fold_data[2].cont_stat_deltas[0, 0] += 100
+
+    folded = cv_fold_counts(toy_corpus(), 3, folds=2)
+    assert_store_invariants(folded.table, folded)
+    for damage in (damage_type_order, damage_type_count, damage_token_count,
+                   damage_fold_count, damage_fold_stats):
+        folded = cv_fold_counts(toy_corpus(), 3, folds=2)
+        damage(folded.table, folded)
+        with pytest.raises(AssertionError):
+            assert_store_invariants(folded.table, folded)

@@ -11,7 +11,7 @@ from mixlm.neural.features import (
     feature_width,
     normalize_features,
 )
-from mixlm.smoothing import SmoothingSpec
+from mixlm.smoothing import Discounts, SmoothingSpec
 
 from helpers import encode, synthetic_lines, toy_corpus
 
@@ -21,28 +21,30 @@ class TestScalarFeatures:
         self.corpus = toy_corpus()
         self.v = self.corpus.vocab
         self.table = accumulate(self.corpus, 2)
+        self.view = self.table.view()
 
     def test_toy_bigram_block(self):
         spec = SmoothingSpec.ml(2)
-        f = context_features(self.table, (self.v.id_of("a"),), spec)
+        f = context_features(self.view, (self.v.id_of("a"),), spec)
         # order 1 block: seen, 7 tokens, 4 distinct; order 2 block: c("a")=3, u("a")=3
         np.testing.assert_allclose(
             f, [1.0, np.log(7), np.log(4), 1.0, np.log(3), np.log(3)])
 
     def test_unigram_block_alone(self):
         spec = SmoothingSpec.ml(2)
-        f = context_features(self.table, (), spec)
+        f = context_features(self.view, (), spec)
         np.testing.assert_allclose(f, [1.0, np.log(7), np.log(4)])
 
     def test_unobserved_context_block_is_zero(self):
         spec = SmoothingSpec.ml(2)
-        f = context_features(self.table, (self.v.unk_id,), spec)
+        f = context_features(self.view, (self.v.unk_id,), spec)
         np.testing.assert_allclose(f[3:], [0.0, 0.0, 0.0])
         np.testing.assert_allclose(f[:3], [1.0, np.log(7), np.log(4)])
 
     def test_discount_feature_added_for_kn(self):
-        spec = SmoothingSpec.kn(self.table, 2, fixed_discount=0.5)
-        f = context_features(self.table, (self.v.id_of("a"),), spec)
+        half = Discounts(0.5, 0.5, 0.5)
+        spec = SmoothingSpec("kn", 2, (None, half, half))
+        f = context_features(self.view, (self.v.id_of("a"),), spec)
         assert len(f) == 8
         # order 1 uses continuation counts: total 6, counts {2,1,1,2} -> kept 6-2*0.5-2*0.5=4
         assert f[3] == pytest.approx(np.log(4.0))

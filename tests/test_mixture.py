@@ -129,8 +129,9 @@ class TestFullDistribution:
         table = accumulate(corpus, 2)
         spec = SmoothingSpec.kn(table, 2)
         a = corpus.vocab.id_of("a")
-        dists = context_distributions(table.view(), spec, (a,))
-        alphas = [spec.fallback(table, (a,))]
+        view = table.view()
+        dists = context_distributions(view, spec, (a,))
+        alphas = [spec.fallback(view, (a,))]
         lam = heuristic_lambda(alphas)
         assert full_distribution(dists, lam).sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -140,15 +141,15 @@ class TestContextDistributionsBuilder:
         corpus = encode(synthetic_lines(30, n_words=8, seed=3))
         table = accumulate(corpus, 3)
         spec = SmoothingSpec.kn(table, 3)
-        ranks, words, _ = table.view().bulk_ranks(corpus)
+        view = table.view()
+        ranks, words, _ = view.bulk_ranks(corpus)
         sent = corpus.sentences[0]
         bos = corpus.vocab.bos_id
         ctx = (bos, int(sent[0]))
-        dists = context_distributions(table.view(), spec, ctx)
+        dists = context_distributions(view, spec, ctx)
         assert len(dists.columns) == 3
         assert dists.mask.all()  # training context: all orders observed
-        lam = heuristic_lambda([spec.fallback(table, ctx),
-                                spec.fallback(table, ctx[1:])])
+        lam = heuristic_lambda([spec.fallback(view, ctx), spec.fallback(view, ctx[1:])])
         assert full_distribution(dists, lam).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_unseen_context_masks_high_orders(self):

@@ -5,6 +5,7 @@ import pytest
 
 from mixlm.corpus import encode_corpus
 from mixlm.counts import accumulate, cv_fold_counts
+from mixlm.mixture import context_distributions, full_distribution
 from mixlm.smoothing import (
     Discounts,
     SmoothingSpec,
@@ -13,7 +14,6 @@ from mixlm.smoothing import (
     discounts_from_count_of_counts,
     estimate_discounts,
     heuristic_lambda,
-    kn_distribution,
     kn_terms,
     ml_distribution,
     witten_bell_fallback,
@@ -22,9 +22,19 @@ from mixlm.smoothing import (
 from helpers import PARITY_CASES, encode, parity_corpora, parity_id, synthetic_lines, toy_corpus
 
 
-def all_contexts(table, order):
-    """Every stored context tuple at one order."""
-    return [table.context_tuple(order, r) for r in range(len(table.orders[order].ctx_codes))]
+def flat(y):
+    """One discount for every count level."""
+    return Discounts(y, y, y)
+
+
+def single_discount_spec(table, order):
+    """KN with the single discount Y = n1/(n1+2*n2) of each order for every
+    count level, given explicitly."""
+    ds = [None]
+    for n in range(1, order + 1):
+        n1, n2, _, _ = table.count_of_counts(n, continuation=n < order)
+        ds.append(flat(n1 / (n1 + 2.0 * n2) if n1 else 0.0))
+    return SmoothingSpec("kn", order, tuple(ds))
 
 
 def recursive_prob(view, spec, context, word):
@@ -54,59 +64,57 @@ class TestMLDistribution:
     def setup_method(self):
         self.corpus = toy_corpus()
         self.v = self.corpus.vocab
-        self.table = accumulate(self.corpus, 2)
+        self.view = accumulate(self.corpus, 2).view()
 
     def test_context_a(self):
         a = self.v.id_of("a")
-        dist = ml_distribution(self.table, (a,))
-        dense = dist.dense(self.v.size)
-        expect = np.zeros(self.v.size)
-        expect[[self.v.id_of("b"), self.v.id_of("c"), self.v.eos_id]] = 1 / 3
-        np.testing.assert_allclose(dense, expect)
+        dist = ml_distribution(self.view, (a,))
+        expect = sorted([self.v.id_of("b"), self.v.id_of("c"), self.v.eos_id])
+        np.testing.assert_array_equal(dist.words, expect)
+        np.testing.assert_allclose(dist.probs, [1 / 3] * 3)
 
     def test_empty_context(self):
-        dist = ml_distribution(self.table, ())
+        dist = ml_distribution(self.view, ())
         assert dist.prob_of(self.v.id_of("a")) == pytest.approx(3 / 7)
         assert dist.prob_of(self.v.id_of("b")) == pytest.approx(1 / 7)
         assert dist.prob_of(self.v.eos_id) == pytest.approx(2 / 7)
-        assert dist.support_total == pytest.approx(1.0)
+        assert dist.probs.sum() == pytest.approx(1.0)
 
     def test_unobserved_context_masked(self):
-        dist = ml_distribution(self.table, (self.v.unk_id,))
+        dist = ml_distribution(self.view, (self.v.unk_id,))
         assert dist.masked
-        assert dist.support_total == 0.0
+        assert dist.probs.sum() == 0.0
 
 
 class TestDiscountedDistribution:
     def setup_method(self):
         self.corpus = toy_corpus()
         self.v = self.corpus.vocab
-        self.table = accumulate(self.corpus, 2)
+        self.view = accumulate(self.corpus, 2).view()
 
     def test_half_discount_on_singletons(self):
         a = self.v.id_of("a")
-        dist, beta = discounted_distribution(self.table, (a,), 0.5)
+        dist, beta = discounted_distribution(self.view, (a,), flat(0.5))
         assert beta == pytest.approx(0.5)
         np.testing.assert_allclose(dist.probs, [1 / 3] * 3)
 
     def test_zero_discount_is_ml(self):
         a = self.v.id_of("a")
-        dist, beta = discounted_distribution(self.table, (a,), 0.0)
-        ml = ml_distribution(self.table, (a,))
+        dist, beta = discounted_distribution(self.view, (a,), flat(0.0))
+        ml = ml_distribution(self.view, (a,))
         assert beta == 0.0
         np.testing.assert_array_equal(dist.words, ml.words)
         np.testing.assert_allclose(dist.probs, ml.probs)
 
     def test_unobserved_context(self):
-        dist, beta = discounted_distribution(self.table, (self.v.unk_id,), 0.5)
+        dist, beta = discounted_distribution(self.view, (self.v.unk_id,), flat(0.5))
         assert dist.masked and beta == 1.0
 
     def test_full_discount_degenerates_to_uniform_over_successors(self):
         a = self.v.id_of("a")
-        dist, beta = discounted_distribution(self.table, (a,), 1.0)
+        dist, beta = discounted_distribution(self.view, (a,), flat(1.0))
         assert beta == 1.0
         np.testing.assert_allclose(dist.probs, [1 / 3] * 3)
-        assert dist.support_total == pytest.approx(1.0)
         # the shared helper flags the context, as a scalar and inside an array
         _, alpha, degenerate = kn_terms(Discounts(1.0, 1.0, 1.0), 3.0, 3, 0, 0)
         assert alpha == 1.0 and degenerate
@@ -116,18 +124,18 @@ class TestDiscountedDistribution:
 
     def test_oversized_discount_rejected(self):
         with pytest.raises(ValueError):
-            discounted_distribution(self.table, (), Discounts(1.0, 2.0, 5.0))
+            discounted_distribution(self.view, (), Discounts(1.0, 2.0, 5.0))
 
 
 class TestKNDistribution:
     def setup_method(self):
         self.corpus = toy_corpus()
         self.v = self.corpus.vocab
-        self.table = accumulate(self.corpus, 2)
+        self.view = accumulate(self.corpus, 2).view()
+        self.spec = SmoothingSpec("kn", 2, (None, flat(0.0), flat(0.0)))
 
     def test_empty_context_uses_continuation_counts(self):
-        spec = SmoothingSpec.kn(self.table, 2, fixed_discount=0.0)
-        dist = kn_distribution(self.table, (), spec)
+        dist = self.spec.column(self.view, ())
         # distinct left extensions: a has {<s>, b}, eos has {a, c}, b and c have {a}
         assert dist.prob_of(self.v.id_of("a")) == pytest.approx(2 / 6)
         assert dist.prob_of(self.v.id_of("b")) == pytest.approx(1 / 6)
@@ -135,25 +143,60 @@ class TestKNDistribution:
         assert dist.prob_of(self.v.eos_id) == pytest.approx(2 / 6)
 
     def test_zero_discount_top_order_is_ml(self):
-        spec = SmoothingSpec.kn(self.table, 2, fixed_discount=0.0)
         a = self.v.id_of("a")
-        got = kn_distribution(self.table, (a,), spec)
-        ml = ml_distribution(self.table, (a,))
+        got = self.spec.column(self.view, (a,))
+        ml = ml_distribution(self.view, (a,))
         np.testing.assert_array_equal(got.words, ml.words)
         np.testing.assert_allclose(got.probs, ml.probs)
 
-    def test_columns_sum_to_one_on_random_corpus(self):
-        corpus = encode(synthetic_lines(40, n_words=10, seed=31))
-        table = accumulate(corpus, 3)
-        for spec in (SmoothingSpec.ml(3), SmoothingSpec.kn(table, 3),
-                     SmoothingSpec.kn(table, 3, modified=False),
-                     SmoothingSpec.kn(table, 3, fixed_discount=0.25)):
-            for n in range(1, 4):
-                for ctx in all_contexts(table, n):
-                    col = spec.column(table, ctx)
-                    assert not col.masked
-                    assert col.support_total == pytest.approx(1.0, abs=1e-9)
-                    assert np.all(col.probs > 0) or np.all(col.probs >= 0)
+
+def position_contexts(corpus, order):
+    """The distinct bos-padded length-(order-1) contexts of a corpus's positions."""
+    bos = corpus.vocab.bos_id
+    out = set()
+    for sent in corpus.sentences:
+        padded = [bos] * (order - 1) + [int(x) for x in sent]
+        out.update(tuple(padded[i - order + 1:i]) for i in range(order - 1, len(padded)))
+    return sorted(out)
+
+
+class TestSumToOne:
+    """Every column and every heuristic mixture is a distribution, under the
+    full view and every fold view, on training and held-out contexts."""
+
+    @pytest.fixture(autouse=True, params=PARITY_CASES, ids=parity_id)
+    def case(self, request):
+        self.ORDER, self.FOLDS, seed = request.param
+        self.train, self.held = parity_corpora(seed)
+        self.folded = cv_fold_counts(self.train, self.ORDER, folds=self.FOLDS)
+        table = self.folded.table
+        self.specs = [SmoothingSpec.ml(self.ORDER), SmoothingSpec.kn(table, self.ORDER),
+                      single_discount_spec(table, self.ORDER)]
+
+    def _check(self, view, contexts, observed=frozenset()):
+        """Sums to 1 everywhere; no column masked for an ``observed`` context."""
+        for spec in self.specs:
+            for ctx in contexts:
+                dists = context_distributions(view, spec, ctx)
+                assert ctx not in observed or dists.mask.all(), (spec, ctx)
+                for col in dists.columns:
+                    assert np.all(col.probs >= 0), (spec, ctx)
+                    assert col.masked or abs(col.probs.sum() - 1.0) <= 1e-9, (spec, ctx)
+                lam = heuristic_lambda([spec.fallback(view, ctx[len(ctx) - (n - 1):])
+                                        for n in range(self.ORDER, 1, -1)])
+                mixed = full_distribution(dists, lam)
+                assert np.all(mixed >= 0) and abs(mixed.sum() - 1.0) <= 1e-9, (spec, ctx)
+
+    def test_full_view(self):
+        train = position_contexts(self.train, self.ORDER)
+        self._check(self.folded.view(), train + position_contexts(self.held, self.ORDER),
+                    observed=set(train))
+
+    def test_fold_views(self):
+        contexts = (position_contexts(self.train, self.ORDER)
+                    + position_contexts(self.held, self.ORDER))
+        for f in range(self.FOLDS):
+            self._check(self.folded.view(f), contexts)
 
 
 class TestDiscountEstimation:
@@ -178,9 +221,17 @@ class TestDiscountEstimation:
         assert estimate_discounts(table, 1) == Discounts(0.0, 0.0, 0.0)
 
     def test_single_discount_variant(self):
-        table = accumulate(toy_corpus(), 2)
-        d = estimate_discounts(table, 1, modified=False)
-        assert d.d1 == d.d2 == d.d3p == pytest.approx(0.5)
+        # Y = n1/(n1+2*n2) = 2/(2+2) on the unigram counts a=3, b=1, c=1, eos=2
+        corpus = toy_corpus()
+        table = accumulate(corpus, 1)
+        spec = single_discount_spec(table, 1)
+        assert spec.discounts[1] == flat(0.5)
+        view, v = table.view(), corpus.vocab
+        col = spec.column(view, ())
+        # kept mass 2.5 + 0.5 + 0.5 + 1.5 = 5 of 7
+        for word, p in (("a", 0.5), ("b", 0.1), ("c", 0.1), ("</s>", 0.3)):
+            assert col.prob_of(v.id_of(word)) == pytest.approx(p)
+        assert spec.fallback(view, ()) == pytest.approx(2 / 7)
 
     def test_discounts_within_levels(self):
         corpus = encode(synthetic_lines(80, n_words=15, seed=13))
@@ -203,18 +254,19 @@ class TestWittenBell:
     def test_toy_context_a(self):
         corpus = toy_corpus()
         table = accumulate(corpus, 2)
-        assert witten_bell_fallback(table, (corpus.vocab.id_of("a"),)) == pytest.approx(0.5)
+        assert witten_bell_fallback(table.view(), (corpus.vocab.id_of("a"),)) == \
+            pytest.approx(0.5)
 
     def test_unobserved_context(self):
         corpus = toy_corpus()
         table = accumulate(corpus, 2)
-        assert witten_bell_fallback(table, (corpus.vocab.unk_id,)) == 1.0
+        assert witten_bell_fallback(table.view(), (corpus.vocab.unk_id,)) == 1.0
 
     def test_confident_context(self):
         corpus = encode(["a b"] * 100)
         table = accumulate(corpus, 2)
         a = corpus.vocab.id_of("a")
-        assert witten_bell_fallback(table, (a,)) == pytest.approx(1 / 101)
+        assert witten_bell_fallback(table.view(), (a,)) == pytest.approx(1 / 101)
 
 
 class TestHeuristicLambda:
@@ -272,7 +324,7 @@ class TestRecursionEquivalence:
         self._check(SmoothingSpec.kn(self.table, self.ORDER))
 
     def test_single_discount_kn(self):
-        self._check(SmoothingSpec.kn(self.table, self.ORDER, modified=False))
+        self._check(single_discount_spec(self.table, self.ORDER))
 
 
 class TestBulkColumnRows:
