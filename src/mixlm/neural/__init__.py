@@ -8,7 +8,7 @@ from .layers import (  # noqa: F401
     block_dropout_mask,
     standard_dropout,
 )
-from .optim import Adam, OptimError, adam_step, clip_gradients, gradient_check  # noqa: F401
+from .optim import Adam, OptimError  # noqa: F401
 from .features import (  # noqa: F401
     bulk_context_features,
     context_features,

@@ -2,6 +2,12 @@
 standard dropout, and the block dropout used when count columns sit next to
 an identity block.
 
+The LSTM step and the masked softmax output compute in numpy and enter the
+autograd graph as fused nodes with hand-written backward passes: two nodes
+per LSTM step (cell state and output) and one per output layer, instead of
+one node per elementwise operation.  Training and evaluation run the same
+forward.
+
 All weights initialize uniformly in [-0.1, 0.1] except the LSTM forget-gate
 bias, which starts at 1 so long-range memory survives early training.
 """
@@ -16,6 +22,16 @@ from .tensor import Tensor
 
 def _init(rng: np.random.Generator, shape, scale=0.1) -> np.ndarray:
     return rng.uniform(-scale, scale, size=shape)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluating each half only where it cannot overflow."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
 
 
 class FeedForward:
@@ -55,17 +71,49 @@ class LSTM:
         return T.constant(z), T.constant(z.copy())
 
     def step(self, x: Tensor, state):
+        """One time step as two graph nodes, the cell state c and the output h.
+
+        h is a child of c, so its backward runs first: it adds its share of
+        dL/dc into c and leaves the output-gate gradient in the gate
+        gradient array the two nodes share.  c's backward fills in the other
+        three gates and sends the gate gradient on to x, h_prev, c_prev and
+        the weights.
+        """
         if x.value.shape[1] != self.in_size:
             raise ValueError(f"expected input width {self.in_size}, got {x.value.shape[1]}")
         h_prev, c_prev = state
         H = self.hidden_size
-        gates = x @ self.W_x + h_prev @ self.W_h + self.b
-        i = T.sigmoid(T.slice_cols(gates, 0, H))
-        f = T.sigmoid(T.slice_cols(gates, H, 2 * H))
-        o = T.sigmoid(T.slice_cols(gates, 2 * H, 3 * H))
-        g = T.tanh(T.slice_cols(gates, 3 * H, 4 * H))
-        c = f * c_prev + i * g
-        h = o * T.tanh(c)
+        W_x, W_h, b = self.W_x, self.W_h, self.b
+        xv, hv, cv, Wx, Wh = x.value, h_prev.value, c_prev.value, W_x.value, W_h.value
+        act = xv @ Wx + hv @ Wh + b.value
+        act[:, :3 * H] = _sigmoid(act[:, :3 * H])
+        act[:, 3 * H:] = np.tanh(act[:, 3 * H:])
+        i, f, o, g = (act[:, k * H:(k + 1) * H] for k in range(4))
+        c_val = f * cv + i * g
+        tc = np.tanh(c_val)
+        dz = np.zeros_like(act)  # dL/d(gate pre-activations)
+
+        def c_backward(dc):
+            dz[:, :H] = dc * g * i * (1.0 - i)
+            dz[:, H:2 * H] = dc * cv * f * (1.0 - f)
+            dz[:, 3 * H:] = dc * i * (1.0 - g * g)
+            if c_prev.requires_grad:
+                c_prev._accum(dc * f)
+            if x.requires_grad:
+                x._accum(dz @ Wx.T)
+            if h_prev.requires_grad:
+                h_prev._accum(dz @ Wh.T)
+            W_x._accum(xv.T @ dz)
+            W_h._accum(hv.T @ dz)
+            b._accum(dz.sum(axis=0))
+
+        c = Tensor(c_val, (x, h_prev, c_prev, W_x, W_h, b), c_backward)
+
+        def h_backward(dh):
+            dz[:, 2 * H:3 * H] = dh * tc * o * (1.0 - o)
+            c._accum(dh * o * (1.0 - tc * tc))
+
+        h = Tensor(o * tc, (c,), h_backward)
         return h, (h, c)
 
     def parameters(self) -> list[Tensor]:
@@ -83,13 +131,31 @@ class OutputLayer:
         self.b = T.param(np.zeros(out_size), f"{prefix}.b")
 
     def __call__(self, h: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Mixture weights: softmax(h W + b), zeroed at masked columns and
-        rescaled to sum to 1 per row."""
-        lam = T.softmax_rows(h @ self.W + self.b)
-        if mask is None:
-            return lam
-        kept = lam * T.constant(mask.astype(lam.value.dtype))
-        return kept / T.tsum(kept, axis=1, keepdims=True)
+        """Mixture weights as one graph node: softmax(h W + b) over the
+        unmasked columns, 0 at masked ones, each row summing to 1.
+
+        A row needs at least one unmasked column.  The backward pass is
+        dz = y·(g − Σ g·y), which is 0 at masked columns because y is.
+        """
+        W, b = self.W, self.b
+        hv, Wv = h.value, W.value
+        y = hv @ Wv
+        y += b.value
+        if mask is not None:
+            y[mask == 0] = -np.inf
+        y -= y.max(axis=1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=1, keepdims=True)
+
+        def backward(g):
+            dz = g - np.einsum("ij,ij->i", g, y)[:, None]
+            dz *= y
+            if h.requires_grad:
+                h._accum(dz @ Wv.T)
+            W._accum(hv.T @ dz)
+            b._accum(dz.sum(axis=0))
+
+        return Tensor(y, (h, W, b), backward)
 
     def parameters(self) -> list[Tensor]:
         return [self.W, self.b]

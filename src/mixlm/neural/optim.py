@@ -1,4 +1,4 @@
-"""Adam with global-norm gradient clipping, and a finite-difference checker."""
+"""Adam with global-norm gradient clipping."""
 
 from __future__ import annotations
 
@@ -77,33 +77,3 @@ class Adam:
                 p.value, p.grad, self.m[i], self.v[i], self.t,
                 self.lr, self.beta1, self.beta2, self.eps)
         return norm
-
-
-def gradient_check(loss_fn, params: list[Tensor], eps: float = 1e-5) -> float:
-    """Compare reverse-mode gradients against central differences.
-
-    ``loss_fn`` must rebuild the graph deterministically on every call.
-    Returns the maximum relative error over every element of every parameter.
-    """
-    for p in params:
-        p.grad = None
-    loss = loss_fn()
-    loss.backward()
-    analytic = [None if p.grad is None else p.grad.copy() for p in params]
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        if a is None:
-            a = np.zeros_like(p.value)
-        flat = p.value.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = loss_fn().item()
-            flat[i] = orig - eps
-            down = loss_fn().item()
-            flat[i] = orig
-            fd = (up - down) / (2.0 * eps)
-            g = a.reshape(-1)[i]
-            err = abs(g - fd) / max(1.0, abs(g), abs(fd))
-            worst = max(worst, err)
-    return worst

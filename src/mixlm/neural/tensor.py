@@ -3,9 +3,13 @@
 Every operation builds a node recording its parents and a closure that maps
 the node's output gradient to parent-gradient contributions.  Calling
 ``backward`` on a scalar loss walks the graph once in reverse topological
-order.  Only the handful of operations the model families need is provided;
-everything runs on plain numpy so 64-bit is the default and 32-bit works by
-feeding float32 arrays in.
+order.  Each tensor owns its gradient array and contributions are added into
+it in place; row and column scatters write straight into it.  Only the
+handful of operations the model families need is provided here; the network
+layers build their own fused nodes with hand-written backward passes (one
+node for the LSTM cell state, one for its output, one for the masked softmax
+output).  Everything runs on plain numpy so 64-bit is the default and 32-bit
+works by feeding float32 arrays in.
 """
 
 from __future__ import annotations
@@ -29,10 +33,18 @@ class Tensor:
         return self.value.shape
 
     def _accum(self, g):
+        """Add a gradient contribution into this tensor's own gradient array."""
         if self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+            self.grad = np.array(g)
         else:
-            self.grad = self.grad + g
+            self.grad += g
+
+    def _grad_buffer(self) -> np.ndarray:
+        """This tensor's gradient array, zero-filled on first use, for
+        backward passes that scatter into part of it."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.value)
+        return self.grad
 
     def backward(self):
         """Populate .grad on every upstream tensor that requires it."""
@@ -52,6 +64,9 @@ class Tensor:
             stack.append((node, True))
             for p in node.parents:
                 stack.append((p, False))
+        for node in order:  # interior gradients are per pass; leaves accumulate
+            if node.parents:
+                node.grad = None
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
@@ -205,25 +220,6 @@ def tanh(a) -> Tensor:
     return out
 
 
-def sigmoid(a) -> Tensor:
-    a = _wrap(a)
-    # evaluate each half only where it cannot overflow
-    x = a.value
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    out = Tensor(y, (a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g * y * (1.0 - y))
-
-    out._backward = backward
-    return out
-
-
 def log(a) -> Tensor:
     a = _wrap(a)
     out = Tensor(np.log(a.value), (a,))
@@ -245,19 +241,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
             gg = g
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
-            a._accum(np.broadcast_to(gg, a.value.shape).copy())
-
-    out._backward = backward
-    return out
-
-
-def mean_all(a) -> Tensor:
-    a = _wrap(a)
-    out = Tensor(np.asarray(a.value.mean()), (a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(np.full(a.value.shape, float(g) / a.value.size, dtype=a.value.dtype))
+            a._accum(np.broadcast_to(gg, a.value.shape))
 
     out._backward = backward
     return out
@@ -285,9 +269,7 @@ def slice_cols(a, start, stop) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            gg = np.zeros_like(a.value)
-            gg[:, start:stop] = g
-            a._accum(gg)
+            a._grad_buffer()[:, start:stop] += g
 
     out._backward = backward
     return out
@@ -300,9 +282,7 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
 
     def backward(g):
         if table.requires_grad:
-            gg = np.zeros_like(table.value)
-            np.add.at(gg, indices, g)
-            table._accum(gg)
+            np.add.at(table._grad_buffer(), indices, g)
 
     out._backward = backward
     return out
@@ -316,26 +296,7 @@ def take_per_row(a: Tensor, cols: np.ndarray) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            gg = np.zeros_like(a.value)
-            np.add.at(gg, (rows, cols), g[:, 0])
-            a._accum(gg)
-
-    out._backward = backward
-    return out
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with the max-subtraction trick."""
-    a = _wrap(a)
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y, (a,))
-
-    def backward(g):
-        if a.requires_grad:
-            dot = (g * y).sum(axis=1, keepdims=True)
-            a._accum(y * (g - dot))
+            np.add.at(a._grad_buffer(), (rows, cols), g[:, 0])
 
     out._backward = backward
     return out

@@ -191,22 +191,27 @@ class SmoothingSpec:
     def uses_continuation(self, order: int) -> bool:
         return self.family == "kn" and order < self.order
 
-    def column(self, view: CountView, context) -> SparseDistribution:
-        """The column of one context: ML, or KN with continuation counts below
-        the top order and raw counts at the top."""
-        if self.family == "ml":
-            return ml_distribution(view, context)
+    def _order_of(self, context) -> int:
+        """The order of a context's column, at most the spec's order."""
         order = len(context) + 1
         if order > self.order:
             raise ValueError("context longer than the smoothing order supports")
+        return order
+
+    def column(self, view: CountView, context) -> SparseDistribution:
+        """The column of one context: ML, or KN with continuation counts below
+        the top order and raw counts at the top."""
+        order = self._order_of(context)
+        if self.family == "ml":
+            return ml_distribution(view, context)
         return discounted_distribution(view, context, self.discounts[order],
                                        self.uses_continuation(order))[0]
 
     def fallback(self, view: CountView, context) -> float:
         """Interpolation coefficient toward lower orders for this context."""
+        order = self._order_of(context)
         if self.family == "ml":
             return witten_bell_fallback(view, context)
-        order = len(context) + 1
         found = _observed(view, context, self.uses_continuation(order))
         if found is None:
             return 1.0

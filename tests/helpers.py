@@ -1,15 +1,19 @@
-"""Shared fixtures: toy corpora, synthetic text, and brute-force count oracles.
+"""Shared fixtures: toy corpora, synthetic text, brute-force count oracles,
+and the unfused reference of the network layers.
 
-The oracles here are deliberately slow dict-based reimplementations of the
-count semantics (full bos padding, eos predicted, continuation counts from
-distinct left extensions).  Tests compare the vectorized store against them
-on small random corpora.
+The count oracles here are deliberately slow dict-based reimplementations of
+the count semantics (full bos padding, eos predicted, continuation counts
+from distinct left extensions).  Tests compare the vectorized store against
+them on small random corpora.  The layer references compose one autograd
+node per elementwise operation; tests compare the fused layer nodes against
+them and every gradient against central differences.
 """
 
 from collections import defaultdict
 
 import numpy as np
 
+import mixlm.neural.tensor as T
 from mixlm.corpus import EncodedCorpus, build_vocabulary, encode_corpus
 
 # Two-sentence corpus used for hand-checked values throughout the suite.
@@ -174,3 +178,111 @@ def assert_store_invariants(table, folded=None):
             assert np.all(type_deltas >= 1), where
             assert np.all(type_deltas <= counts[type_keys // F]), where
             assert np.all(stat_deltas <= stats[stat_keys // F]), where
+
+
+# -- unfused reference of the network layers -------------------------------
+
+
+def sigmoid(a: T.Tensor) -> T.Tensor:
+    """Logistic node, evaluating each half only where it cannot overflow."""
+    x = a.value
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    out = T.Tensor(y, (a,))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum(g * y * (1.0 - y))
+
+    out._backward = backward
+    return out
+
+
+def softmax_rows(a: T.Tensor) -> T.Tensor:
+    """Row-wise softmax node with the max-subtraction trick."""
+    shifted = a.value - a.value.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=1, keepdims=True)
+    out = T.Tensor(y, (a,))
+
+    def backward(g):
+        if a.requires_grad:
+            dot = (g * y).sum(axis=1, keepdims=True)
+            a._accum(y * (g - dot))
+
+    out._backward = backward
+    return out
+
+
+def mean_all(a) -> T.Tensor:
+    """Mean of every element, as a sum node divided by the element count."""
+    return T.tsum(a) / float(a.value.size)
+
+
+def lstm_step_unfused(lstm, x, state):
+    """``LSTM.step`` as one node per operation (about 17 per step)."""
+    h_prev, c_prev = state
+    H = lstm.hidden_size
+    gates = x @ lstm.W_x + h_prev @ lstm.W_h + lstm.b
+    i = sigmoid(T.slice_cols(gates, 0, H))
+    f = sigmoid(T.slice_cols(gates, H, 2 * H))
+    o = sigmoid(T.slice_cols(gates, 2 * H, 3 * H))
+    g = T.tanh(T.slice_cols(gates, 3 * H, 4 * H))
+    c = f * c_prev + i * g
+    h = o * T.tanh(c)
+    return h, (h, c)
+
+
+def output_unfused(out, h, mask=None):
+    """``OutputLayer.__call__`` as one node per operation: softmax, then
+    zero the masked columns and renormalize."""
+    lam = softmax_rows(h @ out.W + out.b)
+    if mask is None:
+        return lam
+    kept = lam * T.constant(mask.astype(lam.value.dtype))
+    return kept / T.tsum(kept, axis=1, keepdims=True)
+
+
+def graph_nodes(*roots) -> int:
+    """Tensors reachable from any of ``roots`` through parent links."""
+    seen = {id(r) for r in roots}
+    stack = list(roots)
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def gradient_check(loss_fn, params, eps: float = 1e-5) -> float:
+    """Compare reverse-mode gradients against central differences.
+
+    ``loss_fn`` must rebuild the graph deterministically on every call.
+    Returns the maximum relative error over every element of every parameter.
+    """
+    for p in params:
+        p.grad = None
+    loss = loss_fn()
+    loss.backward()
+    analytic = [None if p.grad is None else p.grad.copy() for p in params]
+    worst = 0.0
+    for p, a in zip(params, analytic):
+        if a is None:
+            a = np.zeros_like(p.value)
+        flat = p.value.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = loss_fn().item()
+            flat[i] = orig - eps
+            down = loss_fn().item()
+            flat[i] = orig
+            fd = (up - down) / (2.0 * eps)
+            g = a.reshape(-1)[i]
+            err = abs(g - fd) / max(1.0, abs(g), abs(fd))
+            worst = max(worst, err)
+    return worst

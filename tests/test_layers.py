@@ -1,4 +1,5 @@
-"""Network layers: hand-evaluated forward passes, dropout behavior."""
+"""Network layers: hand-evaluated forward passes, the fused nodes against
+the unfused reference, dropout behavior."""
 
 import math
 
@@ -13,6 +14,8 @@ from mixlm.neural.layers import (
     block_dropout_mask,
     standard_dropout,
 )
+
+from helpers import graph_nodes, lstm_step_unfused, output_unfused
 
 
 def sigma(x):
@@ -129,6 +132,116 @@ class TestOutputLayer:
         lam = out(T.constant(rng.normal(size=(6, 3))), mask=mask)
         np.testing.assert_allclose(lam.value.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(lam.value[mask == 0.0] == 0.0)
+
+
+def _lstm_and_inputs(seed):
+    """A 5-input, 4-unit LSTM and four steps of inputs for a batch of 3."""
+    rng = np.random.default_rng(seed)
+    return LSTM(5, 4, rng), [T.constant(rng.normal(size=(3, 5))) for _ in range(4)]
+
+
+class TestFusedLSTMStep:
+    def test_values_match_unfused_graph(self):
+        lstm, xs = _lstm_and_inputs(11)
+        fused = ref = lstm.initial_state(3)
+        for x in xs:
+            _, fused = lstm.step(x, fused)
+            _, ref = lstm_step_unfused(lstm, x, ref)
+            for got, want in zip(fused, ref):
+                np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=0)
+
+    def test_gradients_match_unfused_graph(self):
+        lstm, xs = _lstm_and_inputs(12)
+        grads = []
+        for step in (lstm.step, lambda x, st: lstm_step_unfused(lstm, x, st)):
+            for p in lstm.parameters():
+                p.grad = None
+            state = lstm.initial_state(3)
+            loss = None
+            for x in xs:
+                h, state = step(x, state)
+                term = T.tsum(h * h) + T.tsum(state[1])
+                loss = term if loss is None else loss + term
+            loss.backward()
+            grads.append([p.grad.copy() for p in lstm.parameters()])
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+
+    def test_adds_two_graph_nodes(self):
+        lstm, xs = _lstm_and_inputs(13)
+        h0, c0 = lstm.initial_state(3)
+        before = graph_nodes(xs[0], h0, c0, *lstm.parameters())
+        h, (_, c) = lstm.step(xs[0], (h0, c0))
+        assert graph_nodes(h, c) - before == 2
+
+    def test_saturated_gates_stay_finite(self):
+        """Gate pre-activations of ±1000 neither overflow nor warn, forward
+        or backward."""
+        lstm = LSTM(1, 2, np.random.default_rng(0))
+        lstm.W_x.value[:] = np.array([[1000.0, -1000.0] * 4])
+        x = T.constant(np.array([[1.0], [-1.0]]))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            h, (_, c) = lstm.step(x, lstm.initial_state(2))
+            T.tsum(h + c).backward()
+        for t in (h, c):
+            assert np.all(np.isfinite(t.value))
+        for p in lstm.parameters():
+            assert np.all(np.isfinite(p.grad))
+
+
+class TestFusedOutputLayer:
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.out = OutputLayer(4, 6, rng)
+        self.h = T.param(rng.normal(size=(5, 4)), "h")
+        self.mask = (rng.random((5, 6)) > 0.3).astype(float)
+        self.mask[:, 2:] = 1.0  # the identity block: always unmasked
+        self.mask[1, :2] = 0.0  # a row whose count block is fully masked
+        self.mask[3, :2] = 0.0
+        self.g = rng.normal(size=(5, 6))  # dL/dλ
+
+    def _forward_backward(self, layer, mask):
+        for p in [self.h] + self.out.parameters():
+            p.grad = None
+        lam = layer(self.h, mask)
+        T.tsum(lam * T.constant(self.g)).backward()
+        return lam.value, [p.grad.copy() for p in [self.h] + self.out.parameters()]
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_values_and_gradients_match_unfused_graph(self, masked):
+        mask = self.mask if masked else None
+        got, got_grads = self._forward_backward(self.out, mask)
+        want, want_grads = self._forward_backward(
+            lambda h, m: output_unfused(self.out, h, m), mask)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        for a, b in zip(got_grads, want_grads):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-13)
+
+    def test_fully_masked_count_block_keeps_identity_weights(self):
+        lam = self.out(self.h, self.mask).value
+        for row in (1, 3):
+            np.testing.assert_array_equal(lam[row, :2], 0.0)
+            assert lam[row, 2:].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_adds_one_graph_node(self):
+        before = graph_nodes(self.h, *self.out.parameters())
+        assert graph_nodes(self.out(self.h, self.mask)) - before == 1
+
+    def test_extreme_logits_stay_finite(self):
+        """Logits of ±1000, with the largest one masked, neither overflow nor
+        warn, forward or backward."""
+        out = OutputLayer(1, 4, np.random.default_rng(0))
+        out.W.value[:] = np.array([[1000.0, -1000.0, 1000.0, -1000.0]])
+        h = T.param(np.array([[1.0], [-1.0]]), "h")
+        mask = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            lam = out(h, mask)
+            T.tsum(T.log(T.take_per_row(lam, np.array([1, 1])))).backward()
+        assert np.all(np.isfinite(lam.value))
+        np.testing.assert_allclose(lam.value.sum(axis=1), 1.0)
+        assert np.all(lam.value[mask == 0.0] == 0.0)
+        for p in [h] + out.parameters():
+            assert np.all(np.isfinite(p.grad))
 
 
 class TestStandardDropout:

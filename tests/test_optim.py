@@ -1,11 +1,13 @@
-"""Adam updates, gradient clipping, and the finite-difference checker."""
+"""Adam updates, gradient clipping, and gradients against central differences."""
 
 import numpy as np
 import pytest
 
 import mixlm.neural.tensor as T
 from mixlm.neural.layers import LSTM, FeedForward, OutputLayer
-from mixlm.neural.optim import Adam, OptimError, adam_step, clip_gradients, gradient_check
+from mixlm.neural.optim import Adam, OptimError, adam_step, clip_gradients
+
+from helpers import gradient_check, lstm_step_unfused, mean_all, output_unfused
 
 
 class TestAdamStep:
@@ -100,7 +102,7 @@ class TestGradientCheck:
 
         def loss():
             lam = out(ff(T.constant(x)))
-            return T.mean_all(-T.log(T.take_per_row(lam, targets)))
+            return mean_all(-T.log(T.take_per_row(lam, targets)))
 
         err = gradient_check(loss, ff.parameters() + out.parameters())
         assert err < 1e-4
@@ -118,7 +120,7 @@ class TestGradientCheck:
             for t in range(3):
                 h, state = lstm.step(T.constant(xs[t]), state)
             lam = out(h)
-            return T.mean_all(-T.log(T.take_per_row(lam, targets)))
+            return mean_all(-T.log(T.take_per_row(lam, targets)))
 
         err = gradient_check(loss, lstm.parameters() + out.parameters())
         assert err < 1e-4
@@ -132,9 +134,79 @@ class TestGradientCheck:
 
         def loss():
             lam = out(T.constant(x), mask=mask)
-            return T.mean_all(-T.log(T.take_per_row(lam, targets)))
+            return mean_all(-T.log(T.take_per_row(lam, targets)))
 
         assert gradient_check(loss, out.parameters()) < 1e-4
 
     def test_degenerate_no_parameters(self):
         assert gradient_check(lambda: T.constant(np.array(1.5)), []) == 0.0
+
+
+class TestHybridGradients:
+    """A three-step LSTM hybrid shaped like the benchmark's: count features
+    beside previous-word embeddings reached through ``gather_rows``, the batch
+    shrinking through ``gather_rows`` on h and c, and a masked output whose
+    count block is fully masked in some rows, as block dropout does."""
+
+    N, J, F = 2, 5, 2  # count columns, identity block, feature width
+    LENGTHS = np.array([3, 3, 2, 1])
+
+    def setup_method(self):
+        rng = np.random.default_rng(31)
+        N, J, F, B = self.N, self.J, self.F, len(self.LENGTHS)
+        self.lstm = LSTM(F + 3, 4, rng)
+        self.out = OutputLayer(4, N + J, rng)
+        self.emb = T.param(rng.uniform(-0.5, 0.5, (J + 1, 3)), "emb")
+        self.h0 = T.param(rng.normal(size=(B, 4)) * 0.5, "h0")
+        self.c0 = T.param(rng.normal(size=(B, 4)) * 0.5, "c0")
+        steps = int(self.LENGTHS[0])
+        self.X = rng.normal(size=(steps, B, F))
+        self.prev = rng.integers(0, J + 1, (steps, B))
+        self.prev[1, :] = 2  # repeated rows of the embedding
+        self.words = rng.integers(0, J, (steps, B))
+        self.D = rng.uniform(0.05, 1.0, (steps, B, N))
+        self.mask = np.ones((steps, B, N + J))
+        self.mask[0, 1, :N] = 0.0
+        self.mask[1, 0, :N] = 0.0
+        self.mask[2, :, 1] = 0.0
+
+    def params(self):
+        return [self.emb, self.h0, self.c0] + self.lstm.parameters() + self.out.parameters()
+
+    def loss(self, step, output):
+        N = self.N
+        h, c = self.h0, self.c0
+        total = None
+        for t in range(int(self.LENGTHS[0])):
+            b = int((self.LENGTHS > t).sum())
+            if b < h.value.shape[0]:
+                h, c = T.gather_rows(h, np.arange(b)), T.gather_rows(c, np.arange(b))
+            x = T.concat_cols([T.constant(self.X[t, :b]), T.gather_rows(self.emb, self.prev[t, :b])])
+            h, (_, c) = step(x, (h, c))
+            lam = output(h, self.mask[t, :b])
+            p = (T.tsum(T.slice_cols(lam, 0, N) * T.constant(self.D[t, :b]), axis=1, keepdims=True)
+                 + T.take_per_row(lam, N + self.words[t, :b]))
+            lp = T.tsum(T.log(p))
+            total = lp if total is None else total + lp
+        return -(total / float(self.LENGTHS.sum()))
+
+    def fused_loss(self):
+        return self.loss(self.lstm.step, self.out)
+
+    def test_central_differences(self):
+        assert gradient_check(self.fused_loss, self.params(), eps=1e-6) < 1e-6
+
+    def test_matches_unfused_graph(self):
+        def unfused():
+            return self.loss(lambda x, st: lstm_step_unfused(self.lstm, x, st),
+                             lambda h, m: output_unfused(self.out, h, m))
+
+        np.testing.assert_allclose(self.fused_loss().item(), unfused().item(), rtol=1e-12)
+        grads = []
+        for loss_fn in (self.fused_loss, unfused):
+            for p in self.params():
+                p.grad = None
+            loss_fn().backward()
+            grads.append([p.grad.copy() for p in self.params()])
+        for p, got, want in zip(self.params(), *grads):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12, err_msg=p.name)

@@ -388,6 +388,24 @@ class TestBulkColumnRows:
         assert np.all(alphas[~valid] == 1.0)
 
 
+class TestSmoothingSpecContextLength:
+    @pytest.mark.parametrize("family", ["ml", "kn"])
+    def test_context_longer_than_order_rejected(self, family):
+        """An order-2 spec answers one-word contexts and rejects two-word ones,
+        even when the table holds order 3."""
+        corpus = toy_corpus()
+        table = accumulate(corpus, 3)
+        spec = SmoothingSpec.ml(2) if family == "ml" else SmoothingSpec.kn(table, 2)
+        view = table.view()
+        a, b = corpus.vocab.id_of("a"), corpus.vocab.id_of("b")
+        spec.column(view, (a,))
+        spec.fallback(view, (a,))
+        with pytest.raises(ValueError, match="longer"):
+            spec.column(view, (a, b))
+        with pytest.raises(ValueError, match="longer"):
+            spec.fallback(view, (a, b))
+
+
 class TestSmoothingSpecSerialization:
     def test_round_trip(self):
         table = accumulate(toy_corpus(), 3)
