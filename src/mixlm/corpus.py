@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,11 +64,6 @@ class Vocabulary:
             return self.unk_id
         return self.word_to_id.get(word, self.unk_id)
 
-    def word_of(self, token_id: int) -> str:
-        if token_id == self.bos_id:
-            return BOS
-        return self.id_to_word[token_id]
-
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         """Map tokens to ids and append the end-of-sentence id."""
         ids = np.empty(len(tokens) + 1, dtype=np.int32)
@@ -76,9 +71,6 @@ class Vocabulary:
             ids[i] = self.id_of(tok)
         ids[-1] = self.eos_id
         return ids
-
-    def decode(self, ids: Iterable[int]) -> list[str]:
-        return [self.word_of(int(i)) for i in ids]
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -132,12 +124,6 @@ class EncodedCorpus:
     def token_count(self) -> int:
         """Number of prediction events (words plus one eos per sentence)."""
         return sum(len(s) for s in self.sentences)
-
-    def __len__(self) -> int:
-        return len(self.sentences)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.sentences)
 
 
 def encode_corpus(lines: Iterable[str], vocab: Vocabulary) -> EncodedCorpus:

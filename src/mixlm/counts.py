@@ -47,7 +47,6 @@ from .corpus import EncodedCorpus, Vocabulary
 _BIN_MAGIC = b"MXCT"
 _BIN_VERSION = 2
 _HEADER = struct.Struct("<IIQQQ")
-_STATS = ("total", "n1", "n2", "n3p")  # columns of every stats array
 
 
 class CountError(ValueError):
@@ -343,6 +342,9 @@ def _subtract(out: np.ndarray, keys: np.ndarray, deltas: np.ndarray,
 
 
 class ContextStats(NamedTuple):
+    """The four stats of a context: ints from ``stats``, arrays (one entry
+    per position) from ``bulk_stats``."""
+
     total: int
     n1: int
     n2: int
@@ -516,7 +518,8 @@ class CountView:
 
     def bulk_stats(self, order: int, ranks: np.ndarray,
                    folds: np.ndarray | None = None, continuation: bool = False):
-        """Vectorized per-context stats -> dict of arrays (total/unique/n1/n2/n3p)."""
+        """Vectorized per-context stats as a ``ContextStats`` of arrays; rank -1
+        yields zeros."""
         kind = self._kind(order, continuation)
         valid = ranks >= 0
         r = np.where(valid, ranks, 0)
@@ -525,6 +528,4 @@ class CountView:
         folds = self._folds(folds, len(ranks))
         if folds is not None:
             _subtract(s, kind.stat_keys, kind.stat_deltas, r * self.folded.n_folds + folds, valid)
-        out = dict(zip(_STATS, s.T))
-        out["unique"] = out["n1"] + out["n2"] + out["n3p"]
-        return out
+        return ContextStats._make(s.T)

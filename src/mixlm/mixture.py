@@ -20,10 +20,6 @@ import numpy as np
 
 from .smoothing import SmoothingSpec, SparseDistribution
 
-# Interpolation weight vectors are plain float arrays; length is the number
-# of count columns, plus the vocabulary size when an identity block is used.
-MixtureWeights = np.ndarray
-
 
 class MixtureError(ValueError):
     pass
@@ -41,11 +37,6 @@ class ContextDistributions:
     columns: list[SparseDistribution]
     vocab_size: int
     has_identity_block: bool = False
-
-    @property
-    def mask(self) -> np.ndarray:
-        """Valid (observed-context) count columns: those with support."""
-        return np.array([not c.masked for c in self.columns], dtype=bool)
 
     @property
     def weight_length(self) -> int:
@@ -66,13 +57,13 @@ def context_distributions(view, spec: SmoothingSpec, context,
     return ContextDistributions(cols, view.vocab_size, has_identity_block=identity)
 
 
-def _check_weights(dists: ContextDistributions, lam: MixtureWeights) -> None:
+def _check_weights(dists: ContextDistributions, lam: np.ndarray) -> None:
     if len(lam) != dists.weight_length:
         raise MixtureError(f"weight vector has length {len(lam)}, "
                            f"expected {dists.weight_length}")
 
 
-def word_probability(dists: ContextDistributions, lam: MixtureWeights, word: int) -> float:
+def word_probability(dists: ContextDistributions, lam: np.ndarray, word: int) -> float:
     """p(word) = sum_k lam_k * column_k[word]; touches only K entries, never J."""
     word = int(word)
     if not 0 <= word < dists.vocab_size:
@@ -85,7 +76,7 @@ def word_probability(dists: ContextDistributions, lam: MixtureWeights, word: int
     return float(p)
 
 
-def full_distribution(dists: ContextDistributions, lam: MixtureWeights) -> np.ndarray:
+def full_distribution(dists: ContextDistributions, lam: np.ndarray) -> np.ndarray:
     """Dense mixture over the whole vocabulary."""
     _check_weights(dists, lam)
     n = len(dists.columns)

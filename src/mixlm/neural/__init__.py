@@ -6,7 +6,6 @@ from .layers import (  # noqa: F401
     LSTM,
     OutputLayer,
     block_dropout_mask,
-    standard_dropout,
 )
 from .optim import Adam, OptimError  # noqa: F401
 from .features import (  # noqa: F401

@@ -41,18 +41,18 @@ def bulk_context_features(view: CountView, spec: SmoothingSpec, ranks: np.ndarra
     for n in range(1, spec.order + 1):
         r = ranks[:, n - 1]
         s = view.bulk_stats(n, r, folds=folds)
-        ok = (r >= 0) & (s["total"] > 0)
+        ok = s.total > 0
         at = (n - 1) * per_block
         out[ok, at] = 1.0
-        out[ok, at + 1] = np.log(s["total"][ok])
-        out[ok, at + 2] = np.log(s["unique"][ok])
+        out[ok, at + 1] = np.log(s.total[ok])
+        out[ok, at + 2] = np.log(s.unique[ok])
         if spec.family == "kn":
             if spec.uses_continuation(n):
                 use = view.bulk_stats(n, r, folds=folds, continuation=True)
             else:
                 use = s
-            kept = use["total"] - spec.discounts[n].mass(use["n1"], use["n2"], use["n3p"])
-            good = ok & (use["total"] > 0) & (kept > 0)
+            kept = use.total - spec.discounts[n].mass(use.n1, use.n2, use.n3p)
+            good = ok & (use.total > 0) & (kept > 0)
             out[good, at + 3] = np.log(kept[good])
     return out
 

@@ -1,6 +1,6 @@
-"""Network building blocks: feed-forward encoder, LSTM, softmax output,
-standard dropout, and the block dropout used when count columns sit next to
-an identity block.
+"""Network building blocks: feed-forward encoder, LSTM, masked softmax
+output, and the block dropout used when count columns sit next to an
+identity block.
 
 The LSTM step and the masked softmax output compute in numpy and enter the
 autograd graph as fused nodes with hand-written backward passes: two nodes
@@ -37,11 +37,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class FeedForward:
     """One affine layer with a tanh nonlinearity: h = tanh(x W + b)."""
 
-    def __init__(self, in_size: int, hidden_size: int, rng: np.random.Generator,
-                 prefix: str = "ff"):
+    def __init__(self, in_size: int, hidden_size: int, rng: np.random.Generator):
         self.in_size = in_size
-        self.W = T.param(_init(rng, (in_size, hidden_size)), f"{prefix}.W")
-        self.b = T.param(np.zeros(hidden_size), f"{prefix}.b")
+        self.W = T.param(_init(rng, (in_size, hidden_size)), "ff.W")
+        self.b = T.param(np.zeros(hidden_size), "ff.b")
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.value.shape[1] != self.in_size:
@@ -56,15 +55,14 @@ class LSTM:
     """Single-layer LSTM, no peepholes; gate layout [input, forget, output,
     candidate] along the last axis; forget-gate bias starts at 1."""
 
-    def __init__(self, in_size: int, hidden_size: int, rng: np.random.Generator,
-                 prefix: str = "lstm"):
+    def __init__(self, in_size: int, hidden_size: int, rng: np.random.Generator):
         self.in_size = in_size
         self.hidden_size = hidden_size
-        self.W_x = T.param(_init(rng, (in_size, 4 * hidden_size)), f"{prefix}.W_x")
-        self.W_h = T.param(_init(rng, (hidden_size, 4 * hidden_size)), f"{prefix}.W_h")
+        self.W_x = T.param(_init(rng, (in_size, 4 * hidden_size)), "lstm.W_x")
+        self.W_h = T.param(_init(rng, (hidden_size, 4 * hidden_size)), "lstm.W_h")
         b = np.zeros(4 * hidden_size)
         b[hidden_size:2 * hidden_size] = 1.0
-        self.b = T.param(b, f"{prefix}.b")
+        self.b = T.param(b, "lstm.b")
 
     def initial_state(self, batch: int):
         z = np.zeros((batch, self.hidden_size))
@@ -124,25 +122,28 @@ class OutputLayer:
     """Affine map to K logits, then softmax; the one place that zeroes the
     weights of masked columns and renormalizes the rest."""
 
-    def __init__(self, hidden_size: int, out_size: int, rng: np.random.Generator,
-                 prefix: str = "out"):
+    def __init__(self, hidden_size: int, out_size: int, rng: np.random.Generator):
         self.out_size = out_size
-        self.W = T.param(_init(rng, (hidden_size, out_size)), f"{prefix}.W")
-        self.b = T.param(np.zeros(out_size), f"{prefix}.b")
+        self.W = T.param(_init(rng, (hidden_size, out_size)), "out.W")
+        self.b = T.param(np.zeros(out_size), "out.b")
 
-    def __call__(self, h: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, h: Tensor, mask: np.ndarray) -> Tensor:
         """Mixture weights as one graph node: softmax(h W + b) over the
-        unmasked columns, 0 at masked ones, each row summing to 1.
+        columns where ``mask`` is non-zero, 0 at the others, each row summing
+        to 1.
 
-        A row needs at least one unmasked column.  The backward pass is
-        dz = y·(g − Σ g·y), which is 0 at masked columns because y is.
+        A row with no unmasked column raises ``ValueError``.  The backward
+        pass is dz = y·(g − Σ g·y), which is 0 at masked columns because y is.
         """
+        off = np.asarray(mask) == 0
+        empty = np.flatnonzero(off.all(axis=1))
+        if len(empty):
+            raise ValueError(f"mask row {empty[0]} has no unmasked column")
         W, b = self.W, self.b
         hv, Wv = h.value, W.value
         y = hv @ Wv
         y += b.value
-        if mask is not None:
-            y[mask == 0] = -np.inf
+        y[off] = -np.inf
         y -= y.max(axis=1, keepdims=True)
         np.exp(y, out=y)
         y /= y.sum(axis=1, keepdims=True)
@@ -159,20 +160,6 @@ class OutputLayer:
 
     def parameters(self) -> list[Tensor]:
         return [self.W, self.b]
-
-
-def standard_dropout(x: Tensor, rate: float, rng: np.random.Generator,
-                     training: bool) -> Tensor:
-    """Inverted dropout: at train time zero each unit with probability
-    ``rate`` and scale survivors by 1/(1-rate); identity elsewhere.
-
-    Rate 0 is a true identity and consumes no randomness, so seeded runs
-    with and without dropout configured stay comparable.
-    """
-    if not training or rate == 0.0:
-        return x
-    keep = (rng.random(x.value.shape) >= rate).astype(x.value.dtype)
-    return x * T.constant(keep / (1.0 - rate))
 
 
 def block_dropout_mask(batch: int, n_count: int, width: int, rate: float,

@@ -1,4 +1,14 @@
-"""Adam with global-norm gradient clipping."""
+"""Adam with global-norm gradient clipping, updated in place.
+
+``Adam.step`` scales every gradient array in place when their global norm
+exceeds ``CLIP_NORM``, then updates its own moment arrays and each
+parameter's value in place, through two scratch arrays per parameter that
+it keeps from step to step; only the squares summed for the norm are a new
+array.  Each operation keeps the order of value − lr·m̂ / (√v̂ + ε), with
+m̂ = m / (1 − β1ᵗ) and v̂ = v / (1 − β2ᵗ), evaluated out of place, so the
+update gives the same bits.  The decay rates, epsilon and clipping norm are
+fixed; only the learning rate is set per optimizer.
+"""
 
 from __future__ import annotations
 
@@ -6,74 +16,76 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1 = 0.9  # decay of the first moment estimate
+BETA2 = 0.999  # decay of the second moment estimate
+EPS = 1e-8
+CLIP_NORM = 5.0  # global gradient norm above which gradients are scaled down
+
 
 class OptimError(RuntimeError):
     pass
 
 
-def adam_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
-    """One bias-corrected Adam update; returns (new value, new m, new v)."""
-    if t < 1:
-        raise OptimError("Adam step count must be >= 1")
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
-
-
-def clip_gradients(params: list[Tensor], max_norm: float = 5.0) -> float:
-    """Scale all gradients so their global norm is at most ``max_norm``.
-
-    Returns the pre-clip norm.  Raises on non-finite gradients, naming the
-    offending parameter.
-    """
-    total = 0.0
-    for p in params:
-        if p.grad is None:
-            continue
-        if not np.all(np.isfinite(p.grad)):
-            raise OptimError(f"non-finite gradient in {p.name or 'unnamed parameter'}")
-        total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = float(np.sqrt(total))
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
-    return norm
-
-
 class Adam:
     """Tracks first/second moment estimates per parameter."""
 
-    def __init__(self, params: list[Tensor], lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, clip_norm: float = 5.0):
+    def __init__(self, params: list[Tensor], lr: float = 0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.clip_norm = clip_norm
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
+        self._tmp = [np.empty_like(p.value) for p in self.params]
+        self._den = [np.empty_like(p.value) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
-    def step(self) -> float:
-        """Apply one update from the accumulated gradients; returns the
-        pre-clip gradient norm."""
-        norm = clip_gradients(self.params, self.clip_norm)
-        self.t += 1
-        for i, p in enumerate(self.params):
+    def _clip(self) -> float:
+        """Scale the gradients in place so their global norm is at most
+        ``CLIP_NORM``; returns the pre-clip norm.  Raises on a non-finite
+        gradient, naming the parameter."""
+        total = 0.0
+        for p in self.params:
             if p.grad is None:
                 continue
-            p.value, self.m[i], self.v[i] = adam_step(
-                p.value, p.grad, self.m[i], self.v[i], self.t,
-                self.lr, self.beta1, self.beta2, self.eps)
+            sq = float((p.grad.astype(np.float64, copy=False) ** 2).sum())
+            # a non-finite sum of squares has a non-finite entry or overflowed
+            if not np.isfinite(sq) and not np.all(np.isfinite(p.grad)):
+                raise OptimError(f"non-finite gradient in {p.name or 'unnamed parameter'}")
+            total += sq
+        norm = float(np.sqrt(total))
+        if norm > CLIP_NORM:
+            scale = CLIP_NORM / norm
+            for p in self.params:
+                if p.grad is not None:
+                    p.grad *= scale
+        return norm
+
+    def step(self) -> float:
+        """Apply one bias-corrected update from the accumulated gradients;
+        returns the pre-clip gradient norm."""
+        norm = self._clip()
+        self.t += 1
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
+        for p, m, v, tmp, den in zip(self.params, self.m, self.v, self._tmp, self._den):
+            g = p.grad
+            if g is None:
+                continue
+            m *= BETA1  # m = β1·m + (1 − β1)·g
+            np.multiply(g, 1.0 - BETA1, out=tmp)
+            m += tmp
+            v *= BETA2  # v = β2·v + (1 − β2)·g·g
+            np.multiply(g, 1.0 - BETA2, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(m, c1, out=tmp)  # lr·m̂ / (√v̂ + ε)
+            tmp *= self.lr
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += EPS
+            tmp /= den
+            p.value -= tmp
         return norm

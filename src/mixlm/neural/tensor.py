@@ -4,12 +4,13 @@ Every operation builds a node recording its parents and a closure that maps
 the node's output gradient to parent-gradient contributions.  Calling
 ``backward`` on a scalar loss walks the graph once in reverse topological
 order.  Each tensor owns its gradient array and contributions are added into
-it in place; row and column scatters write straight into it.  Only the
-handful of operations the model families need is provided here; the network
-layers build their own fused nodes with hand-written backward passes (one
-node for the LSTM cell state, one for its output, one for the masked softmax
-output).  Everything runs on plain numpy so 64-bit is the default and 32-bit
-works by feeding float32 arrays in.
+it in place; row and column scatters write straight into it, and the
+optimizer may scale it in place.  Only the operations the λ networks and
+their losses use are provided here; the network layers build their own
+fused nodes with hand-written backward passes (one node for the LSTM cell
+state, one for its output, one for the masked softmax output).  Everything
+runs on plain numpy so 64-bit is the default and 32-bit works by feeding
+float32 arrays in.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ class Tensor:
         self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
         self.grad = None
         self.name = name
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def _accum(self, g):
         """Add a gradient contribution into this tensor's own gradient array."""
@@ -76,9 +73,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -90,9 +84,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def item(self) -> float:
-        return float(self.value)
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, grad={self.requires_grad}, name={self.name})"
@@ -130,20 +121,6 @@ def add(a, b) -> Tensor:
             a._accum(_unbroadcast(g, a.value.shape))
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.value.shape))
-
-    out._backward = backward
-    return out
-
-
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value - b.value, (a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.value.shape))
 
     out._backward = backward
     return out

@@ -80,10 +80,6 @@ class SparseDistribution:
     words: np.ndarray
     probs: np.ndarray
 
-    @property
-    def masked(self) -> bool:
-        return len(self.words) == 0
-
     def prob_of(self, word: int) -> float:
         i = int(np.searchsorted(self.words, word))
         if i < len(self.words) and self.words[i] == word:
@@ -283,17 +279,17 @@ def bulk_column_rows(view: CountView, spec: SmoothingSpec, ranks: np.ndarray,
         r = ranks[:, n - 1]
         cont = spec.uses_continuation(n)
         stats = view.bulk_stats(n, r, folds=folds, continuation=cont)
-        ok = (r >= 0) & (stats["total"] > 0)
+        ok = stats.total > 0
         valid[:, n - 1] = ok
-        total = np.where(ok, stats["total"], 1).astype(np.float64)
+        total = np.where(ok, stats.total, 1).astype(np.float64)
         counts = view.bulk_counts(n, r, words, folds=folds, continuation=cont)
         with np.errstate(divide="ignore", invalid="ignore"):
             if spec.family == "ml":
                 p = counts / total
-                a = witten_bell_alpha(total, stats["unique"])
+                a = witten_bell_alpha(total, stats.unique)
             else:
-                p, a, _ = kn_terms(spec.discounts[n], total, stats["n1"], stats["n2"],
-                                   stats["n3p"], counts)
+                p, a, _ = kn_terms(spec.discounts[n], total, stats.n1, stats.n2,
+                                   stats.n3p, counts)
         probs[:, n - 1] = np.where(ok, p, 0.0)
         alphas[:, n - 1] = np.where(ok, a, 1.0)
     return probs, alphas, valid

@@ -1,5 +1,6 @@
 """Shared fixtures: toy corpora, synthetic text, brute-force count oracles,
-and the unfused reference of the network layers.
+and the unfused reference of the network layers and the out-of-place
+reference of the optimizer.
 
 The count oracles here are deliberately slow dict-based reimplementations of
 the count semantics (full bos padding, eos predicted, continuation counts
@@ -277,12 +278,39 @@ def gradient_check(loss_fn, params, eps: float = 1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = loss_fn().item()
+            up = float(loss_fn().value)
             flat[i] = orig - eps
-            down = loss_fn().item()
+            down = float(loss_fn().value)
             flat[i] = orig
             fd = (up - down) / (2.0 * eps)
             g = a.reshape(-1)[i]
             err = abs(g - fd) / max(1.0, abs(g), abs(fd))
             worst = max(worst, err)
     return worst
+
+
+# -- out-of-place reference of the optimizer -------------------------------
+
+
+def reference_clip(grads, max_norm: float = 5.0):
+    """Global-norm clipping that copies every gradient: returns the clipped
+    gradients and the pre-clip norm."""
+    total = 0.0
+    for g in grads:
+        total += float((g.astype(np.float64) ** 2).sum())
+    norm = float(np.sqrt(total))
+    if max_norm > 0 and norm > max_norm:
+        scale = max_norm / norm
+        grads = [g * scale for g in grads]
+    return grads, norm
+
+
+def reference_adam(value, grad, m, v, t: int, lr: float = 0.001, beta1: float = 0.9,
+                   beta2: float = 0.999, eps: float = 1e-8):
+    """One bias-corrected Adam update that builds new arrays: returns
+    (new value, new m, new v)."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v

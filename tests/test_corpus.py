@@ -63,8 +63,8 @@ class TestVocabulary:
 
     def test_decode_round_trip(self):
         v = build_vocabulary(TOY_LINES)
-        assert v.decode(v.encode(["a", "c"])) == ["a", "c", EOS]
-        assert v.word_of(v.bos_id) == BOS
+        assert [v.id_to_word[i] for i in v.encode(["a", "c"])] == ["a", "c", EOS]
+        assert v.bos_id == v.size and v.id_of(BOS) == v.unk_id
 
 
 class TestEncodedCorpus:
@@ -72,12 +72,12 @@ class TestEncodedCorpus:
         v = build_vocabulary(TOY_LINES)
         corpus = encode_corpus(TOY_LINES, v)
         assert corpus.token_count == 7  # 5 words + 2 sentence ends
-        assert len(corpus) == 2
+        assert len(corpus.sentences) == 2
 
     def test_blank_lines_dropped(self):
         v = build_vocabulary(TOY_LINES)
         corpus = encode_corpus(["a b a", "", "a c", "  "], v)
-        assert len(corpus) == 2
+        assert len(corpus.sentences) == 2
 
     def test_all_blank_is_empty(self):
         v = build_vocabulary(TOY_LINES)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mixlm.corpus import build_vocabulary, encode_corpus
-from mixlm.counts import CountError, CountTable, CountView, accumulate, cv_fold_counts
+from mixlm.counts import (CountError, CountTable, CountView, ContextStats, accumulate,
+                          cv_fold_counts)
 
 from helpers import (
     TOY_LINES,
@@ -213,15 +214,16 @@ class TestBulkQueries:
         for n in range(1, 4):
             counts = self.view.bulk_counts(n, ranks[:, n - 1], words)
             stats = self.view.bulk_stats(n, ranks[:, n - 1])
+            assert isinstance(stats, ContextStats)
             for t in range(len(words)):
                 r = int(ranks[t, n - 1])
                 if r < 0:
-                    assert counts[t] == 0 and stats["total"][t] == 0
+                    assert counts[t] == 0 and stats.total[t] == 0
                 else:
                     assert counts[t] == self.view.count(n, r, int(words[t]))
                     s = self.view.stats(n, r)
-                    assert stats["total"][t] == s.total
-                    assert stats["unique"][t] == s.unique
+                    assert tuple(int(x[t]) for x in stats) == s
+                    assert stats.unique[t] == s.unique
 
     def test_bulk_on_training_corpus(self):
         self._check_corpus(self.train)
@@ -337,14 +339,14 @@ class TestFoldViews:
                     for t in range(len(words)):
                         fv = self.folded.view(int(folds[t]))
                         if r[t] < 0:
-                            assert counts[t] == 0 and stats["total"][t] == 0
+                            assert counts[t] == 0 and stats.total[t] == 0
                             continue
                         w = int(words[t])
                         want = fv.cont_count(n, r[t], w) if cont else fv.count(n, r[t], w)
                         s = fv.cont_stats(n, r[t]) if cont else fv.stats(n, r[t])
                         assert counts[t] == want, (n, cont, t)
-                        assert [stats[k][t] for k in ("total", "unique", "n1", "n2", "n3p")] \
-                            == [s.total, s.unique, s.n1, s.n2, s.n3p], (n, cont, t)
+                        assert tuple(int(x[t]) for x in stats) == s, (n, cont, t)
+                        assert stats.unique[t] == s.unique, (n, cont, t)
                     for f in range(self.FOLDS):
                         same = np.full(len(words), f)
                         fv = self.folded.view(f)

@@ -1,5 +1,5 @@
 """Network layers: hand-evaluated forward passes, the fused nodes against
-the unfused reference, dropout behavior."""
+the unfused reference, block dropout behavior."""
 
 import math
 
@@ -12,7 +12,6 @@ from mixlm.neural.layers import (
     FeedForward,
     OutputLayer,
     block_dropout_mask,
-    standard_dropout,
 )
 
 from helpers import graph_nodes, lstm_step_unfused, output_unfused
@@ -108,14 +107,14 @@ class TestOutputLayer:
     def test_zero_logits_uniform(self):
         out = OutputLayer(3, 4, np.random.default_rng(0))
         out.W.value[:] = 0.0
-        lam = out(T.constant(np.zeros((2, 3))))
+        lam = out(T.constant(np.zeros((2, 3))), np.ones((2, 4)))
         np.testing.assert_allclose(lam.value, 0.25)
 
     def test_log_two_logits(self):
         out = OutputLayer(1, 2, np.random.default_rng(0))
         out.W.value[:] = 0.0
         out.b.value[:] = np.array([math.log(2.0), 0.0])
-        lam = out(T.constant(np.zeros((1, 1))))
+        lam = out(T.constant(np.zeros((1, 1))), np.ones((1, 2)))
         np.testing.assert_allclose(lam.value, [[2 / 3, 1 / 3]], atol=1e-12)
 
     def test_mask_renormalizes(self):
@@ -132,6 +131,19 @@ class TestOutputLayer:
         lam = out(T.constant(rng.normal(size=(6, 3))), mask=mask)
         np.testing.assert_allclose(lam.value.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(lam.value[mask == 0.0] == 0.0)
+
+    def test_list_mask_is_applied(self):
+        out = OutputLayer(2, 3, np.random.default_rng(0))
+        lam = out(T.constant(np.ones((2, 2))), [[1, 1, 0], [0, 1, 1]]).value
+        assert lam[0, 2] == 0.0 and lam[1, 0] == 0.0
+        np.testing.assert_allclose(lam.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_row_without_unmasked_column_raises(self, as_array):
+        out = OutputLayer(2, 3, np.random.default_rng(0))
+        mask = [[1, 1, 0], [0, 0, 0]]
+        with pytest.raises(ValueError, match="mask row 1 has no unmasked column"):
+            out(T.constant(np.ones((2, 2))), np.array(mask) if as_array else mask)
 
 
 def _lstm_and_inputs(seed):
@@ -210,7 +222,8 @@ class TestFusedOutputLayer:
     @pytest.mark.parametrize("masked", [False, True])
     def test_values_and_gradients_match_unfused_graph(self, masked):
         mask = self.mask if masked else None
-        got, got_grads = self._forward_backward(self.out, mask)
+        got, got_grads = self._forward_backward(
+            self.out, self.mask if masked else np.ones_like(self.mask))
         want, want_grads = self._forward_backward(
             lambda h, m: output_unfused(self.out, h, m), mask)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -242,35 +255,6 @@ class TestFusedOutputLayer:
         assert np.all(lam.value[mask == 0.0] == 0.0)
         for p in [h] + out.parameters():
             assert np.all(np.isfinite(p.grad))
-
-
-class TestStandardDropout:
-    def test_rate_zero_is_identity_object(self):
-        x = T.constant(np.ones((3, 3)))
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        out = standard_dropout(x, 0.0, rng, training=True)
-        assert out is x
-        assert rng.bit_generator.state == before  # no draws consumed
-
-    def test_eval_mode_is_identity(self):
-        x = T.constant(np.ones((3, 3)))
-        out = standard_dropout(x, 0.5, np.random.default_rng(0), training=False)
-        assert out is x
-
-    def test_train_mode_preserves_mean(self):
-        rng = np.random.default_rng(42)
-        x = T.constant(np.ones((100, 100)))
-        out = standard_dropout(x, 0.5, rng, training=True)
-        assert out.value.mean() == pytest.approx(1.0, abs=0.02)
-        kept = out.value[out.value != 0]
-        np.testing.assert_allclose(kept, 2.0)
-
-    def test_gradient_scales_with_mask(self):
-        x = T.param(np.ones((4, 4)), "x")
-        out = standard_dropout(x, 0.5, np.random.default_rng(1), training=True)
-        T.tsum(out).backward()
-        np.testing.assert_allclose(x.grad, out.value)  # grad = mask/(1-rate)
 
 
 class TestBlockDropout:

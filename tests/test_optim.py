@@ -1,68 +1,129 @@
-"""Adam updates, gradient clipping, and gradients against central differences."""
+"""Adam updates, gradient clipping, the in-place update against the
+out-of-place reference, and gradients against central differences."""
 
 import numpy as np
 import pytest
 
 import mixlm.neural.tensor as T
 from mixlm.neural.layers import LSTM, FeedForward, OutputLayer
-from mixlm.neural.optim import Adam, OptimError, adam_step, clip_gradients
+from mixlm.neural.optim import CLIP_NORM, Adam, OptimError
 
-from helpers import gradient_check, lstm_step_unfused, mean_all, output_unfused
+from helpers import (gradient_check, lstm_step_unfused, mean_all, output_unfused, reference_adam,
+                     reference_clip)
+
+
+def _step_with(params, grads) -> float:
+    """Set each parameter's gradient and take one Adam step."""
+    opt = Adam(params)
+    for p, g in zip(params, grads):
+        p.grad = None if g is None else np.array(g, dtype=float)
+    return opt.step()
 
 
 class TestAdamStep:
     def test_first_step_magnitude(self):
         """At t=1 the bias-corrected update is ~lr regardless of |g|."""
-        v0 = np.array([1.0])
-        new, m, v = adam_step(v0, np.array([0.5]), np.zeros(1), np.zeros(1), t=1)
-        assert abs(v0[0] - new[0]) == pytest.approx(0.001, rel=1e-4)
+        x = T.param(np.array([1.0]), "x")
+        _step_with([x], [[0.5]])
+        assert abs(1.0 - x.value[0]) == pytest.approx(0.001, rel=1e-4)
 
     def test_zero_gradient_no_change(self):
-        v0 = np.array([1.0, -2.0])
-        new, _, _ = adam_step(v0, np.zeros(2), np.zeros(2), np.zeros(2), t=1)
-        np.testing.assert_array_equal(new, v0)
+        x = T.param(np.array([1.0, -2.0]), "x")
+        _step_with([x], [np.zeros(2)])
+        np.testing.assert_array_equal(x.value, [1.0, -2.0])
 
     def test_descends_quadratic_bowl_monotonically(self):
-        x = np.array([1.0])
-        m = np.zeros(1)
-        v = np.zeros(1)
-        values = [x[0]]
-        for t in range(1, 51):
-            x, m, v = adam_step(x, 2.0 * x, m, v, t)
-            values.append(x[0])
+        x = T.param(np.array([1.0]), "x")
+        opt = Adam([x])
+        values = [x.value[0]]
+        for _ in range(50):
+            x.grad = 2.0 * x.value
+            opt.step()
+            values.append(x.value[0])
         diffs = np.diff(values)
         assert np.all(diffs < 0)
         assert values[-1] < values[0]
 
-    def test_step_count_validated(self):
-        with pytest.raises(OptimError):
-            adam_step(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), t=0)
+    def test_updates_in_place(self):
+        x = T.param(np.array([1.0, -2.0]), "x")
+        opt = Adam([x])
+        arrays = (x.value, opt.m[0], opt.v[0])
+        x.grad = np.array([0.5, 9.0])
+        grad = x.grad
+        opt.step()
+        assert (x.value, opt.m[0], opt.v[0]) == arrays
+        assert x.grad is grad
 
 
 class TestClipGradients:
     def test_large_norm_scaled_down(self):
         p = T.param(np.zeros(4), "p")
-        p.grad = np.full(4, 5.0)  # norm 10
-        norm = clip_gradients([p], max_norm=5.0)
+        norm = _step_with([p], [np.full(4, 5.0)])  # norm 10
         assert norm == pytest.approx(10.0)
         assert np.linalg.norm(p.grad) == pytest.approx(5.0)
 
     def test_small_norm_untouched(self):
         p = T.param(np.zeros(4), "p")
-        p.grad = np.full(4, 0.5)
-        before = p.grad.copy()
-        clip_gradients([p], max_norm=5.0)
-        np.testing.assert_array_equal(p.grad, before)
+        assert _step_with([p], [np.full(4, 0.5)]) == pytest.approx(1.0)
+        np.testing.assert_array_equal(p.grad, 0.5)
 
     def test_non_finite_gradient_names_parameter(self):
+        ok = T.param(np.zeros(2), "ok")
         p = T.param(np.zeros(2), "layer.W")
-        p.grad = np.array([1.0, np.nan])
         with pytest.raises(OptimError, match="layer.W"):
-            clip_gradients([p])
+            _step_with([ok, p], [[1.0, 2.0], [1.0, np.nan]])
+        with pytest.raises(OptimError, match="layer.W"):
+            _step_with([p], [[np.inf, 0.0]])
+        np.testing.assert_array_equal(ok.value, 0.0)  # nothing updated
 
     def test_missing_gradients_skipped(self):
         p = T.param(np.zeros(2), "p")
-        assert clip_gradients([p]) == 0.0
+        assert _step_with([p], [None]) == 0.0
+        np.testing.assert_array_equal(p.value, 0.0)
+        q = T.param(np.ones(2), "q")
+        assert _step_with([p, q], [None, [3.0, 4.0]]) == pytest.approx(5.0)
+        np.testing.assert_array_equal(p.value, 0.0)
+        assert np.all(q.value < 1.0)
+
+
+class TestAgainstOutOfPlaceReference:
+    """``Adam.step`` equals the out-of-place clip and update bit for bit,
+    over steps with and without clipping and with a missing gradient."""
+
+    SHAPES = [(6, 11), (3, 11), (11,), (5, 7), (7,)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical(self, dtype):
+        rng = np.random.default_rng(17)
+        params = [T.param(rng.uniform(-0.1, 0.1, s).astype(dtype), f"p{i}")
+                  for i, s in enumerate(self.SHAPES)]
+        values = [p.value.copy() for p in params]
+        m = [np.zeros_like(x) for x in values]
+        v = [np.zeros_like(x) for x in values]
+        opt = Adam(params, lr=0.01)
+        clipped = 0
+        for t in range(1, 41):
+            scale = 3.0 if t % 3 == 0 else 0.1  # every third step clips
+            grads = [(rng.normal(size=s) * scale).astype(dtype) for s in self.SHAPES]
+            if t % 7 == 0:
+                grads[t % len(grads)] = None
+            for p, g in zip(params, grads):
+                p.grad = None if g is None else g.copy()
+            norm = opt.step()
+            have = [i for i, g in enumerate(grads) if g is not None]
+            clipped_grads, want = reference_clip([grads[i] for i in have])
+            assert norm == want
+            clipped += want > CLIP_NORM
+            for i, g in zip(have, clipped_grads):
+                values[i], m[i], v[i] = reference_adam(values[i], g, m[i], v[i], t, lr=0.01)
+            for i, p in enumerate(params):
+                assert p.value.dtype == dtype and opt.m[i].dtype == dtype
+                np.testing.assert_array_equal(p.value, values[i], err_msg=f"step {t} p{i}")
+                np.testing.assert_array_equal(opt.m[i], m[i])
+                np.testing.assert_array_equal(opt.v[i], v[i])
+                if i in have:
+                    np.testing.assert_array_equal(p.grad, clipped_grads[have.index(i)])
+        assert 10 <= clipped <= 20
 
 
 class TestAdamOnTensors:
@@ -86,7 +147,7 @@ class TestAdamOnTensors:
 
     def test_step_returns_preclip_norm(self):
         x = T.param(np.array([1.0]), "x")
-        opt = Adam([x], clip_norm=5.0)
+        opt = Adam([x])
         x.grad = np.array([20.0])
         norm = opt.step()
         assert norm == pytest.approx(20.0)
@@ -101,7 +162,7 @@ class TestGradientCheck:
         targets = np.array([0, 2, 1, 0, 1])
 
         def loss():
-            lam = out(ff(T.constant(x)))
+            lam = out(ff(T.constant(x)), np.ones((5, 3)))
             return mean_all(-T.log(T.take_per_row(lam, targets)))
 
         err = gradient_check(loss, ff.parameters() + out.parameters())
@@ -119,7 +180,7 @@ class TestGradientCheck:
             h = None
             for t in range(3):
                 h, state = lstm.step(T.constant(xs[t]), state)
-            lam = out(h)
+            lam = out(h, np.ones((2, 2)))
             return mean_all(-T.log(T.take_per_row(lam, targets)))
 
         err = gradient_check(loss, lstm.parameters() + out.parameters())
@@ -201,7 +262,7 @@ class TestHybridGradients:
             return self.loss(lambda x, st: lstm_step_unfused(self.lstm, x, st),
                              lambda h, m: output_unfused(self.out, h, m))
 
-        np.testing.assert_allclose(self.fused_loss().item(), unfused().item(), rtol=1e-12)
+        np.testing.assert_allclose(self.fused_loss().value, unfused().value, rtol=1e-12)
         grads = []
         for loss_fn in (self.fused_loss, unfused):
             for p in self.params():

@@ -82,7 +82,7 @@ class TestMLDistribution:
 
     def test_unobserved_context_masked(self):
         dist = ml_distribution(self.view, (self.v.unk_id,))
-        assert dist.masked
+        assert len(dist.words) == 0
         assert dist.probs.sum() == 0.0
 
 
@@ -108,7 +108,7 @@ class TestDiscountedDistribution:
 
     def test_unobserved_context(self):
         dist, beta = discounted_distribution(self.view, (self.v.unk_id,), flat(0.5))
-        assert dist.masked and beta == 1.0
+        assert len(dist.words) == 0 and beta == 1.0
 
     def test_full_discount_degenerates_to_uniform_over_successors(self):
         a = self.v.id_of("a")
@@ -178,10 +178,10 @@ class TestSumToOne:
         for spec in self.specs:
             for ctx in contexts:
                 dists = context_distributions(view, spec, ctx)
-                assert ctx not in observed or dists.mask.all(), (spec, ctx)
+                assert ctx not in observed or all(len(c.words) for c in dists.columns), (spec, ctx)
                 for col in dists.columns:
                     assert np.all(col.probs >= 0), (spec, ctx)
-                    assert col.masked or abs(col.probs.sum() - 1.0) <= 1e-9, (spec, ctx)
+                    assert len(col.words) == 0 or abs(col.probs.sum() - 1.0) <= 1e-9, (spec, ctx)
                 lam = heuristic_lambda([spec.fallback(view, ctx[len(ctx) - (n - 1):])
                                         for n in range(self.ORDER, 1, -1)])
                 mixed = full_distribution(dists, lam)

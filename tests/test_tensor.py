@@ -26,9 +26,6 @@ class TestElementwiseOps:
     def test_add_broadcast_bias(self):
         check(lambda: mean_all(self.a + self.bias), [self.a, self.bias])
 
-    def test_sub(self):
-        check(lambda: mean_all(self.a - self.b), [self.a, self.b])
-
     def test_mul(self):
         check(lambda: mean_all(self.a * self.b), [self.a, self.b])
 
