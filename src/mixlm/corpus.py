@@ -72,15 +72,6 @@ class Vocabulary:
         ids[-1] = self.eos_id
         return ids
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            write_vocabulary(self, fh)
-
-    @classmethod
-    def load(cls, path: str) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            return read_vocabulary(fh)
-
 
 def build_vocabulary(lines: Iterable[str], max_size: int | None = None) -> Vocabulary:
     """Build a vocabulary from tokenized text, one sentence per line.

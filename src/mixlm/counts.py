@@ -21,15 +21,16 @@ per-(type, fold) count deltas and per-(context, fold) deltas of the four
 stats, built once per kind, give ``full - fold`` exactly.
 
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
-a ``CountView`` and written to disk in one form, binary file format 2:
-``MXCT``; version and order (u32); vocabulary size, token count and the
-number of contexts over all orders (u64); the vocabulary fingerprint as a u32
-length and ASCII bytes.  Then per order ctx_codes, type_keys, type_counts and
-stats, and below the top order cont_type_keys, cont_type_counts and
-cont_stats, each as a u64 element count and int64 values (stats row by row),
-all little-endian.  A file that is cut short, has trailing bytes or
-disagrees with its header raises ``CountError``, and so does text encoded
-with a vocabulary whose fingerprint is not the table's.
+a ``CountView`` and written to disk in one form, binary file format 3:
+``MXCT``; version and order (u32); vocabulary size and token count (u64);
+the vocabulary fingerprint as a u32 length and ASCII bytes; per order only
+what counting produced, ctx_codes, type_keys and type_counts, each as a u64
+element count and int64 values; then a CRC32 of every byte after the magic,
+all little-endian.  Loading derives the stats and continuation arrays with
+``_derive``, the code that builds them after counting.  A file that is cut
+short, has trailing bytes, fails its checksum or is malformed raises
+``CountError``, and so does text encoded with a vocabulary whose
+fingerprint is not the table's.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,8 +47,8 @@ import numpy as np
 from .corpus import EncodedCorpus, Vocabulary
 
 _BIN_MAGIC = b"MXCT"
-_BIN_VERSION = 2
-_HEADER = struct.Struct("<IIQQQ")
+_BIN_VERSION = 3
+_HEADER = struct.Struct("<IIQQ")
 
 
 class CountError(ValueError):
@@ -65,7 +67,8 @@ class _OrderData:
     ctx_codes: np.ndarray  # sorted int64 context codes
     type_keys: np.ndarray  # sorted rank * B + word
     type_counts: np.ndarray
-    stats: np.ndarray  # (n_ctx, 4): total, n1, n2, n3p
+    # derived from the arrays above by ``_derive``
+    stats: np.ndarray | None = None  # (n_ctx, 4): total, n1, n2, n3p
     # continuation counts in the same layout (absent at the top order)
     cont_type_keys: np.ndarray | None = None
     cont_type_counts: np.ndarray | None = None
@@ -125,56 +128,60 @@ class CountTable:
             return cls.read_binary(fh)
 
     def write_binary(self, fh: io.BufferedIOBase) -> None:
-        n_records = sum(len(self.orders[n].ctx_codes) for n in range(1, self.order + 1))
-        fh.write(_BIN_MAGIC)
-        fh.write(_HEADER.pack(_BIN_VERSION, self.order, self.vocab_size,
-                              self.token_count, n_records))
         fp = self.vocab_fingerprint.encode("ascii")
-        fh.write(struct.pack("<I", len(fp)))
-        fh.write(fp)
-        for n in range(1, self.order + 1):
-            od = self.orders[n]
-            arrays = [od.ctx_codes, od.type_keys, od.type_counts, od.stats]
-            if n < self.order:
-                arrays += [od.cont_type_keys, od.cont_type_counts, od.cont_stats]
-            for arr in arrays:
-                fh.write(struct.pack("<Q", arr.size))
-                fh.write(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+        parts = [_HEADER.pack(_BIN_VERSION, self.order, self.vocab_size, self.token_count),
+                 struct.pack("<I", len(fp)), fp]
+        for od in self.orders[1:]:
+            for arr in (od.ctx_codes, od.type_keys, od.type_counts):
+                parts += [struct.pack("<Q", arr.size),
+                          np.ascontiguousarray(arr, dtype="<i8").tobytes()]
+        body = b"".join(parts)
+        fh.write(_BIN_MAGIC)
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
 
     @classmethod
     def read_binary(cls, fh: io.BufferedIOBase) -> "CountTable":
-        def read(size: int) -> bytes:
-            data = fh.read(size)
-            if len(data) != size:
+        data = memoryview(fh.read())
+        end = len(data) - 4  # the checksum follows the last array
+        pos = 4
+
+        def read(size: int) -> memoryview:
+            nonlocal pos
+            if pos + size > end:
                 raise CountError("count-table file is truncated")
-            return data
+            pos += size
+            return data[pos - size:pos]
 
         def read_arr() -> np.ndarray:
             (size,) = struct.unpack("<Q", read(8))
             return np.frombuffer(read(size * 8), dtype="<i8").astype(np.int64)
 
-        if fh.read(4) != _BIN_MAGIC:
+        if data[:4] != _BIN_MAGIC:
             raise CountError("not a count-table file")
-        version, order, vocab_size, token_count, n_records = _HEADER.unpack(read(_HEADER.size))
+        version, order, vocab_size, token_count = _HEADER.unpack(read(_HEADER.size))
         if version != _BIN_VERSION:
             raise CountError(f"unsupported count-table version {version}")
+        if zlib.crc32(data[4:end]) != int.from_bytes(data[end:], "little"):
+            raise CountError("count-table file is damaged: checksum mismatch")
+        if order < 1:
+            raise CountError("order must be >= 1")
         (fp_len,) = struct.unpack("<I", read(4))
-        fingerprint = read(fp_len).decode("ascii")
+        try:
+            fingerprint = bytes(read(fp_len)).decode("ascii")
+        except UnicodeDecodeError:
+            raise CountError("vocabulary fingerprint is not ASCII") from None
 
         orders: list = [None]
         for n in range(1, order + 1):
-            ctx_codes = read_arr()
-            kinds = []
-            for _ in range(2 if n < order else 1):  # raw, then continuation
-                keys, counts, stats = read_arr(), read_arr(), read_arr()
-                if len(keys) != len(counts) or len(stats) != 4 * len(ctx_codes):
-                    raise CountError(f"order-{n} arrays disagree in length")
-                kinds += [keys, counts, stats.reshape(-1, 4)]
-            orders.append(_OrderData(ctx_codes, *kinds))
-        if sum(len(od.ctx_codes) for od in orders[1:]) != n_records:
-            raise CountError("context count disagrees with the header")
-        if fh.read(1):
+            ctx_codes, keys, counts = read_arr(), read_arr(), read_arr()
+            if len(keys) != len(counts):
+                raise CountError(f"order-{n} arrays disagree in length")
+            orders.append(_OrderData(ctx_codes, keys, counts))
+        if pos != end:
             raise CountError("trailing bytes after the last array")
+        del data  # the arrays are copies: free the file's bytes before deriving
+        _derive(orders, vocab_size + 1)
         return cls(order, int(vocab_size), orders, int(token_count), fingerprint)
 
     def _check_vocab(self, vocab: Vocabulary) -> None:
@@ -195,14 +202,18 @@ def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int) -> np.ndarray:
     return out
 
 
-def _attach_continuations(orders: list, order: int, base: int) -> list[np.ndarray]:
-    """Derive order-n continuation arrays from order-(n+1) raw types.
+def _derive(orders: list, base: int) -> list[np.ndarray]:
+    """Fill in every order's stats and, below the top order, its continuation
+    arrays (from the order-(n+1) raw types), using only ctx_codes, type_keys
+    and type_counts.  Counting and loading both end here.
 
     Returns, per order n, the map from order-(n+1) type index to continuation
     type index (needed for fold-exclusive bookkeeping).
     """
-    inverses: list = [None] * (order + 1)
-    for n in range(1, order):
+    for od in orders[1:]:
+        od.stats = _tally(od.type_keys // base, od.type_counts, len(od.ctx_codes))
+    inverses: list = [None] * len(orders)
+    for n in range(1, len(orders) - 1):
         hi = orders[n + 1]
         suffix_rank = hi.ctx_codes[hi.type_keys // base] // base
         keys, inverses[n], counts = np.unique(
@@ -264,10 +275,9 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
             ctx_codes, rank = np.unique(rank * base + left, return_inverse=True)
         keys, inverse, counts = np.unique(rank * base + words,
                                           return_inverse=True, return_counts=True)
-        orders.append(_OrderData(ctx_codes, keys, counts,
-                                 _tally(keys // base, counts, len(ctx_codes))))
+        orders.append(_OrderData(ctx_codes, keys, counts))
         type_inverse.append(inverse)
-    cont_inverse = _attach_continuations(orders, order, base)
+    cont_inverse = _derive(orders, base)
     table = CountTable(order, corpus.vocab.size, orders, corpus.token_count,
                        _vocab_fingerprint(corpus.vocab))
     if folds is None:

@@ -140,16 +140,15 @@ def ml_distribution(view: CountView, context) -> SparseDistribution:
 
 
 def discounted_distribution(view: CountView, context, d: Discounts,
-                            continuation: bool = False):
-    """Normalized absolute-discounted distribution and its fallback mass beta
-    (``kn_terms``); masked with beta 1 for an unobserved context."""
+                            continuation: bool = False) -> SparseDistribution:
+    """Normalized absolute-discounted distribution (``kn_terms``); masked for
+    an unobserved context."""
     found = _observed(view, context, continuation)
     if found is None:
-        return _masked(), 1.0
+        return _masked()
     order, rank, s = found
     words, counts = view.successors(order, rank, continuation=continuation)
-    p, beta, _ = kn_terms(d, float(s.total), s.n1, s.n2, s.n3p, counts)
-    return SparseDistribution(words, p), float(beta)
+    return SparseDistribution(words, kn_terms(d, float(s.total), s.n1, s.n2, s.n3p, counts)[0])
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ class SmoothingSpec:
         if self.family == "ml":
             return ml_distribution(view, context)
         return discounted_distribution(view, context, self.discounts[order],
-                                       self.uses_continuation(order))[0]
+                                       self.uses_continuation(order))
 
     def fallback(self, view: CountView, context) -> float:
         """Interpolation coefficient toward lower orders for this context."""

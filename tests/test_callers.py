@@ -15,12 +15,15 @@ ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "mixlm"
 BENCH = ROOT / "bench"
 
-# Needed by the model that saves a spec and scores one query at a time
-# (ROADMAP, "Move the model into the library"); no caller until it lands.
+# Needed by the model that saves its spec and vocabulary and scores one query
+# at a time (ROADMAP, "Move the model into the library"); no caller until it
+# lands.
 ALLOWED = {
     "to_dict": "the model's save writes the smoothing spec with it",
     "from_dict": "the model's load reads the smoothing spec back with it",
     "context_features": "the model's per-query scoring builds one context's features with it",
+    "write_vocabulary": "the model's save writes the vocabulary with it",
+    "read_vocabulary": "the model's load reads the vocabulary back with it",
 }
 
 

@@ -2,6 +2,7 @@
 
 import io
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -24,6 +25,14 @@ from helpers import (
     synthetic_lines,
     toy_corpus,
 )
+
+
+FINGERPRINT_AT = 32  # magic and header, then the fingerprint's u32 length
+
+
+def sealed(data):
+    """A count file with its trailing checksum recomputed."""
+    return data[:-4] + struct.pack("<I", zlib.crc32(data[4:-4]))
 
 
 def resolve(view, context):
@@ -417,19 +426,63 @@ class TestSerialization:
         path = tmp_path / "counts.bin"
         self.table.save(str(path))
         data = path.read_bytes()
-        (n_records,) = struct.unpack_from("<Q", data, 28)
         damaged = {
             "cut by 8 bytes": data[:-8],
             "cut by 800 bytes": data[:-800],
             "cut inside the header": data[:20],
             "one trailing byte": data + b"\x00",
             "version 1": data[:4] + struct.pack("<I", 1) + data[8:],
-            "wrong context count": data[:28] + struct.pack("<Q", n_records + 1) + data[36:],
         }
         for what, bad in damaged.items():
             path.write_bytes(bad)
             with pytest.raises(CountError):
                 CountTable.load(str(path))
+        # damage behind a valid checksum reaches the checks after it
+        (fp_len,) = struct.unpack_from("<I", data, FINGERPRINT_AT - 4)
+        behind_checksum = {
+            "not ASCII": data[:FINGERPRINT_AT] + b"\xff" + data[FINGERPRINT_AT + 1:],
+            "order must be": (data[:8] + struct.pack("<I", 0)
+                              + data[12:FINGERPRINT_AT + fp_len] + bytes(4)),
+        }
+        for message, bad in behind_checksum.items():
+            with pytest.raises(CountError, match=message):
+                CountTable.read_binary(io.BytesIO(sealed(bad)))
+
+    def test_rejects_every_single_byte_change(self):
+        buf = io.BytesIO()
+        accumulate(encode(["a b a", "a c", "a b", "d a"]), 3).write_binary(buf)
+        data = buf.getvalue()
+        accepted = []
+        for i in range(len(data)):
+            for flip in (0x01, 0xFF):
+                bad = bytearray(data)
+                bad[i] ^= flip
+                try:
+                    CountTable.read_binary(io.BytesIO(bytes(bad)))
+                except CountError:
+                    continue
+                accepted.append((i, flip))
+        assert not accepted
+
+    def test_store_arrays_are_direct_attributes(self):
+        """The benchmark counts store bytes (``bench/pipeline.store_bytes``)
+        and compares loaded tables (``bench/checks.tables_equal``) through
+        the arrays ``vars()`` finds on ``orders[n]`` and ``fold_data[n]``:
+        every array a view reads must be one of them, and no other."""
+        folded = cv_fold_counts(self.corpus, 3, folds=3)
+        buf = io.BytesIO()
+        self.table.write_binary(buf)
+        buf.seek(0)
+        for table, folds in ((folded.table, folded), (CountTable.read_binary(buf), None)):
+            view = table.view() if folds is None else folds.view()
+            for n in range(1, table.order + 1):
+                read = [table.orders[n].ctx_codes]
+                for continuation in (False, True) if n < table.order else (False,):
+                    read += [a for a in view._kind(n, continuation) if a is not None]
+                holders = [table.orders[n]] + ([] if folds is None else [folds.fold_data[n]])
+                found = [v for h in holders for v in vars(h).values() if v is not None]
+                assert all(isinstance(v, np.ndarray) for v in found), n
+                assert sorted(map(id, read)) == sorted(map(id, found)), n
 
 
 class TestInputValidation:

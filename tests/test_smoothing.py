@@ -92,28 +92,33 @@ class TestDiscountedDistribution:
         self.v = self.corpus.vocab
         self.view = accumulate(self.corpus, 2).view()
 
+    def beta(self, context, d):
+        """The fallback mass of a context whose order has discount ``d``."""
+        order = len(context) + 1
+        return SmoothingSpec("kn", order, (None,) + (d,) * order).fallback(self.view, context)
+
     def test_half_discount_on_singletons(self):
         a = self.v.id_of("a")
-        dist, beta = discounted_distribution(self.view, (a,), flat(0.5))
-        assert beta == pytest.approx(0.5)
+        dist = discounted_distribution(self.view, (a,), flat(0.5))
+        assert self.beta((a,), flat(0.5)) == pytest.approx(0.5)
         np.testing.assert_allclose(dist.probs, [1 / 3] * 3)
 
     def test_zero_discount_is_ml(self):
         a = self.v.id_of("a")
-        dist, beta = discounted_distribution(self.view, (a,), flat(0.0))
+        dist = discounted_distribution(self.view, (a,), flat(0.0))
         ml = ml_distribution(self.view, (a,))
-        assert beta == 0.0
+        assert self.beta((a,), flat(0.0)) == 0.0
         np.testing.assert_array_equal(dist.words, ml.words)
         np.testing.assert_allclose(dist.probs, ml.probs)
 
     def test_unobserved_context(self):
-        dist, beta = discounted_distribution(self.view, (self.v.unk_id,), flat(0.5))
-        assert len(dist.words) == 0 and beta == 1.0
+        dist = discounted_distribution(self.view, (self.v.unk_id,), flat(0.5))
+        assert len(dist.words) == 0 and self.beta((self.v.unk_id,), flat(0.5)) == 1.0
 
     def test_full_discount_degenerates_to_uniform_over_successors(self):
         a = self.v.id_of("a")
-        dist, beta = discounted_distribution(self.view, (a,), flat(1.0))
-        assert beta == 1.0
+        dist = discounted_distribution(self.view, (a,), flat(1.0))
+        assert self.beta((a,), flat(1.0)) == 1.0
         np.testing.assert_allclose(dist.probs, [1 / 3] * 3)
         # the shared helper flags the context, as a scalar and inside an array
         _, alpha, degenerate = kn_terms(Discounts(1.0, 1.0, 1.0), 3.0, 3, 0, 0)
