@@ -181,6 +181,7 @@ class CountTable:
         if pos != end:
             raise CountError("trailing bytes after the last array")
         del data  # the arrays are copies: free the file's bytes before deriving
+        _check_arrays(orders, vocab_size + 1, token_count)
         _derive(orders, vocab_size + 1)
         return cls(order, int(vocab_size), orders, int(token_count), fingerprint)
 
@@ -188,6 +189,20 @@ class CountTable:
         """Reject ids from a vocabulary other than the one counted with."""
         if _vocab_fingerprint(vocab) != self.vocab_fingerprint:
             raise CountError("vocabulary does not match the count table's")
+
+
+def _check_arrays(orders: list, base: int, token_count: int) -> None:
+    """Reject loaded keys out of order or naming no context, and counts below 1
+    or not summing to the token count: binary searches and ``_derive`` trust them."""
+    n_prev = 1  # order 1 has the empty context alone
+    for n, od in enumerate(orders[1:], 1):
+        for keys, n_groups in ((od.ctx_codes, n_prev), (od.type_keys, len(od.ctx_codes))):
+            if len(keys) and not (keys[0] >= 0 and keys[-1] // base < n_groups
+                                  and (np.diff(keys) > 0).all()):
+                raise CountError(f"order-{n} keys are out of order or range")
+        if not ((od.type_counts >= 1).all() and od.type_counts.sum() == token_count):
+            raise CountError(f"order-{n} counts are below 1 or miss the token count")
+        n_prev = len(od.ctx_codes)
 
 
 # -- accumulation ---------------------------------------------------------
@@ -332,7 +347,7 @@ class FoldedCounts:
 
 def _index(keys: np.ndarray, key) -> int:
     """Position of one key in sorted keys, or -1 when absent."""
-    i = int(np.searchsorted(keys, key))
+    i = int(keys.searchsorted(key))
     return i if i < len(keys) and keys[i] == key else -1
 
 

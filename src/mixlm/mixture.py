@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smoothing import SmoothingSpec, SparseDistribution
+from .smoothing import Column, SmoothingSpec
 
 
 class MixtureError(ValueError):
@@ -34,7 +34,7 @@ class ContextDistributions:
     columns address the identity block: entry N+j adds directly to word j.
     """
 
-    columns: list[SparseDistribution]
+    columns: list[Column]
     vocab_size: int
     has_identity_block: bool = False
 

@@ -8,6 +8,8 @@ discount from each successor and renormalize; the subtracted mass fraction
 orders.  Kneser-Ney columns apply the same discounting to continuation
 counts (number of distinct left extensions) at every order below the top.
 
+A column is a lazy view of one context in the count store: ``prob_of``
+reads one count per word, and the whole support is listed only when asked.
 Columns for unobserved contexts are "masked": all-zero, flagged invalid, and
 paired with a zero interpolation weight, so they never contribute mass.
 """
@@ -15,10 +17,11 @@ paired with a zero interpolation weight, so they never contribute mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .counts import CountTable, CountView
+from .counts import ContextStats, CountTable, CountView
 
 # below this surviving mass, a discounted column degenerates to the d->max
 # limit (uniform over observed successors) instead of dividing by ~0
@@ -27,15 +30,20 @@ _MIN_KEEP = 1e-12
 
 @dataclass(frozen=True)
 class Discounts:
-    """Count-level absolute discounts (counts of 1, 2, and 3 or more)."""
+    """Count-level absolute discounts (counts of 1, 2, 3 or more), each in [0, level]."""
 
     d1: float
     d2: float
     d3p: float
 
+    def __post_init__(self):
+        if not (0.0 <= self.d1 <= 1.0 and 0.0 <= self.d2 <= 2.0 and 0.0 <= self.d3p <= 3.0):
+            raise ValueError(f"discounts {self.as_tuple()} outside 0 <= d(c) <= c")
+        object.__setattr__(self, "_levels", np.array([0.0, self.d1, self.d2, self.d3p]))
+
     def applied(self, counts: np.ndarray) -> np.ndarray:
         """Discount subtracted from each non-negative count (0 for zero counts)."""
-        return np.array([0.0, self.d1, self.d2, self.d3p])[np.minimum(counts, 3)]
+        return self._levels[np.minimum(counts, 3)]
 
     def mass(self, n1, n2, n3p) -> float | np.ndarray:
         """Total subtracted mass for a context with the given count-of-counts."""
@@ -69,28 +77,6 @@ def discounts_from_count_of_counts(n1: int, n2: int, n3: int, n4: int) -> Discou
     return Discounts(level(1, n2, n1), level(2, n3, n2), level(3, n4, n3))
 
 
-@dataclass
-class SparseDistribution:
-    """A distribution over word ids with sparse support.
-
-    A masked column (unobserved context) has empty support and total mass 0;
-    every other column sums to 1.
-    """
-
-    words: np.ndarray
-    probs: np.ndarray
-
-    def prob_of(self, word: int) -> float:
-        i = int(np.searchsorted(self.words, word))
-        if i < len(self.words) and self.words[i] == word:
-            return float(self.probs[i])
-        return 0.0
-
-
-def _masked() -> SparseDistribution:
-    return SparseDistribution(np.zeros(0, dtype=np.int64), np.zeros(0))
-
-
 def kn_terms(d: Discounts, total, n1, n2, n3p, counts=None):
     """Discounting arithmetic of the scalar and bulk paths, on scalars or arrays.
 
@@ -107,8 +93,6 @@ def kn_terms(d: Discounts, total, n1, n2, n3p, counts=None):
     if counts is None:
         return None, alpha, degenerate
     kept = counts - d.applied(counts)
-    if (kept < 0).any():
-        raise ValueError("discount exceeds an observed count")
     p = np.where(degenerate, (counts > 0) / (n1 + n2 + n3p),
                  kept / (total * np.maximum(keep_total, _MIN_KEEP)))
     return p, alpha, degenerate
@@ -119,36 +103,63 @@ def witten_bell_alpha(total, unique):
     return unique / (total + unique)
 
 
+@dataclass
+class Column:
+    """One context's column: ``prob_of`` reads one count and applies the
+    formula of ``bulk_column_rows`` (count / total for ML, ``kn_terms`` with
+    discounts); ``words`` and ``probs`` list the support from ``successors``.
+    A masked column has no stats and gives 0; every other one sums to 1."""
+
+    view: CountView
+    order: int
+    rank: int
+    stats: ContextStats | None
+    continuation: bool = False
+    discounts: Discounts | None = None
+
+    def _probs(self, counts):
+        s = self.stats
+        if self.discounts is None:
+            return counts / float(s.total)
+        return kn_terms(self.discounts, float(s.total), s.n1, s.n2, s.n3p, counts)[0]
+
+    def prob_of(self, word: int) -> float:
+        if self.stats is None:
+            return 0.0
+        count = self.view.cont_count if self.continuation else self.view.count
+        return float(self._probs(count(self.order, self.rank, word)))
+
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.stats is None:
+            return np.zeros(0, dtype=np.int64), np.zeros(0)
+        words, counts = self.view.successors(self.order, self.rank, self.continuation)
+        return words, self._probs(counts)
+
+    words = property(lambda self: self._support[0])
+    probs = property(lambda self: self._support[1])
+
+
 def _observed(view: CountView, context, continuation: bool = False):
-    """(order, rank, stats) of a context, or None when its column is masked."""
+    """(order, rank, stats) of a context; stats is None when its column is masked."""
+    order = len(context) + 1
     rank = int(view.rank_chain(context)[len(context)])
     if rank < 0:
-        return None
-    order = len(context) + 1
+        return order, rank, None
     s = view.cont_stats(order, rank) if continuation else view.stats(order, rank)
-    return (order, rank, s) if s.total > 0 else None
+    return order, rank, s if s.total > 0 else None
 
 
-def ml_distribution(view: CountView, context) -> SparseDistribution:
+def ml_distribution(view: CountView, context) -> Column:
     """Relative-frequency estimate c(context,w)/c(context); masked if unseen."""
-    found = _observed(view, context)
-    if found is None:
-        return _masked()
-    order, rank, s = found
-    words, counts = view.successors(order, rank)
-    return SparseDistribution(words, counts / float(s.total))
+    return Column(view, *_observed(view, context))
 
 
 def discounted_distribution(view: CountView, context, d: Discounts,
-                            continuation: bool = False) -> SparseDistribution:
+                            continuation: bool = False) -> Column:
     """Normalized absolute-discounted distribution (``kn_terms``); masked for
     an unobserved context."""
-    found = _observed(view, context, continuation)
-    if found is None:
-        return _masked()
-    order, rank, s = found
-    words, counts = view.successors(order, rank, continuation=continuation)
-    return SparseDistribution(words, kn_terms(d, float(s.total), s.n1, s.n2, s.n3p, counts)[0])
+    return Column(view, *_observed(view, context, continuation), continuation, d)
 
 
 @dataclass(frozen=True)
@@ -193,7 +204,7 @@ class SmoothingSpec:
             raise ValueError("context longer than the smoothing order supports")
         return order
 
-    def column(self, view: CountView, context) -> SparseDistribution:
+    def column(self, view: CountView, context) -> Column:
         """The column of one context: ML, or KN with continuation counts below
         the top order and raw counts at the top."""
         order = self._order_of(context)
@@ -207,10 +218,9 @@ class SmoothingSpec:
         order = self._order_of(context)
         if self.family == "ml":
             return witten_bell_fallback(view, context)
-        found = _observed(view, context, self.uses_continuation(order))
-        if found is None:
+        s = _observed(view, context, self.uses_continuation(order))[2]
+        if s is None:
             return 1.0
-        s = found[2]
         return float(kn_terms(self.discounts[order], float(s.total), s.n1, s.n2, s.n3p)[1])
 
     def to_dict(self) -> dict:
@@ -229,10 +239,9 @@ class SmoothingSpec:
 
 def witten_bell_fallback(view: CountView, context) -> float:
     """Witten-Bell fallback of one context; 1 for a masked column."""
-    found = _observed(view, context)
-    if found is None:
+    s = _observed(view, context)[2]
+    if s is None:
         return 1.0
-    s = found[2]
     return witten_bell_alpha(float(s.total), s.unique)
 
 
@@ -244,17 +253,15 @@ def heuristic_lambda(alphas) -> np.ndarray:
     every higher order; the unigram keeps whatever reaches it.  Output is
     ordered lowest order first and sums to 1.
     """
-    a = np.asarray(alphas, dtype=np.float64)
-    if np.any(a < 0) or np.any(a > 1):
-        raise ValueError("fallback coefficients must lie in [0, 1]")
-    n_orders = len(a) + 1
-    lam = np.empty(n_orders)
+    lam = []
     passed = 1.0
-    for i, alpha in enumerate(a):  # orders N, N-1, ..., 2
-        lam[n_orders - 1 - i] = (1.0 - alpha) * passed
+    for alpha in map(float, alphas):  # orders N, N-1, ..., 2
+        if alpha < 0.0 or alpha > 1.0:
+            raise ValueError("fallback coefficients must lie in [0, 1]")
+        lam.append((1.0 - alpha) * passed)
         passed *= alpha
-    lam[0] = passed  # unigram never falls back
-    return lam
+    lam.append(passed)  # unigram never falls back
+    return np.array(lam[::-1])
 
 
 # -- vectorized evaluation over corpus positions ---------------------------

@@ -464,6 +464,48 @@ class TestSerialization:
                 accepted.append((i, flip))
         assert not accepted
 
+    def test_rejects_keys_out_of_order_or_range_behind_checksum(self):
+        """A file whose checksum is valid still has its arrays checked: an
+        order-1 type key past every context, and two keys swapped."""
+        buf = io.BytesIO()
+        accumulate(encode(["a b a", "a c", "a b", "d a"]), 3).write_binary(buf)
+        data = buf.getvalue()
+        (fp_len,) = struct.unpack_from("<I", data, FINGERPRINT_AT - 4)
+        at = FINGERPRINT_AT + fp_len + 24  # past order 1's context array and key count
+        first, second = slice(at, at + 8), slice(at + 8, at + 16)
+        oversized = bytearray(data)
+        oversized[first] = struct.pack("<q", 1_000_000)
+        swapped = bytearray(data)
+        swapped[first], swapped[second] = data[second], data[first]
+        for bad in (oversized, swapped):
+            with pytest.raises(CountError, match="order-1 keys"):
+                CountTable.read_binary(io.BytesIO(sealed(bytes(bad))))
+
+    @pytest.mark.parametrize("damage", [
+        "contexts unsorted", "suffix rank past the shorter contexts", "key past the contexts",
+        "negative key", "zero count", "counts miss the token count"])
+    def test_rejects_written_arrays_out_of_order_or_range(self, damage):
+        """``write_binary`` seals whatever arrays a table holds; load checks them."""
+        table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
+        o = table.orders
+        if damage == "contexts unsorted":
+            o[3].ctx_codes[[0, 1]] = o[3].ctx_codes[[1, 0]]
+        elif damage == "suffix rank past the shorter contexts":
+            o[3].ctx_codes[-1] = len(o[2].ctx_codes) * table.base
+        elif damage == "key past the contexts":
+            o[2].type_keys[-1] = len(o[2].ctx_codes) * table.base
+        elif damage == "negative key":
+            o[1].type_keys[0] = -1
+        elif damage == "zero count":  # the sum stays the token count
+            o[2].type_counts[[0, 1]] = [o[2].type_counts[:2].sum(), 0]
+        else:
+            o[2].type_counts[0] += 1
+        buf = io.BytesIO()
+        table.write_binary(buf)
+        buf.seek(0)
+        with pytest.raises(CountError, match="order-[123] (keys|counts)"):
+            CountTable.read_binary(buf)
+
     def test_store_arrays_are_direct_attributes(self):
         """The benchmark counts store bytes (``bench/pipeline.store_bytes``)
         and compares loaded tables (``bench/checks.tables_equal``) through

@@ -128,8 +128,23 @@ class TestDiscountedDistribution:
         np.testing.assert_array_equal(flags, [True, False])
 
     def test_oversized_discount_rejected(self):
-        with pytest.raises(ValueError):
-            discounted_distribution(self.view, (), Discounts(1.0, 2.0, 5.0))
+        with pytest.raises(ValueError, match="outside"):
+            Discounts(1.0, 2.0, 5.0)
+
+    @pytest.mark.parametrize("levels", [(1.5, 0.0, 0.0), (0.0, 2.5, 0.0), (0.0, 0.0, 3.5),
+                                        (-0.1, 0.0, 0.0)], ids=["d1", "d2", "d3p", "negative"])
+    def test_discount_outside_its_level_rejected(self, levels):
+        """Each discount lies in [0, its count level], checked on construction,
+        whether or not a count of that level is ever read."""
+        with pytest.raises(ValueError, match="outside"):
+            Discounts(*levels)
+        Discounts(1.0, 2.0, 3.0)  # the top of every level is allowed
+
+    def test_oversized_discount_rejected_from_dict(self):
+        data = SmoothingSpec.kn(accumulate(self.corpus, 2), 2).to_dict()
+        data["discounts"][2] = [0.5, 0.5, 3.5]
+        with pytest.raises(ValueError, match="outside"):
+            SmoothingSpec.from_dict(data)
 
 
 class TestKNDistribution:
@@ -202,6 +217,38 @@ class TestSumToOne:
                     + position_contexts(self.held, self.ORDER))
         for f in range(self.FOLDS):
             self._check(self.folded.view(f), contexts)
+
+
+class TestLazyColumns:
+    """A column's ``prob_of`` (one count lookup) equals its whole-support
+    ``probs`` bit for bit, and 0 off the support, under the full view and
+    every fold view, for ML and KN columns on raw and continuation counts."""
+
+    @pytest.fixture(autouse=True, params=PARITY_CASES, ids=parity_id)
+    def case(self, request):
+        self.ORDER, self.FOLDS, seed = request.param
+        train, held = parity_corpora(seed)
+        self.folded = cv_fold_counts(train, self.ORDER, folds=self.FOLDS)
+        longest = position_contexts(train, self.ORDER) + position_contexts(held, self.ORDER)
+        self.contexts = sorted({c[k:] for c in longest for k in range(len(c) + 1)})
+
+    def _columns(self, view, context):
+        n = len(context) + 1
+        yield ml_distribution(view, context)
+        for cont in (False, True) if n < self.ORDER else (False,):
+            # estimated discounts, and full ones that make all-singleton contexts degenerate
+            for d in (estimate_discounts(self.folded.table, n, cont), flat(1.0)):
+                yield discounted_distribution(view, context, d, cont)
+
+    def test_prob_of_matches_support(self):
+        views = [self.folded.view()] + [self.folded.view(f) for f in range(self.FOLDS)]
+        for view in views:
+            for ctx in self.contexts:
+                for col in self._columns(view, ctx):
+                    support = dict(zip(col.words.tolist(), col.probs.tolist()))
+                    assert (col.stats is None) == (not support), ctx  # masked: no support
+                    for w in range(view.vocab_size):
+                        assert col.prob_of(w) == support.get(w, 0.0), (view.fold, ctx, w)
 
 
 class TestDiscountEstimation:
