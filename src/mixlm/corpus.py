@@ -39,7 +39,14 @@ class Vocabulary:
     """
 
     id_to_word: list[str]
-    word_to_id: dict[str, int] = field(repr=False)
+    word_to_id: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.id_to_word[:2] != [EOS, UNK]:
+            raise CorpusError(f"a vocabulary starts with {EOS} and {UNK}")
+        self.word_to_id = {w: i for i, w in enumerate(self.id_to_word)}
+        if len(self.word_to_id) != len(self.id_to_word) or "" in self.word_to_id:
+            raise CorpusError("duplicate or empty word in the vocabulary")
 
     @property
     def size(self) -> int:
@@ -99,9 +106,7 @@ def build_vocabulary(lines: Iterable[str], max_size: int | None = None) -> Vocab
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], first_seen[kv[0]]))
     if max_size is not None:
         ranked = ranked[:max_size]
-    id_to_word = [EOS, UNK] + [w for w, _ in ranked]
-    word_to_id = {w: i for i, w in enumerate(id_to_word)}
-    return Vocabulary(id_to_word=id_to_word, word_to_id=word_to_id)
+    return Vocabulary([EOS, UNK] + [w for w, _ in ranked])
 
 
 @dataclass
@@ -144,18 +149,19 @@ def read_vocabulary(fh: io.TextIOBase) -> Vocabulary:
     header = fh.readline().split()
     if not header or header[0] != _VOCAB_MAGIC:
         raise CorpusError("not a vocabulary file")
-    if header[1] != f"v{_VOCAB_VERSION}":
-        raise CorpusError(f"unsupported vocabulary version {header[1]!r}")
-    fields = dict(kv.split("=", 1) for kv in header[2:])
-    size = int(fields["size"])
-    id_to_word = [fh.readline().rstrip("\n") for _ in range(size)]
-    if len(id_to_word) != size or (id_to_word and id_to_word[-1] == ""):
+    if header[1:2] != [f"v{_VOCAB_VERSION}"]:
+        raise CorpusError(f"unsupported vocabulary version {header[1:2]}")
+    try:
+        fields = dict(kv.split("=", 1) for kv in header[2:])
+        size, ids = int(fields["size"]), tuple(int(fields[k]) for k in ("eos", "unk", "bos"))
+    except (KeyError, ValueError) as e:
+        raise CorpusError(f"malformed vocabulary header: {e}") from None
+    lines = [fh.readline() for _ in range(size)]
+    if "" in lines:
         raise CorpusError("truncated vocabulary file")
-    vocab = Vocabulary(id_to_word=id_to_word, word_to_id={w: i for i, w in enumerate(id_to_word)})
-    if (vocab.eos_id, vocab.unk_id, vocab.bos_id) != (
-        int(fields["eos"]),
-        int(fields["unk"]),
-        int(fields["bos"]),
-    ):
+    if fh.read():
+        raise CorpusError("lines after the last word of the vocabulary")
+    vocab = Vocabulary([line.rstrip("\n") for line in lines])
+    if (vocab.eos_id, vocab.unk_id, vocab.bos_id) != ids:
         raise CorpusError("reserved-symbol ids do not match this library's layout")
     return vocab

@@ -523,9 +523,14 @@ class CountView:
 
     def _folds(self, folds: np.ndarray | None, size: int) -> np.ndarray | None:
         """Per-position fold to exclude, or None for full-table values."""
-        if folds is None and self.fold is not None:
-            return np.full(size, self.fold, dtype=np.int64)
-        return folds if self.folded is not None else None
+        if folds is None:
+            return None if self.fold is None else np.full(size, self.fold, dtype=np.int64)
+        if self.folded is None:
+            raise CountError("per-position folds given to a view without fold data")
+        last = self.folded.n_folds - 1
+        if len(folds) != size or (size and not (folds.min() >= 0 and folds.max() <= last)):
+            raise CountError(f"need one fold in 0..{last} for each of the {size} positions")
+        return folds
 
     def bulk_counts(self, order: int, ranks: np.ndarray, words: np.ndarray,
                     folds: np.ndarray | None = None, continuation: bool = False) -> np.ndarray:

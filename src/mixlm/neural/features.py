@@ -46,12 +46,10 @@ def bulk_context_features(view: CountView, spec: SmoothingSpec, ranks: np.ndarra
         out[ok, at] = 1.0
         out[ok, at + 1] = np.log(s.total[ok])
         out[ok, at + 2] = np.log(s.unique[ok])
-        if spec.family == "kn":
-            if spec.uses_continuation(n):
-                use = view.bulk_stats(n, r, folds=folds, continuation=True)
-            else:
-                use = s
-            kept = use.total - spec.discounts[n].mass(use.n1, use.n2, use.n3p)
+        cont, d = spec.rule(n)
+        if d is not None:
+            use = view.bulk_stats(n, r, folds=folds, continuation=True) if cont else s
+            kept = use.total - d.mass(use.n1, use.n2, use.n3p)
             good = ok & (use.total > 0) & (kept > 0)
             out[good, at + 3] = np.log(kept[good])
     return out

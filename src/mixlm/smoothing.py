@@ -1,12 +1,13 @@
 """Per-order word distributions and heuristic interpolation coefficients.
 
 Each n-gram order contributes one probability distribution over the
-vocabulary ("column") for a given context.  Maximum-likelihood columns divide
-raw counts by the context total.  Discounted columns subtract a count-level
-discount from each successor and renormalize; the subtracted mass fraction
-(the fallback mass) is what a heuristic interpolation assigns to lower
-orders.  Kneser-Ney columns apply the same discounting to continuation
-counts (number of distinct left extensions) at every order below the top.
+vocabulary ("column") for a given context, and a fallback mass alpha that a
+heuristic interpolation passes to lower orders.  ``column_terms`` computes
+both, on scalars and arrays alike: maximum-likelihood columns divide raw
+counts by the context total (Witten-Bell alpha); discounted columns subtract
+a count-level discount and renormalize (alpha is the removed mass).
+``SmoothingSpec.rule`` picks per order: Kneser-Ney discounts continuation
+counts (distinct left extensions) below the top order.
 
 A column is a lazy view of one context in the count store: ``prob_of``
 reads one count per word, and the whole support is listed only when asked.
@@ -53,19 +54,14 @@ class Discounts:
         return (self.d1, self.d2, self.d3p)
 
 
-def estimate_discounts(table: CountTable, order: int, continuation: bool = False) -> Discounts:
-    """Closed-form modified-KN discounts from a table's global count-of-counts.
+def discounts_from_count_of_counts(n1: int, n2: int, n3: int, n4: int) -> Discounts:
+    """Closed-form modified-KN discounts from global count-of-counts.
 
     Y = n1/(n1+2*n2); each count level gets its own discount (d1 = 1-2Y*n2/n1,
     d2 = 2-3Y*n3/n2, d3+ = 3-4Y*n4/n3; Chen & Goodman 1999), clamped to
     [0, level] and falling back to Y when its denominator is empty.  With no
     singletons at all, discounting is disabled.
     """
-    n1, n2, n3, n4 = table.count_of_counts(order, continuation=continuation)
-    return discounts_from_count_of_counts(n1, n2, n3, n4)
-
-
-def discounts_from_count_of_counts(n1: int, n2: int, n3: int, n4: int) -> Discounts:
     if n1 == 0:
         return Discounts(0.0, 0.0, 0.0)
     y = n1 / (n1 + 2.0 * n2)
@@ -77,37 +73,34 @@ def discounts_from_count_of_counts(n1: int, n2: int, n3: int, n4: int) -> Discou
     return Discounts(level(1, n2, n1), level(2, n3, n2), level(3, n4, n3))
 
 
-def kn_terms(d: Discounts, total, n1, n2, n3p, counts=None):
-    """Discounting arithmetic of the scalar and bulk paths, on scalars or arrays.
+def column_terms(d: Discounts | None, total, stats: ContextStats, counts=None):
+    """(p, alpha) of observed contexts (total > 0), on scalars or arrays.
 
-    For observed contexts (total > 0) returns (p, alpha, degenerate): p of
-    each count, (c - d(c)) renormalized over the kept mass (None without
-    counts); alpha, the removed mass fraction; and whether discounting
-    removed all the mass, where p is uniform over observed successors and
-    alpha is 1.
+    p (None without counts) is c/total for ML and c - d(c) over the kept mass
+    with discounts; alpha is u/(total+u) (Witten-Bell) for ML and the removed
+    mass fraction with discounts.  When discounting removes all the mass, p
+    is uniform over observed successors and alpha is 1.
     """
-    removed = d.mass(n1, n2, n3p) / total
+    if d is None:
+        u = stats.unique
+        return (None if counts is None else counts / total), u / (total + u)
+    removed = d.mass(stats.n1, stats.n2, stats.n3p) / total
     keep_total = 1.0 - removed
     degenerate = keep_total <= _MIN_KEEP
-    alpha = np.where(degenerate, 1.0, np.minimum(np.maximum(removed, 0.0), 1.0))
+    alpha = np.where(degenerate, 1.0, removed)
     if counts is None:
-        return None, alpha, degenerate
+        return None, alpha
     kept = counts - d.applied(counts)
-    p = np.where(degenerate, (counts > 0) / (n1 + n2 + n3p),
+    p = np.where(degenerate, (counts > 0) / stats.unique,
                  kept / (total * np.maximum(keep_total, _MIN_KEEP)))
-    return p, alpha, degenerate
-
-
-def witten_bell_alpha(total, unique):
-    """alpha = u/(c+u): the chance the next word is one not yet seen here."""
-    return unique / (total + unique)
+    return p, alpha
 
 
 @dataclass
 class Column:
-    """One context's column: ``prob_of`` reads one count and applies the
-    formula of ``bulk_column_rows`` (count / total for ML, ``kn_terms`` with
-    discounts); ``words`` and ``probs`` list the support from ``successors``.
+    """One context's column: ``prob_of`` reads one count and applies
+    ``column_terms``, as ``bulk_column_rows`` does; ``words`` and ``probs``
+    list the support from ``successors``.
     A masked column has no stats and gives 0; every other one sums to 1."""
 
     view: CountView
@@ -118,10 +111,7 @@ class Column:
     discounts: Discounts | None = None
 
     def _probs(self, counts):
-        s = self.stats
-        if self.discounts is None:
-            return counts / float(s.total)
-        return kn_terms(self.discounts, float(s.total), s.n1, s.n2, s.n3p, counts)[0]
+        return column_terms(self.discounts, float(self.stats.total), self.stats, counts)[0]
 
     def prob_of(self, word: int) -> float:
         if self.stats is None:
@@ -157,8 +147,8 @@ def ml_distribution(view: CountView, context) -> Column:
 
 def discounted_distribution(view: CountView, context, d: Discounts,
                             continuation: bool = False) -> Column:
-    """Normalized absolute-discounted distribution (``kn_terms``); masked for
-    an unobserved context."""
+    """Normalized absolute-discounted distribution (``column_terms``); masked
+    for an unobserved context."""
     return Column(view, *_observed(view, context, continuation), continuation, d)
 
 
@@ -191,11 +181,15 @@ class SmoothingSpec:
     @classmethod
     def kn(cls, table: CountTable, order: int) -> "SmoothingSpec":
         """Modified-KN discounts per order, estimated on a count table."""
-        ds = [estimate_discounts(table, n, continuation=n < order) for n in range(1, order + 1)]
+        ds = [discounts_from_count_of_counts(*table.count_of_counts(n, n < order))
+              for n in range(1, order + 1)]
         return cls("kn", order, (None, *ds))
 
-    def uses_continuation(self, order: int) -> bool:
-        return self.family == "kn" and order < self.order
+    def rule(self, order: int) -> tuple[bool, Discounts | None]:
+        """(continuation counts?, discounts or None for ML) of one order's column."""
+        if self.family == "ml":
+            return False, None
+        return order < self.order, self.discounts[order]
 
     def _order_of(self, context) -> int:
         """The order of a context's column, at most the spec's order."""
@@ -205,23 +199,18 @@ class SmoothingSpec:
         return order
 
     def column(self, view: CountView, context) -> Column:
-        """The column of one context: ML, or KN with continuation counts below
-        the top order and raw counts at the top."""
-        order = self._order_of(context)
-        if self.family == "ml":
+        """The column of one context, as ``rule`` picks it for its order."""
+        continuation, d = self.rule(self._order_of(context))
+        if d is None:
             return ml_distribution(view, context)
-        return discounted_distribution(view, context, self.discounts[order],
-                                       self.uses_continuation(order))
+        return discounted_distribution(view, context, d, continuation)
 
     def fallback(self, view: CountView, context) -> float:
         """Interpolation coefficient toward lower orders for this context."""
-        order = self._order_of(context)
-        if self.family == "ml":
+        continuation, d = self.rule(self._order_of(context))
+        if d is None:
             return witten_bell_fallback(view, context)
-        s = _observed(view, context, self.uses_continuation(order))[2]
-        if s is None:
-            return 1.0
-        return float(kn_terms(self.discounts[order], float(s.total), s.n1, s.n2, s.n3p)[1])
+        return _alpha(view, context, continuation, d)
 
     def to_dict(self) -> dict:
         out = {"family": self.family, "order": self.order}
@@ -237,12 +226,15 @@ class SmoothingSpec:
         return cls(data["family"], data["order"], ds)
 
 
+def _alpha(view: CountView, context, continuation: bool, d: Discounts | None) -> float:
+    """Fallback mass of one context's column; 1 for a masked column."""
+    s = _observed(view, context, continuation)[2]
+    return 1.0 if s is None else float(column_terms(d, float(s.total), s)[1])
+
+
 def witten_bell_fallback(view: CountView, context) -> float:
     """Witten-Bell fallback of one context; 1 for a masked column."""
-    s = _observed(view, context)[2]
-    if s is None:
-        return 1.0
-    return witten_bell_alpha(float(s.total), s.unique)
+    return _alpha(view, context, False, None)
 
 
 def heuristic_lambda(alphas) -> np.ndarray:
@@ -283,19 +275,14 @@ def bulk_column_rows(view: CountView, spec: SmoothingSpec, ranks: np.ndarray,
     valid = np.zeros(shape, dtype=bool)
     for n in range(1, spec.order + 1):
         r = ranks[:, n - 1]
-        cont = spec.uses_continuation(n)
+        cont, d = spec.rule(n)
         stats = view.bulk_stats(n, r, folds=folds, continuation=cont)
         ok = stats.total > 0
         valid[:, n - 1] = ok
         total = np.where(ok, stats.total, 1).astype(np.float64)
         counts = view.bulk_counts(n, r, words, folds=folds, continuation=cont)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if spec.family == "ml":
-                p = counts / total
-                a = witten_bell_alpha(total, stats.unique)
-            else:
-                p, a, _ = kn_terms(spec.discounts[n], total, stats.n1, stats.n2,
-                                   stats.n3p, counts)
+            p, a = column_terms(d, total, stats, counts)
         probs[:, n - 1] = np.where(ok, p, 0.0)
         alphas[:, n - 1] = np.where(ok, a, 1.0)
     return probs, alphas, valid

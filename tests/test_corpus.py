@@ -107,6 +107,37 @@ class TestVocabularyIO:
         with pytest.raises(CorpusError):
             read_vocabulary(io.StringIO(text))
 
+    @pytest.mark.parametrize("header", [
+        "mixlm-vocab",
+        "mixlm-vocab v1 size=5 eos=0 unk=1 bos=5 stray",
+        "mixlm-vocab v1 eos=0 unk=1 bos=5",
+        "mixlm-vocab v1 size=five eos=0 unk=1 bos=5",
+    ], ids=["magic-only", "field-without-equals", "missing-size", "size-not-int"])
+    def test_rejects_malformed_header(self, header):
+        with pytest.raises(CorpusError):
+            read_vocabulary(io.StringIO(header + "\n</s>\n<unk>\na\nb\nc\n"))
+
+    @pytest.mark.parametrize("words, message", [
+        (["a", "</s>", "<unk>"], "starts with"),
+        (["</s>", "<unk>", "a", "a"], "duplicate or empty"),
+        (["</s>", "<unk>", "", "a"], "duplicate or empty"),
+    ], ids=["reserved-not-first", "duplicate-word", "empty-word"])
+    def test_rejects_bad_word_list(self, words, message):
+        text = f"mixlm-vocab v1 size={len(words)} eos=0 unk=1 bos={len(words)}\n"
+        with pytest.raises(CorpusError, match=message):
+            read_vocabulary(io.StringIO(text + "".join(w + "\n" for w in words)))
+
+    def test_rejects_lines_after_last_word(self):
+        buf = io.StringIO()
+        write_vocabulary(build_vocabulary(TOY_LINES), buf)
+        with pytest.raises(CorpusError, match="after the last word"):
+            read_vocabulary(io.StringIO(buf.getvalue() + "d\n"))
+
+    def test_constructor_builds_word_map_and_rejects_duplicates(self):
+        assert Vocabulary([EOS, UNK, "a"]).word_to_id == {EOS: 0, UNK: 1, "a": 2}
+        with pytest.raises(CorpusError, match="duplicate"):
+            Vocabulary([EOS, UNK, "a", "a"])
+
     def test_rejects_truncated_file(self):
         v = build_vocabulary(TOY_LINES)
         buf = io.StringIO()

@@ -3,6 +3,7 @@
 import io
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,6 +385,30 @@ class TestFoldViews:
         assert_store_invariants(CountTable.read_binary(buf))
 
 
+class TestPerPositionFolds:
+    """Per-position folds name a fold of a view that has fold data."""
+
+    def setup_method(self):
+        self.corpus = toy_corpus()  # a b a / a c: 7 positions
+        ranks, self.words, _ = accumulate(self.corpus, 2).view().bulk_ranks(self.corpus)
+        self.ranks = ranks[:, 1]
+
+    @pytest.mark.parametrize("fold, size", [(2, 7), (-1, 7), (0, 1), (0, 3)],
+                             ids=["past-last-fold", "negative", "one-for-all", "too-few"])
+    def test_fold_out_of_range_or_length_rejected(self, fold, size):
+        view = cv_fold_counts(self.corpus, 2, folds=2).view()
+        folds = np.full(size, fold)
+        with pytest.raises(CountError, match="one fold in 0..1 for each"):
+            view.bulk_stats(2, self.ranks, folds=folds)
+        with pytest.raises(CountError, match="one fold in 0..1 for each"):
+            view.bulk_counts(2, self.ranks, self.words, folds=folds)
+
+    def test_folds_without_fold_data_rejected(self):
+        view = accumulate(self.corpus, 2).view()
+        with pytest.raises(CountError, match="without fold data"):
+            view.bulk_stats(2, self.ranks, folds=np.zeros(len(self.ranks), dtype=np.int64))
+
+
 def assert_tables_equal(a, b):
     """Same header and the same value in every stored array of every order."""
     assert (a.order, a.vocab_size, a.token_count) == (b.order, b.vocab_size, b.token_count)
@@ -414,7 +439,7 @@ class TestSerialization:
         p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         self.table.save(p1)
         CountTable.load(p1).save(p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_rejects_foreign_binary(self, tmp_path):
         path = tmp_path / "junk.bin"
