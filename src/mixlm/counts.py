@@ -16,7 +16,8 @@ layout: sorted ``rank * B + word`` type keys, parallel counts, and an
 (n_ctx, 4) stats array of total, n1, n2 and n3p per context.  Successors are
 a slice; a (context, word) lookup is two binary searches.  Distinct
 successors are not stored: each has a count of at least 1, so their number
-is n1 + n2 + n3p, in a fold view too.  Fold views never copy the corpus:
+is n1 + n2 + n3p, with a fold left out too.  A fold is left out per
+position, on the bulk calls only, and never by copying the corpus:
 per-(type, fold) count deltas and per-(context, fold) deltas of the four
 stats, built once per kind, give ``full - fold`` exactly.
 
@@ -77,7 +78,7 @@ class _OrderData:
 
 @dataclass
 class _FoldData:
-    """Per-order fold-exclusion deltas: view value = full value - delta."""
+    """Per-order fold-exclusion deltas: value without the fold = full value - delta."""
 
     type_keys: np.ndarray  # type_index * F + fold
     type_counts: np.ndarray  # occurrences of the type inside the fold
@@ -245,7 +246,7 @@ def _fold_kind(type_keys, type_counts, occurrences, folds, base):
 
     Returns the sorted per-(type, fold) keys and counts, then the sorted
     ``ctx_rank * F + fold`` keys and the (m, 4) stat deltas: the full-table
-    stats of the affected types minus their view stats.
+    stats of the affected types minus their stats without the fold.
     """
     fold_keys, fold_counts = np.unique(occurrences, return_counts=True)
     ti, fold = np.divmod(fold_keys, folds)
@@ -301,7 +302,7 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
     if folds < 2:
         raise CountError("folds must be >= 2")
     if len(corpus.sentences) < folds:
-        raise CountError(f"need at least {folds} sentences for {folds}-fold views")
+        raise CountError(f"need at least {folds} sentences for {folds} folds")
     fold_assignment = np.arange(len(corpus.sentences), dtype=np.int64) % folds
     fold_of_t = fold_assignment[sent_of]
 
@@ -312,7 +313,7 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
             od.type_keys, od.type_counts, type_inverse[n] * folds + fold_of_t, folds, base))
         if n < order:
             # an order-(n+1) type whose occurrences all sit in one fold is a
-            # left extension that the fold's view loses
+            # left extension that leaving the fold out loses
             hi = fold_data[n + 1].type_keys
             excl = hi[np.bincount(hi // folds)[hi // folds] == 1]
             (fd.cont_type_keys, fd.cont_type_counts, fd.cont_stat_keys,
@@ -325,12 +326,14 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
 
 
 def cv_fold_counts(corpus: EncodedCorpus, order: int, folds: int = 10) -> "FoldedCounts":
-    """Accumulate counts with leave-one-fold-out views (sentence i -> fold i % folds)."""
+    """Accumulate counts with the fold deltas that let bulk calls leave a
+    position's fold out (sentence i -> fold i % folds)."""
     return _build(corpus, order, folds=folds)[1]
 
 
 class FoldedCounts:
-    """A count table plus exact leave-one-fold-out views."""
+    """A count table plus the fold deltas that let its bulk calls leave out
+    each position's own fold exactly."""
 
     def __init__(self, table: CountTable, n_folds: int, fold_assignment: np.ndarray,
                  fold_data: list):
@@ -339,10 +342,8 @@ class FoldedCounts:
         self.fold_assignment = fold_assignment
         self.fold_data = fold_data
 
-    def view(self, fold: int | None = None) -> "CountView":
-        if fold is not None and not (0 <= fold < self.n_folds):
-            raise CountError(f"fold {fold} out of range")
-        return CountView(self.table, self, fold)
+    def view(self) -> "CountView":
+        return CountView(self.table, self)
 
 
 def _index(keys: np.ndarray, key) -> int:
@@ -394,13 +395,15 @@ class _Kind(NamedTuple):
 
 
 class CountView:
-    """Query interface over a table, optionally excluding one fold's sentences."""
+    """Query interface over a table.  Scalar calls read the full table; bulk
+    calls given per-position ``folds`` leave each position's fold out, which
+    needs the fold data of a ``FoldedCounts``."""
 
-    def __init__(self, table: CountTable, folded: FoldedCounts | None = None,
-                 fold: int | None = None):
+    fold = None  # always None: bench/spans._mode reads it on every traced bulk call
+
+    def __init__(self, table: CountTable, folded: FoldedCounts | None = None):
         self.table = table
         self.folded = folded
-        self.fold = fold
         # the latest context resolved and its rank chain
         self._latest: tuple[tuple[int, ...], np.ndarray] = ((), np.zeros(1, dtype=np.int64))
 
@@ -420,14 +423,6 @@ class CountView:
         return _Kind(od.cont_type_keys, od.cont_type_counts, od.cont_stats, fd.cont_type_keys,
                      fd.cont_type_counts, fd.cont_stat_keys, fd.cont_stat_deltas)
 
-    def _in_view(self, value, keys: np.ndarray, deltas: np.ndarray, index: int):
-        """A full-table value at ``index`` less its delta in this view's fold."""
-        if self.fold is not None:
-            j = _index(keys, index * self.folded.n_folds + self.fold)
-            if j >= 0:
-                return value - deltas[j]
-        return value
-
     # -- context resolution ------------------------------------------------
 
     def rank_chain(self, context: tuple[int, ...]) -> np.ndarray:
@@ -437,6 +432,7 @@ class CountView:
         or -1 when that context never occurs in the full table.  The view
         keeps only the latest chain: a suffix of the latest context reads a
         prefix of it, and a context that extends the latest one continues it.
+        A symbol it has to resolve must be a word id or the bos id J.
         """
         context = tuple(int(c) for c in context)
         if len(context) >= self.table.order:
@@ -447,9 +443,12 @@ class CountView:
             return chain[:k + 1]
         if context[k - len(last):] != last:
             last, chain = (), chain[:1]
+        base, orders = self.table.base, self.table.orders
+        new = context[:k - len(last)]  # never empty here
+        if min(new) < 0 or max(new) >= base:
+            raise CountError(f"context ids must lie in 0..{base - 1}")
         out = np.full(k + 1, -1, dtype=np.int64)
         out[:len(chain)] = chain
-        base, orders = self.table.base, self.table.orders
         rank = int(out[len(last)])
         for i in range(len(last) + 1, k + 1):
             if rank < 0:
@@ -461,9 +460,7 @@ class CountView:
     # -- scalar queries ------------------------------------------------------
 
     def _stats(self, order: int, rank: int, continuation: bool) -> ContextStats:
-        kind = self._kind(order, continuation)
-        s = self._in_view(kind.stats[rank], kind.stat_keys, kind.stat_deltas, rank)
-        return ContextStats._make(s.tolist())
+        return ContextStats._make(self._kind(order, continuation).stats[rank].tolist())
 
     def stats(self, order: int, rank: int) -> ContextStats:
         return self._stats(order, rank, False)
@@ -474,9 +471,7 @@ class CountView:
     def _count(self, order: int, rank: int, word: int, continuation: bool) -> int:
         kind = self._kind(order, continuation)
         i = _index(kind.keys, rank * self.table.base + word)
-        if i < 0:
-            return 0
-        return int(self._in_view(kind.counts[i], kind.fold_keys, kind.fold_counts, i))
+        return 0 if i < 0 else int(kind.counts[i])
 
     def count(self, order: int, rank: int, word: int) -> int:
         return self._count(order, rank, word, False)
@@ -485,17 +480,11 @@ class CountView:
         return self._count(order, rank, word, True)
 
     def successors(self, order: int, rank: int, continuation: bool = False):
-        """(word ids, view counts) with zero-count entries removed."""
+        """(word ids, counts) of a context's successors, as new arrays."""
         kind = self._kind(order, continuation)
         base = self.table.base
         lo, hi = np.searchsorted(kind.keys, [rank * base, (rank + 1) * base])
-        words = kind.keys[lo:hi] % base
-        vals = kind.counts[lo:hi].copy()
-        if self.fold is not None:
-            q = np.arange(lo, hi, dtype=np.int64) * self.folded.n_folds + self.fold
-            _subtract(vals, kind.fold_keys, kind.fold_counts, q, True)
-        keep = vals > 0
-        return words[keep], vals[keep]
+        return kind.keys[lo:hi] % base, kind.counts[lo:hi].copy()
 
     # -- bulk queries ----------------------------------------------------
 
@@ -524,7 +513,7 @@ class CountView:
     def _folds(self, folds: np.ndarray | None, size: int) -> np.ndarray | None:
         """Per-position fold to exclude, or None for full-table values."""
         if folds is None:
-            return None if self.fold is None else np.full(size, self.fold, dtype=np.int64)
+            return None
         if self.folded is None:
             raise CountError("per-position folds given to a view without fold data")
         last = self.folded.n_folds - 1
@@ -534,7 +523,8 @@ class CountView:
 
     def bulk_counts(self, order: int, ranks: np.ndarray, words: np.ndarray,
                     folds: np.ndarray | None = None, continuation: bool = False) -> np.ndarray:
-        """Vectorized (context rank, word) -> view count; rank -1 yields 0."""
+        """Vectorized (context rank, word) -> count, less the occurrences in
+        the position's fold when ``folds`` are given; rank -1 yields 0."""
         kind = self._kind(order, continuation)
         valid = ranks >= 0
         idx, hit = _find(kind.keys, np.where(valid, ranks, 0) * self.table.base + words)

@@ -100,7 +100,8 @@ def column_terms(d: Discounts | None, total, stats: ContextStats, counts=None):
 class Column:
     """One context's column: ``prob_of`` reads one count and applies
     ``column_terms``, as ``bulk_column_rows`` does; ``words`` and ``probs``
-    list the support from ``successors``.
+    list the support from ``successors``.  It reads the full table: only
+    ``bulk_column_rows`` leaves a fold out, per position.
     A masked column has no stats and gives 0; every other one sums to 1."""
 
     view: CountView
@@ -156,38 +157,41 @@ def discounted_distribution(view: CountView, context, d: Discounts,
 class SmoothingSpec:
     """Which column family to build per order, with frozen discounts.
 
-    ``family`` is "ml" (relative frequencies, Witten-Bell fallback) or "kn"
-    (discounted counts, continuation counts below the top order).  Discounts
-    are stored per order so that estimates never drift between training and
-    evaluation: ``kn`` estimates modified-KN discounts on a table, and the
-    constructor takes explicit ``Discounts``.
+    Without discounts the family is "ml" (relative frequencies, Witten-Bell
+    fallback); with them it is "kn" (discounted counts, continuation counts
+    below the top order).  Discounts are stored per order so that estimates
+    never drift between training and evaluation: ``kn`` estimates
+    modified-KN discounts on a table, and the constructor takes explicit
+    ``Discounts``.
     """
 
-    family: str
     order: int
     discounts: tuple | None = None  # index by order; [0] unused
 
     def __post_init__(self):
-        if self.family not in ("ml", "kn"):
-            raise ValueError(f"unknown smoothing family {self.family!r}")
-        if self.family == "kn" and (self.discounts is None
-                                    or len(self.discounts) != self.order + 1):
+        if not (isinstance(self.order, int) and self.order >= 1):
+            raise ValueError(f"smoothing order must be an int >= 1, not {self.order!r}")
+        if self.discounts is not None and len(self.discounts) != self.order + 1:
             raise ValueError("kn smoothing needs one discount entry per order")
+
+    @property
+    def family(self) -> str:
+        return "ml" if self.discounts is None else "kn"
 
     @classmethod
     def ml(cls, order: int) -> "SmoothingSpec":
-        return cls("ml", order)
+        return cls(order)
 
     @classmethod
     def kn(cls, table: CountTable, order: int) -> "SmoothingSpec":
         """Modified-KN discounts per order, estimated on a count table."""
         ds = [discounts_from_count_of_counts(*table.count_of_counts(n, n < order))
               for n in range(1, order + 1)]
-        return cls("kn", order, (None, *ds))
+        return cls(order, (None, *ds))
 
     def rule(self, order: int) -> tuple[bool, Discounts | None]:
         """(continuation counts?, discounts or None for ML) of one order's column."""
-        if self.family == "ml":
+        if self.discounts is None:
             return False, None
         return order < self.order, self.discounts[order]
 
@@ -213,17 +217,22 @@ class SmoothingSpec:
         return _alpha(view, context, continuation, d)
 
     def to_dict(self) -> dict:
-        out = {"family": self.family, "order": self.order}
+        out = {"order": self.order}
         if self.discounts is not None:
             out["discounts"] = [None] + [list(d.as_tuple()) for d in self.discounts[1:]]
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "SmoothingSpec":
-        ds = data.get("discounts")
-        if ds is not None:
-            ds = tuple([None] + [Discounts(*d) for d in ds[1:]])
-        return cls(data["family"], data["order"], ds)
+        """The spec ``to_dict`` wrote; ``ValueError`` for a missing, unknown
+        or malformed field."""
+        try:
+            ds = data.get("discounts")
+            if data.keys() - {"discounts"} == {"order"} and (ds is None or ds[0] is None):
+                return cls(data["order"], ds and (None, *(Discounts(*d) for d in ds[1:])))
+        except (AttributeError, IndexError, TypeError):
+            pass
+        raise ValueError(f"not a smoothing spec: {data!r}")
 
 
 def _alpha(view: CountView, context, continuation: bool, d: Discounts | None) -> float:

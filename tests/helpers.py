@@ -16,6 +16,7 @@ import numpy as np
 
 import mixlm.neural.tensor as T
 from mixlm.corpus import EncodedCorpus, build_vocabulary, encode_corpus
+from mixlm.counts import accumulate
 
 # Two-sentence corpus used for hand-checked values throughout the suite.
 TOY_LINES = ["a b a", "a c"]
@@ -120,6 +121,13 @@ def drop_fold(corpus: EncodedCorpus, fold: int, n_folds: int) -> EncodedCorpus:
     """Corpus without the sentences assigned to one cross-validation fold."""
     kept = [s for i, s in enumerate(corpus.sentences) if i % n_folds != fold]
     return EncodedCorpus(sentences=kept, vocab=corpus.vocab)
+
+
+def fold_out_tables(corpus: EncodedCorpus, order: int, n_folds: int):
+    """Per fold, a store counted without that fold's sentences: the reference
+    for bulk calls that leave the fold out, compared context by context
+    (the two stores rank their contexts differently)."""
+    return [accumulate(drop_fold(corpus, f, n_folds), order) for f in range(n_folds)]
 
 
 def _retally(groups, counts, n_groups):

@@ -18,9 +18,9 @@ from helpers import (
     brute_context_stats,
     brute_continuation,
     brute_ngrams,
-    drop_fold,
     PARITY_CASES,
     encode,
+    fold_out_tables,
     parity_corpora,
     parity_id,
     synthetic_lines,
@@ -68,6 +68,8 @@ class TestToyCounts:
         words, counts = self.view.successors(2, rank)
         got = {int(w): int(c) for w, c in zip(words, counts)}
         assert got == {b: 1, self.v.id_of("c"): 1, self.v.eos_id: 1}
+        counts[:] = 0  # a copy: the store keeps its counts
+        assert self.view.count(2, rank, b) == 1
 
     def test_six_distinct_bigram_types(self):
         assert len(self.table.orders[2].type_keys) == 6
@@ -199,6 +201,27 @@ class TestBruteForceEquivalence:
             assert self.table.count_of_counts(n) == expected
 
 
+class TestContextIds:
+    """A context symbol must be a word id or the bos id J; any other id would
+    alias another context's code."""
+
+    def setup_method(self):
+        self.corpus = encode(["a b a", "a c", "a b", "d a"])
+        self.view = accumulate(self.corpus, 3).view()
+        self.J, self.b = self.corpus.vocab.bos_id, self.corpus.vocab.id_of("b")
+
+    @pytest.mark.parametrize("offset", [1, 3, -7], ids=["J+1", "J+3", "-1"])
+    def test_out_of_range_id_rejected(self, offset):
+        bad = self.J + offset
+        with pytest.raises(CountError, match="context ids must lie in 0..6"):
+            self.view.rank_chain((bad,))
+        # with its suffix cached, and extending it
+        fresh = self.view.rank_chain((self.b,)).tolist()
+        with pytest.raises(CountError, match="context ids must lie in 0..6"):
+            self.view.rank_chain((bad, self.b))
+        assert self.view.rank_chain((self.b,)).tolist() == fresh
+
+
 class TestBulkQueries:
     def setup_method(self):
         self.train = encode(synthetic_lines(50, n_words=10, seed=11))
@@ -262,13 +285,15 @@ class TestBulkQueries:
 
 
 class TestFoldViews:
-    """Leave-one-fold-out views equal stores built on the reduced corpus."""
+    """Bulk calls that leave out a fold equal stores counted without it,
+    compared context by context."""
 
     @pytest.fixture(autouse=True, params=PARITY_CASES, ids=parity_id)
     def case(self, request):
         self.ORDER, self.FOLDS, seed = request.param
         self.corpus, self.held = parity_corpora(seed)
         self.folded = cv_fold_counts(self.corpus, self.ORDER, folds=self.FOLDS)
+        self.reduced = fold_out_tables(self.corpus, self.ORDER, self.FOLDS)
 
     def test_full_view_unaffected(self):
         full = accumulate(self.corpus, self.ORDER)
@@ -280,94 +305,98 @@ class TestFoldViews:
                                           full.orders[n].type_counts)
         assert got.fold is None
 
-    def test_view_equals_reduced_corpus(self):
-        for f in range(self.FOLDS):
-            view = self.folded.view(f)
-            reduced = accumulate(drop_fold(self.corpus, f, self.FOLDS), self.ORDER)
+    def _check_against_reduced(self, continuation):
+        """Every (context, word) of the full corpus, with one fold left out
+        for all of them, against the store counted without that fold."""
+        view = self.folded.view()
+        grams = brute_ngrams(self.corpus, self.ORDER)
+        top = self.ORDER if continuation else self.ORDER + 1
+        for f, reduced in enumerate(self.reduced):
             rview = reduced.view()
-            grams = brute_ngrams(self.corpus, self.ORDER)
-            for n in range(1, self.ORDER + 1):
-                for (ctx, w), _ in grams[n].items():
-                    rank = resolve(view, ctx)
+            for n in range(1, top):
+                pairs = list(brute_continuation(grams, n) if continuation else grams[n])
+                ranks = np.array([resolve(view, ctx) for ctx, _ in pairs])
+                words = np.array([w for _, w in pairs])
+                same = np.full(len(pairs), f)
+                counts = view.bulk_counts(n, ranks, words, folds=same, continuation=continuation)
+                stats = view.bulk_stats(n, ranks, folds=same, continuation=continuation)
+                for t, (ctx, w) in enumerate(pairs):
                     r2 = resolve(rview, ctx)
-                    expect = 0 if r2 < 0 else rview.count(n, r2, w)
-                    assert view.count(n, rank, w) == expect, (f, n, ctx, w)
-                    s = view.stats(n, rank)
+                    got = tuple(int(x[t]) for x in stats)
                     if r2 < 0:
-                        assert s.total == 0
+                        assert counts[t] == 0 and got == (0, 0, 0, 0), (f, n, ctx, w)
+                        continue
+                    if continuation:
+                        want, s2 = rview.cont_count(n, r2, w), rview.cont_stats(n, r2)
                     else:
-                        s2 = rview.stats(n, r2)
-                        assert (s.total, s.unique, s.n1, s.n2, s.n3p) == \
-                            (s2.total, s2.unique, s2.n1, s2.n2, s2.n3p), (f, n, ctx)
+                        want, s2 = rview.count(n, r2, w), rview.stats(n, r2)
+                    assert counts[t] == want, (f, n, ctx, w)
+                    assert got == s2 and stats.unique[t] == s2.unique, (f, n, ctx)
+
+    def test_view_equals_reduced_corpus(self):
+        self._check_against_reduced(continuation=False)
 
     def test_view_continuation_equals_reduced_corpus(self):
-        for f in range(self.FOLDS):
-            view = self.folded.view(f)
-            reduced = accumulate(drop_fold(self.corpus, f, self.FOLDS), self.ORDER)
-            rview = reduced.view()
-            grams = brute_ngrams(self.corpus, self.ORDER)
-            for n in range(1, self.ORDER):
-                cc_all = brute_continuation(grams, n)
-                for (ctx, w) in cc_all:
-                    rank = resolve(view, ctx)
-                    r2 = resolve(rview, ctx)
-                    expect = 0 if r2 < 0 else rview.cont_count(n, r2, w)
-                    assert view.cont_count(n, rank, w) == expect, (f, n, ctx, w)
-                    s = view.cont_stats(n, rank)
-                    if r2 >= 0:
-                        s2 = rview.cont_stats(n, r2)
-                        assert (s.total, s.unique, s.n1, s.n2, s.n3p) == \
-                            (s2.total, s2.unique, s2.n1, s2.n2, s2.n3p), (f, n, ctx)
+        self._check_against_reduced(continuation=True)
 
     def test_view_plus_fold_equals_full(self):
-        """Residual identity: view count + own-fold occurrences = full count."""
-        full = self.folded.view()
+        """Residual identity: count without the fold + own-fold occurrences = full count."""
+        view = self.folded.view()
         grams_by_fold = [brute_ngrams(
             type(self.corpus)(sentences=[s for i, s in enumerate(self.corpus.sentences)
                                          if i % self.FOLDS == f], vocab=self.corpus.vocab),
             self.ORDER) for f in range(self.FOLDS)]
         grams = brute_ngrams(self.corpus, self.ORDER)
         for n in range(1, self.ORDER + 1):
-            for (ctx, w), c in grams[n].items():
-                rank = resolve(full, ctx)
-                parts = [self.folded.view(f).count(n, rank, w) for f in range(self.FOLDS)]
-                own = [grams_by_fold[f][n].get((ctx, w), 0) for f in range(self.FOLDS)]
-                for f in range(self.FOLDS):
-                    assert parts[f] + own[f] == c, (f, n, ctx, w)
+            pairs = list(grams[n].items())
+            ranks = np.array([resolve(view, ctx) for (ctx, _), _ in pairs])
+            words = np.array([w for (_, w), _ in pairs])
+            for f in range(self.FOLDS):
+                parts = view.bulk_counts(n, ranks, words, folds=np.full(len(pairs), f))
+                for t, ((ctx, w), c) in enumerate(pairs):
+                    assert parts[t] + grams_by_fold[f][n].get((ctx, w), 0) == c, (f, n, ctx, w)
 
     def test_bulk_fold_counts_match_scalar(self):
-        """Per-position folds and whole fold views, on training and held-out text."""
+        """Per-position folds, and one fold for every position, on training
+        and held-out text: each position reads what the store counted without
+        its fold gives its context, through that store's own ranks."""
         view = self.folded.view()
+        rviews = [reduced.view() for reduced in self.reduced]
         for corpus in (self.corpus, self.held):
             ranks, words, sent_of = view.bulk_ranks(corpus)
             folds = sent_of % self.FOLDS  # each training sentence's own fold
+            rranks = [rv.bulk_ranks(corpus)[0] for rv in rviews]
             for n in range(1, self.ORDER + 1):
                 r = ranks[:, n - 1]
                 for cont in (False, True) if n < self.ORDER else (False,):
                     counts = view.bulk_counts(n, r, words, folds=folds, continuation=cont)
                     stats = view.bulk_stats(n, r, folds=folds, continuation=cont)
                     for t in range(len(words)):
-                        fv = self.folded.view(int(folds[t]))
-                        if r[t] < 0:
-                            assert counts[t] == 0 and stats.total[t] == 0
+                        rv, r2 = rviews[folds[t]], int(rranks[folds[t]][t, n - 1])
+                        if r2 < 0:
+                            assert counts[t] == 0 and stats.total[t] == 0, (n, cont, t)
                             continue
                         w = int(words[t])
-                        want = fv.cont_count(n, r[t], w) if cont else fv.count(n, r[t], w)
-                        s = fv.cont_stats(n, r[t]) if cont else fv.stats(n, r[t])
+                        want = rv.cont_count(n, r2, w) if cont else rv.count(n, r2, w)
+                        s = rv.cont_stats(n, r2) if cont else rv.stats(n, r2)
                         assert counts[t] == want, (n, cont, t)
                         assert tuple(int(x[t]) for x in stats) == s, (n, cont, t)
                         assert stats.unique[t] == s.unique, (n, cont, t)
-                    for f in range(self.FOLDS):
+                    for f, rv in enumerate(rviews):
                         same = np.full(len(words), f)
-                        fv = self.folded.view(f)
+                        r2 = rranks[f][:, n - 1]
                         np.testing.assert_array_equal(
-                            fv.bulk_counts(n, r, words, continuation=cont),
-                            view.bulk_counts(n, r, words, folds=same, continuation=cont))
+                            view.bulk_counts(n, r, words, folds=same, continuation=cont),
+                            rv.bulk_counts(n, r2, words, continuation=cont))
+                        np.testing.assert_array_equal(
+                            view.bulk_stats(n, r, folds=same, continuation=cont),
+                            rv.bulk_stats(n, r2, continuation=cont))
 
     def test_fold_validation(self):
-        assert [self.folded.view(f).fold for f in range(self.FOLDS)] == list(range(self.FOLDS))
+        view = self.folded.view()
+        ranks, words, _ = view.bulk_ranks(self.corpus)
         with pytest.raises(CountError):
-            self.folded.view(self.FOLDS)
+            view.bulk_counts(1, ranks[:, 0], words, folds=np.full(len(words), self.FOLDS))
         with pytest.raises(CountError):
             cv_fold_counts(self.corpus, 2, folds=1)
         tiny = encode(["a b", "b a"])

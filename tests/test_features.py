@@ -13,7 +13,7 @@ from mixlm.neural.features import (
 )
 from mixlm.smoothing import Discounts, SmoothingSpec
 
-from helpers import encode, synthetic_lines, toy_corpus
+from helpers import encode, fold_out_tables, synthetic_lines, toy_corpus
 
 
 class TestScalarFeatures:
@@ -43,7 +43,7 @@ class TestScalarFeatures:
 
     def test_discount_feature_added_for_kn(self):
         half = Discounts(0.5, 0.5, 0.5)
-        spec = SmoothingSpec("kn", 2, (None, half, half))
+        spec = SmoothingSpec(2, (None, half, half))
         f = context_features(self.view, (self.v.id_of("a"),), spec)
         assert len(f) == 8
         # order 1 uses continuation counts: total 6, counts {2,1,1,2} -> kept 6-2*0.5-2*0.5=4
@@ -57,27 +57,32 @@ class TestScalarFeatures:
 
 
 class TestBulkFeatures:
-    ORDER = 3
+    ORDER, FOLDS = 3, 4
 
     def setup_method(self):
         lines = synthetic_lines(40, n_words=9, seed=29)
         self.train = encode(lines)
-        self.folded = cv_fold_counts(self.train, self.ORDER, folds=4)
+        self.folded = cv_fold_counts(self.train, self.ORDER, folds=self.FOLDS)
         self.table = self.folded.table
         self.held = encode_corpus(synthetic_lines(6, n_words=9, seed=71), self.train.vocab)
 
     def _compare(self, spec, corpus, folds_array=None):
+        """Bulk rows against scalar features; with folds, of the store counted
+        without each position's fold, by context."""
         view = self.folded.view()
         ranks, words, sent_of = view.bulk_ranks(corpus)
         folds = None if folds_array is None else folds_array[sent_of]
         bulk = bulk_context_features(view, spec, ranks, folds=folds)
+        if folds is not None:
+            rviews = [table.view() for table in fold_out_tables(self.train, self.ORDER,
+                                                                self.FOLDS)]
         bos = corpus.vocab.bos_id
         t = 0
         for sent in corpus.sentences:
             padded = [bos] * (self.ORDER - 1) + [int(x) for x in sent]
             for i in range(self.ORDER - 1, len(padded)):
                 ctx = tuple(padded[i - self.ORDER + 1:i])
-                sview = self.folded.view(int(folds[t])) if folds is not None else view
+                sview = rviews[folds[t]] if folds is not None else view
                 ref = context_features(sview, ctx, spec)
                 np.testing.assert_allclose(bulk[t], ref, atol=1e-12, err_msg=str(ctx))
                 t += 1
@@ -89,9 +94,11 @@ class TestBulkFeatures:
         self._compare(SmoothingSpec.kn(self.table, self.ORDER), self.held)
 
     def test_fold_views_change_own_fold_features(self):
-        """Feature rows must come from the fold view excluding the sentence."""
+        """Feature rows must leave out the fold of the position's sentence."""
         spec = SmoothingSpec.ml(self.ORDER)
         self._compare(spec, self.train, folds_array=self.folded.fold_assignment)
+        self._compare(SmoothingSpec.kn(self.table, self.ORDER), self.train,
+                      folds_array=self.folded.fold_assignment)
         view = self.folded.view()
         ranks, words, sent_of = view.bulk_ranks(self.train)
         folds = self.folded.fold_assignment[sent_of]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mixlm.mixture as mixture_mod
-from mixlm.counts import accumulate
+from mixlm.counts import CountError, accumulate
 from mixlm.mixture import (
     ContextDistributions,
     MixtureError,
@@ -172,3 +172,12 @@ class TestContextDistributionsBuilder:
         # context (c, b) never occurs; (b,) alone does
         dists = context_distributions(table.view(), spec, (v.id_of("c"), v.id_of("b")))
         assert [len(c.words) > 0 for c in dists.columns] == [True, True, False]
+
+    def test_out_of_range_context_id_rejected(self):
+        """An id past the bos id J (or below 0) would alias another context's column."""
+        corpus = encode(["a b a", "a c", "a b", "d a"])
+        view = accumulate(corpus, 3).view()
+        b = corpus.vocab.id_of("b")
+        for bad in (corpus.vocab.bos_id + 3, -1):
+            with pytest.raises(CountError, match="context ids"):
+                context_distributions(view, SmoothingSpec.ml(3), (bad, b))

@@ -18,7 +18,8 @@ from mixlm.smoothing import (
     witten_bell_fallback,
 )
 
-from helpers import PARITY_CASES, encode, parity_corpora, parity_id, synthetic_lines, toy_corpus
+from helpers import (PARITY_CASES, encode, fold_out_tables, parity_corpora, parity_id,
+                     synthetic_lines, toy_corpus)
 
 
 def flat(y):
@@ -33,7 +34,7 @@ def single_discount_spec(table, order):
     for n in range(1, order + 1):
         n1, n2, _, _ = table.count_of_counts(n, continuation=n < order)
         ds.append(flat(n1 / (n1 + 2.0 * n2) if n1 else 0.0))
-    return SmoothingSpec("kn", order, tuple(ds))
+    return SmoothingSpec(order, tuple(ds))
 
 
 def recursive_prob(view, spec, context, word):
@@ -94,7 +95,7 @@ class TestDiscountedDistribution:
     def beta(self, context, d):
         """The fallback mass of a context whose order has discount ``d``."""
         order = len(context) + 1
-        return SmoothingSpec("kn", order, (None,) + (d,) * order).fallback(self.view, context)
+        return SmoothingSpec(order, (None,) + (d,) * order).fallback(self.view, context)
 
     def test_half_discount_on_singletons(self):
         a = self.v.id_of("a")
@@ -151,7 +152,7 @@ class TestKNDistribution:
         self.corpus = toy_corpus()
         self.v = self.corpus.vocab
         self.view = accumulate(self.corpus, 2).view()
-        self.spec = SmoothingSpec("kn", 2, (None, flat(0.0), flat(0.0)))
+        self.spec = SmoothingSpec(2, (None, flat(0.0), flat(0.0)))
 
     def test_empty_context_uses_continuation_counts(self):
         dist = self.spec.column(self.view, ())
@@ -180,8 +181,8 @@ def position_contexts(corpus, order):
 
 
 class TestSumToOne:
-    """Every column and every heuristic mixture is a distribution, under the
-    full view and every fold view, on training and held-out contexts."""
+    """Every column and every heuristic mixture is a distribution, on the
+    full table and with each fold left out, on training and held-out contexts."""
 
     @pytest.fixture(autouse=True, params=PARITY_CASES, ids=parity_id)
     def case(self, request):
@@ -212,22 +213,42 @@ class TestSumToOne:
                     observed=set(train))
 
     def test_fold_views(self):
+        """The bulk rows of every context over all J words, with one fold left
+        out: valid columns sum to 1, masked ones are 0, and so is the heuristic
+        mixture a distribution."""
+        view = self.folded.view()
         contexts = (position_contexts(self.train, self.ORDER)
                     + position_contexts(self.held, self.ORDER))
-        for f in range(self.FOLDS):
-            self._check(self.folded.view(f), contexts)
+        J = view.vocab_size
+        chains = np.array([view.rank_chain(ctx) for ctx in contexts])
+        ranks, words = np.repeat(chains, J, axis=0), np.tile(np.arange(J), len(contexts))
+        for spec in self.specs:
+            for f in range(self.FOLDS):
+                probs, alphas, valid = bulk_column_rows(view, spec, ranks, words,
+                                                        folds=np.full(len(words), f))
+                probs = probs.reshape(len(contexts), J, self.ORDER)
+                alphas, valid = alphas[::J], valid[::J]  # one row per context
+                assert np.all(probs >= 0), (spec, f)
+                sums = probs.sum(axis=1)
+                assert np.all(np.abs(sums[valid] - 1.0) <= 1e-9), (spec, f)
+                assert np.all(probs.transpose(0, 2, 1)[~valid] == 0.0), (spec, f)
+                for c, ctx in enumerate(contexts):
+                    mixed = probs[c] @ heuristic_lambda(alphas[c, :0:-1])
+                    assert np.all(mixed >= 0) and abs(mixed.sum() - 1.0) <= 1e-9, (spec, f, ctx)
 
 
 class TestLazyColumns:
     """A column's ``prob_of`` (one count lookup) equals its whole-support
-    ``probs`` bit for bit, and 0 off the support, under the full view and
-    every fold view, for ML and KN columns on raw and continuation counts."""
+    ``probs`` bit for bit, and 0 off the support, for ML and KN columns on
+    raw and continuation counts.  Columns read a store in full, so the
+    inputs are the full store and each store counted without one fold."""
 
     @pytest.fixture(autouse=True, params=PARITY_CASES, ids=parity_id)
     def case(self, request):
         self.ORDER, self.FOLDS, seed = request.param
         train, held = parity_corpora(seed)
         self.folded = cv_fold_counts(train, self.ORDER, folds=self.FOLDS)
+        self.reduced = fold_out_tables(train, self.ORDER, self.FOLDS)
         longest = position_contexts(train, self.ORDER) + position_contexts(held, self.ORDER)
         self.contexts = sorted({c[k:] for c in longest for k in range(len(c) + 1)})
 
@@ -241,14 +262,14 @@ class TestLazyColumns:
                 yield discounted_distribution(view, context, d, cont)
 
     def test_prob_of_matches_support(self):
-        views = [self.folded.view()] + [self.folded.view(f) for f in range(self.FOLDS)]
-        for view in views:
+        views = [self.folded.view()] + [reduced.view() for reduced in self.reduced]
+        for i, view in enumerate(views):  # i - 1 is the fold left out
             for ctx in self.contexts:
                 for col in self._columns(view, ctx):
                     support = dict(zip(col.words.tolist(), col.probs.tolist()))
                     assert (col.stats is None) == (not support), ctx  # masked: no support
                     for w in range(view.vocab_size):
-                        assert col.prob_of(w) == support.get(w, 0.0), (view.fold, ctx, w)
+                        assert col.prob_of(w) == support.get(w, 0.0), (i - 1, ctx, w)
 
 
 class TestDiscountEstimation:
@@ -398,19 +419,29 @@ class TestBulkColumnRows:
         return probs, alphas
 
     def _check(self, spec, corpus, with_folds=False):
-        """Bulk rows against the scalar path; with_folds gives sentence i the
-        fold view that leaves out fold i % F."""
+        """Bulk rows against the scalar path; with_folds leaves fold i % F out
+        of sentence i, and the scalar path then reads the store counted
+        without that fold, by context."""
         view = self.folded.view()
         ranks, words, sent_of = view.bulk_ranks(corpus)
         folds = sent_of % self.FOLDS if with_folds else None
         probs, alphas, valid = bulk_column_rows(view, spec, ranks, words, folds=folds)
+        if with_folds:
+            tables = fold_out_tables(self.train, self.ORDER, self.FOLDS)
+            rviews = [table.view() for table in tables]
+            for f, rview in enumerate(rviews):
+                # one fold for every position equals the reduced store's own bulk rows
+                got = bulk_column_rows(view, spec, ranks, words, folds=np.full(len(words), f))
+                want = bulk_column_rows(rview, spec, rview.bulk_ranks(corpus)[0], words)
+                for part, ref in zip(got, want):
+                    np.testing.assert_array_equal(part, ref)
         bos = corpus.vocab.bos_id
         t = 0
         for si, sent in enumerate(corpus.sentences):
             padded = [bos] * (self.ORDER - 1) + [int(x) for x in sent]
             for i in range(self.ORDER - 1, len(padded)):
                 ctx = tuple(padded[i - self.ORDER + 1:i])
-                sview = self.folded.view(int(folds[t])) if with_folds else view
+                sview = rviews[folds[t]] if with_folds else view
                 p_ref, a_ref = self._scalar_row(sview, spec, ctx, padded[i])
                 assert all(0.0 <= a <= 1.0 for a in a_ref), ctx
                 np.testing.assert_array_equal(probs[t], p_ref, err_msg=str(ctx))
@@ -471,7 +502,33 @@ class TestSmoothingSpecSerialization:
         assert SmoothingSpec.from_dict(spec.to_dict()) == spec
 
     def test_validation(self):
+        d = flat(0.5)
+        for order in (0, "2", 1.0):
+            with pytest.raises(ValueError, match="order"):
+                SmoothingSpec(order)
+        for discounts in ((None, d), (None, d, d, d)):
+            with pytest.raises(ValueError, match="one discount entry per order"):
+                SmoothingSpec(2, discounts)
+
+    def test_family_follows_discounts(self):
+        """The family is read from the discounts and cannot be set apart from them."""
+        assert SmoothingSpec(2).family == "ml" == SmoothingSpec.ml(2).family
+        spec = SmoothingSpec(2, (None, flat(0.5), flat(0.5)))
+        assert spec.family == "kn" and spec.rule(2) == (False, flat(0.5))
+        with pytest.raises(AttributeError):
+            spec.family = "ml"
+        assert SmoothingSpec.from_dict(SmoothingSpec.ml(2).to_dict()).discounts is None
+
+    @pytest.mark.parametrize("data", [
+        {"order": 2, "family": "ml"}, {}, {"family": "kn", "discounts": None}, [2],
+        {"order": "2"}, {"order": 0}, {"order": 2, "discounts": "x"},
+        {"order": 2, "discounts": [[0.5, 0.5, 0.5]] * 3},
+        {"order": 2, "discounts": [None, [0.5, 0.5, 0.5]]},
+        {"order": 2, "discounts": [None, [0.5, 0.5], [0.5, 0.5, 0.5]]},
+        {"order": 1, "discounts": [None, None]}, {"order": 1, "discounts": [None, ["a", 0, 0]]},
+    ], ids=["unknown-field", "empty", "no-order", "not-a-dict", "order-text", "order-zero",
+            "discounts-text", "no-leading-none", "too-few-orders", "two-numbers",
+            "null-order", "text-discount"])
+    def test_from_dict_rejects_missing_or_malformed_field(self, data):
         with pytest.raises(ValueError):
-            SmoothingSpec("bogus", 2)
-        with pytest.raises(ValueError):
-            SmoothingSpec("kn", 2, None)
+            SmoothingSpec.from_dict(data)
