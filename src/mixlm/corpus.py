@@ -10,7 +10,6 @@ that embedding tables need exactly J+1 rows.
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -20,10 +19,6 @@ import numpy as np
 EOS = "</s>"
 UNK = "<unk>"
 BOS = "<s>"
-
-_VOCAB_MAGIC = "mixlm-vocab"
-_VOCAB_VERSION = 1
-
 
 class CorpusError(ValueError):
     """Raised for malformed or empty corpus input."""
@@ -134,34 +129,3 @@ def encode_corpus(lines: Iterable[str], vocab: Vocabulary) -> EncodedCorpus:
         raise CorpusError("empty corpus")
     return EncodedCorpus(sentences=sentences, vocab=vocab)
 
-
-def write_vocabulary(vocab: Vocabulary, fh: io.TextIOBase) -> None:
-    """Versioned text format: header line, then one word per line in id order."""
-    fh.write(
-        f"{_VOCAB_MAGIC} v{_VOCAB_VERSION} size={vocab.size} "
-        f"eos={vocab.eos_id} unk={vocab.unk_id} bos={vocab.bos_id}\n"
-    )
-    for word in vocab.id_to_word:
-        fh.write(word + "\n")
-
-
-def read_vocabulary(fh: io.TextIOBase) -> Vocabulary:
-    header = fh.readline().split()
-    if not header or header[0] != _VOCAB_MAGIC:
-        raise CorpusError("not a vocabulary file")
-    if header[1:2] != [f"v{_VOCAB_VERSION}"]:
-        raise CorpusError(f"unsupported vocabulary version {header[1:2]}")
-    try:
-        fields = dict(kv.split("=", 1) for kv in header[2:])
-        size, ids = int(fields["size"]), tuple(int(fields[k]) for k in ("eos", "unk", "bos"))
-    except (KeyError, ValueError) as e:
-        raise CorpusError(f"malformed vocabulary header: {e}") from None
-    lines = [fh.readline() for _ in range(size)]
-    if "" in lines:
-        raise CorpusError("truncated vocabulary file")
-    if fh.read():
-        raise CorpusError("lines after the last word of the vocabulary")
-    vocab = Vocabulary([line.rstrip("\n") for line in lines])
-    if (vocab.eos_id, vocab.unk_id, vocab.bos_id) != ids:
-        raise CorpusError("reserved-symbol ids do not match this library's layout")
-    return vocab

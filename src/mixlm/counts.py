@@ -404,8 +404,11 @@ class CountView:
     def __init__(self, table: CountTable, folded: FoldedCounts | None = None):
         self.table = table
         self.folded = folded
-        # the latest context resolved and its rank chain
-        self._latest: tuple[tuple[int, ...], np.ndarray] = ((), np.zeros(1, dtype=np.int64))
+        # the latest context resolved and its rank chain, read-only because
+        # rank_chain hands it out
+        root = np.zeros(1, dtype=np.int64)
+        root.setflags(write=False)
+        self._latest: tuple[tuple[int, ...], np.ndarray] = ((), root)
 
     @property
     def vocab_size(self) -> int:
@@ -432,6 +435,7 @@ class CountView:
         or -1 when that context never occurs in the full table.  The view
         keeps only the latest chain: a suffix of the latest context reads a
         prefix of it, and a context that extends the latest one continues it.
+        The returned array is that kept chain, so it is read-only.
         A symbol it has to resolve must be a word id or the bos id J.
         """
         context = tuple(int(c) for c in context)
@@ -454,6 +458,7 @@ class CountView:
             if rank < 0:
                 break
             rank = out[i] = _index(orders[i + 1].ctx_codes, rank * base + context[k - i])
+        out.setflags(write=False)
         self._latest = (context, out)
         return out
 
@@ -516,6 +521,9 @@ class CountView:
             return None
         if self.folded is None:
             raise CountError("per-position folds given to a view without fold data")
+        folds = np.asarray(folds)
+        if folds.dtype.kind not in "iu":
+            raise CountError(f"folds must be integers, not {folds.dtype}")
         last = self.folded.n_folds - 1
         if len(folds) != size or (size and not (folds.min() >= 0 and folds.max() <= last)):
             raise CountError(f"need one fold in 0..{last} for each of the {size} positions")

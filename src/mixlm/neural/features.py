@@ -24,18 +24,11 @@ def feature_width(spec: SmoothingSpec) -> int:
     return spec.order * (4 if spec.family == "kn" else 3)
 
 
-def context_features(view: CountView, context, spec: SmoothingSpec) -> np.ndarray:
-    """Feature vector for one context (orders 1..len(context)+1 concatenated)."""
-    chain = view.rank_chain(context)
-    ranks = np.full((1, spec.order), -1, dtype=np.int64)
-    ranks[0, :len(chain)] = chain
-    width = len(chain) * feature_width(spec) // spec.order
-    return bulk_context_features(view, spec, ranks)[0, :width]
-
-
 def bulk_context_features(view: CountView, spec: SmoothingSpec, ranks: np.ndarray,
                           folds: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized ``context_features`` over positions; ranks is (T, order)."""
+    """Feature rows of T positions, from their context ranks (T, order), one
+    block per order as the module describes; with ``folds``, each position's
+    fold is left out."""
     out = np.zeros((ranks.shape[0], feature_width(spec)))
     per_block = out.shape[1] // spec.order
     for n in range(1, spec.order + 1):

@@ -216,24 +216,6 @@ class SmoothingSpec:
             return witten_bell_fallback(view, context)
         return _alpha(view, context, continuation, d)
 
-    def to_dict(self) -> dict:
-        out = {"order": self.order}
-        if self.discounts is not None:
-            out["discounts"] = [None] + [list(d.as_tuple()) for d in self.discounts[1:]]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SmoothingSpec":
-        """The spec ``to_dict`` wrote; ``ValueError`` for a missing, unknown
-        or malformed field."""
-        try:
-            ds = data.get("discounts")
-            if data.keys() - {"discounts"} == {"order"} and (ds is None or ds[0] is None):
-                return cls(data["order"], ds and (None, *(Discounts(*d) for d in ds[1:])))
-        except (AttributeError, IndexError, TypeError):
-            pass
-        raise ValueError(f"not a smoothing spec: {data!r}")
-
 
 def _alpha(view: CountView, context, continuation: bool, d: Discounts | None) -> float:
     """Fallback mass of one context's column; 1 for a masked column."""
@@ -257,7 +239,7 @@ def heuristic_lambda(alphas) -> np.ndarray:
     lam = []
     passed = 1.0
     for alpha in map(float, alphas):  # orders N, N-1, ..., 2
-        if alpha < 0.0 or alpha > 1.0:
+        if not 0.0 <= alpha <= 1.0:
             raise ValueError("fallback coefficients must lie in [0, 1]")
         lam.append((1.0 - alpha) * passed)
         passed *= alpha

@@ -5,7 +5,8 @@ The check parses ``src/mixlm`` and the benchmark's non-test files with
 them as a ``Name``, an ``Attribute`` or a string constant (the benchmark's
 tracer names what it wraps with strings).  Imports do not count, so a
 re-export alone is not a caller, and neither do the tests.  Dunder methods
-are called by Python itself and are not checked.
+are called by Python itself and are not checked; nothing else is exempt.  A
+definition wanted only by code not yet written comes back with that code.
 """
 
 import ast
@@ -14,17 +15,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "mixlm"
 BENCH = ROOT / "bench"
-
-# Needed by the model that saves its spec and vocabulary and scores one query
-# at a time (ROADMAP, "Move the model into the library"); no caller until it
-# lands.
-ALLOWED = {
-    "to_dict": "the model's save writes the smoothing spec with it",
-    "from_dict": "the model's load reads the smoothing spec back with it",
-    "context_features": "the model's per-query scoring builds one context's features with it",
-    "write_vocabulary": "the model's save writes the vocabulary with it",
-    "read_vocabulary": "the model's load reads the vocabulary back with it",
-}
 
 
 def _trees(paths):
@@ -68,13 +58,8 @@ def _uncalled():
 
 
 def test_every_definition_has_a_caller():
-    missing = [f"{where} {name}" for name, where in _uncalled() if name not in ALLOWED]
+    missing = [f"{where} {name}" for name, where in _uncalled()]
     assert not missing, "defined but never named in src/mixlm or bench/:\n" + "\n".join(missing)
-
-
-def test_allowlist_is_current():
-    """An allowed name is still defined and still has no caller."""
-    assert sorted({name for name, _ in _uncalled()} & set(ALLOWED)) == sorted(ALLOWED)
 
 
 def test_check_finds_an_uncalled_definition():

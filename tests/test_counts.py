@@ -102,6 +102,18 @@ class TestToyCounts:
         # unigram counts: a=3, b=1, c=1, </s>=2
         assert (n1, n2, n3, n4) == (2, 1, 1, 0)
 
+    def test_rank_chain_result_is_read_only(self):
+        """rank_chain returns the chain the view keeps, so a caller cannot
+        write into it and change what later lookups read."""
+        a, b = self.v.id_of("a"), self.v.id_of("b")
+        for ctx in ((), (a, b), (b,), (a,)):
+            chain = self.view.rank_chain(ctx)
+            with pytest.raises(ValueError, match="read-only"):
+                chain[:] = -1
+        for ctx in ((b,), (a, b), (), (b, a)):
+            np.testing.assert_array_equal(self.view.rank_chain(ctx),
+                                          CountView(self.table).rank_chain(ctx), err_msg=str(ctx))
+
 
 class TestBruteForceEquivalence:
     """The vectorized store must agree with a dict reimplementation."""
@@ -431,6 +443,26 @@ class TestPerPositionFolds:
             view.bulk_stats(2, self.ranks, folds=folds)
         with pytest.raises(CountError, match="one fold in 0..1 for each"):
             view.bulk_counts(2, self.ranks, self.words, folds=folds)
+
+    @pytest.mark.parametrize("make", [lambda n: np.full(n, 0.5), lambda n: [0.0] * n],
+                             ids=["fractional-array", "float-list"])
+    def test_non_integer_folds_rejected(self, make):
+        view = cv_fold_counts(self.corpus, 2, folds=2).view()
+        folds = make(len(self.ranks))
+        with pytest.raises(CountError, match="folds must be integers"):
+            view.bulk_stats(2, self.ranks, folds=folds)
+        with pytest.raises(CountError, match="folds must be integers"):
+            view.bulk_counts(2, self.ranks, self.words, folds=folds)
+
+    def test_integer_list_folds_equal_array_folds(self):
+        view = cv_fold_counts(self.corpus, 2, folds=2).view()
+        folds = [t % 2 for t in range(len(self.ranks))]
+        np.testing.assert_array_equal(view.bulk_counts(2, self.ranks, self.words, folds=folds),
+                                      view.bulk_counts(2, self.ranks, self.words,
+                                                       folds=np.array(folds)))
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(view.bulk_stats(2, self.ranks, folds=folds),
+                       view.bulk_stats(2, self.ranks, folds=np.array(folds))))
 
     def test_folds_without_fold_data_rejected(self):
         view = accumulate(self.corpus, 2).view()

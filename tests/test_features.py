@@ -7,13 +7,21 @@ from mixlm.corpus import encode_corpus
 from mixlm.counts import accumulate, cv_fold_counts
 from mixlm.neural.features import (
     bulk_context_features,
-    context_features,
     feature_width,
     normalize_features,
 )
 from mixlm.smoothing import Discounts, SmoothingSpec
 
 from helpers import encode, fold_out_tables, synthetic_lines, toy_corpus
+
+
+def features_of(view, context, spec):
+    """The feature row of one context: ``bulk_context_features`` of a one-row
+    rank array from ``rank_chain``, -1 at orders the context is too short for."""
+    chain = view.rank_chain(context)
+    ranks = np.full((1, spec.order), -1, dtype=np.int64)
+    ranks[0, :len(chain)] = chain
+    return bulk_context_features(view, spec, ranks)[0]
 
 
 class TestScalarFeatures:
@@ -25,26 +33,26 @@ class TestScalarFeatures:
 
     def test_toy_bigram_block(self):
         spec = SmoothingSpec.ml(2)
-        f = context_features(self.view, (self.v.id_of("a"),), spec)
+        f = features_of(self.view, (self.v.id_of("a"),), spec)
         # order 1 block: seen, 7 tokens, 4 distinct; order 2 block: c("a")=3, u("a")=3
         np.testing.assert_allclose(
             f, [1.0, np.log(7), np.log(4), 1.0, np.log(3), np.log(3)])
 
     def test_unigram_block_alone(self):
         spec = SmoothingSpec.ml(2)
-        f = context_features(self.view, (), spec)
-        np.testing.assert_allclose(f, [1.0, np.log(7), np.log(4)])
+        f = features_of(self.view, (), spec)
+        np.testing.assert_allclose(f, [1.0, np.log(7), np.log(4), 0.0, 0.0, 0.0])
 
     def test_unobserved_context_block_is_zero(self):
         spec = SmoothingSpec.ml(2)
-        f = context_features(self.view, (self.v.unk_id,), spec)
+        f = features_of(self.view, (self.v.unk_id,), spec)
         np.testing.assert_allclose(f[3:], [0.0, 0.0, 0.0])
         np.testing.assert_allclose(f[:3], [1.0, np.log(7), np.log(4)])
 
     def test_discount_feature_added_for_kn(self):
         half = Discounts(0.5, 0.5, 0.5)
         spec = SmoothingSpec(2, (None, half, half))
-        f = context_features(self.view, (self.v.id_of("a"),), spec)
+        f = features_of(self.view, (self.v.id_of("a"),), spec)
         assert len(f) == 8
         # order 1 uses continuation counts: total 6, counts {2,1,1,2} -> kept 6-2*0.5-2*0.5=4
         assert f[3] == pytest.approx(np.log(4.0))
@@ -67,8 +75,8 @@ class TestBulkFeatures:
         self.held = encode_corpus(synthetic_lines(6, n_words=9, seed=71), self.train.vocab)
 
     def _compare(self, spec, corpus, folds_array=None):
-        """Bulk rows against scalar features; with folds, of the store counted
-        without each position's fold, by context."""
+        """Bulk rows of a corpus against each context's row alone; with folds,
+        of the store counted without each position's fold."""
         view = self.folded.view()
         ranks, words, sent_of = view.bulk_ranks(corpus)
         folds = None if folds_array is None else folds_array[sent_of]
@@ -83,7 +91,7 @@ class TestBulkFeatures:
             for i in range(self.ORDER - 1, len(padded)):
                 ctx = tuple(padded[i - self.ORDER + 1:i])
                 sview = rviews[folds[t]] if folds is not None else view
-                ref = context_features(sview, ctx, spec)
+                ref = features_of(sview, ctx, spec)
                 np.testing.assert_allclose(bulk[t], ref, atol=1e-12, err_msg=str(ctx))
                 t += 1
 

@@ -140,12 +140,6 @@ class TestDiscountedDistribution:
             Discounts(*levels)
         Discounts(1.0, 2.0, 3.0)  # the top of every level is allowed
 
-    def test_oversized_discount_rejected_from_dict(self):
-        data = SmoothingSpec.kn(accumulate(self.corpus, 2), 2).to_dict()
-        data["discounts"][2] = [0.5, 0.5, 3.5]
-        with pytest.raises(ValueError, match="outside"):
-            SmoothingSpec.from_dict(data)
-
 
 class TestKNDistribution:
     def setup_method(self):
@@ -362,8 +356,9 @@ class TestHeuristicLambda:
             assert np.all(lam >= 0)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            heuristic_lambda([1.5])
+        for alphas in ([1.5], [-0.1, 0.5], [float("nan"), 0.5]):
+            with pytest.raises(ValueError, match="must lie in"):
+                heuristic_lambda(alphas)
 
 
 class TestRecursionEquivalence:
@@ -490,17 +485,7 @@ class TestSmoothingSpecContextLength:
             spec.fallback(view, (a, b))
 
 
-class TestSmoothingSpecSerialization:
-    def test_round_trip(self):
-        table = accumulate(toy_corpus(), 3)
-        spec = SmoothingSpec.kn(table, 3)
-        back = SmoothingSpec.from_dict(spec.to_dict())
-        assert back == spec
-
-    def test_ml_round_trip(self):
-        spec = SmoothingSpec.ml(4)
-        assert SmoothingSpec.from_dict(spec.to_dict()) == spec
-
+class TestSmoothingSpecConstruction:
     def test_validation(self):
         d = flat(0.5)
         for order in (0, "2", 1.0):
@@ -517,18 +502,3 @@ class TestSmoothingSpecSerialization:
         assert spec.family == "kn" and spec.rule(2) == (False, flat(0.5))
         with pytest.raises(AttributeError):
             spec.family = "ml"
-        assert SmoothingSpec.from_dict(SmoothingSpec.ml(2).to_dict()).discounts is None
-
-    @pytest.mark.parametrize("data", [
-        {"order": 2, "family": "ml"}, {}, {"family": "kn", "discounts": None}, [2],
-        {"order": "2"}, {"order": 0}, {"order": 2, "discounts": "x"},
-        {"order": 2, "discounts": [[0.5, 0.5, 0.5]] * 3},
-        {"order": 2, "discounts": [None, [0.5, 0.5, 0.5]]},
-        {"order": 2, "discounts": [None, [0.5, 0.5], [0.5, 0.5, 0.5]]},
-        {"order": 1, "discounts": [None, None]}, {"order": 1, "discounts": [None, ["a", 0, 0]]},
-    ], ids=["unknown-field", "empty", "no-order", "not-a-dict", "order-text", "order-zero",
-            "discounts-text", "no-leading-none", "too-few-orders", "two-numbers",
-            "null-order", "text-discount"])
-    def test_from_dict_rejects_missing_or_malformed_field(self, data):
-        with pytest.raises(ValueError):
-            SmoothingSpec.from_dict(data)
