@@ -166,13 +166,15 @@ class SmoothingSpec:
     """
 
     order: int
-    discounts: tuple | None = None  # index by order; [0] unused
+    discounts: tuple | None = None  # Discounts indexed by order; [0] is None
 
     def __post_init__(self):
         if not (isinstance(self.order, int) and self.order >= 1):
             raise ValueError(f"smoothing order must be an int >= 1, not {self.order!r}")
-        if self.discounts is not None and len(self.discounts) != self.order + 1:
-            raise ValueError("kn smoothing needs one discount entry per order")
+        ds = self.discounts
+        if ds is not None and not (len(ds) == self.order + 1 and ds[0] is None
+                                   and all(isinstance(d, Discounts) for d in ds[1:])):
+            raise ValueError("kn smoothing needs None, then one discount entry per order")
 
     @property
     def family(self) -> str:

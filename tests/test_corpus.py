@@ -71,7 +71,11 @@ class TestVocabulary:
         (["a", "</s>", "<unk>"], "starts with"),
         (["</s>", "<unk>", "a", "a"], "duplicate or empty"),
         (["</s>", "<unk>", "", "a"], "duplicate or empty"),
-    ], ids=["reserved-not-first", "duplicate-word", "empty-word"])
+        (["<unk>", "</s>", "a"], "starts with"),
+        (["</s>", "a"], "starts with"),
+        (["</s>", "<unk>", "a", "</s>"], "duplicate or empty"),
+    ], ids=["reserved-not-first", "duplicate-word", "empty-word", "reserved-swapped",
+            "unk-missing", "reserved-repeated"])
     def test_rejects_bad_word_list(self, words, message):
         with pytest.raises(CorpusError, match=message):
             Vocabulary(words)

@@ -102,17 +102,21 @@ class TestToyCounts:
         # unigram counts: a=3, b=1, c=1, </s>=2
         assert (n1, n2, n3, n4) == (2, 1, 1, 0)
 
-    def test_rank_chain_result_is_read_only(self):
-        """rank_chain returns the chain the view keeps, so a caller cannot
-        write into it and change what later lookups read."""
-        a, b = self.v.id_of("a"), self.v.id_of("b")
-        for ctx in ((), (a, b), (b,), (a,)):
-            chain = self.view.rank_chain(ctx)
-            with pytest.raises(ValueError, match="read-only"):
-                chain[:] = -1
-        for ctx in ((b,), (a, b), (), (b, a)):
-            np.testing.assert_array_equal(self.view.rank_chain(ctx),
-                                          CountView(self.table).rank_chain(ctx), err_msg=str(ctx))
+    @pytest.mark.parametrize("before, ctx", [
+        ((), ()), ((), ("a", "b")), (("a", "b"), ("b",)), (("b",), ("a", "b")),
+    ], ids=["root", "resolved", "suffix-of-latest", "extends-latest"])
+    def test_rank_chain_result_is_read_only(self, before, ctx):
+        """rank_chain returns the chain the view keeps (or a prefix of it), so
+        a caller cannot write into it and change what later lookups read."""
+        ids = lambda words: tuple(self.v.id_of(w) for w in words)
+        self.view.rank_chain(ids(before))
+        chain = self.view.rank_chain(ids(ctx))
+        with pytest.raises(ValueError, match="read-only"):
+            chain[:] = -1
+        for later in ((), ("b",), ("a", "b"), ("b", "a"), ("a",)):
+            np.testing.assert_array_equal(self.view.rank_chain(ids(later)),
+                                          CountView(self.table).rank_chain(ids(later)),
+                                          err_msg=str(later))
 
 
 class TestBruteForceEquivalence:
@@ -444,8 +448,10 @@ class TestPerPositionFolds:
         with pytest.raises(CountError, match="one fold in 0..1 for each"):
             view.bulk_counts(2, self.ranks, self.words, folds=folds)
 
-    @pytest.mark.parametrize("make", [lambda n: np.full(n, 0.5), lambda n: [0.0] * n],
-                             ids=["fractional-array", "float-list"])
+    @pytest.mark.parametrize("make", [
+        lambda n: np.full(n, 0.5), lambda n: [0.0] * n, lambda n: np.zeros(n),
+        lambda n: np.zeros(n, dtype=bool), lambda n: ["0"] * n,
+    ], ids=["fractional-array", "float-list", "integral-float-array", "bool-array", "text-list"])
     def test_non_integer_folds_rejected(self, make):
         view = cv_fold_counts(self.corpus, 2, folds=2).view()
         folds = make(len(self.ranks))

@@ -131,8 +131,11 @@ class TestDiscountedDistribution:
         with pytest.raises(ValueError, match="outside"):
             Discounts(1.0, 2.0, 5.0)
 
-    @pytest.mark.parametrize("levels", [(1.5, 0.0, 0.0), (0.0, 2.5, 0.0), (0.0, 0.0, 3.5),
-                                        (-0.1, 0.0, 0.0)], ids=["d1", "d2", "d3p", "negative"])
+    @pytest.mark.parametrize("levels", [
+        (1.5, 0.0, 0.0), (0.0, 2.5, 0.0), (0.0, 0.0, 3.5), (-0.1, 0.0, 0.0),
+        (float("nan"), 0.0, 0.0), (0.0, float("nan"), 0.0), (0.0, 0.0, float("nan")),
+        (0.0, 0.0, float("inf")),
+    ], ids=["d1", "d2", "d3p", "negative", "nan-d1", "nan-d2", "nan-d3p", "inf-d3p"])
     def test_discount_outside_its_level_rejected(self, levels):
         """Each discount lies in [0, its count level], checked on construction,
         whether or not a count of that level is ever read."""
@@ -356,7 +359,8 @@ class TestHeuristicLambda:
             assert np.all(lam >= 0)
 
     def test_rejects_out_of_range(self):
-        for alphas in ([1.5], [-0.1, 0.5], [float("nan"), 0.5]):
+        for alphas in ([1.5], [-0.1, 0.5], [float("nan"), 0.5], [0.5, float("nan")],
+                       [float("inf")]):
             with pytest.raises(ValueError, match="must lie in"):
                 heuristic_lambda(alphas)
 
@@ -486,14 +490,23 @@ class TestSmoothingSpecContextLength:
 
 
 class TestSmoothingSpecConstruction:
-    def test_validation(self):
-        d = flat(0.5)
-        for order in (0, "2", 1.0):
-            with pytest.raises(ValueError, match="order"):
-                SmoothingSpec(order)
-        for discounts in ((None, d), (None, d, d, d)):
-            with pytest.raises(ValueError, match="one discount entry per order"):
-                SmoothingSpec(2, discounts)
+    @pytest.mark.parametrize("order", [0, -1, "2", 1.0],
+                             ids=["order-zero", "order-negative", "order-text", "order-float"])
+    def test_validation(self, order):
+        with pytest.raises(ValueError, match="order must be an int"):
+            SmoothingSpec(order)
+
+    @pytest.mark.parametrize("order, discounts", [
+        (2, (None, flat(0.5))), (2, (None, flat(0.5), flat(0.5), flat(0.5))),
+        (2, (flat(0.5), flat(0.5), flat(0.5))), (1, (None, None)),
+        (1, (None, (0.5, 0.5, 0.5))), (2, "abc"),
+    ], ids=["too-few-orders", "too-many-orders", "no-leading-none", "null-order",
+            "tuple-not-discounts", "discounts-text"])
+    def test_malformed_discounts_rejected(self, order, discounts):
+        """A kn spec holds None at [0], then one ``Discounts`` per order."""
+        with pytest.raises(ValueError, match="None, then one discount entry per order"):
+            SmoothingSpec(order, discounts)
+        SmoothingSpec(order, (None,) + (flat(0.5),) * order)
 
     def test_family_follows_discounts(self):
         """The family is read from the discounts and cannot be set apart from them."""
