@@ -86,22 +86,16 @@ def build_vocabulary(lines: Iterable[str], max_size: int | None = None) -> Vocab
     if max_size is not None and max_size < 1:
         raise ValueError("max_size must be >= 1")
     freq: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
     n_tokens = 0
     for line in lines:
         for tok in line.split():
             n_tokens += 1
-            if tok in (EOS, UNK, BOS):
-                continue
-            freq[tok] += 1
-            if tok not in first_seen:
-                first_seen[tok] = len(first_seen)
+            if tok not in (EOS, UNK, BOS):
+                freq[tok] += 1
     if n_tokens == 0:
         raise CorpusError("empty corpus")
-    ranked = sorted(freq.items(), key=lambda kv: (-kv[1], first_seen[kv[0]]))
-    if max_size is not None:
-        ranked = ranked[:max_size]
-    return Vocabulary([EOS, UNK] + [w for w, _ in ranked])
+    # a Counter keeps first-insertion order and most_common sorts stably
+    return Vocabulary([EOS, UNK] + [w for w, _ in freq.most_common(max_size)])
 
 
 @dataclass

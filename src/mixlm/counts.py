@@ -193,14 +193,19 @@ class CountTable:
 
 
 def _check_arrays(orders: list, base: int, token_count: int) -> None:
-    """Reject loaded keys out of order or naming no context, and counts below 1
-    or not summing to the token count: binary searches and ``_derive`` trust them."""
-    n_prev = 1  # order 1 has the empty context alone
+    """Reject loaded keys out of order, naming no context or the bos id J as a
+    word, an order 1 with any context but the empty one, and counts below 1 or
+    not summing to the token count: binary searches and ``_derive`` trust them."""
+    if orders[1].ctx_codes.tolist() != [0]:
+        raise CountError("order-1 keys must be the empty context alone")
+    n_prev = 1
     for n, od in enumerate(orders[1:], 1):
         for keys, n_groups in ((od.ctx_codes, n_prev), (od.type_keys, len(od.ctx_codes))):
             if len(keys) and not (keys[0] >= 0 and keys[-1] // base < n_groups
                                   and (np.diff(keys) > 0).all()):
                 raise CountError(f"order-{n} keys are out of order or range")
+        if not (od.type_keys % base < base - 1).all():
+            raise CountError(f"order-{n} keys name the bos id as a word")
         if not ((od.type_counts >= 1).all() and od.type_counts.sum() == token_count):
             raise CountError(f"order-{n} counts are below 1 or miss the token count")
         n_prev = len(od.ctx_codes)
@@ -404,8 +409,8 @@ class CountView:
     def __init__(self, table: CountTable, folded: FoldedCounts | None = None):
         self.table = table
         self.folded = folded
-        # the latest context resolved and its rank chain, read-only because
-        # rank_chain hands it out
+        # the latest context resolved and its rank chain, which every suffix of
+        # that context reads a prefix of; read-only because rank_chain hands it out
         root = np.zeros(1, dtype=np.int64)
         root.setflags(write=False)
         self._latest: tuple[tuple[int, ...], np.ndarray] = ((), root)
@@ -434,9 +439,9 @@ class CountView:
         Entry k is the rank of the last k symbols as an order-(k+1) context,
         or -1 when that context never occurs in the full table.  The view
         keeps only the latest chain: a suffix of the latest context reads a
-        prefix of it, and a context that extends the latest one continues it.
+        prefix of it, and any other context is resolved from the root.
         The returned array is that kept chain, so it is read-only.
-        A symbol it has to resolve must be a word id or the bos id J.
+        Every symbol of a resolved context must be a word id or the bos id J.
         """
         context = tuple(int(c) for c in context)
         if len(context) >= self.table.order:
@@ -445,16 +450,12 @@ class CountView:
         k = len(context)
         if context == last[len(last) - k:]:
             return chain[:k + 1]
-        if context[k - len(last):] != last:
-            last, chain = (), chain[:1]
         base, orders = self.table.base, self.table.orders
-        new = context[:k - len(last)]  # never empty here
-        if min(new) < 0 or max(new) >= base:
+        if min(context) < 0 or max(context) >= base:  # never empty here
             raise CountError(f"context ids must lie in 0..{base - 1}")
         out = np.full(k + 1, -1, dtype=np.int64)
-        out[:len(chain)] = chain
-        rank = int(out[len(last)])
-        for i in range(len(last) + 1, k + 1):
+        out[0] = rank = 0
+        for i in range(1, k + 1):
             if rank < 0:
                 break
             rank = out[i] = _index(orders[i + 1].ctx_codes, rank * base + context[k - i])

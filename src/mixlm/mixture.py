@@ -50,11 +50,14 @@ class ContextDistributions:
 
 def context_distributions(view, spec: SmoothingSpec, context,
                           identity: bool = False) -> ContextDistributions:
-    """Build the per-order column set for a context (lowest order first)."""
+    """Build the per-order column set for a context (lowest order first).
+
+    The longest context is resolved first, so every shorter suffix, and any
+    later fallback of one, reads a prefix of the rank chain the view keeps.
+    """
     context = tuple(int(c) for c in context)
-    cols = [spec.column(view, context[len(context) - (n - 1):])
-            for n in range(1, len(context) + 2)]
-    return ContextDistributions(cols, view.vocab_size, has_identity_block=identity)
+    cols = [spec.column(view, context[k:]) for k in range(len(context) + 1)]
+    return ContextDistributions(cols[::-1], view.vocab_size, has_identity_block=identity)
 
 
 def _check_weights(dists: ContextDistributions, lam: np.ndarray) -> None:

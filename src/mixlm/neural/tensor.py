@@ -1,19 +1,25 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Every operation builds a node recording its parents and a closure that maps
-the node's output gradient to parent-gradient contributions.  Calling
-``backward`` on a scalar loss walks the graph once in reverse topological
-order.  Each tensor owns its gradient array and contributions are added into
-it in place; row and column scatters write straight into it, and the
-optimizer may scale it in place.  Only the operations the λ networks and
-their losses use are provided here; the network layers build their own
-fused nodes with hand-written backward passes (one node for the LSTM cell
-state, one for its output, one for the masked softmax output).  Everything
-runs on plain numpy so 64-bit is the default and 32-bit works by feeding
-float32 arrays in.
+Every operation builds a node recording its parents and a backward pass.
+Calling ``backward`` on a scalar loss walks the graph once in reverse
+topological order.  Each tensor owns its gradient array and contributions
+are added into it in place; the optimizer may scale it in place.
+
+``_node`` builds the arithmetic, matrix, reduction and concatenation ops from
+a forward value and one gradient expression per parent.  Its backward
+evaluates an expression only for a parent that requires a gradient, sums the
+result over the axes broadcasting expanded, and adds it in.  Two kinds of
+node keep their own backward: the scatters ``slice_cols``, ``gather_rows``
+and ``take_per_row``, which write into part of their parent's gradient
+array and so never allocate a full-size gradient, and the fused nodes of
+``layers`` (the LSTM cell state and output, the masked softmax output),
+whose parents share one pre-activation gradient.  Everything runs on plain
+numpy so 64-bit is the default and 32-bit works by feeding float32 arrays in.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -112,58 +118,39 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value + b.value, (a, b))
+def _node(value, parents, grads) -> Tensor:
+    """A node whose backward adds ``grads[i](g)``, summed over the axes that
+    broadcasting expanded, into each parent ``i`` that requires a gradient;
+    the gradient of a constant parent is never computed."""
+    parents = tuple(parents)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.value.shape))
+        for p, grad in zip(parents, grads):
+            if p.requires_grad:
+                p._accum(_unbroadcast(grad(g), p.value.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(value, parents, backward)
+
+
+def add(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    return _node(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value * b.value, (a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.value, a.value.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.value, b.value.shape))
-
-    out._backward = backward
-    return out
+    return _node(a.value * b.value, (a, b), (lambda g: g * b.value, lambda g: g * a.value))
 
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value / b.value, (a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.value, a.value.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-
-    out._backward = backward
-    return out
+    return _node(a.value / b.value, (a, b),
+                 (lambda g: g / b.value, lambda g: -g * a.value / (b.value * b.value)))
 
 
 def neg(a) -> Tensor:
     a = _wrap(a)
-    out = Tensor(-a.value, (a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(-g)
-
-    out._backward = backward
-    return out
+    return _node(-a.value, (a,), (lambda g: -g,))
 
 
 def matmul(a, b) -> Tensor:
@@ -172,108 +159,63 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul expects 2-d operands, got {a.value.shape} @ {b.value.shape}")
     if a.value.shape[1] != b.value.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
-    out = Tensor(a.value @ b.value, (a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g @ b.value.T)
-        if b.requires_grad:
-            b._accum(a.value.T @ g)
-
-    out._backward = backward
-    return out
+    return _node(a.value @ b.value, (a, b), (lambda g: g @ b.value.T, lambda g: a.value.T @ g))
 
 
 def tanh(a) -> Tensor:
     a = _wrap(a)
     y = np.tanh(a.value)
-    out = Tensor(y, (a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g * (1.0 - y * y))
-
-    out._backward = backward
-    return out
+    return _node(y, (a,), (lambda g: g * (1.0 - y * y),))
 
 
 def log(a) -> Tensor:
     a = _wrap(a)
-    out = Tensor(np.log(a.value), (a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g / a.value)
-
-    out._backward = backward
-    return out
+    return _node(np.log(a.value), (a,), (lambda g: g / a.value,))
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _wrap(a)
-    out = Tensor(a.value.sum(axis=axis, keepdims=keepdims), (a,))
-
-    def backward(g):
-        if a.requires_grad:
-            gg = g
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            a._accum(np.broadcast_to(gg, a.value.shape))
-
-    out._backward = backward
-    return out
+    squeezed = axis is not None and not keepdims
+    return _node(a.value.sum(axis=axis, keepdims=keepdims), (a,),
+                 (lambda g: np.broadcast_to(np.expand_dims(g, axis) if squeezed else g,
+                                            a.value.shape),))
 
 
 def concat_cols(parts) -> Tensor:
     parts = [_wrap(p) for p in parts]
-    out = Tensor(np.concatenate([p.value for p in parts], axis=1), tuple(parts))
-    widths = [p.value.shape[1] for p in parts]
-
-    def backward(g):
-        at = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p._accum(g[:, at:at + w])
-            at += w
-
-    out._backward = backward
-    return out
+    cuts = [0, *accumulate(p.value.shape[1] for p in parts)]
+    return _node(np.concatenate([p.value for p in parts], axis=1), parts,
+                 [lambda g, lo=lo, hi=hi: g[:, lo:hi] for lo, hi in zip(cuts, cuts[1:])])
 
 
 def slice_cols(a, start, stop) -> Tensor:
     a = _wrap(a)
-    out = Tensor(a.value[:, start:stop], (a,))
 
     def backward(g):
         if a.requires_grad:
             a._grad_buffer()[:, start:stop] += g
 
-    out._backward = backward
-    return out
+    return Tensor(a.value[:, start:stop], (a,), backward)
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup (embedding): out[i] = table[indices[i]]."""
     indices = np.asarray(indices)
-    out = Tensor(table.value[indices], (table,))
 
     def backward(g):
         if table.requires_grad:
             np.add.at(table._grad_buffer(), indices, g)
 
-    out._backward = backward
-    return out
+    return Tensor(table.value[indices], (table,), backward)
 
 
 def take_per_row(a: Tensor, cols: np.ndarray) -> Tensor:
     """out[i] = a[i, cols[i]], returned as a column vector (B, 1)."""
     cols = np.asarray(cols)
     rows = np.arange(a.value.shape[0])
-    out = Tensor(a.value[rows, cols][:, None], (a,))
 
     def backward(g):
         if a.requires_grad:
             np.add.at(a._grad_buffer(), (rows, cols), g[:, 0])
 
-    out._backward = backward
-    return out
+    return Tensor(a.value[rows, cols][:, None], (a,), backward)

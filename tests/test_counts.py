@@ -575,7 +575,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("damage", [
         "contexts unsorted", "suffix rank past the shorter contexts", "key past the contexts",
-        "negative key", "zero count", "counts miss the token count"])
+        "negative key", "zero count", "counts miss the token count", "bos word",
+        "second order-1 context"])
     def test_rejects_written_arrays_out_of_order_or_range(self, damage):
         """``write_binary`` seals whatever arrays a table holds; load checks them."""
         table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
@@ -588,6 +589,11 @@ class TestSerialization:
             o[2].type_keys[-1] = len(o[2].ctx_codes) * table.base
         elif damage == "negative key":
             o[1].type_keys[0] = -1
+        elif damage == "bos word":  # still the largest key
+            o[2].type_keys[-1] += table.base - 1 - o[2].type_keys[-1] % table.base
+        elif damage == "second order-1 context":  # the largest key moves to it
+            o[1].ctx_codes = np.array([0, 5])
+            o[1].type_keys[-1] += table.base
         elif damage == "zero count":  # the sum stays the token count
             o[2].type_counts[[0, 1]] = [o[2].type_counts[:2].sum(), 0]
         else:

@@ -158,6 +158,29 @@ class TestStructuralOps:
         check(lambda: mean_all(T.take_per_row(self.a, cols)), [self.a])
 
 
+class TestConstantOperands:
+    """A constant operand is routed no gradient; the others still get theirs."""
+
+    @pytest.mark.parametrize("op, shapes, const", [
+        (T.add, [(3, 4), (4,)], 0),
+        (T.add, [(3, 4), (4,)], 1),
+        (T.mul, [(3, 4), (3, 4)], 0),
+        (T.mul, [(3, 4), (3, 1)], 1),
+        (T.div, [(3, 4), (3, 4)], 0),
+        (T.div, [(3, 4), (1, 4)], 1),
+        (T.matmul, [(3, 4), (4, 2)], 0),
+        (T.matmul, [(3, 4), (4, 2)], 1),
+        (lambda *parts: T.concat_cols(parts), [(3, 2), (3, 1), (3, 2)], 1),
+    ], ids=["add-left", "add-right", "mul-left", "mul-right", "div-numerator",
+            "div-denominator", "matmul-left", "matmul-right", "concat-middle"])
+    def test_constant_operand_gets_no_gradient(self, op, shapes, const):
+        rng = np.random.default_rng(11)
+        operands = [T.param(np.abs(rng.normal(size=s)) + 0.5) for s in shapes]
+        operands[const] = T.constant(operands[const].value)
+        check(lambda: mean_all(op(*operands)), operands[:const] + operands[const + 1:])
+        assert operands[const].grad is None
+
+
 class TestComposedGraph:
     def test_two_layer_composition(self):
         """A small end-to-end graph exercises accumulation across ops."""
