@@ -402,7 +402,8 @@ class _Kind(NamedTuple):
 class CountView:
     """Query interface over a table.  Scalar calls read the full table; bulk
     calls given per-position ``folds`` leave each position's fold out, which
-    needs the fold data of a ``FoldedCounts``."""
+    needs the fold data of a ``FoldedCounts``.  A view builds the ``_Kind``
+    of each (order, continuation) it reads once and keeps it."""
 
     fold = None  # always None: bench/spans._mode reads it on every traced bulk call
 
@@ -414,22 +415,29 @@ class CountView:
         root = np.zeros(1, dtype=np.int64)
         root.setflags(write=False)
         self._latest: tuple[tuple[int, ...], np.ndarray] = ((), root)
+        self._kinds: dict[tuple[int, bool], _Kind] = {}
 
     @property
     def vocab_size(self) -> int:
         return self.table.vocab_size
 
     def _kind(self, order: int, continuation: bool) -> _Kind:
-        """Raw or continuation arrays of one order: the one place that picks."""
-        od = self.table.orders[order]
-        fd = self.folded.fold_data[order] if self.folded is not None else _NO_FOLDS
-        if not continuation:
-            return _Kind(od.type_keys, od.type_counts, od.stats,
-                         fd.type_keys, fd.type_counts, fd.stat_keys, fd.stat_deltas)
-        if od.cont_type_keys is None:
-            raise CountError(f"no continuation counts at order {order}")
-        return _Kind(od.cont_type_keys, od.cont_type_counts, od.cont_stats, fd.cont_type_keys,
-                     fd.cont_type_counts, fd.cont_stat_keys, fd.cont_stat_deltas)
+        """Raw or continuation arrays of one order, kept per view: the one place that picks."""
+        kind = self._kinds.get((order, continuation))
+        if kind is None:
+            od = self.table.orders[order]
+            fd = self.folded.fold_data[order] if self.folded is not None else _NO_FOLDS
+            if not continuation:
+                kind = _Kind(od.type_keys, od.type_counts, od.stats,
+                             fd.type_keys, fd.type_counts, fd.stat_keys, fd.stat_deltas)
+            elif od.cont_type_keys is None:
+                raise CountError(f"no continuation counts at order {order}")
+            else:
+                kind = _Kind(od.cont_type_keys, od.cont_type_counts, od.cont_stats,
+                             fd.cont_type_keys, fd.cont_type_counts, fd.cont_stat_keys,
+                             fd.cont_stat_deltas)
+            self._kinds[order, continuation] = kind
+        return kind
 
     # -- context resolution ------------------------------------------------
 
@@ -441,15 +449,17 @@ class CountView:
         keeps only the latest chain: a suffix of the latest context reads a
         prefix of it, and any other context is resolved from the root.
         The returned array is that kept chain, so it is read-only.
-        Every symbol of a resolved context must be a word id or the bos id J.
+        Every symbol of a resolved context must be a word id or the bos id J;
+        ids are converted with ``int`` only when the kept chain misses.
         """
-        context = tuple(int(c) for c in context)
-        if len(context) >= self.table.order:
-            raise CountError("context longer than order - 1")
+        context = tuple(context)
         last, chain = self._latest
         k = len(context)
-        if context == last[len(last) - k:]:
+        if context == last[len(last) - k:]:  # a suffix of the latest: never too long
             return chain[:k + 1]
+        if k >= self.table.order:
+            raise CountError("context longer than order - 1")
+        context = tuple(int(c) for c in context)
         base, orders = self.table.base, self.table.orders
         if min(context) < 0 or max(context) >= base:  # never empty here
             raise CountError(f"context ids must lie in 0..{base - 1}")

@@ -28,7 +28,9 @@ class Tensor:
     __slots__ = ("value", "grad", "parents", "_backward", "requires_grad", "name")
 
     def __init__(self, value, parents=(), backward=None, requires_grad=False, name=None):
-        self.value = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=np.float64)
+        if not isinstance(value, np.ndarray):  # a numpy float scalar keeps its dtype
+            value = np.asarray(value, value.dtype if isinstance(value, np.floating) else np.float64)
+        self.value = value
         self.parents = tuple(parents)
         self._backward = backward
         self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)

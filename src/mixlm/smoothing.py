@@ -3,11 +3,12 @@
 Each n-gram order contributes one probability distribution over the
 vocabulary ("column") for a given context, and a fallback mass alpha that a
 heuristic interpolation passes to lower orders.  ``column_terms`` computes
-both, on scalars and arrays alike: maximum-likelihood columns divide raw
-counts by the context total (Witten-Bell alpha); discounted columns subtract
-a count-level discount and renormalize (alpha is the removed mass).
-``SmoothingSpec.rule`` picks per order: Kneser-Ney discounts continuation
-counts (distinct left extensions) below the top order.
+both, on arrays, or on Python floats in the formula's own order for one
+context: ML columns divide raw counts by the context total (Witten-Bell
+alpha); discounted columns subtract a count-level discount and renormalize
+(alpha is the removed mass).  ``SmoothingSpec.rule`` picks per order:
+Kneser-Ney discounts continuation counts (distinct left extensions) below
+the top order.
 
 A column is a lazy view of one context in the count store: ``prob_of``
 reads one count per word, and the whole support is listed only when asked.
@@ -40,11 +41,13 @@ class Discounts:
     def __post_init__(self):
         if not (0.0 <= self.d1 <= 1.0 and 0.0 <= self.d2 <= 2.0 and 0.0 <= self.d3p <= 3.0):
             raise ValueError(f"discounts {self.as_tuple()} outside 0 <= d(c) <= c")
-        object.__setattr__(self, "_levels", np.array([0.0, self.d1, self.d2, self.d3p]))
+        object.__setattr__(self, "_levels", (0.0, self.d1, self.d2, self.d3p))
 
-    def applied(self, counts: np.ndarray) -> np.ndarray:
+    def applied(self, counts: int | np.ndarray) -> float | np.ndarray:
         """Discount subtracted from each non-negative count (0 for zero counts)."""
-        return self._levels[np.minimum(counts, 3)]
+        if isinstance(counts, int):
+            return self._levels[min(counts, 3)]
+        return np.array(self._levels)[np.minimum(counts, 3)]
 
     def mass(self, n1, n2, n3p) -> float | np.ndarray:
         """Total subtracted mass for a context with the given count-of-counts."""
@@ -79,7 +82,8 @@ def column_terms(d: Discounts | None, total, stats: ContextStats, counts=None):
     p (None without counts) is c/total for ML and c - d(c) over the kept mass
     with discounts; alpha is u/(total+u) (Witten-Bell) for ML and the removed
     mass fraction with discounts.  When discounting removes all the mass, p
-    is uniform over observed successors and alpha is 1.
+    is uniform over observed successors and alpha is 1.  One context (float
+    total, int stats) is computed on Python floats in the formula's own order.
     """
     if d is None:
         u = stats.unique
@@ -87,10 +91,13 @@ def column_terms(d: Discounts | None, total, stats: ContextStats, counts=None):
     removed = d.mass(stats.n1, stats.n2, stats.n3p) / total
     keep_total = 1.0 - removed
     degenerate = keep_total <= _MIN_KEEP
-    alpha = np.where(degenerate, 1.0, removed)
+    one_context = isinstance(degenerate, bool)
+    alpha = (1.0 if degenerate else removed) if one_context else np.where(degenerate, 1.0, removed)
     if counts is None:
         return None, alpha
     kept = counts - d.applied(counts)
+    if one_context:  # keep_total itself is the np.maximum below when not degenerate
+        return ((counts > 0) / stats.unique if degenerate else kept / (total * keep_total)), alpha
     p = np.where(degenerate, (counts > 0) / stats.unique,
                  kept / (total * np.maximum(keep_total, _MIN_KEEP)))
     return p, alpha
@@ -118,7 +125,7 @@ class Column:
         if self.stats is None:
             return 0.0
         count = self.view.cont_count if self.continuation else self.view.count
-        return float(self._probs(count(self.order, self.rank, word)))
+        return self._probs(count(self.order, self.rank, word))
 
     @cached_property
     def _support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +229,7 @@ class SmoothingSpec:
 def _alpha(view: CountView, context, continuation: bool, d: Discounts | None) -> float:
     """Fallback mass of one context's column; 1 for a masked column."""
     s = _observed(view, context, continuation)[2]
-    return 1.0 if s is None else float(column_terms(d, float(s.total), s)[1])
+    return 1.0 if s is None else column_terms(d, float(s.total), s)[1]
 
 
 def witten_bell_fallback(view: CountView, context) -> float:

@@ -238,6 +238,55 @@ class TestContextIds:
         assert self.view.rank_chain((self.b,)).tolist() == fresh
 
 
+class TestRankChainHit:
+    """A context that is a suffix of the latest one is answered from the kept
+    chain before any id is converted; a miss converts and checks the ids."""
+
+    FORMS = pytest.mark.parametrize(
+        "form", [tuple, list, lambda c: tuple(np.int64(x) for x in c)],
+        ids=["tuple", "list", "np-int64"])
+
+    def setup_method(self):
+        self.corpus = encode(["a b a", "a c", "a b", "d a"])
+        self.table = accumulate(self.corpus, 3)
+        self.view = self.table.view()
+        v = self.corpus.vocab
+        self.ctx = (v.id_of("a"), v.id_of("b"))
+
+    @FORMS
+    def test_forms_yield_equal_chains(self, form):
+        want = CountView(self.table).rank_chain(self.ctx).tolist()
+        assert want[-1] >= 0
+        assert self.view.rank_chain(form(self.ctx)).tolist() == want  # a miss
+        for k in range(len(self.ctx) + 1):  # hits, on the kept chain
+            got = self.view.rank_chain(form(self.ctx[k:]))
+            assert got.tolist() == want[:len(self.ctx) - k + 1]
+
+    def test_suffix_shares_the_kept_chain(self):
+        chain = self.view.rank_chain(self.ctx)
+        for suffix in (self.ctx[1:], (np.int64(self.ctx[1]),), [self.ctx[1]], ()):
+            assert np.shares_memory(self.view.rank_chain(suffix), chain), suffix
+        assert np.shares_memory(self.view.rank_chain(self.ctx), chain)  # itself is a hit too
+
+    @FORMS
+    def test_out_of_range_id_on_a_miss_rejected(self, form):
+        self.view.rank_chain(self.ctx)
+        bad = self.table.base
+        for ctx in ((bad,), (bad, self.ctx[1]), (-1,)):
+            with pytest.raises(CountError, match="context ids must lie in"):
+                self.view.rank_chain(form(ctx))
+        fresh = CountView(self.table).rank_chain(self.ctx[1:]).tolist()
+        assert self.view.rank_chain(self.ctx[1:]).tolist() == fresh
+
+    def test_top_order_continuation_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(CountError, match="no continuation counts at order 3"):
+                self.view.cont_stats(3, 0)
+            with pytest.raises(CountError, match="no continuation counts at order 3"):
+                self.view.cont_count(3, 0, 1)
+        assert self.view.cont_stats(2, 0) == CountView(self.table).cont_stats(2, 0)
+
+
 class TestBulkQueries:
     def setup_method(self):
         self.train = encode(synthetic_lines(50, n_words=10, seed=11))

@@ -269,6 +269,63 @@ class TestLazyColumns:
                         assert col.prob_of(w) == support.get(w, 0.0), (i - 1, ctx, w)
 
 
+class TestScalarArrayParity:
+    """One context's ``column_terms`` runs on Python floats; it must equal the
+    one-element array call bit for bit, in the degenerate case too."""
+
+    DISCOUNTS = [None, Discounts(0.6, 1.1, 1.4), Discounts(0.0, 0.0, 0.0),
+                 Discounts(1.0, 2.0, 3.0)]
+    # the last two are degenerate under the capped discounts: every count is
+    # at most 3, so d(c) = c removes all the mass
+    STATS = [ContextStats(57, 20, 6, 4), ContextStats(20, 3, 2, 2),
+             ContextStats(12, 3, 0, 3), ContextStats(1, 1, 0, 0)]
+
+    @staticmethod
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    @pytest.mark.parametrize("d", DISCOUNTS, ids=["ml", "kn", "kn-zero", "kn-capped"])
+    @pytest.mark.parametrize("stats", STATS, ids=["57", "20", "12-all-low", "1"])
+    @pytest.mark.parametrize("count", [None, 0, 1, 2, 3, 7], ids=lambda c: f"count-{c}")
+    def test_scalar_equals_one_element_array(self, d, stats, count):
+        p, alpha = column_terms(d, float(stats.total), stats, count)
+        arr_stats = ContextStats._make(np.array([x]) for x in stats)
+        arr_count = None if count is None else np.array([count])
+        arr_p, arr_alpha = column_terms(d, np.array([float(stats.total)]), arr_stats, arr_count)
+        assert type(alpha) is float
+        assert self.bits(alpha) == self.bits(np.asarray(arr_alpha).reshape(-1)[0])
+        if count is None:
+            assert p is None and arr_p is None
+        else:
+            assert type(p) is float
+            assert self.bits(p) == self.bits(arr_p[0])
+
+    def test_degenerate_cases_are_reached(self):
+        capped = self.DISCOUNTS[-1]
+        for stats in self.STATS[2:]:
+            p, alpha = column_terms(capped, float(stats.total), stats, 3)
+            assert alpha == 1.0 and p == 1 / stats.unique
+        p, alpha = column_terms(capped, 57.0, self.STATS[0], 7)
+        assert alpha < 1.0 and p == (7 - 3.0) / (57.0 * (1.0 - alpha))
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 7])
+    def test_applied_on_an_int(self, count):
+        d = Discounts(0.1, 0.2, 0.3)
+        got = d.applied(count)
+        assert type(got) is float
+        assert self.bits(got) == self.bits(d.applied(np.array([count]))[0])
+
+    def test_columns_and_fallbacks_return_python_floats(self):
+        corpus = toy_corpus()
+        view = accumulate(corpus, 3).view()
+        a, b = corpus.vocab.id_of("a"), corpus.vocab.id_of("b")
+        for spec in (SmoothingSpec.ml(3), SmoothingSpec.kn(view.table, 3)):
+            for ctx in ((a, b), (b,), ()):
+                assert type(spec.column(view, ctx).prob_of(a)) is float
+                if ctx:
+                    assert type(spec.fallback(view, ctx)) is float
+
+
 class TestDiscountEstimation:
     def test_closed_form_by_hand(self):
         # Y = 2/(2+2) = 0.5; d2 hits its clamp ceiling; n3 = 0 sends d3+ to Y

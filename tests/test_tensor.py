@@ -199,10 +199,13 @@ class TestComposedGraph:
         assert gradient_check(loss, [w1, b1, w2], eps=1e-6) < 1e-7
 
     def test_float32_graph_runs(self):
+        """A float32 graph stays float32: the numpy scalar of a full sum and a
+        float32 divisor keep their dtype (a Python number would be float64)."""
         x = T.param(np.ones((2, 2), dtype=np.float32), "x")
-        y = mean_all(T.tanh(x @ x))
+        y = T.tsum(T.tanh(x @ x)) / np.float32(x.value.size)
         y.backward()
-        assert x.grad is not None
+        assert y.value.dtype == np.float32
+        assert x.grad.dtype == np.float32
         assert np.all(np.isfinite(x.grad))
 
 
