@@ -3,12 +3,17 @@
 Layout
 ------
 Contexts are interned per order into sorted arrays.  A context of order n
-(length n-1) is identified by an int64 code ``suffix_rank * B + leftmost``,
+(length n-1) is identified by an integer code ``suffix_rank * B + leftmost``,
 where ``suffix_rank`` is the rank of its length-(n-2) suffix among order-(n-1)
 contexts and ``B = J + 1`` (the begin-of-sentence symbol is J).  Ranks stay
-below the number of distinct contexts, so codes never overflow regardless of
-the order (the sorted-array context encoding of Pauls & Klein 2011).  Every
-position is counted with full left bos-padding.
+below the number of distinct contexts (the sorted-array context encoding of
+Pauls & Klein 2011), so every code and type key is below
+``len(top-order contexts) * B``, and every count, stat and fold key at most
+``token_count * F`` (F = 1 without folds).  Every array of a store, fold data
+included, is int32 when both bounds are below 2**31, and int64 otherwise.
+A bulk query is cast to its keys' width; a scalar one is a ``bisect`` over a
+kept memoryview, so no lookup converts a key array.  Every position is
+counted with full left bos-padding.
 
 Each order holds raw counts and, below the top order, continuation counts
 (distinct single-symbol left extensions, from the order-(n+1) types) in one
@@ -22,20 +27,22 @@ per-(type, fold) count deltas and per-(context, fold) deltas of the four
 stats, built once per kind, give ``full - fold`` exactly.
 
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
-a ``CountView`` and written to disk in one form, binary file format 3:
-``MXCT``; version and order (u32); vocabulary size and token count (u64);
-the vocabulary fingerprint as a u32 length and ASCII bytes; per order only
-what counting produced, ctx_codes, type_keys and type_counts, each as a u64
-element count and int64 values; then a CRC32 of every byte after the magic,
-all little-endian.  Loading derives the stats and continuation arrays with
-``_derive``, the code that builds them after counting.  A file that is cut
-short, has trailing bytes, fails its checksum or is malformed raises
+a ``CountView`` and written to disk in one form, binary file format 4:
+``MXCT``; version, order and width W, the bytes per value (u32); vocabulary
+size and token count (u64); the vocabulary fingerprint as a u32 length and
+ASCII bytes; per order only what counting produced, ctx_codes, type_keys and
+type_counts, each as a u64 element count and W-byte values; then a CRC32 of
+every byte after the magic, all little-endian.  Loading derives the stats
+and continuation arrays with ``_derive``, the code that builds them after
+counting.  A file that is cut short, has trailing bytes, fails its checksum,
+is malformed or has a W other than its bounds select without folds raises
 ``CountError``, and so does text encoded with a vocabulary whose
 fingerprint is not the table's.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import io
 import struct
@@ -48,8 +55,8 @@ import numpy as np
 from .corpus import EncodedCorpus, Vocabulary
 
 _BIN_MAGIC = b"MXCT"
-_BIN_VERSION = 3
-_HEADER = struct.Struct("<IIQQ")
+_BIN_VERSION = 4
+_HEADER = struct.Struct("<IIIQQ")
 
 
 class CountError(ValueError):
@@ -65,7 +72,7 @@ def _vocab_fingerprint(vocab: Vocabulary) -> str:
 class _OrderData:
     """Arrays for one n-gram order (contexts of length order-1)."""
 
-    ctx_codes: np.ndarray  # sorted int64 context codes
+    ctx_codes: np.ndarray  # sorted context codes
     type_keys: np.ndarray  # sorted rank * B + word
     type_counts: np.ndarray
     # derived from the arrays above by ``_derive``
@@ -130,12 +137,13 @@ class CountTable:
 
     def write_binary(self, fh: io.BufferedIOBase) -> None:
         fp = self.vocab_fingerprint.encode("ascii")
-        parts = [_HEADER.pack(_BIN_VERSION, self.order, self.vocab_size, self.token_count),
-                 struct.pack("<I", len(fp)), fp]
+        width = _width(len(self.orders[-1].ctx_codes), self.base, self.token_count)
+        parts = [_HEADER.pack(_BIN_VERSION, self.order, width.itemsize, self.vocab_size,
+                              self.token_count), struct.pack("<I", len(fp)), fp]
         for od in self.orders[1:]:
             for arr in (od.ctx_codes, od.type_keys, od.type_counts):
                 parts += [struct.pack("<Q", arr.size),
-                          np.ascontiguousarray(arr, dtype="<i8").tobytes()]
+                          np.ascontiguousarray(arr, dtype=width.newbyteorder("<")).tobytes()]
         body = b"".join(parts)
         fh.write(_BIN_MAGIC)
         fh.write(body)
@@ -156,13 +164,15 @@ class CountTable:
 
         def read_arr() -> np.ndarray:
             (size,) = struct.unpack("<Q", read(8))
-            return np.frombuffer(read(size * 8), dtype="<i8").astype(np.int64)
+            return np.frombuffer(read(size * width), dtype=f"<i{width}").astype(f"=i{width}")
 
         if data[:4] != _BIN_MAGIC:
             raise CountError("not a count-table file")
-        version, order, vocab_size, token_count = _HEADER.unpack(read(_HEADER.size))
+        version, order, width, vocab_size, token_count = _HEADER.unpack(read(_HEADER.size))
         if version != _BIN_VERSION:
             raise CountError(f"unsupported count-table version {version}")
+        if width not in (4, 8):
+            raise CountError(f"unsupported count-table width {width}")
         if zlib.crc32(data[4:end]) != int.from_bytes(data[end:], "little"):
             raise CountError("count-table file is damaged: checksum mismatch")
         if order < 1:
@@ -182,6 +192,8 @@ class CountTable:
         if pos != end:
             raise CountError("trailing bytes after the last array")
         del data  # the arrays are copies: free the file's bytes before deriving
+        if _width(len(orders[-1].ctx_codes), vocab_size + 1, token_count).itemsize != width:
+            raise CountError(f"width {width} is not the one the table's bounds select")
         _check_arrays(orders, vocab_size + 1, token_count)
         _derive(orders, vocab_size + 1)
         return cls(order, int(vocab_size), orders, int(token_count), fingerprint)
@@ -202,7 +214,7 @@ def _check_arrays(orders: list, base: int, token_count: int) -> None:
     for n, od in enumerate(orders[1:], 1):
         for keys, n_groups in ((od.ctx_codes, n_prev), (od.type_keys, len(od.ctx_codes))):
             if len(keys) and not (keys[0] >= 0 and keys[-1] // base < n_groups
-                                  and (np.diff(keys) > 0).all()):
+                                  and (keys[1:] > keys[:-1]).all()):
                 raise CountError(f"order-{n} keys are out of order or range")
         if not (od.type_keys % base < base - 1).all():
             raise CountError(f"order-{n} keys name the bos id as a word")
@@ -214,9 +226,15 @@ def _check_arrays(orders: list, base: int, token_count: int) -> None:
 # -- accumulation ---------------------------------------------------------
 
 
+def _width(top_contexts: int, base: int, token_count: int, folds: int = 1) -> np.dtype:
+    """int32 when a table's bounds (module docstring) stay below 2**31, else int64."""
+    return np.dtype(np.int32 if max(top_contexts * base, token_count * folds) < 2**31
+                    else np.int64)
+
+
 def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int) -> np.ndarray:
     """(n_groups, 4) stats of the counts in each group: total, n1, n2, n3p."""
-    out = np.empty((n_groups, 4), dtype=np.int64)
+    out = np.empty((n_groups, 4), dtype=counts.dtype)
     out[:, 0] = np.bincount(groups, weights=counts, minlength=n_groups)
     for j, level in enumerate((counts == 1, counts == 2, counts >= 3), 1):
         out[:, j] = np.bincount(groups[level], minlength=n_groups)
@@ -240,8 +258,8 @@ def _derive(orders: list, base: int) -> list[np.ndarray]:
         keys, inverses[n], counts = np.unique(
             suffix_rank * base + hi.type_keys % base, return_inverse=True, return_counts=True)
         od = orders[n]
-        od.cont_type_keys, od.cont_type_counts = keys, counts
-        od.cont_stats = _tally(keys // base, counts, len(od.ctx_codes))
+        od.cont_type_keys, od.cont_type_counts = keys, counts.astype(keys.dtype)
+        od.cont_stats = _tally(keys // base, od.cont_type_counts, len(od.ctx_codes))
     return inverses
 
 
@@ -253,7 +271,8 @@ def _fold_kind(type_keys, type_counts, occurrences, folds, base):
     ``ctx_rank * F + fold`` keys and the (m, 4) stat deltas: the full-table
     stats of the affected types minus their stats without the fold.
     """
-    fold_keys, fold_counts = np.unique(occurrences, return_counts=True)
+    fold_keys, fold_counts = np.unique(occurrences.astype(type_keys.dtype), return_counts=True)
+    fold_counts = fold_counts.astype(type_keys.dtype)
     ti, fold = np.divmod(fold_keys, folds)
     full = type_counts[ti]
     keys, inv = np.unique(type_keys[ti] // base * folds + fold, return_inverse=True)
@@ -282,33 +301,35 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
         raise CountError("order must be >= 1")
     if corpus.token_count == 0:
         raise CountError("empty corpus")
-    base = corpus.vocab.size + 1
+    if folds is not None and not 2 <= folds <= len(corpus.sentences):
+        raise CountError(f"folds must lie in 2..{len(corpus.sentences)}, the sentence count")
+    base, T, F = corpus.vocab.size + 1, corpus.token_count, folds or 1
     stream, targets, sent_of = _corpus_stream(corpus, order)
     words = stream[targets]
 
-    orders: list = [None]
+    # each order sorts in the width its contexts select, never wider than the table's
+    built, type_inverse = [], [None]
     rank = np.zeros(len(targets), dtype=np.int64)
     ctx_codes = np.zeros(1, dtype=np.int64)
-    type_inverse: list = [None]
     for n in range(1, order + 1):
         if n > 1:
-            left = stream[targets - (n - 1)]
-            ctx_codes, rank = np.unique(rank * base + left, return_inverse=True)
-        keys, inverse, counts = np.unique(rank * base + words,
-                                          return_inverse=True, return_counts=True)
-        orders.append(_OrderData(ctx_codes, keys, counts))
+            codes = rank * base + stream[targets - (n - 1)]
+            ctx_codes, rank = np.unique(codes.astype(_width(len(ctx_codes), base, T, F)),
+                                        return_inverse=True)
+        codes = (rank * base + words).astype(_width(len(ctx_codes), base, T, F))
+        keys, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+        built.append((ctx_codes, keys, counts))
         type_inverse.append(inverse)
+    width = _width(len(ctx_codes), base, T, F)
+    orders = [None] + [_OrderData(*(a.astype(width, copy=False) for a in arrays))
+                       for arrays in built]
     cont_inverse = _derive(orders, base)
     table = CountTable(order, corpus.vocab.size, orders, corpus.token_count,
                        _vocab_fingerprint(corpus.vocab))
     if folds is None:
         return table, None
 
-    if folds < 2:
-        raise CountError("folds must be >= 2")
-    if len(corpus.sentences) < folds:
-        raise CountError(f"need at least {folds} sentences for {folds} folds")
-    fold_assignment = np.arange(len(corpus.sentences), dtype=np.int64) % folds
+    fold_assignment = np.arange(len(corpus.sentences), dtype=width) % folds
     fold_of_t = fold_assignment[sent_of]
 
     fold_data: list = [None] * (order + 1)
@@ -351,15 +372,18 @@ class FoldedCounts:
         return CountView(self.table, self)
 
 
-def _index(keys: np.ndarray, key) -> int:
-    """Position of one key in sorted keys, or -1 when absent."""
-    i = int(keys.searchsorted(key))
+def _index(keys: memoryview, key: int) -> int:
+    """Position of one key in sorted keys, or -1 when absent (``searchsorted``
+    given a Python int would copy int32 keys to int64 on every call)."""
+    i = bisect.bisect_left(keys, key)
     return i if i < len(keys) and keys[i] == key else -1
 
 
 def _find(keys: np.ndarray, query: np.ndarray):
-    """Positions of query in non-empty sorted keys (clamped) and which are there."""
-    idx = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    """Positions of query in non-empty sorted keys (clamped; searched in the
+    keys' width) and which are there (compared unwrapped: a rank past the
+    contexts never hits)."""
+    idx = np.minimum(np.searchsorted(keys, query.astype(keys.dtype, copy=False)), len(keys) - 1)
     return idx, keys[idx] == query
 
 
@@ -393,6 +417,7 @@ class _Kind(NamedTuple):
     keys: np.ndarray
     counts: np.ndarray
     stats: np.ndarray
+    index: memoryview  # the keys again, for scalar lookups
     fold_keys: np.ndarray | None
     fold_counts: np.ndarray | None
     stat_keys: np.ndarray | None
@@ -416,6 +441,7 @@ class CountView:
         root.setflags(write=False)
         self._latest: tuple[tuple[int, ...], np.ndarray] = ((), root)
         self._kinds: dict[tuple[int, bool], _Kind] = {}
+        self._contexts = [memoryview(od.ctx_codes) for od in table.orders[1:]]
 
     @property
     def vocab_size(self) -> int:
@@ -428,14 +454,14 @@ class CountView:
             od = self.table.orders[order]
             fd = self.folded.fold_data[order] if self.folded is not None else _NO_FOLDS
             if not continuation:
-                kind = _Kind(od.type_keys, od.type_counts, od.stats,
+                kind = _Kind(od.type_keys, od.type_counts, od.stats, memoryview(od.type_keys),
                              fd.type_keys, fd.type_counts, fd.stat_keys, fd.stat_deltas)
             elif od.cont_type_keys is None:
                 raise CountError(f"no continuation counts at order {order}")
             else:
                 kind = _Kind(od.cont_type_keys, od.cont_type_counts, od.cont_stats,
-                             fd.cont_type_keys, fd.cont_type_counts, fd.cont_stat_keys,
-                             fd.cont_stat_deltas)
+                             memoryview(od.cont_type_keys), fd.cont_type_keys,
+                             fd.cont_type_counts, fd.cont_stat_keys, fd.cont_stat_deltas)
             self._kinds[order, continuation] = kind
         return kind
 
@@ -460,7 +486,7 @@ class CountView:
         if k >= self.table.order:
             raise CountError("context longer than order - 1")
         context = tuple(int(c) for c in context)
-        base, orders = self.table.base, self.table.orders
+        base = self.table.base
         if min(context) < 0 or max(context) >= base:  # never empty here
             raise CountError(f"context ids must lie in 0..{base - 1}")
         out = np.full(k + 1, -1, dtype=np.int64)
@@ -468,7 +494,7 @@ class CountView:
         for i in range(1, k + 1):
             if rank < 0:
                 break
-            rank = out[i] = _index(orders[i + 1].ctx_codes, rank * base + context[k - i])
+            rank = out[i] = _index(self._contexts[i], rank * base + context[k - i])
         out.setflags(write=False)
         self._latest = (context, out)
         return out
@@ -486,7 +512,7 @@ class CountView:
 
     def _count(self, order: int, rank: int, word: int, continuation: bool) -> int:
         kind = self._kind(order, continuation)
-        i = _index(kind.keys, rank * self.table.base + word)
+        i = _index(kind.index, rank * self.table.base + word)
         return 0 if i < 0 else int(kind.counts[i])
 
     def count(self, order: int, rank: int, word: int) -> int:
@@ -499,7 +525,8 @@ class CountView:
         """(word ids, counts) of a context's successors, as new arrays."""
         kind = self._kind(order, continuation)
         base = self.table.base
-        lo, hi = np.searchsorted(kind.keys, [rank * base, (rank + 1) * base])
+        lo = bisect.bisect_left(kind.index, rank * base)
+        hi = bisect.bisect_left(kind.index, (rank + 1) * base, lo)
         return kind.keys[lo:hi] % base, kind.counts[lo:hi].copy()
 
     # -- bulk queries ----------------------------------------------------

@@ -106,7 +106,10 @@ def constant(value) -> Tensor:
     return Tensor(np.asarray(value))
 
 
-def _wrap(x) -> Tensor:
+def _wrap(x, like=None) -> Tensor:
+    """``x`` as a tensor; a Python number takes the float dtype of ``like``."""
+    if isinstance(x, (int, float)) and isinstance(like, Tensor) and like.value.dtype.kind == "f":
+        x = np.asarray(x, like.value.dtype)  # else float64 would turn a float32 graph float64
     return x if isinstance(x, Tensor) else constant(x)
 
 
@@ -135,17 +138,17 @@ def _node(value, parents, grads) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     return _node(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     return _node(a.value * b.value, (a, b), (lambda g: g * b.value, lambda g: g * a.value))
 
 
 def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     return _node(a.value / b.value, (a, b),
                  (lambda g: g / b.value, lambda g: -g * a.value / (b.value * b.value)))
 

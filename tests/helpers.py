@@ -143,17 +143,33 @@ def _assert_strictly_sorted(keys, where):
     assert np.all(np.diff(keys) > 0), f"{where}: keys not strictly sorted"
 
 
+def store_width(table, n_folds=1):
+    """The one integer width a store's bounds select: int32 while the top
+    order's contexts times B and the token count times the folds stay below
+    2**31."""
+    bound = max(len(table.orders[-1].ctx_codes) * table.base, table.token_count * n_folds)
+    return np.dtype(np.int32 if bound < 2**31 else np.int64)
+
+
+def _assert_width(holder, width, where):
+    for name, arr in vars(holder).items():
+        assert arr is None or arr.dtype == width, f"{where} {name}: {arr.dtype}, not {width}"
+
+
 def assert_store_invariants(table, folded=None):
     """Check what every count store keeps true, with its fold data if given.
 
-    Keys are strictly sorted, type counts are at least 1, each stats array
-    equals a re-tally of its type arrays, the raw totals of every order sum
-    to the token count, and no fold delta exceeds the full value it is
-    subtracted from.
+    Every array has the one width the store's bounds select, keys are
+    strictly sorted, type counts are at least 1, each stats array equals a
+    re-tally of its type arrays, the raw totals of every order sum to the
+    token count, and no fold delta exceeds the full value it is subtracted
+    from.
     """
     base = table.base
+    width = store_width(table, 1 if folded is None else folded.n_folds)
     for n in range(1, table.order + 1):
         od = table.orders[n]
+        _assert_width(od, width, f"order {n}")
         _assert_strictly_sorted(od.ctx_codes, f"order {n} contexts")
         if n > 1:
             assert np.all(od.ctx_codes // base < len(table.orders[n - 1].ctx_codes)), n
@@ -172,9 +188,11 @@ def assert_store_invariants(table, folded=None):
     if folded is None:
         return
     assert folded.table is table
+    assert folded.fold_assignment.dtype == width
     F = folded.n_folds
     for n in range(1, table.order + 1):
         od, fd = table.orders[n], folded.fold_data[n]
+        _assert_width(fd, width, f"order {n} folds")
         kinds = [("raw", od.type_counts, od.stats, fd.type_keys, fd.type_counts,
                   fd.stat_keys, fd.stat_deltas)]
         if n < table.order:

@@ -2,15 +2,20 @@
 
 import io
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import mixlm.counts as mcounts
 from mixlm.corpus import build_vocabulary, encode_corpus
 from mixlm.counts import (CountError, CountTable, CountView, ContextStats, accumulate,
                           cv_fold_counts)
+from mixlm.neural.features import bulk_context_features
+from mixlm.smoothing import SmoothingSpec, bulk_column_rows
 
 from helpers import (
     TOY_LINES,
@@ -23,17 +28,33 @@ from helpers import (
     fold_out_tables,
     parity_corpora,
     parity_id,
+    store_width,
     synthetic_lines,
     toy_corpus,
 )
 
 
-FINGERPRINT_AT = 32  # magic and header, then the fingerprint's u32 length
+FINGERPRINT_AT = 36  # magic and header, then the fingerprint's u32 length
 
 
 def sealed(data):
     """A count file with its trailing checksum recomputed."""
     return data[:-4] + struct.pack("<I", zlib.crc32(data[4:-4]))
+
+
+def all_int64(monkeypatch, build):
+    """What ``build`` returns when every width is int64, as in a table past 2**31."""
+    with monkeypatch.context() as m:
+        m.setattr(mcounts, "_width", lambda *bounds: np.dtype(np.int64))
+        return build()
+
+
+def scalar_reads(view, n, rank, word, cont):
+    """count, stats, then successor words and counts of one context and word."""
+    if cont:
+        return (view.cont_count(n, rank, word), view.cont_stats(n, rank),
+                *view.successors(n, rank, True))
+    return view.count(n, rank, word), view.stats(n, rank), *view.successors(n, rank)
 
 
 def resolve(view, context):
@@ -612,20 +633,43 @@ class TestSerialization:
         accumulate(encode(["a b a", "a c", "a b", "d a"]), 3).write_binary(buf)
         data = buf.getvalue()
         (fp_len,) = struct.unpack_from("<I", data, FINGERPRINT_AT - 4)
-        at = FINGERPRINT_AT + fp_len + 24  # past order 1's context array and key count
-        first, second = slice(at, at + 8), slice(at + 8, at + 16)
+        at = FINGERPRINT_AT + fp_len + 20  # past order 1's context array and key count
+        first, second = slice(at, at + 4), slice(at + 4, at + 8)
         oversized = bytearray(data)
-        oversized[first] = struct.pack("<q", 1_000_000)
+        oversized[first] = struct.pack("<i", 1_000_000)
         swapped = bytearray(data)
         swapped[first], swapped[second] = data[second], data[first]
         for bad in (oversized, swapped):
             with pytest.raises(CountError, match="order-1 keys"):
                 CountTable.read_binary(io.BytesIO(sealed(bytes(bad))))
 
+    @pytest.mark.parametrize("at, value, message", [
+        (4, 3, "version 3"), (12, 0, "width 0"), (12, 2, "width 2"), (12, 16, "width 16")],
+        ids=["version-3", "width-0", "width-2", "width-16"])
+    def test_rejects_other_version_or_width_behind_checksum(self, at, value, message):
+        buf = io.BytesIO()
+        self.table.write_binary(buf)
+        data = buf.getvalue()
+        assert struct.unpack_from("<II", data, 4) == (4, 3)
+        assert struct.unpack_from("<I", data, 12) == (4,)
+        bad = data[:at] + struct.pack("<I", value) + data[at + 4:]
+        with pytest.raises(CountError, match=message):
+            CountTable.read_binary(io.BytesIO(sealed(bad)))
+
+    def test_rejects_width_its_bounds_do_not_select(self, monkeypatch):
+        """A small table written at width 8 behind a valid checksum: its bounds
+        select 4, and int32 arithmetic on a wider table could overflow."""
+        buf = io.BytesIO()
+        all_int64(monkeypatch, lambda: self.table.write_binary(buf))
+        data = buf.getvalue()
+        assert struct.unpack_from("<I", data, 12) == (8,)
+        with pytest.raises(CountError, match="width 8 is not the one"):
+            CountTable.read_binary(io.BytesIO(data))
+
     @pytest.mark.parametrize("damage", [
         "contexts unsorted", "suffix rank past the shorter contexts", "key past the contexts",
         "negative key", "zero count", "counts miss the token count", "bos word",
-        "second order-1 context"])
+        "second order-1 context", "last code past the width"])
     def test_rejects_written_arrays_out_of_order_or_range(self, damage):
         """``write_binary`` seals whatever arrays a table holds; load checks them."""
         table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
@@ -638,6 +682,8 @@ class TestSerialization:
             o[2].type_keys[-1] = len(o[2].ctx_codes) * table.base
         elif damage == "negative key":
             o[1].type_keys[0] = -1
+        elif damage == "last code past the width":  # its difference wraps to a positive int32
+            o[3].ctx_codes[-1] = -2**31
         elif damage == "bos word":  # still the largest key
             o[2].type_keys[-1] += table.base - 1 - o[2].type_keys[-1] % table.base
         elif damage == "second order-1 context":  # the largest key moves to it
@@ -667,11 +713,129 @@ class TestSerialization:
             for n in range(1, table.order + 1):
                 read = [table.orders[n].ctx_codes]
                 for continuation in (False, True) if n < table.order else (False,):
-                    read += [a for a in view._kind(n, continuation) if a is not None]
+                    kind = view._kind(n, continuation)
+                    assert kind.index.obj is kind.keys, n  # the memoryview reads the keys
+                    read += [a for a in kind if isinstance(a, np.ndarray)]
                 holders = [table.orders[n]] + ([] if folds is None else [folds.fold_data[n]])
                 found = [v for h in holders for v in vars(h).values() if v is not None]
                 assert all(isinstance(v, np.ndarray) for v in found), n
                 assert sorted(map(id, read)) == sorted(map(id, found)), n
+
+
+class TestWidth:
+    """One integer width per store, chosen from its bounds alone."""
+
+    def test_width_at_the_bound(self):
+        """int32 at a bound of 2**31 - 1 and int64 at 2**31, from each of the
+        three bounds, without building a large table."""
+        i32, i64 = np.dtype(np.int32), np.dtype(np.int64)
+        # (top-order contexts, B, token count, folds) -> width
+        cases = [((2**31 - 1, 1, 10, 1), i32), ((2**31, 1, 10, 1), i64),
+                 ((2**28 - 1, 8, 10, 1), i32), ((2**28, 8, 10, 1), i64),
+                 ((1, 8, 2**31 - 1, 1), i32), ((1, 8, 2**31, 1), i64),
+                 ((1, 8, 2**30 - 1, 2), i32), ((1, 8, 2**30, 2), i64)]
+        for (n_ctx, base, tokens, folds), want in cases:
+            assert mcounts._width(n_ctx, base, tokens, folds) == want
+            orders = [None, SimpleNamespace(ctx_codes=range(n_ctx))]
+            table = SimpleNamespace(orders=orders, base=base, token_count=tokens)
+            assert store_width(table, folds) == want
+
+    def test_int64_store_answers_as_int32(self, monkeypatch):
+        """Every scalar and bulk query, with and without folds, and the
+        smoothed rows and features built on them, read the same from an int32
+        store and from one whose every array is int64; both write one file."""
+        corpus, held = parity_corpora(23)
+        narrow = cv_fold_counts(corpus, 4, folds=3)
+        wide = all_int64(monkeypatch, lambda: cv_fold_counts(corpus, 4, folds=3))
+        assert store_width(narrow.table, 3) == np.int32
+        holders = [*wide.table.orders[1:], *wide.fold_data[1:]]
+        assert {a.dtype for h in holders for a in vars(h).values() if a is not None} == {
+            np.dtype(np.int64)} == {wide.fold_assignment.dtype}
+        assert_tables_equal(narrow.table, wide.table)
+        files = [io.BytesIO(), io.BytesIO()]
+        narrow.table.write_binary(files[0])
+        wide.table.write_binary(files[1])
+        assert files[0].getvalue() == files[1].getvalue()
+
+        spec = SmoothingSpec.kn(narrow.table, 4)
+        assert SmoothingSpec.kn(wide.table, 4) == spec
+        nv, wv = narrow.view(), wide.view()
+        for text in (corpus, held):
+            ranks, words, sent_of = nv.bulk_ranks(text)
+            for got, want in zip(wv.bulk_ranks(text), (ranks, words, sent_of)):
+                np.testing.assert_array_equal(got, want)
+            for folds in (None, sent_of % 3):
+                for n in range(1, 5):
+                    for cont in (False, True) if n < 4 else (False,):
+                        r = ranks[:, n - 1]
+                        np.testing.assert_array_equal(
+                            nv.bulk_counts(n, r, words, folds, cont),
+                            wv.bulk_counts(n, r, words, folds, cont))
+                        np.testing.assert_array_equal(nv.bulk_stats(n, r, folds, cont),
+                                                      wv.bulk_stats(n, r, folds, cont))
+                for got, want in zip(bulk_column_rows(wv, spec, ranks, words, folds),
+                                     bulk_column_rows(nv, spec, ranks, words, folds)):
+                    np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(bulk_context_features(wv, spec, ranks, folds),
+                                              bulk_context_features(nv, spec, ranks, folds))
+            grams = brute_ngrams(text, 4)
+            for n in range(1, 5):
+                for ctx, w in grams[n]:
+                    chain = nv.rank_chain(ctx)
+                    np.testing.assert_array_equal(wv.rank_chain(ctx), chain)
+                    r = int(chain[-1])
+                    if r < 0:
+                        continue
+                    for cont in (False, True) if n < 4 else (False,):
+                        got, want = (scalar_reads(v, n, r, w, cont) for v in (wv, nv))
+                        assert got[:2] == want[:2], (n, ctx, w, cont)
+                        for a, b in zip(got[2:], want[2:]):
+                            np.testing.assert_array_equal(a, b)
+
+    def test_rank_past_the_contexts_never_wraps_onto_a_key(self):
+        """A bulk query cast to int32 wraps, but only its search does: a rank
+        far past the contexts still counts 0, as it does at int64."""
+        table = accumulate(encode(["a b c d e", "a c"]), 2)
+        assert table.base == 8 and store_width(table) == np.int32
+        rank, word = divmod(int(table.orders[2].type_keys[3]), table.base)
+        wrapped = rank + 2**32 // table.base  # the same key modulo 2**32
+        view = table.view()
+        assert view.count(2, rank, word) == 1
+        np.testing.assert_array_equal(
+            view.bulk_counts(2, np.array([rank, wrapped]), np.array([word, word])), [1, 0])
+
+    def test_scalar_lookups_copy_no_key_array(self):
+        """A scalar lookup on an int32 store allocates far less than the
+        smallest key array it searches, so it converts none to int64
+        (``searchsorted`` given a Python int copies them on every call)."""
+        corpus = encode(synthetic_lines(1500, n_words=1500, seed=3))
+        table = accumulate(corpus, 3)
+        o = table.orders
+        assert store_width(table) == np.int32
+        view = table.view()
+        first, second = [tuple(int(w) for w in s[:2]) for s in corpus.sentences if len(s) > 2][:2]
+        word = int(next(s[2] for s in corpus.sentences if len(s) > 2))
+        r3, r2 = int(view.rank_chain(first)[2]), int(view.rank_chain(first)[1])
+        calls = {
+            "rank_chain miss": (lambda: view.rank_chain(second), [o[2].ctx_codes, o[3].ctx_codes]),
+            "stats": (lambda: view.stats(3, r3), [o[3].type_keys]),
+            "cont_stats": (lambda: view.cont_stats(2, r2), [o[2].cont_type_keys]),
+            "count": (lambda: view.count(3, r3, word), [o[3].type_keys]),
+            "cont_count": (lambda: view.cont_count(2, r2, word), [o[2].cont_type_keys]),
+            "successors": (lambda: view.successors(3, r3), [o[3].type_keys]),
+            "cont successors": (lambda: view.successors(2, r2, True), [o[2].cont_type_keys]),
+        }
+        for what, (call, searched) in calls.items():
+            call()  # the view keeps what it builds on a first read
+            view.rank_chain(first)  # the next chain of ``second`` misses the kept one
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            smallest = min(a.nbytes for a in searched)
+            assert peak * 4 < smallest, (what, peak, smallest)
 
 
 class TestInputValidation:
@@ -702,10 +866,13 @@ def test_store_invariants_catch_damage():
     def damage_fold_stats(t, f):
         f.fold_data[2].cont_stat_deltas[0, 0] += 100
 
+    def damage_width(t, f):  # the values stay right; only the width differs
+        f.fold_data[2].cont_stat_deltas = f.fold_data[2].cont_stat_deltas.astype(np.int64)
+
     folded = cv_fold_counts(toy_corpus(), 3, folds=2)
     assert_store_invariants(folded.table, folded)
     for damage in (damage_type_order, damage_type_count, damage_token_count,
-                   damage_fold_count, damage_fold_stats):
+                   damage_fold_count, damage_fold_stats, damage_width):
         folded = cv_fold_counts(toy_corpus(), 3, folds=2)
         damage(folded.table, folded)
         with pytest.raises(AssertionError):

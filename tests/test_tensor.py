@@ -208,6 +208,29 @@ class TestComposedGraph:
         assert x.grad.dtype == np.float32
         assert np.all(np.isfinite(x.grad))
 
+    @pytest.mark.parametrize("op", [
+        lambda y: y / 4.0, lambda y: T.div(4.0, y), lambda y: y * 0.5, lambda y: T.mul(2, y),
+        lambda y: y + 1.0, lambda y: T.add(1, y)],
+        ids=["over-float", "float-over", "times-float", "int-times", "plus-float", "int-plus"])
+    def test_python_number_keeps_float32(self, op):
+        """A Python number takes the float dtype of the tensor it meets."""
+        x = T.param(np.ones((2, 2), dtype=np.float32), "x")
+        y = op(T.tsum(T.tanh(x @ x)))
+        y.backward()
+        assert y.value.dtype == np.float32
+        assert x.grad.dtype == np.float32
+
+    def test_python_number_in_float64_graph_unchanged(self):
+        """In a float64 graph a Python number gives what a float64 array does."""
+        x = T.param(np.linspace(0.1, 0.4, 4).reshape(2, 2), "x")
+        y = T.tsum(T.tanh(x @ x)) / 3.0
+        y.backward()
+        grad, x.grad = x.grad, None  # a leaf accumulates across passes
+        want = T.tsum(T.tanh(x @ x)) / T.constant(np.float64(3.0))
+        want.backward()
+        assert y.value.dtype == np.float64 and y.value == want.value
+        np.testing.assert_array_equal(grad, x.grad)
+
 
 class TestInPlaceAccumulation:
     """A table fed by two repeated-index lookups and one elementwise use."""
