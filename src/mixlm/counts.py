@@ -451,6 +451,8 @@ class CountView:
         """Raw or continuation arrays of one order, kept per view: the one place that picks."""
         kind = self._kinds.get((order, continuation))
         if kind is None:
+            if not 1 <= order <= self.table.order:
+                raise CountError(f"order {order} outside 1..{self.table.order}")
             od = self.table.orders[order]
             fd = self.folded.fold_data[order] if self.folded is not None else _NO_FOLDS
             if not continuation:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..counts import CountView
-from ..smoothing import SmoothingSpec
+from ..smoothing import SmoothingSpec, check_ranks
 
 
 def feature_width(spec: SmoothingSpec) -> int:
@@ -29,6 +29,7 @@ def bulk_context_features(view: CountView, spec: SmoothingSpec, ranks: np.ndarra
     """Feature rows of T positions, from their context ranks (T, order), one
     block per order as the module describes; with ``folds``, each position's
     fold is left out."""
+    check_ranks(ranks, spec)
     out = np.zeros((ranks.shape[0], feature_width(spec)))
     per_block = out.shape[1] // spec.order
     for n in range(1, spec.order + 1):

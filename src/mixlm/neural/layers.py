@@ -2,11 +2,12 @@
 output, and the block dropout used when count columns sit next to an
 identity block.
 
-The LSTM step and the masked softmax output compute in numpy and enter the
-autograd graph as fused nodes with hand-written backward passes: two nodes
-per LSTM step (cell state and output) and one per output layer, instead of
-one node per elementwise operation.  Training and evaluation run the same
-forward.
+Every layer computes in numpy and enters the autograd graph as fused nodes
+with hand-written backward passes: one node per feed-forward layer, two per
+LSTM step (cell state and output) and one per output layer, instead of one
+node per elementwise operation.  Each rejects an input that is not a
+(batch, width) matrix with ``ValueError``.  Training and evaluation run the
+same forward.
 
 All weights initialize uniformly in [-0.1, 0.1] except the LSTM forget-gate
 bias, which starts at 1 so long-range memory survives early training.
@@ -34,6 +35,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _check_input(x: Tensor, width: int) -> None:
+    shape = x.value.shape
+    if len(shape) != 2 or shape[1] != width:
+        raise ValueError(f"expected a (batch, {width}) input, got shape {shape}")
+
+
 class FeedForward:
     """One affine layer with a tanh nonlinearity: h = tanh(x W + b)."""
 
@@ -43,9 +50,20 @@ class FeedForward:
         self.b = T.param(np.zeros(hidden_size), "ff.b")
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.value.shape[1] != self.in_size:
-            raise ValueError(f"expected input width {self.in_size}, got {x.value.shape[1]}")
-        return T.tanh(x @ self.W + self.b)
+        """h as one graph node; the backward pass is dz = g·(1 − h²)."""
+        _check_input(x, self.in_size)
+        W, b = self.W, self.b
+        xv, Wv = x.value, W.value
+        y = np.tanh(xv @ Wv + b.value)
+
+        def backward(g):
+            dz = g * (1.0 - y * y)
+            if x.requires_grad:
+                x._accum(dz @ Wv.T)
+            W._accum(xv.T @ dz)
+            b._accum(dz.sum(axis=0))
+
+        return Tensor(y, (x, W, b), backward)
 
     def parameters(self) -> list[Tensor]:
         return [self.W, self.b]
@@ -77,8 +95,7 @@ class LSTM:
         three gates and sends the gate gradient on to x, h_prev, c_prev and
         the weights.
         """
-        if x.value.shape[1] != self.in_size:
-            raise ValueError(f"expected input width {self.in_size}, got {x.value.shape[1]}")
+        _check_input(x, self.in_size)
         h_prev, c_prev = state
         H = self.hidden_size
         W_x, W_h, b = self.W_x, self.W_h, self.b
@@ -123,6 +140,7 @@ class OutputLayer:
     weights of masked columns and renormalizes the rest."""
 
     def __init__(self, hidden_size: int, out_size: int, rng: np.random.Generator):
+        self.in_size = hidden_size
         self.out_size = out_size
         self.W = T.param(_init(rng, (hidden_size, out_size)), "out.W")
         self.b = T.param(np.zeros(out_size), "out.b")
@@ -132,10 +150,15 @@ class OutputLayer:
         columns where ``mask`` is non-zero, 0 at the others, each row summing
         to 1.
 
-        A row with no unmasked column raises ``ValueError``.  The backward
-        pass is dz = y·(g − Σ g·y), which is 0 at masked columns because y is.
+        A mask that is not (batch, out_size) or has a row with no unmasked
+        column raises ``ValueError``.  The backward pass is
+        dz = y·(g − Σ g·y), which is 0 at masked columns because y is.
         """
+        _check_input(h, self.in_size)
         off = np.asarray(mask) == 0
+        if off.shape != (h.value.shape[0], self.out_size):
+            raise ValueError(f"expected a ({h.value.shape[0]}, {self.out_size}) mask, "
+                             f"got shape {off.shape}")
         empty = np.flatnonzero(off.all(axis=1))
         if len(empty):
             raise ValueError(f"mask row {empty[0]} has no unmasked column")

@@ -1,20 +1,19 @@
-"""Reverse-mode automatic differentiation over dense numpy arrays.
+"""Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
 Every operation builds a node recording its parents and a backward pass.
 Calling ``backward`` on a scalar loss walks the graph once in reverse
 topological order.  Each tensor owns its gradient array and contributions
 are added into it in place; the optimizer may scale it in place.
 
-``_node`` builds the arithmetic, matrix, reduction and concatenation ops from
-a forward value and one gradient expression per parent.  Its backward
+``_node`` builds the arithmetic, reduction and concatenation ops from a
+forward value and one gradient expression per parent.  Its backward
 evaluates an expression only for a parent that requires a gradient, sums the
 result over the axes broadcasting expanded, and adds it in.  Two kinds of
 node keep their own backward: the scatters ``slice_cols``, ``gather_rows``
 and ``take_per_row``, which write into part of their parent's gradient
 array and so never allocate a full-size gradient, and the fused nodes of
-``layers`` (the LSTM cell state and output, the masked softmax output),
-whose parents share one pre-activation gradient.  Everything runs on plain
-numpy so 64-bit is the default and 32-bit works by feeding float32 arrays in.
+``layers`` (the feed-forward layer, the LSTM cell state and output, the
+masked softmax output), whose parents share one pre-activation gradient.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ class Tensor:
     __slots__ = ("value", "grad", "parents", "_backward", "requires_grad", "name")
 
     def __init__(self, value, parents=(), backward=None, requires_grad=False, name=None):
-        if not isinstance(value, np.ndarray):  # a numpy float scalar keeps its dtype
-            value = np.asarray(value, value.dtype if isinstance(value, np.floating) else np.float64)
+        if not isinstance(value, np.ndarray):
+            value = np.asarray(value, np.float64)
         self.value = value
         self.parents = tuple(parents)
         self._backward = backward
@@ -87,9 +86,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __neg__(self):
         return neg(self)
 
@@ -106,10 +102,7 @@ def constant(value) -> Tensor:
     return Tensor(np.asarray(value))
 
 
-def _wrap(x, like=None) -> Tensor:
-    """``x`` as a tensor; a Python number takes the float dtype of ``like``."""
-    if isinstance(x, (int, float)) and isinstance(like, Tensor) and like.value.dtype.kind == "f":
-        x = np.asarray(x, like.value.dtype)  # else float64 would turn a float32 graph float64
+def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
@@ -138,17 +131,17 @@ def _node(value, parents, grads) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a, b), _wrap(b, a)
+    a, b = _wrap(a), _wrap(b)
     return _node(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a, b), _wrap(b, a)
+    a, b = _wrap(a), _wrap(b)
     return _node(a.value * b.value, (a, b), (lambda g: g * b.value, lambda g: g * a.value))
 
 
 def div(a, b) -> Tensor:
-    a, b = _wrap(a, b), _wrap(b, a)
+    a, b = _wrap(a), _wrap(b)
     return _node(a.value / b.value, (a, b),
                  (lambda g: g / b.value, lambda g: -g * a.value / (b.value * b.value)))
 
@@ -156,21 +149,6 @@ def div(a, b) -> Tensor:
 def neg(a) -> Tensor:
     a = _wrap(a)
     return _node(-a.value, (a,), (lambda g: -g,))
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ValueError(f"matmul expects 2-d operands, got {a.value.shape} @ {b.value.shape}")
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
-    return _node(a.value @ b.value, (a, b), (lambda g: g @ b.value.T, lambda g: a.value.T @ g))
-
-
-def tanh(a) -> Tensor:
-    a = _wrap(a)
-    y = np.tanh(a.value)
-    return _node(y, (a,), (lambda g: g * (1.0 - y * y),))
 
 
 def log(a) -> Tensor:

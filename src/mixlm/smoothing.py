@@ -193,7 +193,11 @@ class SmoothingSpec:
 
     @classmethod
     def kn(cls, table: CountTable, order: int) -> "SmoothingSpec":
-        """Modified-KN discounts per order, estimated on a count table."""
+        """Modified-KN discounts per order, estimated on a count table of at
+        least that order."""
+        if order > table.order:
+            raise ValueError(f"kn smoothing of order {order} needs a table of order "
+                             f">= {order}, got {table.order}")
         ds = [discounts_from_count_of_counts(*table.count_of_counts(n, n < order))
               for n in range(1, order + 1)]
         return cls(order, (None, *ds))
@@ -259,6 +263,13 @@ def heuristic_lambda(alphas) -> np.ndarray:
 # -- vectorized evaluation over corpus positions ---------------------------
 
 
+def check_ranks(ranks: np.ndarray, spec: SmoothingSpec) -> None:
+    """Reject context ranks (T, k) with fewer columns than the spec has orders."""
+    if ranks.shape[1] < spec.order:
+        raise ValueError(f"order-{spec.order} smoothing needs {spec.order} rank columns, "
+                         f"got {ranks.shape[1]}")
+
+
 def bulk_column_rows(view: CountView, spec: SmoothingSpec, ranks: np.ndarray,
                      words: np.ndarray, folds: np.ndarray | None = None):
     """Per-position probabilities and fallbacks for every order at once.
@@ -269,6 +280,7 @@ def bulk_column_rows(view: CountView, spec: SmoothingSpec, ranks: np.ndarray,
     valid[t, n-1] False exactly when that context is unobserved (masked
     column, alpha forced to 1).  Agrees with the scalar builders entrywise.
     """
+    check_ranks(ranks, spec)
     shape = (len(words), spec.order)
     probs = np.zeros(shape)
     alphas = np.ones(shape)

@@ -6,8 +6,10 @@ The count oracles here are deliberately slow dict-based reimplementations of
 the count semantics (full bos padding, eos predicted, continuation counts
 from distinct left extensions).  Tests compare the vectorized store against
 them on small random corpora.  The layer references compose one autograd
-node per elementwise operation; tests compare the fused layer nodes against
-them and every gradient against central differences.
+node per operation, from the library's ops and the reference ops kept here
+(``matmul``, ``tanh``, ``sigmoid``, ``softmax_rows``); tests compare the
+fused layer nodes against them and every gradient against central
+differences.
 """
 
 from collections import defaultdict
@@ -210,6 +212,24 @@ def assert_store_invariants(table, folded=None):
 # -- unfused reference of the network layers -------------------------------
 
 
+def matmul(a, b) -> T.Tensor:
+    """Matrix product node of two 2-d operands."""
+    a, b = T._wrap(a), T._wrap(b)
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise ValueError(f"matmul expects 2-d operands, got {a.value.shape} @ {b.value.shape}")
+    if a.value.shape[1] != b.value.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
+    return T._node(a.value @ b.value, (a, b),
+                   (lambda g: g @ b.value.T, lambda g: a.value.T @ g))
+
+
+def tanh(a) -> T.Tensor:
+    """Elementwise tanh node."""
+    a = T._wrap(a)
+    y = np.tanh(a.value)
+    return T._node(y, (a,), (lambda g: g * (1.0 - y * y),))
+
+
 def sigmoid(a: T.Tensor) -> T.Tensor:
     """Logistic node, evaluating each half only where it cannot overflow."""
     x = a.value
@@ -249,24 +269,29 @@ def mean_all(a) -> T.Tensor:
     return T.tsum(a) / float(a.value.size)
 
 
+def feedforward_unfused(ff, x):
+    """``FeedForward.__call__`` as one node per operation (three)."""
+    return tanh(matmul(x, ff.W) + ff.b)
+
+
 def lstm_step_unfused(lstm, x, state):
     """``LSTM.step`` as one node per operation (about 17 per step)."""
     h_prev, c_prev = state
     H = lstm.hidden_size
-    gates = x @ lstm.W_x + h_prev @ lstm.W_h + lstm.b
+    gates = matmul(x, lstm.W_x) + matmul(h_prev, lstm.W_h) + lstm.b
     i = sigmoid(T.slice_cols(gates, 0, H))
     f = sigmoid(T.slice_cols(gates, H, 2 * H))
     o = sigmoid(T.slice_cols(gates, 2 * H, 3 * H))
-    g = T.tanh(T.slice_cols(gates, 3 * H, 4 * H))
+    g = tanh(T.slice_cols(gates, 3 * H, 4 * H))
     c = f * c_prev + i * g
-    h = o * T.tanh(c)
+    h = o * tanh(c)
     return h, (h, c)
 
 
 def output_unfused(out, h, mask=None):
     """``OutputLayer.__call__`` as one node per operation: softmax, then
     zero the masked columns and renormalize."""
-    lam = softmax_rows(h @ out.W + out.b)
+    lam = softmax_rows(matmul(h, out.W) + out.b)
     if mask is None:
         return lam
     kept = lam * T.constant(mask.astype(lam.value.dtype))

@@ -838,6 +838,36 @@ class TestWidth:
             assert peak * 4 < smallest, (what, peak, smallest)
 
 
+class TestOrderOutOfRange:
+    """An order outside 1..N raises ``CountError`` on every query that takes one."""
+
+    QUERIES = {
+        "stats": lambda t, n: t.view().stats(n, 0),
+        "cont_stats": lambda t, n: t.view().cont_stats(n, 0),
+        "count": lambda t, n: t.view().count(n, 0, 1),
+        "successors": lambda t, n: t.view().successors(n, 0),
+        "bulk_stats": lambda t, n: t.view().bulk_stats(n, np.zeros(2, dtype=np.int64)),
+        "bulk_counts": lambda t, n: t.view().bulk_counts(n, np.zeros(2, dtype=np.int64),
+                                                         np.ones(2, dtype=np.int64)),
+        "count_of_counts": lambda t, n: t.count_of_counts(n),
+    }
+
+    @pytest.mark.parametrize("order", [0, 4, 7, -1])
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_rejected(self, query, order):
+        table = accumulate(toy_corpus(), 3)
+        with pytest.raises(CountError, match=rf"order {order} outside 1\.\.3"):
+            self.QUERIES[query](table, order)
+
+    def test_rejection_leaves_the_view_working(self):
+        table = accumulate(toy_corpus(), 3)
+        view = table.view()
+        with pytest.raises(CountError):
+            view.stats(4, 0)
+        assert view.stats(3, 0) == table.view().stats(3, 0)
+        assert table.count_of_counts(3) == accumulate(toy_corpus(), 3).count_of_counts(3)
+
+
 class TestInputValidation:
     def test_order_zero_rejected(self):
         with pytest.raises(CountError):

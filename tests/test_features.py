@@ -124,6 +124,15 @@ class TestBulkFeatures:
             np.testing.assert_array_equal(bulk[miss][:, 6:], 0.0)
 
 
+def test_bulk_features_need_a_rank_column_per_order():
+    table = accumulate(toy_corpus(), 3)
+    view = table.view()
+    ranks, _, _ = view.bulk_ranks(toy_corpus())
+    with pytest.raises(ValueError, match="order-4 smoothing needs 4 rank columns, got 3"):
+        bulk_context_features(view, SmoothingSpec.ml(4), ranks)
+    assert bulk_context_features(view, SmoothingSpec.ml(2), ranks).shape == (len(ranks), 6)
+
+
 class TestNormalization:
     def test_mean_subtraction(self):
         f = np.array([[1.0, 2.0], [3.0, 4.0]])

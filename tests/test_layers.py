@@ -14,7 +14,14 @@ from mixlm.neural.layers import (
     block_dropout_mask,
 )
 
-from helpers import graph_nodes, lstm_step_unfused, output_unfused
+from helpers import (
+    feedforward_unfused,
+    gradient_check,
+    graph_nodes,
+    lstm_step_unfused,
+    mean_all,
+    output_unfused,
+)
 
 
 def sigma(x):
@@ -44,6 +51,12 @@ class TestFeedForward:
         ff = FeedForward(3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
             ff(T.constant(np.zeros((2, 5))))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3)], ids=["one-d", "three-d"])
+    def test_non_matrix_input_rejected(self, shape):
+        ff = FeedForward(3, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"expected a \(batch, 3\) input"):
+            ff(T.constant(np.zeros(shape)))
 
     def test_init_range(self):
         ff = FeedForward(20, 30, np.random.default_rng(2))
@@ -102,6 +115,12 @@ class TestLSTM:
         with pytest.raises(ValueError):
             lstm.step(T.constant(np.zeros((1, 5))), lstm.initial_state(1))
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3)], ids=["one-d", "three-d"])
+    def test_non_matrix_input_rejected(self, shape):
+        lstm = LSTM(3, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"expected a \(batch, 3\) input"):
+            lstm.step(T.constant(np.zeros(shape)), lstm.initial_state(1))
+
 
 class TestOutputLayer:
     def test_zero_logits_uniform(self):
@@ -138,12 +157,80 @@ class TestOutputLayer:
         assert lam[0, 2] == 0.0 and lam[1, 0] == 0.0
         np.testing.assert_allclose(lam.sum(axis=1), 1.0)
 
+    @pytest.mark.parametrize("shape", [(2, 5), (3,), (2, 2, 3)],
+                             ids=["wrong-width", "one-d", "three-d"])
+    def test_malformed_input_rejected(self, shape):
+        out = OutputLayer(3, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"expected a \(batch, 3\) input"):
+            out(T.constant(np.ones(shape)), np.ones((2, 4)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 5), (3, 4), (4,), (1, 4)],
+                             ids=["too-narrow", "too-wide", "too-many-rows", "one-d",
+                                  "one-row"])
+    def test_mask_of_wrong_shape_rejected(self, shape):
+        out = OutputLayer(3, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"expected a \(2, 4\) mask"):
+            out(T.constant(np.ones((2, 3))), np.ones(shape))
+
     @pytest.mark.parametrize("as_array", [False, True])
     def test_row_without_unmasked_column_raises(self, as_array):
         out = OutputLayer(2, 3, np.random.default_rng(0))
         mask = [[1, 1, 0], [0, 0, 0]]
         with pytest.raises(ValueError, match="mask row 1 has no unmasked column"):
             out(T.constant(np.ones((2, 2))), np.array(mask) if as_array else mask)
+
+
+class TestFusedFeedForward:
+    def setup_method(self):
+        rng = np.random.default_rng(31)
+        self.ff = FeedForward(5, 4, rng)
+        self.ff.b.value[:] = rng.normal(size=4) * 0.1
+        self.x = T.param(rng.normal(size=(6, 5)), "x")
+        self.g = rng.normal(size=(6, 4))  # dL/dh
+
+    def _forward_backward(self, layer):
+        params = [self.x] + self.ff.parameters()
+        for p in params:
+            p.grad = None
+        h = layer(self.x)
+        T.tsum(h * T.constant(self.g)).backward()
+        return h.value, [p.grad.copy() for p in params]
+
+    def test_values_and_gradients_equal_unfused_graph(self):
+        got, got_grads = self._forward_backward(self.ff)
+        want, want_grads = self._forward_backward(lambda x: feedforward_unfused(self.ff, x))
+        np.testing.assert_array_equal(got, want)
+        for a, b in zip(got_grads, want_grads):
+            np.testing.assert_array_equal(a, b)
+
+    def test_constant_input_gets_no_gradient(self):
+        x = T.constant(self.x.value)
+        T.tsum(self.ff(x)).backward()
+        assert x.grad is None
+        assert all(p.grad is not None for p in self.ff.parameters())
+
+    def test_adds_one_graph_node(self):
+        before = graph_nodes(self.x, *self.ff.parameters())
+        assert graph_nodes(self.ff(self.x)) - before == 1
+
+    def test_gradients_match_central_differences(self):
+        def loss():
+            return mean_all(self.ff(self.x) * T.constant(self.g))
+
+        assert gradient_check(loss, [self.x] + self.ff.parameters(), eps=1e-6) < 1e-7
+
+    def test_saturated_units_stay_finite(self):
+        """Pre-activations of ±1000 neither overflow nor warn, forward or
+        backward, and pass no gradient through a saturated unit."""
+        ff = FeedForward(1, 2, np.random.default_rng(0))
+        ff.W.value[:] = np.array([[1000.0, -1000.0]])
+        x = T.param(np.array([[1.0], [-1.0]]), "x")
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            h = ff(x)
+            T.tsum(h).backward()
+        np.testing.assert_array_equal(h.value, [[1.0, -1.0], [-1.0, 1.0]])
+        for p in [x] + ff.parameters():
+            np.testing.assert_array_equal(p.grad, 0.0)
 
 
 def _lstm_and_inputs(seed):

@@ -546,6 +546,24 @@ class TestSmoothingSpecContextLength:
             spec.fallback(view, (a, b))
 
 
+class TestSpecOrderAboveTable:
+    def test_kn_names_both_orders(self):
+        table = accumulate(toy_corpus(), 3)
+        with pytest.raises(ValueError, match=r"order 4 needs a table of order >= 4, got 3"):
+            SmoothingSpec.kn(table, 4)
+        assert SmoothingSpec.kn(table, 2).order == 2
+
+    @pytest.mark.parametrize("family", ["ml", "kn"])
+    def test_bulk_column_rows_needs_a_rank_column_per_order(self, family):
+        table = accumulate(toy_corpus(), 3)
+        view = table.view()
+        ranks, words, _ = view.bulk_ranks(toy_corpus())
+        spec = (SmoothingSpec.ml(4) if family == "ml"
+                else SmoothingSpec(4, (None,) + (flat(0.5),) * 4))
+        with pytest.raises(ValueError, match="order-4 smoothing needs 4 rank columns, got 3"):
+            bulk_column_rows(view, spec, ranks, words)
+
+
 class TestSmoothingSpecConstruction:
     @pytest.mark.parametrize("order", [0, -1, "2", 1.0],
                              ids=["order-zero", "order-negative", "order-text", "order-float"])
