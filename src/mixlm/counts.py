@@ -18,7 +18,10 @@ counted with full left bos-padding.
 Each order holds raw counts and, below the top order, continuation counts
 (distinct single-symbol left extensions, from the order-(n+1) types) in one
 layout: sorted ``rank * B + word`` type keys, parallel counts, and an
-(n_ctx, 4) stats array of total, n1, n2 and n3p per context.  Successors are
+(n_ctx + 1, 4) stats array of total, n1, n2 and n3p per context.  Its last
+row is all zero: rank -1 names an unobserved context, so it reads zeros by
+plain indexing, and every key built from it (-B plus a word or the bos id,
+-F plus a fold) is negative and matches nothing.  Successors are
 a slice; a (context, word) lookup is two binary searches.  Distinct
 successors are not stored: each has a count of at least 1, so their number
 is n1 + n2 + n3p, with a fold left out too.  A fold is left out per
@@ -76,7 +79,7 @@ class _OrderData:
     type_keys: np.ndarray  # sorted rank * B + word
     type_counts: np.ndarray
     # derived from the arrays above by ``_derive``
-    stats: np.ndarray | None = None  # (n_ctx, 4): total, n1, n2, n3p
+    stats: np.ndarray | None = None  # (n_ctx + 1, 4): total, n1, n2, n3p; last row 0
     # continuation counts in the same layout (absent at the top order)
     cont_type_keys: np.ndarray | None = None
     cont_type_counts: np.ndarray | None = None
@@ -250,7 +253,7 @@ def _derive(orders: list, base: int) -> list[np.ndarray]:
     type index (needed for fold-exclusive bookkeeping).
     """
     for od in orders[1:]:
-        od.stats = _tally(od.type_keys // base, od.type_counts, len(od.ctx_codes))
+        od.stats = _tally(od.type_keys // base, od.type_counts, len(od.ctx_codes) + 1)
     inverses: list = [None] * len(orders)
     for n in range(1, len(orders) - 1):
         hi = orders[n + 1]
@@ -259,7 +262,7 @@ def _derive(orders: list, base: int) -> list[np.ndarray]:
             suffix_rank * base + hi.type_keys % base, return_inverse=True, return_counts=True)
         od = orders[n]
         od.cont_type_keys, od.cont_type_counts = keys, counts.astype(keys.dtype)
-        od.cont_stats = _tally(keys // base, od.cont_type_counts, len(od.ctx_codes))
+        od.cont_stats = _tally(keys // base, od.cont_type_counts, len(od.ctx_codes) + 1)
     return inverses
 
 
@@ -387,12 +390,11 @@ def _find(keys: np.ndarray, query: np.ndarray):
     return idx, keys[idx] == query
 
 
-def _subtract(out: np.ndarray, keys: np.ndarray, deltas: np.ndarray,
-              query: np.ndarray, where: np.ndarray) -> None:
-    """out[t] -= deltas[i] for each t in ``where`` with keys[i] == query[t]."""
+def _subtract(out: np.ndarray, keys: np.ndarray, deltas: np.ndarray, query: np.ndarray) -> None:
+    """out[t] -= deltas[i] for each t with keys[i] == query[t]; a negative
+    query (built from rank -1) matches no key."""
     if len(keys):
         idx, hit = _find(keys, query)
-        hit &= where
         out[hit] -= deltas[idx[hit]]
 
 
@@ -473,9 +475,10 @@ class CountView:
         """Ranks of the length-0..len(context) suffixes of ``context``.
 
         Entry k is the rank of the last k symbols as an order-(k+1) context,
-        or -1 when that context never occurs in the full table.  The view
-        keeps only the latest chain: a suffix of the latest context reads a
-        prefix of it, and any other context is resolved from the root.
+        or -1 when that context never occurs in the full table: the key a
+        longer context builds from rank -1 is negative and finds no context.
+        The view keeps only the latest chain: a suffix of the latest context
+        reads a prefix of it, and any other context is resolved from the root.
         The returned array is that kept chain, so it is read-only.
         Every symbol of a resolved context must be a word id or the bos id J;
         ids are converted with ``int`` only when the kept chain misses.
@@ -491,11 +494,9 @@ class CountView:
         base = self.table.base
         if min(context) < 0 or max(context) >= base:  # never empty here
             raise CountError(f"context ids must lie in 0..{base - 1}")
-        out = np.full(k + 1, -1, dtype=np.int64)
-        out[0] = rank = 0
+        out = np.zeros(k + 1, dtype=np.int64)
+        rank = 0
         for i in range(1, k + 1):
-            if rank < 0:
-                break
             rank = out[i] = _index(self._contexts[i], rank * base + context[k - i])
         out.setflags(write=False)
         self._latest = (context, out)
@@ -504,7 +505,10 @@ class CountView:
     # -- scalar queries ------------------------------------------------------
 
     def _stats(self, order: int, rank: int, continuation: bool) -> ContextStats:
-        return ContextStats._make(self._kind(order, continuation).stats[rank].tolist())
+        stats = self._kind(order, continuation).stats
+        if not -1 <= rank < len(stats) - 1:
+            raise CountError(f"rank {rank} outside -1..{len(stats) - 2}")
+        return ContextStats._make(stats[rank].tolist())
 
     def stats(self, order: int, rank: int) -> ContextStats:
         return self._stats(order, rank, False)
@@ -514,6 +518,8 @@ class CountView:
 
     def _count(self, order: int, rank: int, word: int, continuation: bool) -> int:
         kind = self._kind(order, continuation)
+        if not 0 <= word < self.table.vocab_size:
+            raise CountError(f"word {word} outside 0..{self.table.vocab_size - 1}")
         i = _index(kind.index, rank * self.table.base + word)
         return 0 if i < 0 else int(kind.counts[i])
 
@@ -545,14 +551,11 @@ class CountView:
         stream, targets, sent_of = _corpus_stream(corpus, table.order)
         words = stream[targets]
         T = len(targets)
-        ranks = np.full((T, table.order), -1, dtype=np.int64)
-        ranks[:, 0] = 0
-        prev = np.zeros(T, dtype=np.int64)
-        alive = np.ones(T, dtype=bool)
+        ranks = np.zeros((T, table.order), dtype=np.int64)
         for n in range(2, table.order + 1):
-            prev, hit = _find(table.orders[n].ctx_codes, prev * base + stream[targets - (n - 1)])
-            alive &= hit
-            ranks[alive, n - 1] = prev[alive]
+            idx, hit = _find(table.orders[n].ctx_codes,
+                             ranks[:, n - 2] * base + stream[targets - (n - 1)])
+            ranks[:, n - 1] = np.where(hit, idx, -1)
         return ranks, words, sent_of
 
     def _folds(self, folds: np.ndarray | None, size: int) -> np.ndarray | None:
@@ -574,14 +577,15 @@ class CountView:
         """Vectorized (context rank, word) -> count, less the occurrences in
         the position's fold when ``folds`` are given; rank -1 yields 0."""
         kind = self._kind(order, continuation)
-        valid = ranks >= 0
-        idx, hit = _find(kind.keys, np.where(valid, ranks, 0) * self.table.base + words)
-        hit &= valid
+        J = self.table.vocab_size
+        if len(words) and not (words.min() >= 0 and words.max() < J):
+            raise CountError(f"words must lie in 0..{J - 1}")
+        idx, hit = _find(kind.keys, ranks * self.table.base + words)
         out = np.where(hit, kind.counts[idx], 0)
         folds = self._folds(folds, len(ranks))
         if folds is not None:
             _subtract(out, kind.fold_keys, kind.fold_counts,
-                      idx * self.folded.n_folds + folds, hit)
+                      np.where(hit, idx, -1) * self.folded.n_folds + folds)
         return out
 
     def bulk_stats(self, order: int, ranks: np.ndarray,
@@ -589,11 +593,11 @@ class CountView:
         """Vectorized per-context stats as a ``ContextStats`` of arrays; rank -1
         yields zeros."""
         kind = self._kind(order, continuation)
-        valid = ranks >= 0
-        r = np.where(valid, ranks, 0)
-        s = kind.stats[r]
-        s[~valid] = 0
+        n_ctx = len(kind.stats) - 1
+        if len(ranks) and not (ranks.min() >= -1 and ranks.max() < n_ctx):
+            raise CountError(f"ranks must lie in -1..{n_ctx - 1}")
+        s = kind.stats[ranks]
         folds = self._folds(folds, len(ranks))
         if folds is not None:
-            _subtract(s, kind.stat_keys, kind.stat_deltas, r * self.folded.n_folds + folds, valid)
+            _subtract(s, kind.stat_keys, kind.stat_deltas, ranks * self.folded.n_folds + folds)
         return ContextStats._make(s.T)

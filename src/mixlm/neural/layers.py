@@ -6,8 +6,8 @@ Every layer computes in numpy and enters the autograd graph as fused nodes
 with hand-written backward passes: one node per feed-forward layer, two per
 LSTM step (cell state and output) and one per output layer, instead of one
 node per elementwise operation.  Each rejects an input that is not a
-(batch, width) matrix with ``ValueError``.  Training and evaluation run the
-same forward.
+(batch, width) matrix with ``ValueError``, and the LSTM a state that is not
+(batch, hidden).  Training and evaluation run the same forward.
 
 All weights initialize uniformly in [-0.1, 0.1] except the LSTM forget-gate
 bias, which starts at 1 so long-range memory survives early training.
@@ -98,6 +98,10 @@ class LSTM:
         _check_input(x, self.in_size)
         h_prev, c_prev = state
         H = self.hidden_size
+        want = (x.value.shape[0], H)
+        if h_prev.value.shape != want or c_prev.value.shape != want:
+            raise ValueError(f"expected a {want} state, got {h_prev.value.shape} "
+                             f"and {c_prev.value.shape}")
         W_x, W_h, b = self.W_x, self.W_h, self.b
         xv, hv, cv, Wx, Wh = x.value, h_prev.value, c_prev.value, W_x.value, W_h.value
         act = xv @ Wx + hv @ Wh + b.value

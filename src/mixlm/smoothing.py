@@ -142,8 +142,6 @@ def _observed(view: CountView, context, continuation: bool = False):
     """(order, rank, stats) of a context; stats is None when its column is masked."""
     order = len(context) + 1
     rank = int(view.rank_chain(context)[len(context)])
-    if rank < 0:
-        return order, rank, None
     s = view.cont_stats(order, rank) if continuation else view.stats(order, rank)
     return order, rank, s if s.total > 0 else None
 

@@ -163,9 +163,9 @@ def assert_store_invariants(table, folded=None):
 
     Every array has the one width the store's bounds select, keys are
     strictly sorted, type counts are at least 1, each stats array equals a
-    re-tally of its type arrays, the raw totals of every order sum to the
-    token count, and no fold delta exceeds the full value it is subtracted
-    from.
+    re-tally of its type arrays plus one all-zero last row for rank -1, the
+    raw totals of every order sum to the token count, and no fold delta
+    exceeds the full value it is subtracted from.
     """
     base = table.base
     width = store_width(table, 1 if folded is None else folded.n_folds)
@@ -184,7 +184,7 @@ def assert_store_invariants(table, folded=None):
             assert len(counts) == len(keys) and np.all(counts >= 1), where
             groups = keys // base
             assert np.all(groups < len(od.ctx_codes)), where
-            np.testing.assert_array_equal(stats, _retally(groups, counts, len(od.ctx_codes)),
+            np.testing.assert_array_equal(stats, _retally(groups, counts, len(od.ctx_codes) + 1),
                                           err_msg=where)
         assert od.stats[:, 0].sum() == table.token_count, n
     if folded is None:

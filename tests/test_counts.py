@@ -259,6 +259,93 @@ class TestContextIds:
         assert self.view.rank_chain((self.b,)).tolist() == fresh
 
 
+class TestWordIds:
+    """A word id must lie in 0..J-1: past the vocabulary, ``rank * B + word``
+    would name a word of the next context (on the toy table, B = 6, word 8
+    after rank 0 is word 2 after rank 1), and a negative id one of the rank
+    below."""
+
+    BAD = {"-1": lambda J: -1, "J": lambda J: J, "B": lambda J: J + 1, "B+2": lambda J: J + 3}
+
+    def setup_method(self):
+        self.folded = cv_fold_counts(toy_corpus(), 3, folds=2)
+        self.J = self.folded.table.vocab_size
+        assert (self.J, self.folded.table.base) == (5, 6)
+
+    @pytest.mark.parametrize("n, cont", [(1, False), (2, False), (3, False), (1, True),
+                                         (2, True)], ids=["1", "2", "3", "cont1", "cont2"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_rejected_on_scalar_and_bulk_calls(self, bad, n, cont):
+        word = self.BAD[bad](self.J)
+        view = self.folded.view()
+        count = view.cont_count if cont else view.count
+        match = rf"must lie in 0\.\.{self.J - 1}|outside 0\.\.{self.J - 1}"
+        for rank in (-1, 0):
+            with pytest.raises(CountError, match=match):
+                count(n, rank, word)
+        ranks, words = np.array([0, 0, -1]), np.array([2, word, 2])
+        for folds in (None, np.array([0, 1, 0])):
+            with pytest.raises(CountError, match=match):
+                view.bulk_counts(n, ranks, words, folds=folds, continuation=cont)
+
+
+class TestUnobservedRank:
+    """Rank -1 names an unobserved context and reads zeros on the scalar and
+    bulk paths alike, with and without folds; any other rank outside the
+    contexts raises."""
+
+    @pytest.fixture(autouse=True, params=PARITY_CASES, ids=parity_id)
+    def case(self, request):
+        self.ORDER, self.FOLDS, seed = request.param
+        corpus, _ = parity_corpora(seed)
+        self.folded = cv_fold_counts(corpus, self.ORDER, folds=self.FOLDS)
+        self.J = corpus.vocab.size
+
+    def _kinds(self):
+        """(order, continuation) of every stats kind of the store."""
+        return [(n, cont) for n in range(1, self.ORDER + 1)
+                for cont in ((False, True) if n < self.ORDER else (False,))]
+
+    def _fold_choices(self, size):
+        return [None] + [np.full(size, f) for f in range(self.FOLDS)]
+
+    def test_stats_of_rank_minus_one_are_zero(self):
+        view, zero = self.folded.view(), ContextStats(0, 0, 0, 0)
+        for n, cont in self._kinds():
+            scalar = view.cont_stats(n, -1) if cont else view.stats(n, -1)
+            assert scalar == zero, (n, cont)
+            for folds in self._fold_choices(1):
+                bulk = view.bulk_stats(n, np.array([-1]), folds=folds, continuation=cont)
+                assert tuple(int(x[0]) for x in bulk) == scalar, (n, cont, folds)
+
+    def test_counts_of_rank_minus_one_are_zero(self):
+        view = self.folded.view()
+        words = np.arange(self.J)
+        ranks = np.full(self.J, -1)
+        for n, cont in self._kinds():
+            count = view.cont_count if cont else view.count
+            assert [count(n, -1, w) for w in range(self.J)] == [0] * self.J, (n, cont)
+            for folds in self._fold_choices(self.J):
+                got = view.bulk_counts(n, ranks, words, folds=folds, continuation=cont)
+                assert got.tolist() == [0] * self.J, (n, cont, folds)
+
+    def test_ranks_outside_the_contexts_rejected(self):
+        view = self.folded.view()
+        for n, cont in self._kinds():
+            n_ctx = len(self.folded.table.orders[n].ctx_codes)
+            stats = view.cont_stats if cont else view.stats
+            for bad in (-2, n_ctx, n_ctx + 5):
+                with pytest.raises(CountError, match=rf"outside -1\.\.{n_ctx - 1}"):
+                    stats(n, bad)
+                for ranks in (np.array([bad]), np.array([0, bad, -1, n_ctx - 1])):
+                    for folds in self._fold_choices(len(ranks)):
+                        with pytest.raises(CountError, match=rf"-1\.\.{n_ctx - 1}"):
+                            view.bulk_stats(n, ranks, folds=folds, continuation=cont)
+            # the bounds themselves are ranks
+            assert stats(n, n_ctx - 1).total > 0
+            view.bulk_stats(n, np.array([-1, n_ctx - 1]), continuation=cont)
+
+
 class TestRankChainHit:
     """A context that is a suffix of the latest one is answered from the kept
     chain before any id is converted; a miss converts and checks the ids."""

@@ -121,6 +121,19 @@ class TestLSTM:
         with pytest.raises(ValueError, match=r"expected a \(batch, 3\) input"):
             lstm.step(T.constant(np.zeros(shape)), lstm.initial_state(1))
 
+    @pytest.mark.parametrize("which", ["h", "c", "both"])
+    @pytest.mark.parametrize("shape", [(1, 2), (4, 3), (2,)],
+                             ids=["wrong-batch", "wrong-width", "one-d"])
+    def test_state_of_wrong_shape_rejected(self, shape, which):
+        """A (1, 2) state would broadcast over a batch of 4 and fail only in
+        backward; every wrong state is rejected before anything is computed."""
+        lstm = LSTM(3, 2, np.random.default_rng(0))
+        h, c = lstm.initial_state(4)
+        bad = T.constant(np.zeros(shape))
+        state = (bad if which != "c" else h, bad if which != "h" else c)
+        with pytest.raises(ValueError, match=r"expected a \(4, 2\) state"):
+            lstm.step(T.constant(np.zeros((4, 3))), state)
+
 
 class TestOutputLayer:
     def test_zero_logits_uniform(self):
