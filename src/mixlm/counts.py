@@ -11,9 +11,11 @@ Pauls & Klein 2011), so every code and type key is below
 ``len(top-order contexts) * B``, and every count, stat and fold key at most
 ``token_count * F`` (F = 1 without folds).  Every array of a store, fold data
 included, is int32 when both bounds are below 2**31, and int64 otherwise.
-A bulk query is cast to its keys' width; a scalar one is a ``bisect`` over a
-kept memoryview, so no lookup converts a key array.  Every position is
-counted with full left bos-padding.
+A bulk query is cast to its keys' width and searched in sorted order, so
+that each needle's binary search starts at the previous needle's position,
+then its positions are put back in the query's order; a scalar one is a
+``bisect`` over a kept memoryview, so no lookup converts a key array.
+Every position is counted with full left bos-padding.
 
 Each order holds raw counts and, below the top order, continuation counts
 (distinct single-symbol left extensions, from the order-(n+1) types) in one
@@ -384,18 +386,26 @@ def _index(keys: memoryview, key: int) -> int:
 
 def _find(keys: np.ndarray, query: np.ndarray):
     """Positions of query in non-empty sorted keys (clamped; searched in the
-    keys' width) and which are there (compared unwrapped: a rank past the
-    contexts never hits)."""
-    idx = np.minimum(np.searchsorted(keys, query.astype(keys.dtype, copy=False)), len(keys) - 1)
-    return idx, keys[idx] == query
+    keys' width and in sorted order, then put back in the query's order) and
+    which are there (compared unwrapped: a needle the cast wraps onto a key
+    never hits)."""
+    cast = query.astype(keys.dtype, copy=False)
+    perm = np.argsort(cast)
+    idx = np.empty(len(cast), dtype=np.intp)
+    idx[perm] = np.searchsorted(keys, cast[perm])
+    np.minimum(idx, len(keys) - 1, out=idx)
+    return idx, np.take(keys, idx) == query
 
 
 def _subtract(out: np.ndarray, keys: np.ndarray, deltas: np.ndarray, query: np.ndarray) -> None:
-    """out[t] -= deltas[i] for each t with keys[i] == query[t]; a negative
-    query (built from rank -1) matches no key."""
+    """out[t] -= deltas[i] in place for each t with keys[i] == query[t] (a
+    whole row when ``out`` is 2-D): every position's delta is gathered and
+    only the hits subtract it; a negative query (built from rank -1) matches
+    no key."""
     if len(keys):
         idx, hit = _find(keys, query)
-        out[hit] -= deltas[idx[hit]]
+        np.subtract(out, np.take(deltas, idx, axis=0), out=out,
+                    where=hit if out.ndim == 1 else hit[:, None])
 
 
 class ContextStats(NamedTuple):
@@ -424,6 +434,19 @@ class _Kind(NamedTuple):
     fold_counts: np.ndarray | None
     stat_keys: np.ndarray | None
     stat_deltas: np.ndarray | None
+
+    def rank(self, rank: int) -> int:
+        """``rank`` if it names a context or is -1 (unobserved); else raise."""
+        if not -1 <= rank < len(self.stats) - 1:
+            raise CountError(f"rank {rank} outside -1..{len(self.stats) - 2}")
+        return rank
+
+    def ranks(self, ranks: np.ndarray) -> np.ndarray:
+        """``ranks`` if each names a context or is -1; else raise."""
+        n_ctx = len(self.stats) - 1
+        if len(ranks) and not (ranks.min() >= -1 and ranks.max() < n_ctx):
+            raise CountError(f"ranks must lie in -1..{n_ctx - 1}")
+        return ranks
 
 
 class CountView:
@@ -505,10 +528,8 @@ class CountView:
     # -- scalar queries ------------------------------------------------------
 
     def _stats(self, order: int, rank: int, continuation: bool) -> ContextStats:
-        stats = self._kind(order, continuation).stats
-        if not -1 <= rank < len(stats) - 1:
-            raise CountError(f"rank {rank} outside -1..{len(stats) - 2}")
-        return ContextStats._make(stats[rank].tolist())
+        kind = self._kind(order, continuation)
+        return ContextStats._make(kind.stats[kind.rank(rank)].tolist())
 
     def stats(self, order: int, rank: int) -> ContextStats:
         return self._stats(order, rank, False)
@@ -521,7 +542,10 @@ class CountView:
         if not 0 <= word < self.table.vocab_size:
             raise CountError(f"word {word} outside 0..{self.table.vocab_size - 1}")
         i = _index(kind.index, rank * self.table.base + word)
-        return 0 if i < 0 else int(kind.counts[i])
+        if i >= 0:  # a key names a context: only a miss can hide a bad rank
+            return int(kind.counts[i])
+        kind.rank(rank)
+        return 0
 
     def count(self, order: int, rank: int, word: int) -> int:
         return self._count(order, rank, word, False)
@@ -533,7 +557,7 @@ class CountView:
         """(word ids, counts) of a context's successors, as new arrays."""
         kind = self._kind(order, continuation)
         base = self.table.base
-        lo = bisect.bisect_left(kind.index, rank * base)
+        lo = bisect.bisect_left(kind.index, kind.rank(rank) * base)
         hi = bisect.bisect_left(kind.index, (rank + 1) * base, lo)
         return kind.keys[lo:hi] % base, kind.counts[lo:hi].copy()
 
@@ -575,13 +599,14 @@ class CountView:
     def bulk_counts(self, order: int, ranks: np.ndarray, words: np.ndarray,
                     folds: np.ndarray | None = None, continuation: bool = False) -> np.ndarray:
         """Vectorized (context rank, word) -> count, less the occurrences in
-        the position's fold when ``folds`` are given; rank -1 yields 0."""
+        the position's fold when ``folds`` are given; rank -1 yields 0, and
+        any other rank outside the contexts raises."""
         kind = self._kind(order, continuation)
         J = self.table.vocab_size
         if len(words) and not (words.min() >= 0 and words.max() < J):
             raise CountError(f"words must lie in 0..{J - 1}")
-        idx, hit = _find(kind.keys, ranks * self.table.base + words)
-        out = np.where(hit, kind.counts[idx], 0)
+        idx, hit = _find(kind.keys, kind.ranks(ranks) * self.table.base + words)
+        out = np.where(hit, np.take(kind.counts, idx), 0)
         folds = self._folds(folds, len(ranks))
         if folds is not None:
             _subtract(out, kind.fold_keys, kind.fold_counts,
@@ -591,12 +616,9 @@ class CountView:
     def bulk_stats(self, order: int, ranks: np.ndarray,
                    folds: np.ndarray | None = None, continuation: bool = False):
         """Vectorized per-context stats as a ``ContextStats`` of arrays; rank -1
-        yields zeros."""
+        yields zeros, and any other rank outside the contexts raises."""
         kind = self._kind(order, continuation)
-        n_ctx = len(kind.stats) - 1
-        if len(ranks) and not (ranks.min() >= -1 and ranks.max() < n_ctx):
-            raise CountError(f"ranks must lie in -1..{n_ctx - 1}")
-        s = kind.stats[ranks]
+        s = np.take(kind.stats, kind.ranks(ranks), axis=0)
         folds = self._folds(folds, len(ranks))
         if folds is not None:
             _subtract(s, kind.stat_keys, kind.stat_deltas, ranks * self.folded.n_folds + folds)

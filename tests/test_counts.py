@@ -1,5 +1,6 @@
 """N-gram count store: accumulation, queries, fold views, serialization."""
 
+import bisect
 import io
 import struct
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import mixlm.counts as mcounts
-from mixlm.corpus import build_vocabulary, encode_corpus
+from mixlm.corpus import EncodedCorpus, build_vocabulary, encode_corpus
 from mixlm.counts import (CountError, CountTable, CountView, ContextStats, accumulate,
                           cv_fold_counts)
 from mixlm.neural.features import bulk_context_features
@@ -330,20 +331,124 @@ class TestUnobservedRank:
                 assert got.tolist() == [0] * self.J, (n, cont, folds)
 
     def test_ranks_outside_the_contexts_rejected(self):
+        """Stats, counts and successors alike, scalar and bulk, with and
+        without folds, alone and mixed with valid ranks."""
         view = self.folded.view()
         for n, cont in self._kinds():
             n_ctx = len(self.folded.table.orders[n].ctx_codes)
             stats = view.cont_stats if cont else view.stats
+            count = view.cont_count if cont else view.count
+            scalar = [lambda r: stats(n, r), lambda r: count(n, r, 0),
+                      lambda r: view.successors(n, r, cont)]
             for bad in (-2, n_ctx, n_ctx + 5):
-                with pytest.raises(CountError, match=rf"outside -1\.\.{n_ctx - 1}"):
-                    stats(n, bad)
+                for call in scalar:
+                    with pytest.raises(CountError, match=rf"rank {bad} outside -1\.\.{n_ctx - 1}"):
+                        call(bad)
                 for ranks in (np.array([bad]), np.array([0, bad, -1, n_ctx - 1])):
+                    words = np.zeros(len(ranks), dtype=np.int64)
                     for folds in self._fold_choices(len(ranks)):
                         with pytest.raises(CountError, match=rf"-1\.\.{n_ctx - 1}"):
                             view.bulk_stats(n, ranks, folds=folds, continuation=cont)
+                        with pytest.raises(CountError, match=rf"-1\.\.{n_ctx - 1}"):
+                            view.bulk_counts(n, ranks, words, folds=folds, continuation=cont)
             # the bounds themselves are ranks
             assert stats(n, n_ctx - 1).total > 0
-            view.bulk_stats(n, np.array([-1, n_ctx - 1]), continuation=cont)
+            assert len(view.successors(n, n_ctx - 1, cont)[0]) > 0
+            for r in (-1, n_ctx - 1):
+                count(n, r, 0)
+            ends = np.array([-1, n_ctx - 1])
+            view.bulk_stats(n, ends, continuation=cont)
+            view.bulk_counts(n, ends, np.zeros(2, dtype=np.int64), continuation=cont)
+
+
+class TestShuffledPositions:
+    """A bulk call answers each position alone: on the positions of a
+    shuffled corpus, or in a shuffled order, every result is the unshuffled
+    one permuted the same way."""
+
+    @pytest.fixture(autouse=True, params=PARITY_CASES, ids=parity_id)
+    def case(self, request):
+        self.ORDER, self.FOLDS, seed = request.param
+        self.train, self.held = parity_corpora(seed)
+        self.folded = cv_fold_counts(self.train, self.ORDER, folds=self.FOLDS)
+        self.rng = np.random.default_rng(seed)
+
+    def test_bulk_ranks_of_shuffled_sentences(self):
+        view = self.folded.view()
+        for corpus in (self.train, self.held):
+            ranks, words, sent_of = view.bulk_ranks(corpus)
+            order = self.rng.permutation(len(corpus.sentences))
+            shuffled = EncodedCorpus([corpus.sentences[i] for i in order], corpus.vocab)
+            # the positions of sentence order[0], then of order[1], ...
+            perm = np.concatenate([np.flatnonzero(sent_of == i) for i in order])
+            got = view.bulk_ranks(shuffled)
+            np.testing.assert_array_equal(got[0], ranks[perm])
+            np.testing.assert_array_equal(got[1], words[perm])
+
+    def test_bulk_counts_and_stats_of_shuffled_positions(self):
+        view = self.folded.view()
+        for corpus in (self.train, self.held):
+            ranks, words, _ = view.bulk_ranks(corpus)
+            perm = self.rng.permutation(len(words))
+            fold_choices = [None, self.rng.integers(0, self.FOLDS, len(words))]
+            for n in range(1, self.ORDER + 1):
+                r = ranks[:, n - 1]
+                for cont in (False, True) if n < self.ORDER else (False,):
+                    for folds in fold_choices:
+                        shuffled_folds = None if folds is None else folds[perm]
+                        counts = view.bulk_counts(n, r, words, folds=folds, continuation=cont)
+                        np.testing.assert_array_equal(
+                            view.bulk_counts(n, r[perm], words[perm], folds=shuffled_folds,
+                                             continuation=cont), counts[perm])
+                        stats = view.bulk_stats(n, r, folds=folds, continuation=cont)
+                        got = view.bulk_stats(n, r[perm], folds=shuffled_folds, continuation=cont)
+                        for a, b in zip(got, stats):
+                            np.testing.assert_array_equal(a, b[perm])
+
+
+class TestFind:
+    """``_find`` against a per-needle ``bisect`` on the keys: the position of
+    the needle cast to the keys' width, clamped to the last key, and a hit
+    only where the key equals the unwrapped needle."""
+
+    @staticmethod
+    def reference(keys, query):
+        width = keys.dtype.itemsize * 8
+        sorted_keys = keys.tolist()
+        idx, hit = [], []
+        for q in query.tolist():
+            cast = (q + 2**(width - 1)) % 2**width - 2**(width - 1)  # wraps as astype does
+            i = min(bisect.bisect_left(sorted_keys, cast), len(keys) - 1)
+            idx.append(i)
+            hit.append(sorted_keys[i] == q)
+        return idx, hit
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n_keys", [1, 7, 5000])
+    @pytest.mark.parametrize("n_query", [0, 1, 2048])
+    def test_matches_bisect(self, dtype, n_keys, n_query):
+        rng = np.random.default_rng(n_keys * 31 + n_query)
+        base = 9  # a word alphabet, as in rank * B + word keys
+        keys = np.unique(rng.integers(0, 40 * n_keys, size=n_keys))
+        keys = np.concatenate([keys, keys[-1] + 1 + np.arange(n_keys - len(keys))]).astype(dtype)
+        wide = keys.astype(np.int64)
+        special = np.concatenate([
+            -base + rng.integers(0, base, size=8),  # built from rank -1
+            wide[-1] + rng.integers(1, 1000, size=8),  # past the last key
+            wide[rng.integers(0, n_keys, size=8)] + 2**32,  # wraps onto a key at int32
+        ])
+        pool = np.concatenate([wide, wide + 1, special])  # keys, between and past them
+        query = rng.permutation(np.concatenate(  # unsorted, with duplicates
+            [special, rng.choice(pool, size=max(0, n_query - len(special)))]))[:n_query]
+        idx, hit = mcounts._find(keys, query)
+        want_idx, want_hit = self.reference(keys, query)
+        assert idx.tolist() == want_idx
+        assert hit.tolist() == want_hit
+        assert len(idx) == n_query and hit.dtype == bool
+        if n_query > len(special):
+            assert len(np.unique(query)) < n_query and hit.any() and not hit.all()
+            if dtype == np.int32:  # some needle wraps onto a key and still misses
+                assert (np.isin(query.astype(dtype), keys) & ~hit).any()
 
 
 class TestRankChainHit:
@@ -880,16 +985,22 @@ class TestWidth:
                             np.testing.assert_array_equal(a, b)
 
     def test_rank_past_the_contexts_never_wraps_onto_a_key(self):
-        """A bulk query cast to int32 wraps, but only its search does: a rank
-        far past the contexts still counts 0, as it does at int64."""
+        """A bulk query cast to int32 wraps, but only its search does: the key
+        of a rank far past the contexts finds nothing, and the count calls
+        reject that rank before they search."""
         table = accumulate(encode(["a b c d e", "a c"]), 2)
         assert table.base == 8 and store_width(table) == np.int32
-        rank, word = divmod(int(table.orders[2].type_keys[3]), table.base)
+        keys = table.orders[2].type_keys
+        rank, word = divmod(int(keys[3]), table.base)
         wrapped = rank + 2**32 // table.base  # the same key modulo 2**32
+        _, hit = mcounts._find(keys, np.array([rank, wrapped]) * table.base + word)
+        assert hit.tolist() == [True, False]
         view = table.view()
         assert view.count(2, rank, word) == 1
-        np.testing.assert_array_equal(
-            view.bulk_counts(2, np.array([rank, wrapped]), np.array([word, word])), [1, 0])
+        with pytest.raises(CountError, match=rf"outside -1\.\.{len(table.orders[2].ctx_codes) - 1}"):
+            view.count(2, wrapped, word)
+        with pytest.raises(CountError, match="ranks must lie in"):
+            view.bulk_counts(2, np.array([rank, wrapped]), np.array([word, word]))
 
     def test_scalar_lookups_copy_no_key_array(self):
         """A scalar lookup on an int32 store allocates far less than the
