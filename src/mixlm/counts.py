@@ -397,6 +397,23 @@ def _find(keys: np.ndarray, query: np.ndarray):
     return idx, np.take(keys, idx) == query
 
 
+def _integers(name: str, values, size: int | None = None, bound: int = 0) -> np.ndarray:
+    """Per-position ``values`` as a 1-D integer array (lists of ints too, no
+    bools); given ``size``, of that length and each in 0..bound-1; else raise."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise CountError(f"{name}s must be integers in a 1-D array, "
+                         f"not {arr.ndim}-D {arr.dtype}")
+    if size is None:
+        return arr
+    need = f"need one {name} in 0..{bound - 1} for each of the {size} positions"
+    if len(arr) != size:
+        raise CountError(f"{need}, not {len(arr)}")
+    if size and not (arr.min() >= 0 and arr.max() < bound):
+        raise CountError(f"{need}: some lie outside 0..{bound - 1}")
+    return arr
+
+
 def _subtract(out: np.ndarray, keys: np.ndarray, deltas: np.ndarray, query: np.ndarray) -> None:
     """out[t] -= deltas[i] in place for each t with keys[i] == query[t] (a
     whole row when ``out`` is 2-D): every position's delta is gathered and
@@ -451,9 +468,10 @@ class _Kind(NamedTuple):
 
 class CountView:
     """Query interface over a table.  Scalar calls read the full table; bulk
-    calls given per-position ``folds`` leave each position's fold out, which
-    needs the fold data of a ``FoldedCounts``.  A view builds the ``_Kind``
-    of each (order, continuation) it reads once and keeps it."""
+    calls take ranks, words and folds as 1-D integer arrays (or lists) of one
+    length, and given per-position ``folds`` leave each position's fold out,
+    which needs the fold data of a ``FoldedCounts``.  A view builds the
+    ``_Kind`` of each (order, continuation) it reads once and keeps it."""
 
     fold = None  # always None: bench/spans._mode reads it on every traced bulk call
 
@@ -582,19 +600,13 @@ class CountView:
             ranks[:, n - 1] = np.where(hit, idx, -1)
         return ranks, words, sent_of
 
-    def _folds(self, folds: np.ndarray | None, size: int) -> np.ndarray | None:
+    def _folds(self, folds, size: int) -> np.ndarray | None:
         """Per-position fold to exclude, or None for full-table values."""
         if folds is None:
             return None
         if self.folded is None:
             raise CountError("per-position folds given to a view without fold data")
-        folds = np.asarray(folds)
-        if folds.dtype.kind not in "iu":
-            raise CountError(f"folds must be integers, not {folds.dtype}")
-        last = self.folded.n_folds - 1
-        if len(folds) != size or (size and not (folds.min() >= 0 and folds.max() <= last)):
-            raise CountError(f"need one fold in 0..{last} for each of the {size} positions")
-        return folds
+        return _integers("fold", folds, size, self.folded.n_folds)
 
     def bulk_counts(self, order: int, ranks: np.ndarray, words: np.ndarray,
                     folds: np.ndarray | None = None, continuation: bool = False) -> np.ndarray:
@@ -602,12 +614,11 @@ class CountView:
         the position's fold when ``folds`` are given; rank -1 yields 0, and
         any other rank outside the contexts raises."""
         kind = self._kind(order, continuation)
-        J = self.table.vocab_size
-        if len(words) and not (words.min() >= 0 and words.max() < J):
-            raise CountError(f"words must lie in 0..{J - 1}")
-        idx, hit = _find(kind.keys, kind.ranks(ranks) * self.table.base + words)
-        out = np.where(hit, np.take(kind.counts, idx), 0)
+        ranks = kind.ranks(_integers("rank", ranks))
+        words = _integers("word", words, len(ranks), self.table.vocab_size)
         folds = self._folds(folds, len(ranks))
+        idx, hit = _find(kind.keys, ranks * self.table.base + words)
+        out = np.where(hit, np.take(kind.counts, idx), 0)
         if folds is not None:
             _subtract(out, kind.fold_keys, kind.fold_counts,
                       np.where(hit, idx, -1) * self.folded.n_folds + folds)
@@ -618,8 +629,9 @@ class CountView:
         """Vectorized per-context stats as a ``ContextStats`` of arrays; rank -1
         yields zeros, and any other rank outside the contexts raises."""
         kind = self._kind(order, continuation)
-        s = np.take(kind.stats, kind.ranks(ranks), axis=0)
+        ranks = kind.ranks(_integers("rank", ranks))
         folds = self._folds(folds, len(ranks))
+        s = np.take(kind.stats, ranks, axis=0)
         if folds is not None:
             _subtract(s, kind.stat_keys, kind.stat_deltas, ranks * self.folded.n_folds + folds)
         return ContextStats._make(s.T)

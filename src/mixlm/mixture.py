@@ -7,7 +7,7 @@ of word j.  The identity block is never stored; its contribution is read
 straight out of the weight vector.
 
 Weights live on the simplex.  A column for an unobserved context is masked:
-its support is empty, so it adds no mass whatever weight it gets.  The
+it gives 0 to every word, so it adds no mass whatever weight it gets.  The
 network's ``OutputLayer`` zeroes the weights of masked columns and
 renormalises over the rest.
 """
@@ -43,10 +43,6 @@ class ContextDistributions:
         n = len(self.columns)
         return n + self.vocab_size if self.has_identity_block else n
 
-    def row(self, word: int) -> np.ndarray:
-        """Count-column probabilities of one word (the word's matrix row)."""
-        return np.array([c.prob_of(word) for c in self.columns])
-
 
 def context_distributions(view, spec: SmoothingSpec, context,
                           identity: bool = False) -> ContextDistributions:
@@ -60,32 +56,22 @@ def context_distributions(view, spec: SmoothingSpec, context,
     return ContextDistributions(cols[::-1], view.vocab_size, has_identity_block=identity)
 
 
-def _check_weights(dists: ContextDistributions, lam: np.ndarray) -> None:
-    if len(lam) != dists.weight_length:
-        raise MixtureError(f"weight vector has length {len(lam)}, "
-                           f"expected {dists.weight_length}")
-
-
 def word_probability(dists: ContextDistributions, lam: np.ndarray, word: int) -> float:
     """p(word) = sum_k lam_k * column_k[word]; touches only K entries, never J."""
     word = int(word)
     if not 0 <= word < dists.vocab_size:
         raise MixtureError(f"word id {word} outside vocabulary of {dists.vocab_size}")
-    _check_weights(dists, lam)
+    if len(lam) != dists.weight_length:
+        raise MixtureError(f"weight vector has length {len(lam)}, "
+                           f"expected {dists.weight_length}")
     n = len(dists.columns)
-    p = np.dot(lam[:n], dists.row(word))
+    p = np.dot(lam[:n], np.array([c.prob_of(word) for c in dists.columns]))
     if dists.has_identity_block:
         p += lam[n + word]
     return float(p)
 
 
 def full_distribution(dists: ContextDistributions, lam: np.ndarray) -> np.ndarray:
-    """Dense mixture over the whole vocabulary."""
-    _check_weights(dists, lam)
-    n = len(dists.columns)
-    out = np.zeros(dists.vocab_size)
-    for k, col in enumerate(dists.columns):
-        out[col.words] += lam[k] * col.probs
-    if dists.has_identity_block:
-        out += lam[n:]
-    return out
+    """Dense mixture over the whole vocabulary: ``word_probability`` of
+    every word, so it sums the path a scalar query takes."""
+    return np.array([word_probability(dists, lam, w) for w in range(dists.vocab_size)])

@@ -11,7 +11,7 @@ Kneser-Ney discounts continuation counts (distinct left extensions) below
 the top order.
 
 A column is a lazy view of one context in the count store: ``prob_of``
-reads one count per word, and the whole support is listed only when asked.
+reads one count per word, and is the only way a column yields a probability.
 Columns for unobserved contexts are "masked": all-zero, flagged invalid, and
 paired with a zero interpolation weight, so they never contribute mass.
 """
@@ -19,14 +19,13 @@ paired with a zero interpolation weight, so they never contribute mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .counts import ContextStats, CountTable, CountView
 
-# below this surviving mass, a discounted column degenerates to the d->max
-# limit (uniform over observed successors) instead of dividing by ~0
+# below this surviving mass, a discounted column degenerates to the d->max limit
+# (uniform over the words seen after the context) instead of dividing by ~0
 _MIN_KEEP = 1e-12
 
 
@@ -82,8 +81,9 @@ def column_terms(d: Discounts | None, total, stats: ContextStats, counts=None):
     p (None without counts) is c/total for ML and c - d(c) over the kept mass
     with discounts; alpha is u/(total+u) (Witten-Bell) for ML and the removed
     mass fraction with discounts.  When discounting removes all the mass, p
-    is uniform over observed successors and alpha is 1.  One context (float
-    total, int stats) is computed on Python floats in the formula's own order.
+    is uniform over the words seen after the context and alpha is 1.  One
+    context (float total, int stats) is computed on Python floats in the
+    formula's own order.
     """
     if d is None:
         u = stats.unique
@@ -106,10 +106,10 @@ def column_terms(d: Discounts | None, total, stats: ContextStats, counts=None):
 @dataclass
 class Column:
     """One context's column: ``prob_of`` reads one count and applies
-    ``column_terms``, as ``bulk_column_rows`` does; ``words`` and ``probs``
-    list the support from ``successors``.  It reads the full table: only
-    ``bulk_column_rows`` leaves a fold out, per position.
-    A masked column has no stats and gives 0; every other one sums to 1."""
+    ``column_terms``, as ``bulk_column_rows`` does.  It reads the full table:
+    only ``bulk_column_rows`` leaves a fold out, per position.  A masked
+    column has no stats and gives 0; every other one sums to 1 over the
+    vocabulary."""
 
     view: CountView
     order: int
@@ -118,24 +118,13 @@ class Column:
     continuation: bool = False
     discounts: Discounts | None = None
 
-    def _probs(self, counts):
-        return column_terms(self.discounts, float(self.stats.total), self.stats, counts)[0]
-
     def prob_of(self, word: int) -> float:
-        if self.stats is None:
+        s = self.stats
+        if s is None:
             return 0.0
         count = self.view.cont_count if self.continuation else self.view.count
-        return self._probs(count(self.order, self.rank, word))
-
-    @cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.stats is None:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
-        words, counts = self.view.successors(self.order, self.rank, self.continuation)
-        return words, self._probs(counts)
-
-    words = property(lambda self: self._support[0])
-    probs = property(lambda self: self._support[1])
+        return column_terms(self.discounts, float(s.total), s,
+                            count(self.order, self.rank, word))[0]
 
 
 def _observed(view: CountView, context, continuation: bool = False):

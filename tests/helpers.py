@@ -34,6 +34,11 @@ def encode(lines, max_size=None):
     return encode_corpus(lines, vocab)
 
 
+def dense(column, J):
+    """A column's probabilities of words 0..J-1, each read through ``prob_of``."""
+    return np.array([column.prob_of(w) for w in range(J)])
+
+
 # (order, folds, seed) over which the fold-view and bulk-column parity tests run
 PARITY_CASES = [(order, folds, seed) for order in (1, 2, 4, 6) for folds in (2, 5)
                 for seed in (23, 61)]

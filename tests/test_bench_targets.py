@@ -3,8 +3,9 @@
 ``bench/run.py --trace 1`` wraps library functions and methods by name
 (``bench/spans.py``); a rename in the library would break it.  These tests
 install and remove the wrappers so such a rename fails here instead, and
-check through them which count-layer calls a scalar query makes and how
-bulk calls are named with and without per-position folds.
+check through them which count-layer calls a scalar query and a dense
+mixture make and how bulk calls are named with and without per-position
+folds.
 """
 
 import sys
@@ -15,7 +16,7 @@ sys.path.insert(0, str(BENCH))
 
 import pipeline  # noqa: E402
 import spans  # noqa: E402
-from mixlm import smoothing  # noqa: E402
+from mixlm import mixture, smoothing  # noqa: E402
 from mixlm.counts import accumulate, cv_fold_counts  # noqa: E402
 from mixlm.neural import features  # noqa: E402
 from mixlm.smoothing import SmoothingSpec  # noqa: E402
@@ -53,6 +54,29 @@ def test_scalar_query_reads_one_count_per_observed_column():
             calls = tracer.totals()[0]
             assert calls["counts.successors"] == 0, spec.family
             assert calls["counts.count"] + calls["counts.cont_count"] == observed, spec.family
+
+
+def test_dense_mixture_reads_one_count_per_word_and_observed_column():
+    """``full_distribution`` sums ``prob_of`` over the vocabulary: J counts per
+    observed column, and no successors listed."""
+    corpus = toy_corpus()
+    table = accumulate(corpus, 3)
+    J = table.vocab_size
+    a, b, c = (corpus.vocab.id_of(w) for w in "abc")
+    for context, observed in (((a, b), 3), ((c, b), 2)):
+        for spec in (SmoothingSpec.ml(3), SmoothingSpec.kn(table, 3)):
+            view = table.view()
+            dists = mixture.context_distributions(view, spec, context)
+            lam = smoothing.heuristic_lambda([spec.fallback(view, context[k:]) for k in (0, 1)])
+            tracer = spans.Tracer()
+            tracer.install()
+            try:
+                mixture.full_distribution(dists, lam)
+            finally:
+                tracer.uninstall()
+            calls = tracer.totals()[0]
+            assert calls["counts.successors"] == 0, spec.family
+            assert calls["counts.count"] + calls["counts.cont_count"] == J * observed, spec.family
 
 
 def test_bulk_calls_are_named_by_whether_they_leave_folds_out():

@@ -738,6 +738,47 @@ class TestPerPositionFolds:
             view.bulk_stats(2, self.ranks, folds=np.zeros(len(self.ranks), dtype=np.int64))
 
 
+class TestBulkArguments:
+    """Bulk calls take ranks, words and folds as 1-D integer arrays of one
+    length (lists of ints too); anything else raises ``CountError`` instead
+    of broadcasting, truncating a float id or failing on a list."""
+
+    def setup_method(self):
+        corpus = toy_corpus()
+        self.view = accumulate(corpus, 3).view()
+        self.folded = cv_fold_counts(corpus, 3, folds=2).view()
+
+    def test_integer_lists_equal_arrays(self):
+        view = self.view
+        np.testing.assert_array_equal(view.bulk_counts(2, [1, 0], [2, 2]),
+                                      view.bulk_counts(2, np.array([1, 0]), np.array([2, 2])))
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(view.bulk_stats(2, [1, 0]), view.bulk_stats(2, np.array([1, 0]))))
+
+    @pytest.mark.parametrize("ranks, words, match", [
+        ([0, 0, 0], [2], "one word in 0..4 for each of the 3 positions, not 1"),
+        ([0], [2, 3, 1], "one word in 0..4 for each of the 1 positions, not 3"),
+        ([0, 0], np.array([2.0, 2.9]), "words must be integers"),
+        ([0, 0], [True, False], "words must be integers"),
+        ([[0, 0]], [2, 2], "ranks must be integers in a 1-D array, not 2-D"),
+        (np.array([0.0, 0.0]), [2, 2], "ranks must be integers"),
+    ], ids=["one-word-for-three", "three-words-for-one", "float-words", "bool-words",
+            "2d-ranks", "float-ranks"])
+    def test_bulk_counts_rejects(self, ranks, words, match):
+        with pytest.raises(CountError, match=match):
+            self.view.bulk_counts(1, ranks, words)
+
+    @pytest.mark.parametrize("ranks", [[True, False], np.zeros((2, 1), dtype=np.int64),
+                                       np.array([0.0, 1.0])], ids=["bool", "2d", "float"])
+    def test_bulk_stats_rejects(self, ranks):
+        with pytest.raises(CountError, match="ranks must be integers"):
+            self.view.bulk_stats(2, ranks)
+
+    def test_one_word_does_not_broadcast_past_the_folds(self):
+        with pytest.raises(CountError, match="one word in 0..4 for each of the 2 positions"):
+            self.folded.bulk_counts(1, [0, 0], [2], folds=[0, 1])
+
+
 def assert_tables_equal(a, b):
     """Same header and the same value in every stored array of every order."""
     assert (a.order, a.vocab_size, a.token_count) == (b.order, b.vocab_size, b.token_count)

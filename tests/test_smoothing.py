@@ -18,7 +18,7 @@ from mixlm.smoothing import (
     witten_bell_fallback,
 )
 
-from helpers import (PARITY_CASES, encode, fold_out_tables, parity_corpora, parity_id,
+from helpers import (PARITY_CASES, dense, encode, fold_out_tables, parity_corpora, parity_id,
                      synthetic_lines, toy_corpus)
 
 
@@ -65,25 +65,26 @@ class TestMLDistribution:
         self.corpus = toy_corpus()
         self.v = self.corpus.vocab
         self.view = accumulate(self.corpus, 2).view()
+        self.J = self.view.vocab_size
 
     def test_context_a(self):
         a = self.v.id_of("a")
-        dist = ml_distribution(self.view, (a,))
+        p = dense(ml_distribution(self.view, (a,)), self.J)
         expect = sorted([self.v.id_of("b"), self.v.id_of("c"), self.v.eos_id])
-        np.testing.assert_array_equal(dist.words, expect)
-        np.testing.assert_allclose(dist.probs, [1 / 3] * 3)
+        np.testing.assert_array_equal(np.flatnonzero(p), expect)
+        np.testing.assert_allclose(p[expect], [1 / 3] * 3)
 
     def test_empty_context(self):
         dist = ml_distribution(self.view, ())
         assert dist.prob_of(self.v.id_of("a")) == pytest.approx(3 / 7)
         assert dist.prob_of(self.v.id_of("b")) == pytest.approx(1 / 7)
         assert dist.prob_of(self.v.eos_id) == pytest.approx(2 / 7)
-        assert dist.probs.sum() == pytest.approx(1.0)
+        assert dense(dist, self.J).sum() == pytest.approx(1.0)
 
     def test_unobserved_context_masked(self):
         dist = ml_distribution(self.view, (self.v.unk_id,))
-        assert len(dist.words) == 0
-        assert dist.probs.sum() == 0.0
+        assert dist.stats is None
+        assert dense(dist, self.J).sum() == 0.0
 
 
 class TestDiscountedDistribution:
@@ -91,6 +92,7 @@ class TestDiscountedDistribution:
         self.corpus = toy_corpus()
         self.v = self.corpus.vocab
         self.view = accumulate(self.corpus, 2).view()
+        self.J = self.view.vocab_size
 
     def beta(self, context, d):
         """The fallback mass of a context whose order has discount ``d``."""
@@ -99,27 +101,27 @@ class TestDiscountedDistribution:
 
     def test_half_discount_on_singletons(self):
         a = self.v.id_of("a")
-        dist = discounted_distribution(self.view, (a,), flat(0.5))
+        p = dense(discounted_distribution(self.view, (a,), flat(0.5)), self.J)
         assert self.beta((a,), flat(0.5)) == pytest.approx(0.5)
-        np.testing.assert_allclose(dist.probs, [1 / 3] * 3)
+        np.testing.assert_allclose(p[np.flatnonzero(p)], [1 / 3] * 3)
 
     def test_zero_discount_is_ml(self):
         a = self.v.id_of("a")
-        dist = discounted_distribution(self.view, (a,), flat(0.0))
-        ml = ml_distribution(self.view, (a,))
+        p = dense(discounted_distribution(self.view, (a,), flat(0.0)), self.J)
+        ml = dense(ml_distribution(self.view, (a,)), self.J)
         assert self.beta((a,), flat(0.0)) == 0.0
-        np.testing.assert_array_equal(dist.words, ml.words)
-        np.testing.assert_allclose(dist.probs, ml.probs)
+        np.testing.assert_array_equal(np.flatnonzero(p), np.flatnonzero(ml))
+        np.testing.assert_allclose(p, ml)
 
     def test_unobserved_context(self):
         dist = discounted_distribution(self.view, (self.v.unk_id,), flat(0.5))
-        assert len(dist.words) == 0 and self.beta((self.v.unk_id,), flat(0.5)) == 1.0
+        assert dist.stats is None and self.beta((self.v.unk_id,), flat(0.5)) == 1.0
 
     def test_full_discount_degenerates_to_uniform_over_successors(self):
         a = self.v.id_of("a")
-        dist = discounted_distribution(self.view, (a,), flat(1.0))
+        p = dense(discounted_distribution(self.view, (a,), flat(1.0)), self.J)
         assert self.beta((a,), flat(1.0)) == 1.0
-        np.testing.assert_allclose(dist.probs, [1 / 3] * 3)
+        np.testing.assert_allclose(p[np.flatnonzero(p)], [1 / 3] * 3)
         # the shared arithmetic passes all the mass down, as a scalar and inside an array
         _, alpha = column_terms(flat(1.0), 3.0, ContextStats(3, 3, 0, 0))
         assert alpha == 1.0
@@ -161,10 +163,11 @@ class TestKNDistribution:
 
     def test_zero_discount_top_order_is_ml(self):
         a = self.v.id_of("a")
-        got = self.spec.column(self.view, (a,))
-        ml = ml_distribution(self.view, (a,))
-        np.testing.assert_array_equal(got.words, ml.words)
-        np.testing.assert_allclose(got.probs, ml.probs)
+        J = self.view.vocab_size
+        got = dense(self.spec.column(self.view, (a,)), J)
+        ml = dense(ml_distribution(self.view, (a,)), J)
+        np.testing.assert_array_equal(np.flatnonzero(got), np.flatnonzero(ml))
+        np.testing.assert_allclose(got, ml)
 
 
 def position_contexts(corpus, order):
@@ -191,40 +194,65 @@ class TestSumToOne:
                       single_discount_spec(table, self.ORDER)]
 
     def _check(self, view, contexts, observed=frozenset()):
-        """Sums to 1 everywhere; no column masked for an ``observed`` context."""
+        """Sums to 1 everywhere (a masked column to 0); no column masked for an
+        ``observed`` context."""
+        J = view.vocab_size
         for spec in self.specs:
             for ctx in contexts:
                 dists = context_distributions(view, spec, ctx)
-                assert ctx not in observed or all(len(c.words) for c in dists.columns), (spec, ctx)
-                for col in dists.columns:
-                    assert np.all(col.probs >= 0), (spec, ctx)
-                    assert len(col.words) == 0 or abs(col.probs.sum() - 1.0) <= 1e-9, (spec, ctx)
+                kept = [c.stats is not None for c in dists.columns]
+                assert ctx not in observed or all(kept), (spec, ctx)
+                for col, kept_col in zip(dists.columns, kept):
+                    p = dense(col, J)
+                    assert np.all(p >= 0), (spec, ctx)
+                    assert abs(p.sum() - kept_col) <= 1e-9, (spec, ctx)
                 lam = heuristic_lambda([spec.fallback(view, ctx[len(ctx) - (n - 1):])
                                         for n in range(self.ORDER, 1, -1)])
                 mixed = full_distribution(dists, lam)
                 assert np.all(mixed >= 0) and abs(mixed.sum() - 1.0) <= 1e-9, (spec, ctx)
 
+    def _contexts(self):
+        return position_contexts(self.train, self.ORDER) + position_contexts(self.held, self.ORDER)
+
+    def _bulk_rows(self, view, spec, contexts, folds=None):
+        """``bulk_column_rows`` of every context over all J words, as
+        (probs[context, word, order], alphas[context, order], valid[context, order])."""
+        J = view.vocab_size
+        chains = np.array([view.rank_chain(ctx) for ctx in contexts])
+        ranks, words = np.repeat(chains, J, axis=0), np.tile(np.arange(J), len(contexts))
+        folds = None if folds is None else np.full(len(words), folds)
+        probs, alphas, valid = bulk_column_rows(view, spec, ranks, words, folds=folds)
+        return probs.reshape(len(contexts), J, self.ORDER), alphas[::J], valid[::J]
+
     def test_full_view(self):
         train = position_contexts(self.train, self.ORDER)
-        self._check(self.folded.view(), train + position_contexts(self.held, self.ORDER),
-                    observed=set(train))
+        self._check(self.folded.view(), self._contexts(), observed=set(train))
+
+    def test_full_view_dense_mixture_matches_bulk_rows(self):
+        """``full_distribution`` sums the scalar path (``prob_of`` and the
+        scalar fallbacks) word by word; over all J words it equals the
+        heuristic mixture of the bulk rows."""
+        view = self.folded.view()
+        contexts = self._contexts()
+        for spec in self.specs:
+            probs, alphas, _ = self._bulk_rows(view, spec, contexts)
+            for c, ctx in enumerate(contexts):
+                lam = heuristic_lambda([spec.fallback(view, ctx[len(ctx) - (n - 1):])
+                                        for n in range(self.ORDER, 1, -1)])
+                scalar = full_distribution(context_distributions(view, spec, ctx), lam)
+                bulk = probs[c] @ heuristic_lambda(alphas[c, :0:-1])
+                np.testing.assert_allclose(scalar, bulk, rtol=0, atol=1e-12,
+                                           err_msg=str((spec, ctx)))
 
     def test_fold_views(self):
         """The bulk rows of every context over all J words, with one fold left
         out: valid columns sum to 1, masked ones are 0, and so is the heuristic
         mixture a distribution."""
         view = self.folded.view()
-        contexts = (position_contexts(self.train, self.ORDER)
-                    + position_contexts(self.held, self.ORDER))
-        J = view.vocab_size
-        chains = np.array([view.rank_chain(ctx) for ctx in contexts])
-        ranks, words = np.repeat(chains, J, axis=0), np.tile(np.arange(J), len(contexts))
+        contexts = self._contexts()
         for spec in self.specs:
             for f in range(self.FOLDS):
-                probs, alphas, valid = bulk_column_rows(view, spec, ranks, words,
-                                                        folds=np.full(len(words), f))
-                probs = probs.reshape(len(contexts), J, self.ORDER)
-                alphas, valid = alphas[::J], valid[::J]  # one row per context
+                probs, alphas, valid = self._bulk_rows(view, spec, contexts, folds=f)
                 assert np.all(probs >= 0), (spec, f)
                 sums = probs.sum(axis=1)
                 assert np.all(np.abs(sums[valid] - 1.0) <= 1e-9), (spec, f)
@@ -235,9 +263,9 @@ class TestSumToOne:
 
 
 class TestLazyColumns:
-    """A column's ``prob_of`` (one count lookup) equals its whole-support
-    ``probs`` bit for bit, and 0 off the support, for ML and KN columns on
-    raw and continuation counts.  Columns read a store in full, so the
+    """A column's ``prob_of`` (one count lookup) over the vocabulary sums to 1,
+    and to 0 for a masked column, for ML, estimated-KN and degenerate columns
+    on raw and continuation counts.  Columns read a store in full, so the
     inputs are the full store and each store counted without one fold."""
 
     @pytest.fixture(autouse=True, params=PARITY_CASES, ids=parity_id)
@@ -263,10 +291,11 @@ class TestLazyColumns:
         for i, view in enumerate(views):  # i - 1 is the fold left out
             for ctx in self.contexts:
                 for col in self._columns(view, ctx):
-                    support = dict(zip(col.words.tolist(), col.probs.tolist()))
-                    assert (col.stats is None) == (not support), ctx  # masked: no support
-                    for w in range(view.vocab_size):
-                        assert col.prob_of(w) == support.get(w, 0.0), (i - 1, ctx, w)
+                    p = dense(col, view.vocab_size)
+                    if col.stats is None:  # masked: no support
+                        assert not p.any(), (i - 1, ctx)
+                    else:
+                        assert np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9, (i - 1, ctx)
 
 
 class TestScalarArrayParity:
