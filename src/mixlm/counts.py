@@ -9,27 +9,36 @@ contexts and ``B = J + 1`` (the begin-of-sentence symbol is J).  Ranks stay
 below the number of distinct contexts (the sorted-array context encoding of
 Pauls & Klein 2011), so every code and type key is below
 ``len(top-order contexts) * B``, and every count, stat and fold key at most
-``token_count * F`` (F = 1 without folds).  Every array of a store, fold data
-included, is int32 when both bounds are below 2**31, and int64 otherwise.
-A bulk query is cast to its keys' width and searched in sorted order, so
-that each needle's binary search starts at the previous needle's position,
-then its positions are put back in the query's order; a scalar one is a
-``bisect`` over a kept memoryview, so no lookup converts a key array.
+``token_count * F`` (F = 1 without folds).  Every array of a store is int32
+when both bounds are below 2**31, and int64 otherwise, except the fold
+values (the fold type counts, stat deltas and their continuation twins):
+each is bounded in absolute value by the largest fold's token count, so
+they are int16 while that is below 2**15.  Their arithmetic never runs in
+int16: they are computed at the store's width and narrowed after, and every
+bulk call subtracts them into an array of the store's width.  A bulk
+query is cast to its keys' width and searched in sorted order, so that each
+needle's binary search starts at the previous needle's position, then its
+positions are put back in the query's order; a scalar one is a ``bisect``
+over a kept memoryview, so no lookup converts a key array.
 Every position is counted with full left bos-padding.
 
-Each order holds raw counts and, below the top order, continuation counts
-(distinct single-symbol left extensions, from the order-(n+1) types) in one
-layout: sorted ``rank * B + word`` type keys, parallel counts, and an
-(n_ctx + 1, 4) stats array of total, n1, n2 and n3p per context.  Its last
-row is all zero: rank -1 names an unobserved context, so it reads zeros by
-plain indexing, and every key built from it (-B plus a word or the bos id,
--F plus a fold) is negative and matches nothing.  Successors are
-a slice; a (context, word) lookup is two binary searches.  Distinct
+Each order holds sorted ``rank * B + word`` type keys with parallel raw
+counts and, below the top order, parallel continuation counts (distinct
+single-symbol left extensions, from the order-(n+1) types): with full
+bos-padding every type has a left extension, so both kinds share one key
+array.  Each kind has an (n_ctx + 1, 4) stats array of total, n1, n2 and n3p
+per context.  Its last row is all zero: rank -1 names an unobserved
+context, so it reads zeros by plain indexing, and every key built from it
+(-B plus a word or the bos id, -F plus a fold) is negative and matches
+nothing.  Successors are a slice; a (context, word) lookup is two binary
+searches.  Distinct
 successors are not stored: each has a count of at least 1, so their number
 is n1 + n2 + n3p, with a fold left out too.  A fold is left out per
 position, on the bulk calls only, and never by copying the corpus:
 per-(type, fold) count deltas and per-(context, fold) deltas of the four
-stats, built once per kind, give ``full - fold`` exactly.
+stats give ``full - fold`` exactly.  The continuation deltas are stored
+against the raw (type, fold) and (context, fold) keys, 0 where the fold takes
+nothing: a left extension found only in one fold puts its type there.
 
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
 a ``CountView`` and written to disk in one form, binary file format 4:
@@ -82,25 +91,25 @@ class _OrderData:
     type_counts: np.ndarray
     # derived from the arrays above by ``_derive``
     stats: np.ndarray | None = None  # (n_ctx + 1, 4): total, n1, n2, n3p; last row 0
-    # continuation counts in the same layout (absent at the top order)
-    cont_type_keys: np.ndarray | None = None
+    # continuation counts of the same types, aligned with type_keys, and their
+    # stats (absent at the top order)
     cont_type_counts: np.ndarray | None = None
     cont_stats: np.ndarray | None = None
 
 
 @dataclass
 class _FoldData:
-    """Per-order fold-exclusion deltas: value without the fold = full value - delta."""
+    """Per-order fold-exclusion deltas: value without the fold = full value - delta.
+    The keys have the store's width, the values the narrower fold-value width."""
 
-    type_keys: np.ndarray  # type_index * F + fold
+    type_keys: np.ndarray  # type_index * F + fold, for each fold a type occurs in
     type_counts: np.ndarray  # occurrences of the type inside the fold
     stat_keys: np.ndarray  # ctx_rank * F + fold
     stat_deltas: np.ndarray  # (m, 4), columns as in the stats arrays
-    # continuation counts in the same layout; a continuation type loses one
-    # count for each left extension that occurs only inside the fold
-    cont_type_keys: np.ndarray | None = None
+    # continuation deltas aligned with type_keys and stat_keys, 0 where the
+    # fold takes nothing: a continuation count loses one for each left
+    # extension that occurs only inside the fold
     cont_type_counts: np.ndarray | None = None
-    cont_stat_keys: np.ndarray | None = None
     cont_stat_deltas: np.ndarray | None = None
 
 
@@ -251,38 +260,38 @@ def _derive(orders: list, base: int) -> list[np.ndarray]:
     arrays (from the order-(n+1) raw types), using only ctx_codes, type_keys
     and type_counts.  Counting and loading both end here.
 
-    Returns, per order n, the map from order-(n+1) type index to continuation
-    type index (needed for fold-exclusive bookkeeping).
+    The continuation types are the raw ones (module docstring), so their
+    counts are aligned with ``type_keys``; types that break this raise.
+
+    Returns, per order n, the map from order-(n+1) type index to order-n type
+    index (needed for fold-exclusive bookkeeping).
     """
     for od in orders[1:]:
         od.stats = _tally(od.type_keys // base, od.type_counts, len(od.ctx_codes) + 1)
     inverses: list = [None] * len(orders)
     for n in range(1, len(orders) - 1):
-        hi = orders[n + 1]
+        hi, od = orders[n + 1], orders[n]
         suffix_rank = hi.ctx_codes[hi.type_keys // base] // base
         keys, inverses[n], counts = np.unique(
             suffix_rank * base + hi.type_keys % base, return_inverse=True, return_counts=True)
-        od = orders[n]
-        od.cont_type_keys, od.cont_type_counts = keys, counts.astype(keys.dtype)
+        if not np.array_equal(keys, od.type_keys):
+            raise CountError(f"order-{n} types are not the suffixes of the order-{n + 1} types")
+        od.cont_type_counts = counts.astype(keys.dtype)
         od.cont_stats = _tally(keys // base, od.cont_type_counts, len(od.ctx_codes) + 1)
     return inverses
 
 
-def _fold_kind(type_keys, type_counts, occurrences, folds, base):
-    """Fold arrays of one kind from the ``type_index * F + fold`` key of each
-    in-fold occurrence of a type.
+def _value_width(largest_fold: int, width: np.dtype) -> np.dtype:
+    """int16 for the fold values while their bound, the largest fold's token
+    count, stays below 2**15; else the store's ``width``."""
+    return np.dtype(np.int16) if largest_fold < 2**15 else width
 
-    Returns the sorted per-(type, fold) keys and counts, then the sorted
-    ``ctx_rank * F + fold`` keys and the (m, 4) stat deltas: the full-table
-    stats of the affected types minus their stats without the fold.
-    """
-    fold_keys, fold_counts = np.unique(occurrences.astype(type_keys.dtype), return_counts=True)
-    fold_counts = fold_counts.astype(type_keys.dtype)
-    ti, fold = np.divmod(fold_keys, folds)
-    full = type_counts[ti]
-    keys, inv = np.unique(type_keys[ti] // base * folds + fold, return_inverse=True)
-    deltas = _tally(inv, full, len(keys)) - _tally(inv, full - fold_counts, len(keys))
-    return fold_keys, fold_counts, keys, deltas
+
+def _stat_deltas(inv: np.ndarray, n_keys: int, full: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """(n_keys, 4) stat deltas of the (type, fold) entries that map to each
+    stat key through ``inv``: the stats of their full counts minus those of
+    their counts without the fold.  An entry that drops 0 adds 0."""
+    return _tally(inv, full, n_keys) - _tally(inv, full - drop, n_keys)
 
 
 def _corpus_stream(corpus: EncodedCorpus, order: int):
@@ -336,21 +345,32 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
 
     fold_assignment = np.arange(len(corpus.sentences), dtype=width) % folds
     fold_of_t = fold_assignment[sent_of]
+    value = _value_width(np.bincount(fold_of_t, minlength=folds).max(), width)
 
+    # the values are computed at the store's width and only then narrowed
     fold_data: list = [None] * (order + 1)
     for n in range(order, 0, -1):
         od = orders[n]
-        fd = fold_data[n] = _FoldData(*_fold_kind(
-            od.type_keys, od.type_counts, type_inverse[n] * folds + fold_of_t, folds, base))
+        keys, counts = np.unique((type_inverse[n] * folds + fold_of_t).astype(width),
+                                 return_counts=True)
+        counts = counts.astype(width)
+        ti, fold = np.divmod(keys, folds)
+        stat_keys, inv = np.unique(od.type_keys[ti] // base * folds + fold, return_inverse=True)
+        fd = fold_data[n] = _FoldData(
+            keys, counts.astype(value), stat_keys,
+            _stat_deltas(inv, len(stat_keys), od.type_counts[ti], counts).astype(value))
         if n < order:
             # an order-(n+1) type whose occurrences all sit in one fold is a
-            # left extension that leaving the fold out loses
+            # left extension that leaving the fold out loses; its suffix type
+            # occurs in that fold, so it has a key there
             hi = fold_data[n + 1].type_keys
             excl = hi[np.bincount(hi // folds)[hi // folds] == 1]
-            (fd.cont_type_keys, fd.cont_type_counts, fd.cont_stat_keys,
-             fd.cont_stat_deltas) = _fold_kind(
-                od.cont_type_keys, od.cont_type_counts,
-                cont_inverse[n][excl // folds] * folds + excl % folds, folds, base)
+            lost = np.bincount(np.searchsorted(keys, cont_inverse[n][excl // folds] * folds
+                                               + excl % folds), minlength=len(keys))
+            lost = lost.astype(width)
+            fd.cont_type_counts = lost.astype(value)
+            fd.cont_stat_deltas = _stat_deltas(inv, len(stat_keys), od.cont_type_counts[ti],
+                                               lost).astype(value)
 
     folded = FoldedCounts(table, folds, fold_assignment, fold_data)
     return table, folded
@@ -441,7 +461,8 @@ class ContextStats(NamedTuple):
 
 
 class _Kind(NamedTuple):
-    """One kind of statistics at one order, with its fold deltas if any."""
+    """One kind of statistics at one order, with its fold deltas if any; the
+    continuation kind reads the raw kind's key arrays."""
 
     keys: np.ndarray
     counts: np.ndarray
@@ -501,12 +522,12 @@ class CountView:
             if not continuation:
                 kind = _Kind(od.type_keys, od.type_counts, od.stats, memoryview(od.type_keys),
                              fd.type_keys, fd.type_counts, fd.stat_keys, fd.stat_deltas)
-            elif od.cont_type_keys is None:
+            elif od.cont_type_counts is None:
                 raise CountError(f"no continuation counts at order {order}")
-            else:
-                kind = _Kind(od.cont_type_keys, od.cont_type_counts, od.cont_stats,
-                             memoryview(od.cont_type_keys), fd.cont_type_keys,
-                             fd.cont_type_counts, fd.cont_stat_keys, fd.cont_stat_deltas)
+            else:  # the raw kind's keys with the continuation values
+                kind = self._kind(order, False)._replace(
+                    counts=od.cont_type_counts, stats=od.cont_stats,
+                    fold_counts=fd.cont_type_counts, stat_deltas=fd.cont_stat_deltas)
             self._kinds[order, continuation] = kind
         return kind
 

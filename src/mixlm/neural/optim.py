@@ -46,16 +46,22 @@ class Adam:
         """Scale the gradients in place so their global norm is at most
         ``CLIP_NORM``; returns the pre-clip norm.  Raises on a non-finite
         gradient, naming the parameter."""
-        total = 0.0
-        for p in self.params:
-            if p.grad is None:
-                continue
-            sq = float((p.grad.astype(np.float64, copy=False) ** 2).sum())
-            # a non-finite sum of squares has a non-finite entry or overflowed
-            if not np.isfinite(sq) and not np.all(np.isfinite(p.grad)):
-                raise OptimError(f"non-finite gradient in {p.name or 'unnamed parameter'}")
-            total += sq
+        grads, total = [], 0.0
+        with np.errstate(over="ignore"):  # an overflowed sum is recomputed below
+            for p in self.params:
+                if p.grad is None:
+                    continue
+                g = p.grad.astype(np.float64, copy=False)
+                sq = float((g ** 2).sum())
+                # a non-finite sum of squares has a non-finite entry or overflowed
+                if not np.isfinite(sq) and not np.all(np.isfinite(g)):
+                    raise OptimError(f"non-finite gradient in {p.name or 'unnamed parameter'}")
+                grads.append(g)
+                total += sq
         norm = float(np.sqrt(total))
+        if not np.isfinite(norm):  # every entry is finite: scale by the largest first
+            big = max(float(np.abs(g).max(initial=0.0)) for g in grads)
+            norm = big * float(np.sqrt(sum(float(((g / big) ** 2).sum()) for g in grads)))
         if norm > CLIP_NORM:
             scale = CLIP_NORM / norm
             for p in self.params:

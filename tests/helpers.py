@@ -158,19 +158,37 @@ def store_width(table, n_folds=1):
     return np.dtype(np.int32 if bound < 2**31 else np.int64)
 
 
-def _assert_width(holder, width, where):
+FOLD_VALUES = ("type_counts", "stat_deltas", "cont_type_counts", "cont_stat_deltas")
+
+
+def fold_value_width(folded):
+    """The width of a store's fold values: int16 while the largest fold's
+    token count, which bounds each of them, is below 2**15, else the store's.
+    Order 1 has one context, so its total deltas are the folds' token counts."""
+    largest = int(folded.fold_data[1].stat_deltas[:, 0].max())
+    return np.dtype(np.int16) if largest < 2**15 else store_width(folded.table, folded.n_folds)
+
+
+def _assert_width(holder, width, where, value_width=None):
+    """Every array of ``holder`` has ``width``, its fold values ``value_width`` if given."""
     for name, arr in vars(holder).items():
-        assert arr is None or arr.dtype == width, f"{where} {name}: {arr.dtype}, not {width}"
+        want = value_width if value_width is not None and name in FOLD_VALUES else width
+        assert arr is None or arr.dtype == want, f"{where} {name}: {arr.dtype}, not {want}"
 
 
 def assert_store_invariants(table, folded=None):
     """Check what every count store keeps true, with its fold data if given.
 
-    Every array has the one width the store's bounds select, keys are
-    strictly sorted, type counts are at least 1, each stats array equals a
-    re-tally of its type arrays plus one all-zero last row for rank -1, the
-    raw totals of every order sum to the token count, and no fold delta
-    exceeds the full value it is subtracted from.
+    Every array has the width its own bound selects (the store's, or for
+    fold values the fold-value width), keys are strictly sorted, type
+    counts are at least 1, each stats array equals a re-tally of its type
+    arrays plus one all-zero last row for rank -1, the raw totals of every
+    order sum to the token count, the continuation counts are aligned with
+    the raw type keys, and so are the continuation fold deltas with the raw
+    fold keys.  Every stat key is the context of a fold type key, the
+    order-1 fold totals sum to the token count, raw fold counts are at
+    least 1, continuation ones at least 0, and no fold delta exceeds the
+    full value it is subtracted from.
     """
     base = table.base
     width = store_width(table, 1 if folded is None else folded.n_folds)
@@ -180,15 +198,17 @@ def assert_store_invariants(table, folded=None):
         _assert_strictly_sorted(od.ctx_codes, f"order {n} contexts")
         if n > 1:
             assert np.all(od.ctx_codes // base < len(table.orders[n - 1].ctx_codes)), n
-        kinds = [("raw", od.type_keys, od.type_counts, od.stats)]
+        kinds = [("raw", od.type_counts, od.stats)]
         if n < table.order:
-            kinds.append(("continuation", od.cont_type_keys, od.cont_type_counts, od.cont_stats))
-        for name, keys, counts, stats in kinds:
+            kinds.append(("continuation", od.cont_type_counts, od.cont_stats))
+        else:
+            assert od.cont_type_counts is None and od.cont_stats is None, n
+        _assert_strictly_sorted(od.type_keys, f"order {n} types")
+        groups = od.type_keys // base
+        assert np.all(groups < len(od.ctx_codes)), n
+        for name, counts, stats in kinds:
             where = f"order {n} {name}"
-            _assert_strictly_sorted(keys, where)
-            assert len(counts) == len(keys) and np.all(counts >= 1), where
-            groups = keys // base
-            assert np.all(groups < len(od.ctx_codes)), where
+            assert len(counts) == len(od.type_keys) and np.all(counts >= 1), where
             np.testing.assert_array_equal(stats, _retally(groups, counts, len(od.ctx_codes) + 1),
                                           err_msg=where)
         assert od.stats[:, 0].sum() == table.token_count, n
@@ -197,21 +217,28 @@ def assert_store_invariants(table, folded=None):
     assert folded.table is table
     assert folded.fold_assignment.dtype == width
     F = folded.n_folds
+    assert folded.fold_data[1].stat_deltas[:, 0].sum() == table.token_count
+    value_width = fold_value_width(folded)
     for n in range(1, table.order + 1):
         od, fd = table.orders[n], folded.fold_data[n]
-        _assert_width(fd, width, f"order {n} folds")
-        kinds = [("raw", od.type_counts, od.stats, fd.type_keys, fd.type_counts,
-                  fd.stat_keys, fd.stat_deltas)]
+        _assert_width(fd, width, f"order {n} folds", value_width)
+        _assert_strictly_sorted(fd.type_keys, f"order {n} fold types")
+        _assert_strictly_sorted(fd.stat_keys, f"order {n} fold contexts")
+        ti, fold = np.divmod(fd.type_keys, F)
+        np.testing.assert_array_equal(fd.stat_keys, np.unique(od.type_keys[ti] // base * F + fold))
+        kinds = [("raw", od.type_counts, od.stats, fd.type_counts, fd.stat_deltas, 1)]
         if n < table.order:
-            kinds.append(("continuation", od.cont_type_counts, od.cont_stats, fd.cont_type_keys,
-                          fd.cont_type_counts, fd.cont_stat_keys, fd.cont_stat_deltas))
-        for name, counts, stats, type_keys, type_deltas, stat_keys, stat_deltas in kinds:
+            kinds.append(("continuation", od.cont_type_counts, od.cont_stats,
+                          fd.cont_type_counts, fd.cont_stat_deltas, 0))
+        else:
+            assert fd.cont_type_counts is None and fd.cont_stat_deltas is None, n
+        for name, counts, stats, type_deltas, stat_deltas, least in kinds:
             where = f"order {n} {name} folds"
-            _assert_strictly_sorted(type_keys, where)
-            _assert_strictly_sorted(stat_keys, where)
-            assert np.all(type_deltas >= 1), where
-            assert np.all(type_deltas <= counts[type_keys // F]), where
-            assert np.all(stat_deltas <= stats[stat_keys // F]), where
+            assert type_deltas.shape == fd.type_keys.shape, where
+            assert stat_deltas.shape == (len(fd.stat_keys), 4), where
+            assert np.all(type_deltas >= least), where
+            assert np.all(type_deltas <= counts[ti]), where
+            assert np.all(stat_deltas <= stats[fd.stat_keys // F]), where
 
 
 # -- unfused reference of the network layers -------------------------------

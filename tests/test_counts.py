@@ -19,6 +19,7 @@ from mixlm.neural.features import bulk_context_features
 from mixlm.smoothing import SmoothingSpec, bulk_column_rows
 
 from helpers import (
+    FOLD_VALUES,
     TOY_LINES,
     assert_store_invariants,
     brute_context_stats,
@@ -27,6 +28,7 @@ from helpers import (
     PARITY_CASES,
     encode,
     fold_out_tables,
+    fold_value_width,
     parity_corpora,
     parity_id,
     store_width,
@@ -44,9 +46,11 @@ def sealed(data):
 
 
 def all_int64(monkeypatch, build):
-    """What ``build`` returns when every width is int64, as in a table past 2**31."""
+    """What ``build`` returns when every width is int64, fold values too, as in
+    a table past 2**31 whose largest fold reaches 2**15 tokens."""
     with monkeypatch.context() as m:
         m.setattr(mcounts, "_width", lambda *bounds: np.dtype(np.int64))
+        m.setattr(mcounts, "_value_width", lambda largest, width: width)
         return build()
 
 
@@ -178,7 +182,8 @@ class TestBruteForceEquivalence:
             for (ctx, w), c in cc.items():
                 rank = resolve(self.view, ctx)
                 assert self.view.cont_count(n, rank, w) == c
-            assert len(self.table.orders[n].cont_type_keys) == len(cc)
+            # the continuation counts are aligned with the raw types, each at least 1
+            assert int((self.table.orders[n].cont_type_counts >= 1).sum()) == len(cc)
 
     def test_continuation_stats_match(self):
         for n in range(1, self.ORDER):
@@ -936,7 +941,8 @@ class TestSerialization:
         """The benchmark counts store bytes (``bench/pipeline.store_bytes``)
         and compares loaded tables (``bench/checks.tables_equal``) through
         the arrays ``vars()`` finds on ``orders[n]`` and ``fold_data[n]``:
-        every array a view reads must be one of them, and no other."""
+        every array a view reads must be one of them, and no other; the raw
+        and continuation kinds share their key arrays."""
         folded = cv_fold_counts(self.corpus, 3, folds=3)
         buf = io.BytesIO()
         self.table.write_binary(buf)
@@ -952,11 +958,43 @@ class TestSerialization:
                 holders = [table.orders[n]] + ([] if folds is None else [folds.fold_data[n]])
                 found = [v for h in holders for v in vars(h).values() if v is not None]
                 assert all(isinstance(v, np.ndarray) for v in found), n
-                assert sorted(map(id, read)) == sorted(map(id, found)), n
+                assert len(set(map(id, found))) == len(found), n
+                assert set(map(id, read)) == set(map(id, found)), n
+
+    @pytest.mark.parametrize("damage", ["type without a left extension",
+                                        "extension whose suffix is no type"])
+    def test_rejects_types_that_break_the_shared_keys(self, damage):
+        """With full bos padding the continuation types are the raw ones; a
+        sealed file whose types break that does not load.  The counts still
+        sum to the token count, so only ``_derive`` can tell."""
+        table = accumulate(encode(["a b a", "a c"]), 2)
+        od = table.orders[2 if damage == "type without a left extension" else 1]
+        words = (od.type_keys % table.base).tolist()
+        # drop a word's only type, its count folded into the type before it
+        i = next(i for i, w in enumerate(words) if i > 0 and words.count(w) == 1)
+        od.type_counts[i - 1] += od.type_counts[i]
+        od.type_keys, od.type_counts = np.delete(od.type_keys, i), np.delete(od.type_counts, i)
+        buf = io.BytesIO()
+        table.write_binary(buf)
+        buf.seek(0)
+        with pytest.raises(CountError, match="order-1 types are not the suffixes"):
+            CountTable.read_binary(buf)
+
+    def test_continuation_kind_reads_the_raw_keys(self):
+        """One key set per order: the continuation kind of a view holds the
+        raw kind's key arrays themselves, with and without fold data."""
+        folded = cv_fold_counts(self.corpus, 3, folds=3)
+        for view in (folded.view(), folded.table.view()):
+            for n in (1, 2):
+                raw, cont = view._kind(n, False), view._kind(n, True)
+                for name in ("keys", "index", "fold_keys", "stat_keys"):
+                    assert getattr(cont, name) is getattr(raw, name), (n, name)
+                assert cont.counts is not raw.counts and cont.stats is not raw.stats, n
 
 
 class TestWidth:
-    """One integer width per store, chosen from its bounds alone."""
+    """One integer width per store, and one for its fold values, each chosen
+    from its bounds alone."""
 
     def test_width_at_the_bound(self):
         """int32 at a bound of 2**31 - 1 and int64 at 2**31, from each of the
@@ -973,14 +1011,75 @@ class TestWidth:
             table = SimpleNamespace(orders=orders, base=base, token_count=tokens)
             assert store_width(table, folds) == want
 
+    def test_fold_value_width_at_the_bound(self):
+        """Fold values are int16 while the largest fold has at most 2**15 - 1
+        tokens and take the store's width from 2**15 on, at either store
+        width and without building a large table."""
+        i16 = np.dtype(np.int16)
+        for width in (np.dtype(np.int32), np.dtype(np.int64)):
+            for largest, want in ((2**15 - 1, i16), (2**15, width)):
+                assert mcounts._value_width(largest, width) == want
+                deltas = np.array([[3, 0, 0, 0], [largest, 0, 0, 0]])  # order-1 totals per fold
+                table = SimpleNamespace(orders=[None, SimpleNamespace(ctx_codes=range(1))],
+                                        base=8, token_count=2**31 if width == np.int64 else 10)
+                folded = SimpleNamespace(table=table, n_folds=2, fold_data=[
+                    None, SimpleNamespace(stat_deltas=deltas)])
+                assert fold_value_width(folded) == want
+
+    @pytest.mark.parametrize("largest", [2**15 - 1, 2**15])
+    def test_built_store_narrows_by_its_largest_fold(self, largest):
+        """A built store's fold values are int16 up to the bound and int32 at
+        it, whatever the smaller folds hold; its keys are int32 either way."""
+        long = " ".join("abc"[i % 3] for i in range(largest - 1))  # and its end symbol
+        folded = cv_fold_counts(encode([long, "a b"]), 2, folds=2)
+        assert folded.fold_data[1].stat_deltas[:, 0].tolist() == [largest, 3]
+        assert_store_invariants(folded.table, folded)
+        want = np.int16 if largest < 2**15 else np.int32
+        for fd in folded.fold_data[1:]:
+            assert fd.type_keys.dtype == fd.stat_keys.dtype == np.int32
+            for name in FOLD_VALUES:
+                assert getattr(fd, name) is None or getattr(fd, name).dtype == want, name
+
+    @pytest.mark.parametrize("narrow", [True, False], ids=["int16-values", "int32-values"])
+    def test_fold_values_of_either_width_equal_a_recount(self, monkeypatch, narrow):
+        """Bulk counts and stats with a fold left out equal the store counted
+        without it, whether the fold values are int16 or the store's width."""
+        corpus, held = parity_corpora(61)
+        with monkeypatch.context() as m:
+            if not narrow:
+                m.setattr(mcounts, "_value_width", lambda largest, width: width)
+            folded = cv_fold_counts(corpus, 4, folds=3)
+        want = np.int16 if narrow else np.int32
+        assert {getattr(fd, name).dtype for fd in folded.fold_data[1:4]
+                for name in FOLD_VALUES} == {np.dtype(want)}
+        view = folded.view()
+        for f, table in enumerate(fold_out_tables(corpus, 4, 3)):
+            rview = table.view()
+            for text in (corpus, held):
+                ranks, words, _ = view.bulk_ranks(text)
+                rranks = rview.bulk_ranks(text)[0]
+                same = np.full(len(words), f)
+                for n in range(1, 5):
+                    r, r2 = ranks[:, n - 1], rranks[:, n - 1]
+                    for cont in (False, True) if n < 4 else (False,):
+                        got = view.bulk_counts(n, r, words, same, cont)
+                        assert got.dtype == np.int32, (n, cont)
+                        np.testing.assert_array_equal(
+                            got, rview.bulk_counts(n, r2, words, continuation=cont))
+                        np.testing.assert_array_equal(
+                            view.bulk_stats(n, r, same, cont),
+                            rview.bulk_stats(n, r2, continuation=cont))
+
     def test_int64_store_answers_as_int32(self, monkeypatch):
         """Every scalar and bulk query, with and without folds, and the
         smoothed rows and features built on them, read the same from an int32
-        store and from one whose every array is int64; both write one file."""
+        store with int16 fold values and from one whose every array is int64;
+        both write one file."""
         corpus, held = parity_corpora(23)
         narrow = cv_fold_counts(corpus, 4, folds=3)
         wide = all_int64(monkeypatch, lambda: cv_fold_counts(corpus, 4, folds=3))
-        assert store_width(narrow.table, 3) == np.int32
+        assert store_width(narrow.table, 3) == np.int32 and fold_value_width(narrow) == np.int16
+        assert_store_invariants(narrow.table, narrow)
         holders = [*wide.table.orders[1:], *wide.fold_data[1:]]
         assert {a.dtype for h in holders for a in vars(h).values() if a is not None} == {
             np.dtype(np.int64)} == {wide.fold_assignment.dtype}
@@ -1058,11 +1157,11 @@ class TestWidth:
         calls = {
             "rank_chain miss": (lambda: view.rank_chain(second), [o[2].ctx_codes, o[3].ctx_codes]),
             "stats": (lambda: view.stats(3, r3), [o[3].type_keys]),
-            "cont_stats": (lambda: view.cont_stats(2, r2), [o[2].cont_type_keys]),
+            "cont_stats": (lambda: view.cont_stats(2, r2), [o[2].type_keys]),
             "count": (lambda: view.count(3, r3, word), [o[3].type_keys]),
-            "cont_count": (lambda: view.cont_count(2, r2, word), [o[2].cont_type_keys]),
+            "cont_count": (lambda: view.cont_count(2, r2, word), [o[2].type_keys]),
             "successors": (lambda: view.successors(3, r3), [o[3].type_keys]),
-            "cont successors": (lambda: view.successors(2, r2, True), [o[2].cont_type_keys]),
+            "cont successors": (lambda: view.successors(2, r2, True), [o[2].type_keys]),
         }
         for what, (call, searched) in calls.items():
             call()  # the view keeps what it builds on a first read
@@ -1138,10 +1237,24 @@ def test_store_invariants_catch_damage():
     def damage_width(t, f):  # the values stay right; only the width differs
         f.fold_data[2].cont_stat_deltas = f.fold_data[2].cont_stat_deltas.astype(np.int64)
 
+    def damage_key_width(t, f):  # fold keys keep the store's width, not the values'
+        f.fold_data[2].type_keys = f.fold_data[2].type_keys.astype(np.int16)
+
+    def damage_cont_count(t, f):
+        f.fold_data[1].cont_type_counts[0] = -1
+
+    def damage_cont_alignment(t, f):  # a continuation delta with no raw fold key
+        fd = f.fold_data[1]
+        fd.cont_type_counts = np.append(fd.cont_type_counts, fd.cont_type_counts[:1])
+
+    def damage_table_alignment(t, f):
+        t.orders[2].cont_type_counts = t.orders[2].cont_type_counts[1:]
+
     folded = cv_fold_counts(toy_corpus(), 3, folds=2)
     assert_store_invariants(folded.table, folded)
     for damage in (damage_type_order, damage_type_count, damage_token_count,
-                   damage_fold_count, damage_fold_stats, damage_width):
+                   damage_fold_count, damage_fold_stats, damage_width, damage_key_width,
+                   damage_cont_count, damage_cont_alignment, damage_table_alignment):
         folded = cv_fold_counts(toy_corpus(), 3, folds=2)
         damage(folded.table, folded)
         with pytest.raises(AssertionError):

@@ -1,6 +1,8 @@
 """Adam updates, gradient clipping, the in-place update against the
 out-of-place reference, and gradients against central differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,26 @@ class TestClipGradients:
         with pytest.raises(OptimError, match="layer.W"):
             _step_with([p], [[np.inf, 0.0]])
         np.testing.assert_array_equal(ok.value, 0.0)  # nothing updated
+
+    @pytest.mark.parametrize("grads", [[[1e200, -1e200]], [[1.2e154], [-1.2e154]]],
+                             ids=["square-overflows", "sum-overflows"])
+    def test_finite_gradients_whose_squares_overflow(self, grads):
+        """Finite gradients whose sum of squares overflows are scaled to the
+        clipping norm, not to 0, and without a warning."""
+        params = [T.param(np.zeros(len(g)), f"p{i}") for i, g in enumerate(grads)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = _step_with(params, grads)
+        assert norm == pytest.approx(np.sqrt(2.0) * abs(grads[0][0]), rel=1e-12)
+        clipped = np.concatenate([p.grad for p in params])
+        assert np.all(np.isfinite(clipped))
+        assert abs(np.linalg.norm(clipped) - CLIP_NORM) <= 1e-12
+        assert all(np.all(np.isfinite(p.value)) for p in params)
+
+    def test_infinite_gradient_beside_an_overflowing_one_raises(self):
+        big, bad = T.param(np.zeros(1), "big"), T.param(np.zeros(2), "bad")
+        with pytest.raises(OptimError, match="bad"):
+            _step_with([big, bad], [[1e200], [1.0, -np.inf]])
 
     def test_missing_gradients_skipped(self):
         p = T.param(np.zeros(2), "p")
