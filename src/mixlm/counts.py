@@ -8,18 +8,21 @@ where ``suffix_rank`` is the rank of its length-(n-2) suffix among order-(n-1)
 contexts and ``B = J + 1`` (the begin-of-sentence symbol is J).  Ranks stay
 below the number of distinct contexts (the sorted-array context encoding of
 Pauls & Klein 2011), so every code and type key is below
-``len(top-order contexts) * B``, and every count, stat and fold key at most
-``token_count * F`` (F = 1 without folds).  Every array of a store is int32
-when both bounds are below 2**31, and int64 otherwise, except the fold
-values (the fold type counts, stat deltas and their continuation twins):
-each is bounded in absolute value by the largest fold's token count, so
-they are int16 while that is below 2**15.  Their arithmetic never runs in
-int16: they are computed at the store's width and narrowed after, and every
-bulk call subtracts them into an array of the store's width.  A bulk
-query is cast to its keys' width and searched in sorted order, so that each
-needle's binary search starts at the previous needle's position, then its
-positions are put back in the query's order; a scalar one is a ``bisect``
-over a kept memoryview, so no lookup converts a key array.
+``len(top-order contexts) * B``, and every fold key below ``token_count * F``
+(F = 1 without folds).  The key arrays (contexts, type keys, fold keys) and
+the fold assignment share the store's width: int32 when both bounds are
+below 2**31, and int64 otherwise.  Every value array (type counts, stats,
+continuation counts and stats, and the fold deltas of each) has the
+narrowest of int8, int16, int32 and int64 that holds its own minimum and
+maximum (``_narrow``).  Their arithmetic never runs narrow: values are
+computed at the store's width and narrowed last, a bulk call casts what it
+gathers to the store's width or subtracts it into an array of that width,
+and a scalar read converts to a Python int.  Every array a query returns
+has the store's width.  A bulk query is cast to its keys' width and
+searched in sorted order, so that each needle's binary search starts at the
+previous needle's position, then its positions are put back in the query's
+order; a scalar one is a ``bisect`` over a kept memoryview, so no lookup
+converts a key array.
 Every position is counted with full left bos-padding.
 
 Each order holds sorted ``rank * B + word`` type keys with parallel raw
@@ -41,17 +44,18 @@ against the raw (type, fold) and (context, fold) keys, 0 where the fold takes
 nothing: a left extension found only in one fold puts its type there.
 
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
-a ``CountView`` and written to disk in one form, binary file format 4:
-``MXCT``; version, order and width W, the bytes per value (u32); vocabulary
-size and token count (u64); the vocabulary fingerprint as a u32 length and
-ASCII bytes; per order only what counting produced, ctx_codes, type_keys and
-type_counts, each as a u64 element count and W-byte values; then a CRC32 of
-every byte after the magic, all little-endian.  Loading derives the stats
-and continuation arrays with ``_derive``, the code that builds them after
-counting.  A file that is cut short, has trailing bytes, fails its checksum,
-is malformed or has a W other than its bounds select without folds raises
-``CountError``, and so does text encoded with a vocabulary whose
-fingerprint is not the table's.
+a ``CountView`` and written to disk in one form, binary file format 5:
+``MXCT``; version and order (u32); vocabulary size and token count (u64);
+the vocabulary fingerprint as a u32 length and ASCII bytes; per order only
+what counting produced, ctx_codes, type_keys and type_counts, each as its
+byte width W (u32), its element count (u64) and W-byte values, every array
+at the narrowest width of its own values; then a CRC32 of every byte after
+the magic, all little-endian.  Loading widens the keys to the store's width
+and derives the stats and continuation arrays with ``_derive``, the code
+that builds them after counting.  A file that is cut short, has trailing
+bytes, fails its checksum, is malformed, has a W other than 1, 2, 4 or 8, or
+an array wider than its values need raises ``CountError``, and so does text
+encoded with a vocabulary whose fingerprint is not the table's.
 """
 
 from __future__ import annotations
@@ -69,8 +73,10 @@ import numpy as np
 from .corpus import EncodedCorpus, Vocabulary
 
 _BIN_MAGIC = b"MXCT"
-_BIN_VERSION = 4
-_HEADER = struct.Struct("<IIIQQ")
+_BIN_VERSION = 5
+_HEADER = struct.Struct("<IIQQ")
+_ARRAY = struct.Struct("<IQ")  # byte width and element count of one array
+_VALUE_TYPES = [np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)]
 
 
 class CountError(ValueError):
@@ -84,7 +90,8 @@ def _vocab_fingerprint(vocab: Vocabulary) -> str:
 
 @dataclass
 class _OrderData:
-    """Arrays for one n-gram order (contexts of length order-1)."""
+    """Arrays for one n-gram order (contexts of length order-1).  The keys
+    have the store's width, each value array its own narrowest width."""
 
     ctx_codes: np.ndarray  # sorted context codes
     type_keys: np.ndarray  # sorted rank * B + word
@@ -100,7 +107,7 @@ class _OrderData:
 @dataclass
 class _FoldData:
     """Per-order fold-exclusion deltas: value without the fold = full value - delta.
-    The keys have the store's width, the values the narrower fold-value width."""
+    The keys have the store's width, each value array its own narrowest width."""
 
     type_keys: np.ndarray  # type_index * F + fold, for each fold a type occurs in
     type_counts: np.ndarray  # occurrences of the type inside the fold
@@ -151,13 +158,13 @@ class CountTable:
 
     def write_binary(self, fh: io.BufferedIOBase) -> None:
         fp = self.vocab_fingerprint.encode("ascii")
-        width = _width(len(self.orders[-1].ctx_codes), self.base, self.token_count)
-        parts = [_HEADER.pack(_BIN_VERSION, self.order, width.itemsize, self.vocab_size,
-                              self.token_count), struct.pack("<I", len(fp)), fp]
+        parts = [_HEADER.pack(_BIN_VERSION, self.order, self.vocab_size, self.token_count),
+                 struct.pack("<I", len(fp)), fp]
         for od in self.orders[1:]:
             for arr in (od.ctx_codes, od.type_keys, od.type_counts):
-                parts += [struct.pack("<Q", arr.size),
-                          np.ascontiguousarray(arr, dtype=width.newbyteorder("<")).tobytes()]
+                arr = _narrow(arr)
+                parts += [_ARRAY.pack(arr.itemsize, arr.size),
+                          np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()]
         body = b"".join(parts)
         fh.write(_BIN_MAGIC)
         fh.write(body)
@@ -176,17 +183,21 @@ class CountTable:
             pos += size
             return data[pos - size:pos]
 
-        def read_arr() -> np.ndarray:
-            (size,) = struct.unpack("<Q", read(8))
-            return np.frombuffer(read(size * width), dtype=f"<i{width}").astype(f"=i{width}")
+        def read_arr(n: int) -> np.ndarray:
+            """One array as a writable copy, at the width its file gives it."""
+            width, size = _ARRAY.unpack(read(_ARRAY.size))
+            if width not in (1, 2, 4, 8):
+                raise CountError(f"unsupported count-table width {width}")
+            arr = np.frombuffer(read(size * width), dtype=f"<i{width}").astype(f"=i{width}")
+            if _narrow(arr).dtype != arr.dtype:
+                raise CountError(f"an order-{n} array of width {width} is wider than its values")
+            return arr
 
         if data[:4] != _BIN_MAGIC:
             raise CountError("not a count-table file")
-        version, order, width, vocab_size, token_count = _HEADER.unpack(read(_HEADER.size))
+        version, order, vocab_size, token_count = _HEADER.unpack(read(_HEADER.size))
         if version != _BIN_VERSION:
             raise CountError(f"unsupported count-table version {version}")
-        if width not in (4, 8):
-            raise CountError(f"unsupported count-table width {width}")
         if zlib.crc32(data[4:end]) != int.from_bytes(data[end:], "little"):
             raise CountError("count-table file is damaged: checksum mismatch")
         if order < 1:
@@ -199,15 +210,20 @@ class CountTable:
 
         orders: list = [None]
         for n in range(1, order + 1):
-            ctx_codes, keys, counts = read_arr(), read_arr(), read_arr()
+            ctx_codes, keys, counts = read_arr(n), read_arr(n), read_arr(n)
             if len(keys) != len(counts):
                 raise CountError(f"order-{n} arrays disagree in length")
             orders.append(_OrderData(ctx_codes, keys, counts))
         if pos != end:
             raise CountError("trailing bytes after the last array")
         del data  # the arrays are copies: free the file's bytes before deriving
-        if _width(len(orders[-1].ctx_codes), vocab_size + 1, token_count).itemsize != width:
-            raise CountError(f"width {width} is not the one the table's bounds select")
+        width = _width(len(orders[-1].ctx_codes), vocab_size + 1, token_count)
+        for n, od in enumerate(orders[1:], 1):
+            # keys that need more than the store's width lie past its bounds
+            if max(od.ctx_codes.itemsize, od.type_keys.itemsize) > width.itemsize:
+                raise CountError(f"order-{n} keys are out of order or range")
+            od.ctx_codes = od.ctx_codes.astype(width, copy=False)
+            od.type_keys = od.type_keys.astype(width, copy=False)
         _check_arrays(orders, vocab_size + 1, token_count)
         _derive(orders, vocab_size + 1)
         return cls(order, int(vocab_size), orders, int(token_count), fingerprint)
@@ -246,9 +262,18 @@ def _width(top_contexts: int, base: int, token_count: int, folds: int = 1) -> np
                     else np.int64)
 
 
-def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int) -> np.ndarray:
-    """(n_groups, 4) stats of the counts in each group: total, n1, n2, n3p."""
-    out = np.empty((n_groups, 4), dtype=counts.dtype)
+def _narrow(arr: np.ndarray) -> np.ndarray:
+    """``arr`` at the narrowest of int8, int16, int32 and int64 that holds its
+    minimum and maximum; ``arr`` itself when it has that width already."""
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+    return arr.astype(next(t for t in _VALUE_TYPES
+                           if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max), copy=False)
+
+
+def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int, width: np.dtype) -> np.ndarray:
+    """(n_groups, 4) stats of the counts in each group: total, n1, n2, n3p,
+    tallied at ``width`` whatever the counts' own width, so no total wraps."""
+    out = np.empty((n_groups, 4), dtype=width)
     out[:, 0] = np.bincount(groups, weights=counts, minlength=n_groups)
     for j, level in enumerate((counts == 1, counts == 2, counts >= 3), 1):
         out[:, j] = np.bincount(groups[level], minlength=n_groups)
@@ -263,11 +288,15 @@ def _derive(orders: list, base: int) -> list[np.ndarray]:
     The continuation types are the raw ones (module docstring), so their
     counts are aligned with ``type_keys``; types that break this raise.
 
-    Returns, per order n, the map from order-(n+1) type index to order-n type
-    index (needed for fold-exclusive bookkeeping).
+    Values are tallied at the store's width, the keys', and narrowed last
+    (module docstring).  Returns, per order n, the map from order-(n+1) type
+    index to order-n type index (needed for fold-exclusive bookkeeping).
     """
+    width = orders[1].type_keys.dtype
     for od in orders[1:]:
-        od.stats = _tally(od.type_keys // base, od.type_counts, len(od.ctx_codes) + 1)
+        od.stats = _narrow(_tally(od.type_keys // base, od.type_counts,
+                                  len(od.ctx_codes) + 1, width))
+        od.type_counts = _narrow(od.type_counts)
     inverses: list = [None] * len(orders)
     for n in range(1, len(orders) - 1):
         hi, od = orders[n + 1], orders[n]
@@ -276,22 +305,18 @@ def _derive(orders: list, base: int) -> list[np.ndarray]:
             suffix_rank * base + hi.type_keys % base, return_inverse=True, return_counts=True)
         if not np.array_equal(keys, od.type_keys):
             raise CountError(f"order-{n} types are not the suffixes of the order-{n + 1} types")
-        od.cont_type_counts = counts.astype(keys.dtype)
-        od.cont_stats = _tally(keys // base, od.cont_type_counts, len(od.ctx_codes) + 1)
+        od.cont_stats = _narrow(_tally(keys // base, counts, len(od.ctx_codes) + 1, width))
+        od.cont_type_counts = _narrow(counts)
     return inverses
-
-
-def _value_width(largest_fold: int, width: np.dtype) -> np.dtype:
-    """int16 for the fold values while their bound, the largest fold's token
-    count, stays below 2**15; else the store's ``width``."""
-    return np.dtype(np.int16) if largest_fold < 2**15 else width
 
 
 def _stat_deltas(inv: np.ndarray, n_keys: int, full: np.ndarray, drop: np.ndarray) -> np.ndarray:
     """(n_keys, 4) stat deltas of the (type, fold) entries that map to each
     stat key through ``inv``: the stats of their full counts minus those of
-    their counts without the fold.  An entry that drops 0 adds 0."""
-    return _tally(inv, full, n_keys) - _tally(inv, full - drop, n_keys)
+    their counts without the fold, at the width of ``drop``.  An entry that
+    drops 0 adds 0."""
+    width = drop.dtype
+    return _tally(inv, full, n_keys, width) - _tally(inv, full - drop, n_keys, width)
 
 
 def _corpus_stream(corpus: EncodedCorpus, order: int):
@@ -345,7 +370,6 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
 
     fold_assignment = np.arange(len(corpus.sentences), dtype=width) % folds
     fold_of_t = fold_assignment[sent_of]
-    value = _value_width(np.bincount(fold_of_t, minlength=folds).max(), width)
 
     # the values are computed at the store's width and only then narrowed
     fold_data: list = [None] * (order + 1)
@@ -357,8 +381,8 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
         ti, fold = np.divmod(keys, folds)
         stat_keys, inv = np.unique(od.type_keys[ti] // base * folds + fold, return_inverse=True)
         fd = fold_data[n] = _FoldData(
-            keys, counts.astype(value), stat_keys,
-            _stat_deltas(inv, len(stat_keys), od.type_counts[ti], counts).astype(value))
+            keys, _narrow(counts), stat_keys,
+            _narrow(_stat_deltas(inv, len(stat_keys), od.type_counts[ti], counts)))
         if n < order:
             # an order-(n+1) type whose occurrences all sit in one fold is a
             # left extension that leaving the fold out loses; its suffix type
@@ -368,9 +392,9 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
             lost = np.bincount(np.searchsorted(keys, cont_inverse[n][excl // folds] * folds
                                                + excl % folds), minlength=len(keys))
             lost = lost.astype(width)
-            fd.cont_type_counts = lost.astype(value)
-            fd.cont_stat_deltas = _stat_deltas(inv, len(stat_keys), od.cont_type_counts[ti],
-                                               lost).astype(value)
+            fd.cont_type_counts = _narrow(lost)
+            fd.cont_stat_deltas = _narrow(_stat_deltas(inv, len(stat_keys),
+                                                       od.cont_type_counts[ti], lost))
 
     folded = FoldedCounts(table, folds, fold_assignment, fold_data)
     return table, folded
@@ -436,13 +460,16 @@ def _integers(name: str, values, size: int | None = None, bound: int = 0) -> np.
 
 def _subtract(out: np.ndarray, keys: np.ndarray, deltas: np.ndarray, query: np.ndarray) -> None:
     """out[t] -= deltas[i] in place for each t with keys[i] == query[t] (a
-    whole row when ``out`` is 2-D): every position's delta is gathered and
-    only the hits subtract it; a negative query (built from rank -1) matches
-    no key."""
+    whole row when ``out`` is 2-D): every position's delta is gathered, a
+    miss's is zeroed, and the wider ``out`` takes the subtraction; a negative
+    query (built from rank -1) matches no key.  Zeroing by a product is
+    faster than a masked subtraction or ``np.where``, which has no fast
+    path for 1-byte deltas."""
     if len(keys):
         idx, hit = _find(keys, query)
-        np.subtract(out, np.take(deltas, idx, axis=0), out=out,
-                    where=hit if out.ndim == 1 else hit[:, None])
+        taken = np.take(deltas, idx, axis=0)
+        taken *= hit if out.ndim == 1 else hit[:, None]
+        out -= taken
 
 
 class ContextStats(NamedTuple):
@@ -593,12 +620,13 @@ class CountView:
         return self._count(order, rank, word, True)
 
     def successors(self, order: int, rank: int, continuation: bool = False):
-        """(word ids, counts) of a context's successors, as new arrays."""
+        """(word ids, counts) of a context's successors, as new arrays of the
+        store's width."""
         kind = self._kind(order, continuation)
         base = self.table.base
         lo = bisect.bisect_left(kind.index, kind.rank(rank) * base)
         hi = bisect.bisect_left(kind.index, (rank + 1) * base, lo)
-        return kind.keys[lo:hi] % base, kind.counts[lo:hi].copy()
+        return kind.keys[lo:hi] % base, kind.counts[lo:hi].astype(kind.keys.dtype)
 
     # -- bulk queries ----------------------------------------------------
 
@@ -639,7 +667,8 @@ class CountView:
         words = _integers("word", words, len(ranks), self.table.vocab_size)
         folds = self._folds(folds, len(ranks))
         idx, hit = _find(kind.keys, ranks * self.table.base + words)
-        out = np.where(hit, np.take(kind.counts, idx), 0)
+        out = np.take(kind.counts, idx).astype(kind.keys.dtype)  # the store's width
+        out *= hit
         if folds is not None:
             _subtract(out, kind.fold_keys, kind.fold_counts,
                       np.where(hit, idx, -1) * self.folded.n_folds + folds)
@@ -652,7 +681,7 @@ class CountView:
         kind = self._kind(order, continuation)
         ranks = kind.ranks(_integers("rank", ranks))
         folds = self._folds(folds, len(ranks))
-        s = np.take(kind.stats, ranks, axis=0)
+        s = np.take(kind.stats, ranks, axis=0).astype(kind.keys.dtype)  # the store's width
         if folds is not None:
             _subtract(s, kind.stat_keys, kind.stat_deltas, ranks * self.folded.n_folds + folds)
         return ContextStats._make(s.T)

@@ -151,44 +151,46 @@ def _assert_strictly_sorted(keys, where):
 
 
 def store_width(table, n_folds=1):
-    """The one integer width a store's bounds select: int32 while the top
-    order's contexts times B and the token count times the folds stay below
-    2**31."""
+    """The width a store's bounds select for its key arrays: int32 while the
+    top order's contexts times B and the token count times the folds stay
+    below 2**31."""
     bound = max(len(table.orders[-1].ctx_codes) * table.base, table.token_count * n_folds)
     return np.dtype(np.int32 if bound < 2**31 else np.int64)
 
 
-FOLD_VALUES = ("type_counts", "stat_deltas", "cont_type_counts", "cont_stat_deltas")
+KEYS = ("ctx_codes", "type_keys", "stat_keys")  # every other store array holds values
 
 
-def fold_value_width(folded):
-    """The width of a store's fold values: int16 while the largest fold's
-    token count, which bounds each of them, is below 2**15, else the store's.
-    Order 1 has one context, so its total deltas are the folds' token counts."""
-    largest = int(folded.fold_data[1].stat_deltas[:, 0].max())
-    return np.dtype(np.int16) if largest < 2**15 else store_width(folded.table, folded.n_folds)
+def narrowest(arr):
+    """The narrowest of int8, int16, int32 and int64 that holds the minimum
+    and maximum of ``arr``: the width of each value array of a store."""
+    lo, hi = int(arr.min()), int(arr.max())
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
 
 
-def _assert_width(holder, width, where, value_width=None):
-    """Every array of ``holder`` has ``width``, its fold values ``value_width`` if given."""
+def _assert_width(holder, width, where):
+    """Every key array of ``holder`` has the store's ``width``, and every
+    value array the narrowest width of its own values."""
     for name, arr in vars(holder).items():
-        want = value_width if value_width is not None and name in FOLD_VALUES else width
-        assert arr is None or arr.dtype == want, f"{where} {name}: {arr.dtype}, not {want}"
+        if arr is not None:
+            want = width if name in KEYS else narrowest(arr)
+            assert arr.dtype == want, f"{where} {name}: {arr.dtype}, not {want}"
 
 
 def assert_store_invariants(table, folded=None):
     """Check what every count store keeps true, with its fold data if given.
 
-    Every array has the width its own bound selects (the store's, or for
-    fold values the fold-value width), keys are strictly sorted, type
-    counts are at least 1, each stats array equals a re-tally of its type
-    arrays plus one all-zero last row for rank -1, the raw totals of every
-    order sum to the token count, the continuation counts are aligned with
-    the raw type keys, and so are the continuation fold deltas with the raw
-    fold keys.  Every stat key is the context of a fold type key, the
-    order-1 fold totals sum to the token count, raw fold counts are at
-    least 1, continuation ones at least 0, and no fold delta exceeds the
-    full value it is subtracted from.
+    Every key array and the fold assignment have the store's width, every
+    value array the narrowest width of its own values, keys are strictly
+    sorted, type counts are at least 1, each stats array equals a re-tally
+    of its type arrays plus one all-zero last row for rank -1, the raw
+    totals of every order sum to the token count, the continuation counts
+    are aligned with the raw type keys, and so are the continuation fold
+    deltas with the raw fold keys.  Every stat key is the context of a fold
+    type key, the order-1 fold totals sum to the token count, raw fold
+    counts are at least 1, continuation ones at least 0, and no fold delta
+    exceeds the full value it is subtracted from.
     """
     base = table.base
     width = store_width(table, 1 if folded is None else folded.n_folds)
@@ -218,10 +220,9 @@ def assert_store_invariants(table, folded=None):
     assert folded.fold_assignment.dtype == width
     F = folded.n_folds
     assert folded.fold_data[1].stat_deltas[:, 0].sum() == table.token_count
-    value_width = fold_value_width(folded)
     for n in range(1, table.order + 1):
         od, fd = table.orders[n], folded.fold_data[n]
-        _assert_width(fd, width, f"order {n} folds", value_width)
+        _assert_width(fd, width, f"order {n} folds")
         _assert_strictly_sorted(fd.type_keys, f"order {n} fold types")
         _assert_strictly_sorted(fd.stat_keys, f"order {n} fold contexts")
         ti, fold = np.divmod(fd.type_keys, F)

@@ -19,7 +19,7 @@ from mixlm.neural.features import bulk_context_features
 from mixlm.smoothing import SmoothingSpec, bulk_column_rows
 
 from helpers import (
-    FOLD_VALUES,
+    KEYS,
     TOY_LINES,
     assert_store_invariants,
     brute_context_stats,
@@ -28,7 +28,7 @@ from helpers import (
     PARITY_CASES,
     encode,
     fold_out_tables,
-    fold_value_width,
+    narrowest,
     parity_corpora,
     parity_id,
     store_width,
@@ -37,7 +37,7 @@ from helpers import (
 )
 
 
-FINGERPRINT_AT = 36  # magic and header, then the fingerprint's u32 length
+FINGERPRINT_AT = 32  # magic and header, then the fingerprint's u32 length
 
 
 def sealed(data):
@@ -45,13 +45,34 @@ def sealed(data):
     return data[:-4] + struct.pack("<I", zlib.crc32(data[4:-4]))
 
 
+def first_array_at(data):
+    """Offset of the first array (order 1's contexts) in a count file."""
+    (fp_len,) = struct.unpack_from("<I", data, FINGERPRINT_AT - 4)
+    return FINGERPRINT_AT + fp_len
+
+
+def rewritten(data, at, values, width):
+    """A count file whose array at offset ``at`` holds ``values`` at ``width``
+    bytes, with its checksum recomputed."""
+    old_width, size = struct.unpack_from("<IQ", data, at)
+    tail = data[at + 12 + old_width * size:]
+    arr = np.asarray(values, dtype=f"<i{width}")
+    return sealed(data[:at] + struct.pack("<IQ", width, arr.size) + arr.tobytes() + tail)
+
+
 def all_int64(monkeypatch, build):
-    """What ``build`` returns when every width is int64, fold values too, as in
-    a table past 2**31 whose largest fold reaches 2**15 tokens."""
+    """What ``build`` returns when every array is int64, keys and values, as
+    in a table past 2**31 whose every value array needs eight bytes."""
     with monkeypatch.context() as m:
         m.setattr(mcounts, "_width", lambda *bounds: np.dtype(np.int64))
-        m.setattr(mcounts, "_value_width", lambda largest, width: width)
+        m.setattr(mcounts, "_narrow", lambda arr: arr.astype(np.int64))
         return build()
+
+
+def widths(table):
+    """The width of every array of every order, by order and name."""
+    return [{name: arr.dtype for name, arr in vars(od).items() if arr is not None}
+            for od in table.orders[1:]]
 
 
 def scalar_reads(view, n, rank, word, cont):
@@ -809,6 +830,8 @@ class TestSerialization:
         loaded = CountTable.load(path)
         assert loaded.vocab_fingerprint == self.table.vocab_fingerprint
         assert_tables_equal(self.table, loaded)
+        assert widths(loaded) == widths(self.table)
+        assert_store_invariants(loaded)
 
     def test_binary_round_trip_is_bit_exact(self, tmp_path):
         p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
@@ -832,17 +855,19 @@ class TestSerialization:
             "cut inside the header": data[:20],
             "one trailing byte": data + b"\x00",
             "version 1": data[:4] + struct.pack("<I", 1) + data[8:],
+            "version 4": data[:4] + struct.pack("<I", 4) + data[8:],
         }
         for what, bad in damaged.items():
             path.write_bytes(bad)
             with pytest.raises(CountError):
                 CountTable.load(str(path))
         # damage behind a valid checksum reaches the checks after it
-        (fp_len,) = struct.unpack_from("<I", data, FINGERPRINT_AT - 4)
+        at = first_array_at(data)
         behind_checksum = {
             "not ASCII": data[:FINGERPRINT_AT] + b"\xff" + data[FINGERPRINT_AT + 1:],
-            "order must be": (data[:8] + struct.pack("<I", 0)
-                              + data[12:FINGERPRINT_AT + fp_len] + bytes(4)),
+            "order must be": data[:8] + struct.pack("<I", 0) + data[12:at] + bytes(4),
+            "version 4": data[:4] + struct.pack("<I", 4) + data[8:],
+            "width 3": data[:at] + struct.pack("<I", 3) + data[at + 4:],
         }
         for message, bad in behind_checksum.items():
             with pytest.raises(CountError, match=message):
@@ -866,42 +891,58 @@ class TestSerialization:
 
     def test_rejects_keys_out_of_order_or_range_behind_checksum(self):
         """A file whose checksum is valid still has its arrays checked: an
-        order-1 type key past every context, and two keys swapped."""
+        order-1 type key past every context, two keys swapped, and a key past
+        the store's width, written at the width it needs."""
         buf = io.BytesIO()
-        accumulate(encode(["a b a", "a c", "a b", "d a"]), 3).write_binary(buf)
+        table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
+        table.write_binary(buf)
         data = buf.getvalue()
-        (fp_len,) = struct.unpack_from("<I", data, FINGERPRINT_AT - 4)
-        at = FINGERPRINT_AT + fp_len + 20  # past order 1's context array and key count
-        first, second = slice(at, at + 4), slice(at + 4, at + 8)
+        at = first_array_at(data) + 13  # order 1's type keys, after its one-byte context
+        width, _ = struct.unpack_from("<IQ", data, at)
+        assert width == 1
+        first, second = slice(at + 12, at + 13), slice(at + 13, at + 14)
         oversized = bytearray(data)
-        oversized[first] = struct.pack("<i", 1_000_000)
+        oversized[first] = struct.pack("<b", 127)
         swapped = bytearray(data)
         swapped[first], swapped[second] = data[second], data[first]
-        for bad in (oversized, swapped):
+        keys = table.orders[1].type_keys.astype(np.int64)
+        keys[-1] = 2**31
+        for bad in (sealed(bytes(oversized)), sealed(bytes(swapped)),
+                    rewritten(data, at, keys, 8)):
             with pytest.raises(CountError, match="order-1 keys"):
-                CountTable.read_binary(io.BytesIO(sealed(bytes(bad))))
+                CountTable.read_binary(io.BytesIO(bad))
 
-    @pytest.mark.parametrize("at, value, message", [
-        (4, 3, "version 3"), (12, 0, "width 0"), (12, 2, "width 2"), (12, 16, "width 16")],
-        ids=["version-3", "width-0", "width-2", "width-16"])
-    def test_rejects_other_version_or_width_behind_checksum(self, at, value, message):
+    @pytest.mark.parametrize("field, value, message", [
+        ("version", 3, "version 3"), ("width", 0, "width 0"), ("width", 2, "width 2"),
+        ("width", 16, "width 16")], ids=["version-3", "width-0", "width-2", "width-16"])
+    def test_rejects_other_version_or_width_behind_checksum(self, field, value, message):
+        """A version other than 5, a width field other than 1, 2, 4 or 8, and
+        an array wider than its values (order 1's one context, 0, at two
+        bytes) do not load."""
         buf = io.BytesIO()
         self.table.write_binary(buf)
         data = buf.getvalue()
-        assert struct.unpack_from("<II", data, 4) == (4, 3)
-        assert struct.unpack_from("<I", data, 12) == (4,)
-        bad = data[:at] + struct.pack("<I", value) + data[at + 4:]
+        at = first_array_at(data)
+        assert struct.unpack_from("<II", data, 4) == (5, 3)
+        assert struct.unpack_from("<IQb", data, at) == (1, 1, 0)
+        if field == "version":
+            bad = sealed(data[:4] + struct.pack("<I", value) + data[8:])
+        elif value == 2:
+            bad = rewritten(data, at, [0], 2)
+        else:
+            bad = sealed(data[:at] + struct.pack("<I", value) + data[at + 4:])
         with pytest.raises(CountError, match=message):
-            CountTable.read_binary(io.BytesIO(sealed(bad)))
+            CountTable.read_binary(io.BytesIO(bad))
 
     def test_rejects_width_its_bounds_do_not_select(self, monkeypatch):
-        """A small table written at width 8 behind a valid checksum: its bounds
-        select 4, and int32 arithmetic on a wider table could overflow."""
+        """A small table written with every array at width 8 behind a valid
+        checksum: each array must have the narrowest width of its own values,
+        so a file reads back at the widths a build gives."""
         buf = io.BytesIO()
         all_int64(monkeypatch, lambda: self.table.write_binary(buf))
         data = buf.getvalue()
-        assert struct.unpack_from("<I", data, 12) == (8,)
-        with pytest.raises(CountError, match="width 8 is not the one"):
+        assert struct.unpack_from("<I", data, first_array_at(data)) == (8,)
+        with pytest.raises(CountError, match="width 8 is wider than its values"):
             CountTable.read_binary(io.BytesIO(data))
 
     @pytest.mark.parametrize("damage", [
@@ -993,8 +1034,8 @@ class TestSerialization:
 
 
 class TestWidth:
-    """One integer width per store, and one for its fold values, each chosen
-    from its bounds alone."""
+    """One integer width per store for its keys, chosen from its bounds
+    alone, and for each value array the narrowest width of its own values."""
 
     def test_width_at_the_bound(self):
         """int32 at a bound of 2**31 - 1 and int64 at 2**31, from each of the
@@ -1012,46 +1053,74 @@ class TestWidth:
             assert store_width(table, folds) == want
 
     def test_fold_value_width_at_the_bound(self):
-        """Fold values are int16 while the largest fold has at most 2**15 - 1
-        tokens and take the store's width from 2**15 on, at either store
-        width and without building a large table."""
-        i16 = np.dtype(np.int16)
-        for width in (np.dtype(np.int32), np.dtype(np.int64)):
-            for largest, want in ((2**15 - 1, i16), (2**15, width)):
-                assert mcounts._value_width(largest, width) == want
-                deltas = np.array([[3, 0, 0, 0], [largest, 0, 0, 0]])  # order-1 totals per fold
-                table = SimpleNamespace(orders=[None, SimpleNamespace(ctx_codes=range(1))],
-                                        base=8, token_count=2**31 if width == np.int64 else 10)
-                folded = SimpleNamespace(table=table, n_folds=2, fold_data=[
-                    None, SimpleNamespace(stat_deltas=deltas)])
-                assert fold_value_width(folded) == want
+        """A value array, fold values included, takes the narrowest width
+        that holds its minimum and maximum, at each bound of each width and
+        without building a large table; one already at that width is kept."""
+        for t, wider in ((np.int8, np.int16), (np.int16, np.int32), (np.int32, np.int64)):
+            info = np.iinfo(t)
+            for lo, hi, want in ((0, info.max, t), (0, info.max + 1, wider),
+                                 (info.min, 0, t), (info.min - 1, 0, wider)):
+                arr = np.array([lo, 1, hi], dtype=np.int64)
+                got = mcounts._narrow(arr)
+                assert got.dtype == want == narrowest(arr), (lo, hi)
+                np.testing.assert_array_equal(got, arr)
+                assert mcounts._narrow(got) is got
+        assert mcounts._narrow(np.array([2**40], dtype=np.int64)).dtype == np.int64
+
+    @pytest.mark.parametrize("count", [127, 128, 2**15 - 1, 2**15])
+    def test_built_store_narrows_each_value_array_at_the_bound(self, count, tmp_path):
+        """A type count and a stats total of 127 and 128 (int8 to int16), and
+        of 2**15 - 1 and 2**15 (int16 to int32): the word "a" repeated
+        ``count`` times counts ``count`` at order 1, and its context "a" has
+        ``count`` successors at order 2.  A file reads back at the same
+        widths."""
+        table = accumulate(encode([" ".join(["a"] * count)]), 2)
+        want = np.dtype(np.int8 if count < 2**7 else np.int16 if count < 2**15 else np.int32)
+        assert table.orders[1].type_counts.max() == count
+        assert table.orders[2].stats[:, 0].max() == count
+        assert table.orders[1].type_counts.dtype == table.orders[2].stats.dtype == want
+        assert table.orders[2].type_keys.dtype == np.int32
+        assert_store_invariants(table)
+        path = str(tmp_path / "counts.bin")
+        table.save(path)
+        loaded = CountTable.load(path)
+        assert widths(loaded) == widths(table)
+        assert_tables_equal(table, loaded)
 
     @pytest.mark.parametrize("largest", [2**15 - 1, 2**15])
     def test_built_store_narrows_by_its_largest_fold(self, largest):
-        """A built store's fold values are int16 up to the bound and int32 at
-        it, whatever the smaller folds hold; its keys are int32 either way."""
+        """The order-1 fold totals are the folds' token counts: int16 up to
+        the bound and int32 at it, whatever the smaller folds hold; every
+        other fold value array has its own width, and the keys are int32
+        either way."""
         long = " ".join("abc"[i % 3] for i in range(largest - 1))  # and its end symbol
         folded = cv_fold_counts(encode([long, "a b"]), 2, folds=2)
         assert folded.fold_data[1].stat_deltas[:, 0].tolist() == [largest, 3]
         assert_store_invariants(folded.table, folded)
         want = np.int16 if largest < 2**15 else np.int32
+        assert folded.fold_data[1].stat_deltas.dtype == want
         for fd in folded.fold_data[1:]:
             assert fd.type_keys.dtype == fd.stat_keys.dtype == np.int32
-            for name in FOLD_VALUES:
-                assert getattr(fd, name) is None or getattr(fd, name).dtype == want, name
+            for name, arr in vars(fd).items():
+                assert arr is None or name in KEYS or arr.dtype == narrowest(arr), name
 
     @pytest.mark.parametrize("narrow", [True, False], ids=["int16-values", "int32-values"])
     def test_fold_values_of_either_width_equal_a_recount(self, monkeypatch, narrow):
         """Bulk counts and stats with a fold left out equal the store counted
-        without it, whether the fold values are int16 or the store's width."""
+        without it, whether each value array has its own narrowest width or
+        the store's, and are returned at the store's width either way."""
         corpus, held = parity_corpora(61)
         with monkeypatch.context() as m:
             if not narrow:
-                m.setattr(mcounts, "_value_width", lambda largest, width: width)
+                m.setattr(mcounts, "_narrow", lambda arr: arr.astype(np.int32))
             folded = cv_fold_counts(corpus, 4, folds=3)
-        want = np.int16 if narrow else np.int32
-        assert {getattr(fd, name).dtype for fd in folded.fold_data[1:4]
-                for name in FOLD_VALUES} == {np.dtype(want)}
+        values = [arr for h in (*folded.table.orders[1:], *folded.fold_data[1:])
+                  for name, arr in vars(h).items() if arr is not None and name not in KEYS]
+        if narrow:
+            assert all(arr.dtype == narrowest(arr) for arr in values)
+            assert np.dtype(np.int8) in {arr.dtype for arr in values}
+        else:
+            assert {arr.dtype for arr in values} == {np.dtype(np.int32)}
         view = folded.view()
         for f, table in enumerate(fold_out_tables(corpus, 4, 3)):
             rview = table.view()
@@ -1066,19 +1135,22 @@ class TestWidth:
                         assert got.dtype == np.int32, (n, cont)
                         np.testing.assert_array_equal(
                             got, rview.bulk_counts(n, r2, words, continuation=cont))
+                        stats = view.bulk_stats(n, r, same, cont)
+                        assert {a.dtype for a in stats} == {np.dtype(np.int32)}, (n, cont)
                         np.testing.assert_array_equal(
-                            view.bulk_stats(n, r, same, cont),
-                            rview.bulk_stats(n, r2, continuation=cont))
+                            stats, rview.bulk_stats(n, r2, continuation=cont))
 
     def test_int64_store_answers_as_int32(self, monkeypatch):
         """Every scalar and bulk query, with and without folds, and the
         smoothed rows and features built on them, read the same from an int32
-        store with int16 fold values and from one whose every array is int64;
-        both write one file."""
+        store with narrow value arrays and from one whose every array is
+        int64; each returns arrays at its own store's width, and both write
+        one file."""
         corpus, held = parity_corpora(23)
         narrow = cv_fold_counts(corpus, 4, folds=3)
         wide = all_int64(monkeypatch, lambda: cv_fold_counts(corpus, 4, folds=3))
-        assert store_width(narrow.table, 3) == np.int32 and fold_value_width(narrow) == np.int16
+        assert store_width(narrow.table, 3) == np.int32
+        assert np.dtype(np.int8) in {d for w in widths(narrow.table) for d in w.values()}
         assert_store_invariants(narrow.table, narrow)
         holders = [*wide.table.orders[1:], *wide.fold_data[1:]]
         assert {a.dtype for h in holders for a in vars(h).values() if a is not None} == {
@@ -1088,6 +1160,10 @@ class TestWidth:
         narrow.table.write_binary(files[0])
         wide.table.write_binary(files[1])
         assert files[0].getvalue() == files[1].getvalue()
+
+        def same(got, want):  # equal values, each at its own store's width
+            assert got.dtype == np.int64 and want.dtype == np.int32
+            np.testing.assert_array_equal(got, want)
 
         spec = SmoothingSpec.kn(narrow.table, 4)
         assert SmoothingSpec.kn(wide.table, 4) == spec
@@ -1100,16 +1176,19 @@ class TestWidth:
                 for n in range(1, 5):
                     for cont in (False, True) if n < 4 else (False,):
                         r = ranks[:, n - 1]
-                        np.testing.assert_array_equal(
-                            nv.bulk_counts(n, r, words, folds, cont),
-                            wv.bulk_counts(n, r, words, folds, cont))
-                        np.testing.assert_array_equal(nv.bulk_stats(n, r, folds, cont),
-                                                      wv.bulk_stats(n, r, folds, cont))
+                        same(wv.bulk_counts(n, r, words, folds, cont),
+                             nv.bulk_counts(n, r, words, folds, cont))
+                        for got, want in zip(wv.bulk_stats(n, r, folds, cont),
+                                             nv.bulk_stats(n, r, folds, cont)):
+                            same(got, want)
                 for got, want in zip(bulk_column_rows(wv, spec, ranks, words, folds),
                                      bulk_column_rows(nv, spec, ranks, words, folds)):
+                    assert got.dtype == want.dtype
                     np.testing.assert_array_equal(got, want)
-                np.testing.assert_array_equal(bulk_context_features(wv, spec, ranks, folds),
-                                              bulk_context_features(nv, spec, ranks, folds))
+                got = bulk_context_features(wv, spec, ranks, folds)
+                want = bulk_context_features(nv, spec, ranks, folds)
+                assert got.dtype == want.dtype == np.float64
+                np.testing.assert_array_equal(got, want)
             grams = brute_ngrams(text, 4)
             for n in range(1, 5):
                 for ctx, w in grams[n]:
@@ -1122,7 +1201,7 @@ class TestWidth:
                         got, want = (scalar_reads(v, n, r, w, cont) for v in (wv, nv))
                         assert got[:2] == want[:2], (n, ctx, w, cont)
                         for a, b in zip(got[2:], want[2:]):
-                            np.testing.assert_array_equal(a, b)
+                            same(a, b)
 
     def test_rank_past_the_contexts_never_wraps_onto_a_key(self):
         """A bulk query cast to int32 wraps, but only its search does: the key
@@ -1240,6 +1319,9 @@ def test_store_invariants_catch_damage():
     def damage_key_width(t, f):  # fold keys keep the store's width, not the values'
         f.fold_data[2].type_keys = f.fold_data[2].type_keys.astype(np.int16)
 
+    def damage_table_width(t, f):  # table values too have their own narrowest width
+        t.orders[2].stats = t.orders[2].stats.astype(np.int32)
+
     def damage_cont_count(t, f):
         f.fold_data[1].cont_type_counts[0] = -1
 
@@ -1254,7 +1336,7 @@ def test_store_invariants_catch_damage():
     assert_store_invariants(folded.table, folded)
     for damage in (damage_type_order, damage_type_count, damage_token_count,
                    damage_fold_count, damage_fold_stats, damage_width, damage_key_width,
-                   damage_cont_count, damage_cont_alignment, damage_table_alignment):
+                   damage_table_width, damage_cont_count, damage_cont_alignment, damage_table_alignment):
         folded = cv_fold_counts(toy_corpus(), 3, folds=2)
         damage(folded.table, folded)
         with pytest.raises(AssertionError):

@@ -1,5 +1,8 @@
 """Distribution columns, discount estimation, and heuristic interpolation."""
 
+import functools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -180,36 +183,56 @@ def position_contexts(corpus, order):
     return sorted(out)
 
 
+@functools.cache
+def full_view_case(order, seed):
+    """The full table of one (order, seed) store, its three specs, its
+    training and held-out contexts, and per spec and context the scalar
+    path's dense columns, whether each is kept, and their heuristic mixture.
+    The full table of a fold store does not depend on its fold count, so the
+    2- and 5-fold cases of the full-view tests share one build."""
+    train, held = parity_corpora(seed)
+    folded = cv_fold_counts(train, order, folds=2)
+    table, view = folded.table, folded.view()
+    specs = [SmoothingSpec.ml(order), SmoothingSpec.kn(table, order),
+             single_discount_spec(table, order)]
+    contexts = position_contexts(train, order) + position_contexts(held, order)
+    J = view.vocab_size
+    scalar = []
+    for spec in specs:
+        rows = []
+        for ctx in contexts:
+            dists = context_distributions(view, spec, ctx)
+            lam = heuristic_lambda([spec.fallback(view, ctx[len(ctx) - (n - 1):])
+                                    for n in range(order, 1, -1)])
+            rows.append(([dense(col, J) for col in dists.columns],
+                         [col.stats is not None for col in dists.columns],
+                         full_distribution(dists, lam)))
+        scalar.append(rows)
+    return SimpleNamespace(table=table, specs=specs, contexts=contexts, scalar=scalar,
+                           observed=set(position_contexts(train, order)))
+
+
 class TestSumToOne:
     """Every column and every heuristic mixture is a distribution, on the
     full table and with each fold left out, on training and held-out contexts."""
 
     @pytest.fixture(autouse=True, params=PARITY_CASES, ids=parity_id)
     def case(self, request):
-        self.ORDER, self.FOLDS, seed = request.param
-        self.train, self.held = parity_corpora(seed)
+        self.ORDER, self.FOLDS, self.SEED = request.param
+        self.train, self.held = parity_corpora(self.SEED)
         self.folded = cv_fold_counts(self.train, self.ORDER, folds=self.FOLDS)
         table = self.folded.table
         self.specs = [SmoothingSpec.ml(self.ORDER), SmoothingSpec.kn(table, self.ORDER),
                       single_discount_spec(table, self.ORDER)]
 
-    def _check(self, view, contexts, observed=frozenset()):
-        """Sums to 1 everywhere (a masked column to 0); no column masked for an
-        ``observed`` context."""
-        J = view.vocab_size
-        for spec in self.specs:
-            for ctx in contexts:
-                dists = context_distributions(view, spec, ctx)
-                kept = [c.stats is not None for c in dists.columns]
-                assert ctx not in observed or all(kept), (spec, ctx)
-                for col, kept_col in zip(dists.columns, kept):
-                    p = dense(col, J)
-                    assert np.all(p >= 0), (spec, ctx)
-                    assert abs(p.sum() - kept_col) <= 1e-9, (spec, ctx)
-                lam = heuristic_lambda([spec.fallback(view, ctx[len(ctx) - (n - 1):])
-                                        for n in range(self.ORDER, 1, -1)])
-                mixed = full_distribution(dists, lam)
-                assert np.all(mixed >= 0) and abs(mixed.sum() - 1.0) <= 1e-9, (spec, ctx)
+    def _full_view(self):
+        """``full_view_case`` of this case's order and seed, once this case's
+        store is checked to hold the same full table."""
+        case = full_view_case(self.ORDER, self.SEED)
+        for mine, shared in zip(self.folded.table.orders[1:], case.table.orders[1:]):
+            for name, arr in vars(mine).items():
+                np.testing.assert_array_equal(arr, getattr(shared, name), err_msg=name)
+        return case
 
     def _contexts(self):
         return position_contexts(self.train, self.ORDER) + position_contexts(self.held, self.ORDER)
@@ -225,21 +248,26 @@ class TestSumToOne:
         return probs.reshape(len(contexts), J, self.ORDER), alphas[::J], valid[::J]
 
     def test_full_view(self):
-        train = position_contexts(self.train, self.ORDER)
-        self._check(self.folded.view(), self._contexts(), observed=set(train))
+        """Every scalar column sums to 1 (a masked one to 0), and so does
+        their heuristic mixture; no column is masked for a training context."""
+        case = self._full_view()
+        for spec, rows in zip(case.specs, case.scalar):
+            for ctx, (cols, kept, mixed) in zip(case.contexts, rows):
+                assert ctx not in case.observed or all(kept), (spec, ctx)
+                for p, kept_col in zip(cols, kept):
+                    assert np.all(p >= 0), (spec, ctx)
+                    assert abs(p.sum() - kept_col) <= 1e-9, (spec, ctx)
+                assert np.all(mixed >= 0) and abs(mixed.sum() - 1.0) <= 1e-9, (spec, ctx)
 
     def test_full_view_dense_mixture_matches_bulk_rows(self):
         """``full_distribution`` sums the scalar path (``prob_of`` and the
         scalar fallbacks) word by word; over all J words it equals the
-        heuristic mixture of the bulk rows."""
+        heuristic mixture of this case's bulk rows."""
+        case = self._full_view()
         view = self.folded.view()
-        contexts = self._contexts()
-        for spec in self.specs:
-            probs, alphas, _ = self._bulk_rows(view, spec, contexts)
-            for c, ctx in enumerate(contexts):
-                lam = heuristic_lambda([spec.fallback(view, ctx[len(ctx) - (n - 1):])
-                                        for n in range(self.ORDER, 1, -1)])
-                scalar = full_distribution(context_distributions(view, spec, ctx), lam)
+        for spec, rows in zip(case.specs, case.scalar):
+            probs, alphas, _ = self._bulk_rows(view, spec, case.contexts)
+            for c, (ctx, (_, _, scalar)) in enumerate(zip(case.contexts, rows)):
                 bulk = probs[c] @ heuristic_lambda(alphas[c, :0:-1])
                 np.testing.assert_allclose(scalar, bulk, rtol=0, atol=1e-12,
                                            err_msg=str((spec, ctx)))
