@@ -1,0 +1,25 @@
+"""Fail unless every workload of BENCHMARK.json passed its checks and reported
+every end-to-end metric as a finite number, in the JSON line that an untraced
+``bench/run.py --workload all`` run prints last.
+
+    tail -n 1 bench.txt | python3 .github/check_bench.py SEED
+
+``bench/run.py`` exits 0 even when a check fails, so CI reads each verdict here.
+"""
+
+import json
+import math
+import sys
+
+bench = json.load(open("BENCHMARK.json"))
+results = json.load(sys.stdin)
+bad = []
+for workload in (w["name"] for w in bench["workloads"]):
+    res = results.get(workload, {})
+    if res.get("correct") is not True:
+        bad.append((workload, "correct", res.get("correct")))
+    for metric in (m["name"] for m in bench["end_to_end"]):
+        value = res.get("metrics", {}).get(metric, {}).get("value")
+        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            bad.append((workload, metric, value))
+sys.exit(f"seed {sys.argv[1]}: not passed or not a finite number: {bad}" if bad else 0)

@@ -43,6 +43,17 @@ stats give ``full - fold`` exactly.  The continuation deltas are stored
 against the raw (type, fold) and (context, fold) keys, 0 where the fold takes
 nothing: a left extension found only in one fold puts its type there.
 
+A view looks each context up once however many callers read it (the
+context-state reuse of Pauls & Klein 2011 and KenLM), and keeps, besides
+the arrays it picks per (order, kind): the latest rank chain; the latest
+scalar stats row per (order, kind), with its rank; and per order the latest
+fold-view ``bulk_stats`` lookup, that is copies of the positions' ranks and
+folds, their search in the stat keys, and the stats of each kind read for
+them, which it returns read-only.  A bulk call for equal ranks and folds
+(``np.array_equal``, after its checks) reuses that lookup, and any other
+call replaces it, so one bulk entry per order and one row per (order,
+kind) bound what a view keeps; a new view starts empty.
+
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
 a ``CountView`` and written to disk in one form, binary file format 5:
 ``MXCT``; version and order (u32); vocabulary size and token count (u64);
@@ -458,18 +469,17 @@ def _integers(name: str, values, size: int | None = None, bound: int = 0) -> np.
     return arr
 
 
-def _subtract(out: np.ndarray, keys: np.ndarray, deltas: np.ndarray, query: np.ndarray) -> None:
-    """out[t] -= deltas[i] in place for each t with keys[i] == query[t] (a
-    whole row when ``out`` is 2-D): every position's delta is gathered, a
-    miss's is zeroed, and the wider ``out`` takes the subtraction; a negative
-    query (built from rank -1) matches no key.  Zeroing by a product is
-    faster than a masked subtraction or ``np.where``, which has no fast
-    path for 1-byte deltas."""
-    if len(keys):
-        idx, hit = _find(keys, query)
-        taken = np.take(deltas, idx, axis=0)
-        taken *= hit if out.ndim == 1 else hit[:, None]
-        out -= taken
+def _subtract(out: np.ndarray, deltas: np.ndarray, found) -> None:
+    """out[t] -= deltas[idx[t]] in place where hit[t], for ``found`` = (idx,
+    hit) of a ``_find`` over the deltas' keys (a whole row when ``out`` is
+    2-D): every position's delta is gathered, a miss's is zeroed, and the
+    wider ``out`` takes the subtraction; a negative query (built from rank
+    -1) matches no key.  Zeroing by a product is faster than a masked
+    subtraction or ``np.where``, which has no fast path for 1-byte deltas."""
+    idx, hit = found
+    taken = np.take(deltas, idx, axis=0)
+    taken *= hit if out.ndim == 1 else hit[:, None]
+    out -= taken
 
 
 class ContextStats(NamedTuple):
@@ -514,12 +524,29 @@ class _Kind(NamedTuple):
         return ranks
 
 
+class _Lookup(NamedTuple):
+    """One order's latest fold-view ``bulk_stats`` positions: copies of their
+    ranks and folds, the ``_find`` of their keys in the stat keys both kinds
+    share, and the read-only stats of each kind read for them so far."""
+
+    ranks: np.ndarray
+    folds: np.ndarray
+    found: tuple[np.ndarray, np.ndarray]
+    stats: dict[bool, ContextStats]  # by continuation
+
+
 class CountView:
     """Query interface over a table.  Scalar calls read the full table; bulk
     calls take ranks, words and folds as 1-D integer arrays (or lists) of one
     length, and given per-position ``folds`` leave each position's fold out,
-    which needs the fold data of a ``FoldedCounts``.  A view builds the
-    ``_Kind`` of each (order, continuation) it reads once and keeps it."""
+    which needs the fold data of a ``FoldedCounts``.
+
+    A view keeps, as the module describes: the ``_Kind`` of each (order,
+    continuation) it reads; the latest rank chain (``rank_chain``); the
+    latest ``stats``/``cont_stats`` row per (order, kind), with its rank; and
+    per order the latest fold-view ``bulk_stats`` lookup (``_Lookup``), whose
+    stats it returns read-only.  Nothing else is kept, and a new view starts
+    empty."""
 
     fold = None  # always None: bench/spans._mode reads it on every traced bulk call
 
@@ -532,6 +559,8 @@ class CountView:
         root.setflags(write=False)
         self._latest: tuple[tuple[int, ...], np.ndarray] = ((), root)
         self._kinds: dict[tuple[int, bool], _Kind] = {}
+        self._rows: dict[tuple[int, bool], tuple[int, ContextStats]] = {}
+        self._lookups: dict[int, _Lookup] = {}
         self._contexts = [memoryview(od.ctx_codes) for od in table.orders[1:]]
 
     @property
@@ -594,8 +623,14 @@ class CountView:
     # -- scalar queries ------------------------------------------------------
 
     def _stats(self, order: int, rank: int, continuation: bool) -> ContextStats:
+        """One context's stats row, the kept one when ``rank`` is its rank."""
+        kept = self._rows.get((order, continuation))
+        if kept is not None and kept[0] == rank:
+            return kept[1]
         kind = self._kind(order, continuation)
-        return ContextStats._make(kind.stats[kind.rank(rank)].tolist())
+        row = ContextStats._make(kind.stats[kind.rank(rank)].tolist())
+        self._rows[order, continuation] = (rank, row)
+        return row
 
     def stats(self, order: int, rank: int) -> ContextStats:
         return self._stats(order, rank, False)
@@ -670,18 +705,35 @@ class CountView:
         out = np.take(kind.counts, idx).astype(kind.keys.dtype)  # the store's width
         out *= hit
         if folds is not None:
-            _subtract(out, kind.fold_keys, kind.fold_counts,
-                      np.where(hit, idx, -1) * self.folded.n_folds + folds)
+            _subtract(out, kind.fold_counts, _find(
+                kind.fold_keys, np.where(hit, idx, -1) * self.folded.n_folds + folds))
         return out
 
     def bulk_stats(self, order: int, ranks: np.ndarray,
                    folds: np.ndarray | None = None, continuation: bool = False):
         """Vectorized per-context stats as a ``ContextStats`` of arrays; rank -1
-        yields zeros, and any other rank outside the contexts raises."""
+        yields zeros, and any other rank outside the contexts raises.
+
+        With ``folds``, the arguments are checked and then compared with the
+        order's kept lookup (module docstring): equal ranks and folds reuse
+        its stat-key search, and its stats when this kind was read already;
+        other positions replace it.  The arrays returned are then the kept
+        ones, read-only."""
         kind = self._kind(order, continuation)
         ranks = kind.ranks(_integers("rank", ranks))
         folds = self._folds(folds, len(ranks))
-        s = np.take(kind.stats, ranks, axis=0).astype(kind.keys.dtype)  # the store's width
-        if folds is not None:
-            _subtract(s, kind.stat_keys, kind.stat_deltas, ranks * self.folded.n_folds + folds)
-        return ContextStats._make(s.T)
+        if folds is None:
+            return ContextStats._make(np.take(kind.stats, ranks, axis=0)
+                                      .astype(kind.keys.dtype).T)  # the store's width
+        kept = self._lookups.get(order)
+        if kept is None or not (np.array_equal(ranks, kept.ranks)
+                                and np.array_equal(folds, kept.folds)):
+            found = _find(kind.stat_keys, ranks * self.folded.n_folds + folds)
+            kept = self._lookups[order] = _Lookup(ranks.copy(), folds.copy(), found, {})
+        stats = kept.stats.get(continuation)
+        if stats is None:
+            s = np.take(kind.stats, ranks, axis=0).astype(kind.keys.dtype)
+            _subtract(s, kind.stat_deltas, kept.found)
+            s.setflags(write=False)
+            stats = kept.stats[continuation] = ContextStats._make(s.T)
+        return stats

@@ -48,12 +48,20 @@ def context_distributions(view, spec: SmoothingSpec, context,
                           identity: bool = False) -> ContextDistributions:
     """Build the per-order column set for a context (lowest order first).
 
-    The longest context is resolved first, so every shorter suffix, and any
-    later fallback of one, reads a prefix of the rank chain the view keeps.
+    One ``rank_chain`` call resolves the context and all its suffixes, then
+    each order's stats are read once, of the kind ``spec.rule`` picks for
+    it.  The view keeps that chain and the latest stats row of each (order,
+    kind), so a later ``spec.fallback`` of any suffix reads both back
+    without a lookup.
     """
     context = tuple(int(c) for c in context)
-    cols = [spec.column(view, context[k:]) for k in range(len(context) + 1)]
-    return ContextDistributions(cols[::-1], view.vocab_size, has_identity_block=identity)
+    spec._order_of(context)  # a context too long for the spec raises before any lookup
+    cols = []
+    for n, rank in enumerate(view.rank_chain(context).tolist(), 1):
+        continuation, d = spec.rule(n)
+        s = view.cont_stats(n, rank) if continuation else view.stats(n, rank)
+        cols.append(Column(view, n, rank, s if s.total > 0 else None, continuation, d))
+    return ContextDistributions(cols, view.vocab_size, has_identity_block=identity)
 
 
 def word_probability(dists: ContextDistributions, lam: np.ndarray, word: int) -> float:

@@ -37,15 +37,16 @@ def bulk_context_features(view: CountView, spec: SmoothingSpec, ranks: np.ndarra
         s = view.bulk_stats(n, r, folds=folds)
         ok = s.total > 0
         at = (n - 1) * per_block
-        out[ok, at] = 1.0
-        out[ok, at + 1] = np.log(s.total[ok])
-        out[ok, at + 2] = np.log(s.unique[ok])
+        # log(1) = 0 fills the masked entries
+        out[:, at] = ok
+        out[:, at + 1] = np.log(np.where(ok, s.total, 1))
+        out[:, at + 2] = np.log(np.where(ok, s.unique, 1))
         cont, d = spec.rule(n)
         if d is not None:
             use = view.bulk_stats(n, r, folds=folds, continuation=True) if cont else s
             kept = use.total - d.mass(use.n1, use.n2, use.n3p)
             good = ok & (use.total > 0) & (kept > 0)
-            out[good, at + 3] = np.log(kept[good])
+            out[:, at + 3] = np.log(np.where(good, kept, 1.0))
     return out
 
 

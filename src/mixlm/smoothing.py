@@ -210,22 +210,18 @@ class SmoothingSpec:
         return discounted_distribution(view, context, d, continuation)
 
     def fallback(self, view: CountView, context) -> float:
-        """Interpolation coefficient toward lower orders for this context."""
+        """Interpolation coefficient toward lower orders for this context,
+        the removed mass of its column; 1 for a masked column.  After
+        ``context_distributions`` of a context that ends with this one, the
+        view answers its rank and stats from what it kept."""
         continuation, d = self.rule(self._order_of(context))
-        if d is None:
-            return witten_bell_fallback(view, context)
-        return _alpha(view, context, continuation, d)
-
-
-def _alpha(view: CountView, context, continuation: bool, d: Discounts | None) -> float:
-    """Fallback mass of one context's column; 1 for a masked column."""
-    s = _observed(view, context, continuation)[2]
-    return 1.0 if s is None else column_terms(d, float(s.total), s)[1]
+        s = _observed(view, context, continuation)[2]
+        return 1.0 if s is None else column_terms(d, float(s.total), s)[1]
 
 
 def witten_bell_fallback(view: CountView, context) -> float:
     """Witten-Bell fallback of one context; 1 for a masked column."""
-    return _alpha(view, context, False, None)
+    return SmoothingSpec(len(context) + 1).fallback(view, context)
 
 
 def heuristic_lambda(alphas) -> np.ndarray:
@@ -251,7 +247,11 @@ def heuristic_lambda(alphas) -> np.ndarray:
 
 
 def check_ranks(ranks: np.ndarray, spec: SmoothingSpec) -> None:
-    """Reject context ranks (T, k) with fewer columns than the spec has orders."""
+    """Reject context ranks that are not a 2-D (T, k) array with at least as
+    many columns as the spec has orders."""
+    if not (isinstance(ranks, np.ndarray) and ranks.ndim == 2):
+        raise ValueError(f"context ranks must be a 2-D (positions, orders) array, "
+                         f"not {np.ndim(ranks)}-D {type(ranks).__name__}")
     if ranks.shape[1] < spec.order:
         raise ValueError(f"order-{spec.order} smoothing needs {spec.order} rank columns, "
                          f"got {ranks.shape[1]}")
@@ -268,6 +268,9 @@ def bulk_column_rows(view: CountView, spec: SmoothingSpec, ranks: np.ndarray,
     column, alpha forced to 1).  Agrees with the scalar builders entrywise.
     """
     check_ranks(ranks, spec)
+    if len(words) != len(ranks):
+        raise ValueError(f"need one word for each of the {len(ranks)} positions, "
+                         f"not {len(words)}")
     shape = (len(words), spec.order)
     probs = np.zeros(shape)
     alphas = np.ones(shape)

@@ -56,6 +56,24 @@ def test_scalar_query_reads_one_count_per_observed_column():
             assert calls["counts.count"] + calls["counts.cont_count"] == observed, spec.family
 
 
+def test_scalar_query_resolves_its_context_once():
+    """A query with an (N-1)-word context makes one ``rank_chain`` call for its
+    N columns and one per fallback, each a hit on the kept chain: N calls,
+    not a second pass over every column's context (2N - 1)."""
+    corpus = toy_corpus()
+    table = accumulate(corpus, 3)
+    a, b, c = (corpus.vocab.id_of(w) for w in "abc")
+    for context in ((a, b), (c, b)):
+        for spec in (SmoothingSpec.ml(3), SmoothingSpec.kn(table, 3)):
+            tracer = spans.Tracer()
+            tracer.install()
+            try:
+                pipeline.scalar_query(table.view(), spec, context, a)
+            finally:
+                tracer.uninstall()
+            assert tracer.totals()[0]["counts.rank_chain"] == 3, (context, spec.family)
+
+
 def test_dense_mixture_reads_one_count_per_word_and_observed_column():
     """``full_distribution`` sums ``prob_of`` over the vocabulary: J counts per
     observed column, and no successors listed."""

@@ -805,6 +805,154 @@ class TestBulkArguments:
             self.folded.bulk_counts(1, [0, 0], [2], folds=[0, 1])
 
 
+def assert_stats_equal(got, want, where):
+    for x, y in zip(got, want, strict=True):
+        np.testing.assert_array_equal(x, y, err_msg=str(where))
+
+
+class TestKeptBulkStats:
+    """A view keeps each order's latest fold-view ``bulk_stats`` lookup: a
+    call for equal ranks and folds, of either kind, reuses it, and a call for
+    other positions replaces it.  Every result equals the same call on a
+    fresh view."""
+
+    ORDER, FOLDS = 5, 4
+
+    def setup_method(self):
+        corpus = encode(synthetic_lines(60, n_words=12, seed=41))
+        self.folded = cv_fold_counts(corpus, self.ORDER, folds=self.FOLDS)
+        self.spec = SmoothingSpec.kn(self.folded.table, self.ORDER)
+        self.ranks, self.words, sent_of = self.folded.view().bulk_ranks(corpus)
+        self.folds = self.folded.fold_assignment[sent_of]
+
+    def variants(self):
+        """(name, ranks, words, folds): the positions, other positions, the
+        same ranks with other folds, and other ranks with the same folds."""
+        r, w, f = self.ranks, self.words, self.folds
+        return [("positions", r, w, f), ("every-other", r[::2], w[::2], f[::2]),
+                ("folds-only", r, w, (f + 1) % self.FOLDS),
+                ("ranks-only", np.roll(r, 1, axis=0), w, f)]
+
+    def fresh(self, order, ranks, folds, cont):
+        return self.folded.view().bulk_stats(order, ranks, folds=folds, continuation=cont)
+
+    def test_interleaved_calls_equal_a_fresh_view(self):
+        view = self.folded.view()
+        calls = [(name, n, cont) for name, *_ in self.variants()
+                 for n in range(1, self.ORDER + 1)
+                 for cont in ((False, True) if n < self.ORDER else (False,))]
+        by_name = {name: (r, f) for name, r, _, f in self.variants()}
+        rng = np.random.default_rng(3)
+        for i in rng.permutation(len(calls)).tolist() * 2:
+            name, n, cont = calls[i]
+            r, f = by_name[name]
+            got = view.bulk_stats(n, r[:, n - 1], folds=f, continuation=cont)
+            assert_stats_equal(got, self.fresh(n, r[:, n - 1], f, cont), calls[i])
+
+    @pytest.mark.parametrize("rows_first", [True, False], ids=["rows-first", "features-first"])
+    def test_rows_and_features_equal_a_fresh_view(self, rows_first):
+        view = self.folded.view()
+        for name, r, w, f in self.variants() * 2:
+            calls = [lambda v: bulk_column_rows(v, self.spec, r, w, f),
+                     lambda v: (bulk_context_features(v, self.spec, r, f),)]
+            for call in calls if rows_first else calls[::-1]:
+                for x, y in zip(call(view), call(self.folded.view()), strict=True):
+                    np.testing.assert_array_equal(x, y, err_msg=name)
+
+    def test_a_callers_array_changed_in_place_is_read_again(self):
+        view = self.folded.view()
+        r, f = self.ranks[:, 2].copy(), self.folds.copy()
+        view.bulk_stats(3, r, folds=f)
+        r[:] = np.roll(r, 3)
+        assert_stats_equal(view.bulk_stats(3, r, folds=f), self.fresh(3, r, f, False), "ranks")
+        f[:] = (f + 1) % self.FOLDS
+        assert_stats_equal(view.bulk_stats(3, r, folds=f), self.fresh(3, r, f, False), "folds")
+
+    def test_results_are_read_only(self):
+        view = self.folded.view()
+        r = self.ranks[:, 1]
+        for cont in (False, True):
+            got = view.bulk_stats(2, r, folds=self.folds, continuation=cont)
+            for arr in got:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] += 1
+            assert_stats_equal(view.bulk_stats(2, r, folds=self.folds, continuation=cont),
+                               self.fresh(2, r, self.folds, cont), cont)
+
+    def test_checks_still_raise_on_a_kept_lookup(self):
+        view = self.folded.view()
+        r, f = self.ranks[:, 3], self.folds
+        n_ctx = len(self.folded.table.orders[4].ctx_codes)
+        kept = view.bulk_stats(4, r, folds=f)
+        bad = r.copy()
+        bad[0] = n_ctx
+        with pytest.raises(CountError, match=rf"ranks must lie in -1\.\.{n_ctx - 1}"):
+            view.bulk_stats(4, bad, folds=f)
+        with pytest.raises(CountError, match=f"one fold in 0..{self.FOLDS - 1} for each"):
+            view.bulk_stats(4, r, folds=f + self.FOLDS)
+        with pytest.raises(CountError, match=f"one fold in 0..{self.FOLDS - 1} for each"):
+            view.bulk_stats(4, r, folds=f[:-1])
+        with pytest.raises(CountError, match="folds must be integers"):
+            view.bulk_stats(4, r, folds=f.astype(float))
+        assert view.bulk_stats(4, r, folds=f) is kept
+
+    def test_rows_then_features_search_the_stat_keys_once_per_order(self, monkeypatch):
+        stat_keys = [fd.stat_keys for fd in self.folded.fold_data[1:]]
+        searched = []
+        find = mcounts._find
+
+        def counting(keys, query):
+            searched.append(any(keys is k for k in stat_keys))
+            return find(keys, query)
+
+        monkeypatch.setattr(mcounts, "_find", counting)
+        view = self.folded.view()
+        bulk_column_rows(view, self.spec, self.ranks, self.words, self.folds)
+        bulk_context_features(view, self.spec, self.ranks, self.folds)
+        assert sum(searched) == self.ORDER
+        bulk_context_features(view, self.spec, self.ranks)  # full view: no stat-key search
+        assert sum(searched) == self.ORDER
+
+
+class TestKeptRows:
+    """A view keeps the latest ``stats``/``cont_stats`` row per (order, kind)
+    with its rank; any other rank is read and checked again."""
+
+    ORDER = 3
+
+    def setup_method(self):
+        self.table = accumulate(encode(synthetic_lines(30, n_words=9, seed=5)), self.ORDER)
+
+    def kinds(self):
+        return [(n, cont) for n in range(1, self.ORDER + 1)
+                for cont in ((False, True) if n < self.ORDER else (False,))]
+
+    @staticmethod
+    def read(view, n, rank, cont):
+        return view.cont_stats(n, rank) if cont else view.stats(n, rank)
+
+    def test_alternating_ranks_read_their_own_rows(self):
+        view = self.table.view()
+        for n, cont in self.kinds():
+            last = len(self.table.orders[n].ctx_codes) - 1
+            for rank in (0, last, 0, -1, np.int64(last), last, -1):
+                for m, other in self.kinds():  # interleave every other kind
+                    self.read(view, m, 0, other)
+                want = self.read(self.table.view(), n, rank, cont)
+                assert self.read(view, n, rank, cont) == want, (n, cont, rank)
+
+    def test_out_of_range_rank_raises_after_a_kept_read(self):
+        view = self.table.view()
+        for n, cont in self.kinds():
+            n_ctx = len(self.table.orders[n].ctx_codes)
+            row = self.read(view, n, n_ctx - 1, cont)
+            for bad in (-2, n_ctx, n_ctx + 1):
+                with pytest.raises(CountError, match=rf"rank {bad} outside -1\.\.{n_ctx - 1}"):
+                    self.read(view, n, bad, cont)
+            assert self.read(view, n, n_ctx - 1, cont) == row
+
+
 def assert_tables_equal(a, b):
     """Same header and the same value in every stored array of every order."""
     assert (a.order, a.vocab_size, a.token_count) == (b.order, b.vocab_size, b.token_count)

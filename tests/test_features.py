@@ -133,6 +133,14 @@ def test_bulk_features_need_a_rank_column_per_order():
     assert bulk_context_features(view, SmoothingSpec.ml(2), ranks).shape == (len(ranks), 6)
 
 
+@pytest.mark.parametrize("make", [lambda r: r[:, 2], lambda r: r.tolist()], ids=["1-d", "list"])
+def test_bulk_features_need_a_2d_rank_array(make):
+    view = accumulate(toy_corpus(), 3).view()
+    ranks, _, _ = view.bulk_ranks(toy_corpus())
+    with pytest.raises(ValueError, match="context ranks must be a 2-D"):
+        bulk_context_features(view, SmoothingSpec.ml(3), make(ranks))
+
+
 class TestNormalization:
     def test_mean_subtraction(self):
         f = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -621,6 +621,31 @@ class TestSpecOrderAboveTable:
             bulk_column_rows(view, spec, ranks, words)
 
 
+class TestBulkColumnRowsArguments:
+    """Malformed rank arrays and a word count other than the positions' raise
+    ``ValueError`` before anything is computed."""
+
+    def setup_method(self):
+        corpus = toy_corpus()
+        self.view = accumulate(corpus, 3).view()
+        self.ranks, self.words, _ = self.view.bulk_ranks(corpus)
+        self.spec = SmoothingSpec.ml(3)
+
+    @pytest.mark.parametrize("make", [lambda r: r[:, 2], lambda r: r.tolist(), lambda r: r[None]],
+                             ids=["1-d", "list", "3-d"])
+    def test_ranks_not_a_2d_array_rejected(self, make):
+        with pytest.raises(ValueError, match="context ranks must be a 2-D"):
+            bulk_column_rows(self.view, self.spec, make(self.ranks), self.words)
+
+    @pytest.mark.parametrize("cut", [1, -1], ids=["one-word-short", "one-word-over"])
+    def test_words_of_another_length_rejected(self, cut):
+        words = self.words[:-1] if cut > 0 else np.append(self.words, self.words[:1])
+        T = len(self.ranks)
+        with pytest.raises(ValueError, match=f"one word for each of the {T} positions, "
+                                             f"not {len(words)}"):
+            bulk_column_rows(self.view, self.spec, self.ranks, words)
+
+
 class TestSmoothingSpecConstruction:
     @pytest.mark.parametrize("order", [0, -1, "2", 1.0],
                              ids=["order-zero", "order-negative", "order-text", "order-float"])
