@@ -6,13 +6,19 @@ marker for out-of-vocabulary tokens, and a begin-of-sentence marker used only
 for left-padding contexts (never predicted).  The prediction vocabulary size J
 covers word ids and the end/unknown markers; the begin marker sits at id J so
 that embedding tables need exactly J+1 rows.
+
+Neither pass over the text runs a Python loop over tokens: the vocabulary
+counts the tokens of every line in one ``Counter`` call, and encoding maps
+each line's tokens through one dict lookup (``map``) into that sentence's
+own int32 array.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +28,13 @@ BOS = "<s>"
 
 class CorpusError(ValueError):
     """Raised for malformed or empty corpus input."""
+
+
+class _Ids(dict):
+    """Word -> id, with the unknown id for any word it lacks."""
+
+    def __missing__(self, word: str) -> int:
+        return 1
 
 
 @dataclass
@@ -35,6 +48,9 @@ class Vocabulary:
 
     id_to_word: list[str]
     word_to_id: dict[str, int] = field(init=False, repr=False)
+    # a word's id, the unknown id for any other word and for a literal begin
+    # marker (context-only): one dict lookup, so ``map`` runs it in C
+    id_of: Callable[[str], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.id_to_word[:2] != [EOS, UNK]:
@@ -42,6 +58,7 @@ class Vocabulary:
         self.word_to_id = {w: i for i, w in enumerate(self.id_to_word)}
         if len(self.word_to_id) != len(self.id_to_word) or "" in self.word_to_id:
             raise CorpusError("duplicate or empty word in the vocabulary")
+        self.id_of = _Ids({**self.word_to_id, BOS: self.unk_id}).__getitem__
 
     @property
     def size(self) -> int:
@@ -60,19 +77,10 @@ class Vocabulary:
     def bos_id(self) -> int:
         return len(self.id_to_word)
 
-    def id_of(self, word: str) -> int:
-        if word == BOS:
-            # begin marker is context-only; treat a literal one as unknown
-            return self.unk_id
-        return self.word_to_id.get(word, self.unk_id)
-
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        """Map tokens to ids and append the end-of-sentence id."""
-        ids = np.empty(len(tokens) + 1, dtype=np.int32)
-        for i, tok in enumerate(tokens):
-            ids[i] = self.id_of(tok)
-        ids[-1] = self.eos_id
-        return ids
+        """Map tokens to ids (``id_of``) and append the end-of-sentence id, as
+        a new int32 array."""
+        return np.array([*map(self.id_of, tokens), self.eos_id], dtype=np.int32)
 
 
 def build_vocabulary(lines: Iterable[str], max_size: int | None = None) -> Vocabulary:
@@ -81,19 +89,17 @@ def build_vocabulary(lines: Iterable[str], max_size: int | None = None) -> Vocab
     The ``max_size`` most frequent surface forms receive ids (frequency ties
     broken by first occurrence); everything else maps to the unknown id.
     Reserved surface forms are never counted as regular words: a literal
-    ``<unk>`` in the input maps straight to the unknown id.
+    ``<unk>`` in the input maps straight to the unknown id.  Text of reserved
+    forms alone gives the vocabulary of the two markers; text with no token
+    raises.
     """
     if max_size is not None and max_size < 1:
         raise ValueError("max_size must be >= 1")
-    freq: Counter[str] = Counter()
-    n_tokens = 0
-    for line in lines:
-        for tok in line.split():
-            n_tokens += 1
-            if tok not in (EOS, UNK, BOS):
-                freq[tok] += 1
-    if n_tokens == 0:
+    freq = Counter(chain.from_iterable(map(str.split, lines)))
+    if not freq:
         raise CorpusError("empty corpus")
+    for reserved in (EOS, UNK, BOS):
+        del freq[reserved]  # a Counter ignores a missing key
     # a Counter keeps first-insertion order and most_common sorts stably
     return Vocabulary([EOS, UNK] + [w for w, _ in freq.most_common(max_size)])
 
@@ -112,13 +118,9 @@ class EncodedCorpus:
 
 
 def encode_corpus(lines: Iterable[str], vocab: Vocabulary) -> EncodedCorpus:
-    """Encode tokenized lines; blank lines are dropped (no empty sentences)."""
-    sentences = []
-    for line in lines:
-        toks = line.split()
-        if not toks:
-            continue
-        sentences.append(vocab.encode(toks))
+    """Encode tokenized lines, each into its own array (``Vocabulary.encode``);
+    blank lines are dropped (no empty sentences)."""
+    sentences = [vocab.encode(toks) for toks in map(str.split, lines) if toks]
     if not sentences:
         raise CorpusError("empty corpus")
     return EncodedCorpus(sentences=sentences, vocab=vocab)

@@ -52,7 +52,18 @@ folds, their search in the stat keys, and the stats of each kind read for
 them, which it returns read-only.  A bulk call for equal ranks and folds
 (``np.array_equal``, after its checks) reuses that lookup, and any other
 call replaces it, so one bulk entry per order and one row per (order,
-kind) bound what a view keeps; a new view starts empty.
+kind) bound what a view keeps; a new view starts empty.  It also keeps the
+vocabulary object ``bulk_ranks`` last accepted, and fingerprints only
+another one.
+
+Counting is sorting (as in KenLM and Pauls & Klein 2011), and no sort
+computes an inverse that nothing reads.  Each order's context codes are
+sorted with their inverse, since each position's context rank builds the
+next order's codes; its type keys are sorted with one only in
+``cv_fold_counts``, whose fold keys pair each position's type index with its
+fold.  ``_derive`` sorts each order's suffix keys for their counts alone:
+the fold deltas find the suffix type of each type that occurs in one fold
+only with one ``searchsorted``.
 
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
 a ``CountView`` and written to disk in one form, binary file format 5:
@@ -283,42 +294,46 @@ def _narrow(arr: np.ndarray) -> np.ndarray:
 
 def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int, width: np.dtype) -> np.ndarray:
     """(n_groups, 4) stats of the counts in each group: total, n1, n2, n3p,
-    tallied at ``width`` whatever the counts' own width, so no total wraps."""
+    tallied at ``width`` whatever the counts' own width, so no total wraps.
+    The levels take one ``bincount`` over (group, min(count, 3)) cells, whose
+    level-0 cells (counts of 0) are dropped."""
     out = np.empty((n_groups, 4), dtype=width)
     out[:, 0] = np.bincount(groups, weights=counts, minlength=n_groups)
-    for j, level in enumerate((counts == 1, counts == 2, counts >= 3), 1):
-        out[:, j] = np.bincount(groups[level], minlength=n_groups)
+    cells = 4 * groups.astype(np.intp) + np.minimum(counts, 3)
+    out[:, 1:] = np.bincount(cells, minlength=4 * n_groups).reshape(n_groups, 4)[:, 1:]
     return out
 
 
-def _derive(orders: list, base: int) -> list[np.ndarray]:
+def _suffixes(hi: _OrderData, keys: np.ndarray, base: int) -> np.ndarray:
+    """The key of each order-(n+1) type key's order-n suffix type: the rank of
+    its context's suffix, then its word."""
+    return hi.ctx_codes[keys // base] // base * base + keys % base
+
+
+def _derive(orders: list, base: int) -> None:
     """Fill in every order's stats and, below the top order, its continuation
     arrays (from the order-(n+1) raw types), using only ctx_codes, type_keys
-    and type_counts.  Counting and loading both end here.
+    and type_counts.  Counting and loading both end here.  No type is mapped
+    to its suffix type's index: the fold deltas search for the ones they need.
 
     The continuation types are the raw ones (module docstring), so their
     counts are aligned with ``type_keys``; types that break this raise.
 
     Values are tallied at the store's width, the keys', and narrowed last
-    (module docstring).  Returns, per order n, the map from order-(n+1) type
-    index to order-n type index (needed for fold-exclusive bookkeeping).
+    (module docstring).
     """
     width = orders[1].type_keys.dtype
     for od in orders[1:]:
         od.stats = _narrow(_tally(od.type_keys // base, od.type_counts,
                                   len(od.ctx_codes) + 1, width))
         od.type_counts = _narrow(od.type_counts)
-    inverses: list = [None] * len(orders)
     for n in range(1, len(orders) - 1):
         hi, od = orders[n + 1], orders[n]
-        suffix_rank = hi.ctx_codes[hi.type_keys // base] // base
-        keys, inverses[n], counts = np.unique(
-            suffix_rank * base + hi.type_keys % base, return_inverse=True, return_counts=True)
+        keys, counts = np.unique(_suffixes(hi, hi.type_keys, base), return_counts=True)
         if not np.array_equal(keys, od.type_keys):
             raise CountError(f"order-{n} types are not the suffixes of the order-{n + 1} types")
         od.cont_stats = _narrow(_tally(keys // base, counts, len(od.ctx_codes) + 1, width))
         od.cont_type_counts = _narrow(counts)
-    return inverses
 
 
 def _stat_deltas(inv: np.ndarray, n_keys: int, full: np.ndarray, drop: np.ndarray) -> np.ndarray:
@@ -349,15 +364,16 @@ def accumulate(corpus: EncodedCorpus, order: int) -> CountTable:
 def _build(corpus: EncodedCorpus, order: int, folds: int | None):
     if order < 1:
         raise CountError("order must be >= 1")
-    if corpus.token_count == 0:
+    stream, targets, sent_of = _corpus_stream(corpus, order)
+    if len(targets) == 0:
         raise CountError("empty corpus")
     if folds is not None and not 2 <= folds <= len(corpus.sentences):
         raise CountError(f"folds must lie in 2..{len(corpus.sentences)}, the sentence count")
-    base, T, F = corpus.vocab.size + 1, corpus.token_count, folds or 1
-    stream, targets, sent_of = _corpus_stream(corpus, order)
+    base, T, F = corpus.vocab.size + 1, len(targets), folds or 1
     words = stream[targets]
 
-    # each order sorts in the width its contexts select, never wider than the table's
+    # each order sorts in the width its contexts select, never wider than the
+    # table's; only the fold deltas read each position's type index
     built, type_inverse = [], [None]
     rank = np.zeros(len(targets), dtype=np.int64)
     ctx_codes = np.zeros(1, dtype=np.int64)
@@ -367,15 +383,15 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
             ctx_codes, rank = np.unique(codes.astype(_width(len(ctx_codes), base, T, F)),
                                         return_inverse=True)
         codes = (rank * base + words).astype(_width(len(ctx_codes), base, T, F))
-        keys, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+        keys, *inverse, counts = np.unique(codes, return_inverse=folds is not None,
+                                           return_counts=True)
         built.append((ctx_codes, keys, counts))
-        type_inverse.append(inverse)
+        type_inverse += inverse
     width = _width(len(ctx_codes), base, T, F)
     orders = [None] + [_OrderData(*(a.astype(width, copy=False) for a in arrays))
                        for arrays in built]
-    cont_inverse = _derive(orders, base)
-    table = CountTable(order, corpus.vocab.size, orders, corpus.token_count,
-                       _vocab_fingerprint(corpus.vocab))
+    _derive(orders, base)
+    table = CountTable(order, corpus.vocab.size, orders, T, _vocab_fingerprint(corpus.vocab))
     if folds is None:
         return table, None
 
@@ -397,11 +413,14 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
         if n < order:
             # an order-(n+1) type whose occurrences all sit in one fold is a
             # left extension that leaving the fold out loses; its suffix type
-            # occurs in that fold, so it has a key there
+            # is one of the order-n types (``_derive`` checked) and occurs in
+            # that fold, so it has a key there
             hi = fold_data[n + 1].type_keys
             excl = hi[np.bincount(hi // folds)[hi // folds] == 1]
-            lost = np.bincount(np.searchsorted(keys, cont_inverse[n][excl // folds] * folds
-                                               + excl % folds), minlength=len(keys))
+            suffix = np.searchsorted(od.type_keys, _suffixes(
+                orders[n + 1], orders[n + 1].type_keys[excl // folds], base))
+            lost = np.bincount(np.searchsorted(keys, suffix * folds + excl % folds),
+                               minlength=len(keys))
             lost = lost.astype(width)
             fd.cont_type_counts = _narrow(lost)
             fd.cont_stat_deltas = _narrow(_stat_deltas(inv, len(stat_keys),
@@ -545,8 +564,8 @@ class CountView:
     continuation) it reads; the latest rank chain (``rank_chain``); the
     latest ``stats``/``cont_stats`` row per (order, kind), with its rank; and
     per order the latest fold-view ``bulk_stats`` lookup (``_Lookup``), whose
-    stats it returns read-only.  Nothing else is kept, and a new view starts
-    empty."""
+    stats it returns read-only; and the vocabulary ``bulk_ranks`` last
+    accepted.  Nothing else is kept, and a new view starts empty."""
 
     fold = None  # always None: bench/spans._mode reads it on every traced bulk call
 
@@ -561,6 +580,7 @@ class CountView:
         self._kinds: dict[tuple[int, bool], _Kind] = {}
         self._rows: dict[tuple[int, bool], tuple[int, ContextStats]] = {}
         self._lookups: dict[int, _Lookup] = {}
+        self._vocab: Vocabulary | None = None  # the vocabulary bulk_ranks last accepted
         self._contexts = [memoryview(od.ctx_codes) for od in table.orders[1:]]
 
     @property
@@ -669,10 +689,14 @@ class CountView:
         """Per-position context ranks for all orders (PositionIndex arrays).
 
         Returns (ranks[T, order] int64 with -1 for unseen contexts, words[T],
-        sentence index[T]).  Rank columns follow ascending order 1..N.
+        sentence index[T]).  Rank columns follow ascending order 1..N.  The
+        corpus's vocabulary is checked against the table's fingerprint unless
+        it is the very object this view accepted last.
         """
         table = self.table
-        table._check_vocab(corpus.vocab)
+        if corpus.vocab is not self._vocab:
+            table._check_vocab(corpus.vocab)
+            self._vocab = corpus.vocab
         base = table.base
         stream, targets, sent_of = _corpus_stream(corpus, table.order)
         words = stream[targets]

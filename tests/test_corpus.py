@@ -48,6 +48,26 @@ class TestVocabulary:
         assert v.id_of(UNK) == v.unk_id
         assert v.id_of(BOS) == v.unk_id
 
+    def test_reserved_forms_alone_give_the_two_markers(self):
+        v = build_vocabulary(["<unk> </s> <s>"])
+        assert v.id_to_word == [EOS, UNK]
+
+    def test_ties_break_by_first_occurrence_across_reserved_forms(self):
+        # b, a and c occur twice each, in that order of first occurrence
+        lines = ["b <unk> a", "</s> c <s> a", "<s> b c <unk>"]
+        assert build_vocabulary(lines).id_to_word[2:] == ["b", "a", "c"]
+        assert build_vocabulary(lines, max_size=2).id_to_word[2:] == ["b", "a"]
+
+    def test_max_size_above_the_distinct_words_keeps_them_all(self):
+        v = build_vocabulary(["c b a b"], max_size=10)
+        assert v.id_to_word == [EOS, UNK, "b", "c", "a"]
+
+    def test_one_shot_generator_equals_list(self):
+        lines = ["b c c", "", "a <s> a a b", "\t<unk>  c"]
+        for max_size in (None, 2):
+            assert (build_vocabulary((line for line in lines), max_size)
+                    == build_vocabulary(lines, max_size))
+
     def test_unknown_word_maps_to_unk(self):
         v = build_vocabulary(TOY_LINES)
         assert v.id_of("zzz") == v.unk_id
@@ -98,3 +118,35 @@ class TestEncodedCorpus:
         with pytest.raises(CorpusError):
             encode_corpus(["", " "], v)
 
+
+class TestEncodeAgainstReference:
+    """``encode_corpus`` against a per-token encoding of each line."""
+
+    LINES = ["a <s> b", "b </s> a", "<unk> zzz a", "a\tb  \t c", "", "  \t ",
+             "\t<s>\t</s>\t", "c"]
+    IDS = [[2, 1, 3, 0], [3, 0, 2, 0], [1, 1, 2, 0], [2, 3, 4, 0], [1, 0, 0], [4, 0]]
+
+    @staticmethod
+    def reference(v, line):
+        return np.array([v.id_of(t) for t in line.split()] + [v.eos_id], dtype=np.int32)
+
+    def check(self, corpus, v):
+        want = [self.reference(v, line) for line in self.LINES if line.split()]
+        assert [s.tolist() for s in want] == self.IDS
+        assert len(corpus.sentences) == len(want)
+        for got, ref in zip(corpus.sentences, want):
+            assert got.dtype == np.int32 and got.flags.owndata
+            np.testing.assert_array_equal(got, ref)
+
+    def test_sentences_match_per_token_ids(self):
+        v = build_vocabulary(TOY_LINES)
+        self.check(encode_corpus(self.LINES, v), v)
+
+    def test_one_shot_generator_equals_list(self):
+        v = build_vocabulary(TOY_LINES)
+        self.check(encode_corpus((line for line in self.LINES), v), v)
+
+    def test_literal_begin_marker_is_unknown_even_as_a_listed_word(self):
+        v = Vocabulary([EOS, UNK, BOS, "a"])
+        assert v.id_of(BOS) == v.unk_id
+        np.testing.assert_array_equal(encode_corpus(["a <s> a"], v).sentences[0], [3, 1, 3, 0])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mixlm.counts as mcounts
-from mixlm.corpus import EncodedCorpus, build_vocabulary, encode_corpus
+from mixlm.corpus import EncodedCorpus, Vocabulary, build_vocabulary, encode_corpus
 from mixlm.counts import (CountError, CountTable, CountView, ContextStats, accumulate,
                           cv_fold_counts)
 from mixlm.neural.features import bulk_context_features
@@ -578,6 +578,30 @@ class TestBulkQueries:
             with pytest.raises(CountError, match="vocabulary"):
                 self.view.bulk_ranks(other)
 
+    def test_accepted_vocabulary_lets_no_other_pass(self, monkeypatch):
+        """A view fingerprints the vocabulary it accepts once, and after
+        accepting it still rejects a same-size vocabulary, each time; an
+        equal copy of the table's vocabulary is another object, so it is
+        fingerprinted (and accepted)."""
+        renamed = encode([line.replace("w", "v")
+                          for line in synthetic_lines(50, n_words=10, seed=11)])
+        assert renamed.vocab.size == self.train.vocab.size
+        hashed = []
+        fingerprint = mcounts._vocab_fingerprint
+        monkeypatch.setattr(mcounts, "_vocab_fingerprint",
+                            lambda vocab: hashed.append(vocab) or fingerprint(vocab))
+        first = self.view.bulk_ranks(self.train)
+        for _ in range(2):
+            with pytest.raises(CountError, match="vocabulary"):
+                self.view.bulk_ranks(renamed)
+            for got, want in zip(self.view.bulk_ranks(self.train), first):
+                np.testing.assert_array_equal(got, want)
+        # a rejected vocabulary leaves the accepted one kept
+        assert [id(v) for v in hashed] == [id(self.train.vocab)] + [id(renamed.vocab)] * 2
+        copy = EncodedCorpus(self.train.sentences, Vocabulary(list(self.train.vocab.id_to_word)))
+        self.view.bulk_ranks(copy)
+        assert hashed[-1] is copy.vocab
+
     def test_bulk_continuation_counts(self):
         ranks, words, _ = self.view.bulk_ranks(self.train)
         for n in (1, 2):
@@ -600,14 +624,12 @@ class TestFoldViews:
         self.reduced = fold_out_tables(self.corpus, self.ORDER, self.FOLDS)
 
     def test_full_view_unaffected(self):
+        """The fold build stores every array the build without folds stores,
+        with the same values at the same widths."""
         full = accumulate(self.corpus, self.ORDER)
-        got = self.folded.view()
-        for n in range(1, self.ORDER + 1):
-            np.testing.assert_array_equal(self.folded.table.orders[n].type_keys,
-                                          full.orders[n].type_keys)
-            np.testing.assert_array_equal(self.folded.table.orders[n].type_counts,
-                                          full.orders[n].type_counts)
-        assert got.fold is None
+        assert_tables_equal(self.folded.table, full)
+        assert widths(self.folded.table) == widths(full)
+        assert self.folded.view().fold is None
 
     def _check_against_reduced(self, continuation):
         """Every (context, word) of the full corpus, with one fold left out
