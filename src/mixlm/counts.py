@@ -32,16 +32,24 @@ bos-padding every type has a left extension, so both kinds share one key
 array.  Each kind has an (n_ctx + 1, 4) stats array of total, n1, n2 and n3p
 per context.  Its last row is all zero: rank -1 names an unobserved
 context, so it reads zeros by plain indexing, and every key built from it
-(-B plus a word or the bos id, -F plus a fold) is negative and matches
-nothing.  Successors are a slice; a (context, word) lookup is two binary
-searches.  Distinct
+(-B plus a word or the bos id) is negative and matches nothing.  Successors
+are a slice; a (context, word) lookup is two binary searches.  Distinct
 successors are not stored: each has a count of at least 1, so their number
-is n1 + n2 + n3p, with a fold left out too.  A fold is left out per
-position, on the bulk calls only, and never by copying the corpus:
-per-(type, fold) count deltas and per-(context, fold) deltas of the four
-stats give ``full - fold`` exactly.  The continuation deltas are stored
-against the raw (type, fold) and (context, fold) keys, 0 where the fold takes
-nothing: a left extension found only in one fold puts its type there.
+is n1 + n2 + n3p, with a fold left out too.
+
+A fold is left out per position, on the bulk calls only, and never by
+copying the corpus.  Each order tags every type, and every context, with
+the one fold it occurs in, or with F when it occurs in two or more; the
+all-zero rank -1 row is tagged 0.  With a fold left out, a value tagged
+with that fold is 0 (all its occurrences sit there, and so do all the left
+extensions of a type, so its continuation value is 0 too), and one tagged
+with another fold is the full value.  Only the tag-F types and contexts
+keep per-(type, fold) count deltas and per-(context, fold) deltas of the
+four stats, which give ``full - fold`` exactly, and a bulk call searches
+those keys for its tag-F positions alone: the delta of a value found in
+one fold would be the full value again.  The continuation deltas are stored
+against the same keys, 0 where the fold takes nothing: a left extension
+found only in one fold puts its type there.
 
 A view looks each context up once however many callers read it (the
 context-state reuse of Pauls & Klein 2011 and KenLM), and keeps, besides
@@ -62,8 +70,9 @@ sorted with their inverse, since each position's context rank builds the
 next order's codes; its type keys are sorted with one only in
 ``cv_fold_counts``, whose fold keys pair each position's type index with its
 fold.  ``_derive`` sorts each order's suffix keys for their counts alone:
-the fold deltas find the suffix type of each type that occurs in one fold
-only with one ``searchsorted``.
+the continuation deltas read the (suffix type, fold) key of each
+order-(n+1) type found in one fold at one of its positions, and search for
+those keys in sorted order.
 
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
 a ``CountView`` and written to disk in one form, binary file format 5:
@@ -128,12 +137,16 @@ class _OrderData:
 
 @dataclass
 class _FoldData:
-    """Per-order fold-exclusion deltas: value without the fold = full value - delta.
+    """Per-order fold tags and fold-exclusion deltas (module docstring): a
+    value without the fold is 0 where its tag names the fold, the full value
+    where it names another, and the full value less the delta where it is F.
     The keys have the store's width, each value array its own narrowest width."""
 
-    type_keys: np.ndarray  # type_index * F + fold, for each fold a type occurs in
+    type_tags: np.ndarray  # per type: the one fold it occurs in, or F for two or more
+    type_keys: np.ndarray  # type_index * F + fold, for each fold a tag-F type occurs in
     type_counts: np.ndarray  # occurrences of the type inside the fold
-    stat_keys: np.ndarray  # ctx_rank * F + fold
+    stat_tags: np.ndarray  # per context likewise, then 0 for the all-zero rank -1 row
+    stat_keys: np.ndarray  # ctx_rank * F + fold, for each fold a tag-F context occurs in
     stat_deltas: np.ndarray  # (m, 4), columns as in the stats arrays
     # continuation deltas aligned with type_keys and stat_keys, 0 where the
     # fold takes nothing: a continuation count loses one for each left
@@ -142,7 +155,7 @@ class _FoldData:
     cont_stat_deltas: np.ndarray | None = None
 
 
-_NO_FOLDS = _FoldData(None, None, None, None)  # the fold arrays of a table without folds
+_NO_FOLDS = _FoldData(*[None] * 6)  # the fold arrays of a table without folds
 
 
 class CountTable:
@@ -304,17 +317,12 @@ def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int, width: np.dtyp
     return out
 
 
-def _suffixes(hi: _OrderData, keys: np.ndarray, base: int) -> np.ndarray:
-    """The key of each order-(n+1) type key's order-n suffix type: the rank of
-    its context's suffix, then its word."""
-    return hi.ctx_codes[keys // base] // base * base + keys % base
-
-
 def _derive(orders: list, base: int) -> None:
     """Fill in every order's stats and, below the top order, its continuation
     arrays (from the order-(n+1) raw types), using only ctx_codes, type_keys
     and type_counts.  Counting and loading both end here.  No type is mapped
-    to its suffix type's index: the fold deltas search for the ones they need.
+    to its suffix type's index: the fold deltas read the ones they need off
+    the positions.
 
     The continuation types are the raw ones (module docstring), so their
     counts are aligned with ``type_keys``; types that break this raise.
@@ -329,7 +337,9 @@ def _derive(orders: list, base: int) -> None:
         od.type_counts = _narrow(od.type_counts)
     for n in range(1, len(orders) - 1):
         hi, od = orders[n + 1], orders[n]
-        keys, counts = np.unique(_suffixes(hi, hi.type_keys, base), return_counts=True)
+        # each order-(n+1) type's suffix type: its context's suffix rank, then its word
+        suffixes = hi.ctx_codes[hi.type_keys // base] // base * base + hi.type_keys % base
+        keys, counts = np.unique(suffixes, return_counts=True)
         if not np.array_equal(keys, od.type_keys):
             raise CountError(f"order-{n} types are not the suffixes of the order-{n + 1} types")
         od.cont_stats = _narrow(_tally(keys // base, counts, len(od.ctx_codes) + 1, width))
@@ -343,6 +353,16 @@ def _stat_deltas(inv: np.ndarray, n_keys: int, full: np.ndarray, drop: np.ndarra
     drops 0 adds 0."""
     width = drop.dtype
     return _tally(inv, full, n_keys, width) - _tally(inv, full - drop, n_keys, width)
+
+
+def _tags(ids: np.ndarray, folds: np.ndarray, size: int, n_folds: int):
+    """One tag per id in 0..size-1 of sorted (id, fold) pairs: the fold of an
+    id found in one fold only, ``n_folds`` for an id found in two or more,
+    and 0 for an id in no pair; and the mask of the pairs of tag-F ids."""
+    multi = np.bincount(ids, minlength=size)[ids] > 1
+    tags = np.zeros(size, dtype=folds.dtype)
+    tags[ids] = np.where(multi, n_folds, folds)
+    return tags, multi
 
 
 def _corpus_stream(corpus: EncodedCorpus, order: int):
@@ -398,33 +418,37 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
     fold_assignment = np.arange(len(corpus.sentences), dtype=width) % folds
     fold_of_t = fold_assignment[sent_of]
 
-    # the values are computed at the store's width and only then narrowed
+    # the values are computed at the store's width and only then narrowed;
+    # ``excl`` holds one position of each order-(n+1) type found in one fold
     fold_data: list = [None] * (order + 1)
+    excl = None
     for n in range(order, 0, -1):
         od = orders[n]
-        keys, counts = np.unique((type_inverse[n] * folds + fold_of_t).astype(width),
-                                 return_counts=True)
+        inverse = type_inverse.pop()  # order n's: each is freed once its order is done
+        pairs = (inverse * folds + fold_of_t).astype(width)
+        keys, counts = np.unique(pairs, return_counts=True)
         counts = counts.astype(width)
         ti, fold = np.divmod(keys, folds)
         stat_keys, inv = np.unique(od.type_keys[ti] // base * folds + fold, return_inverse=True)
+        type_tags, multi = _tags(ti, fold, len(od.type_keys), folds)
+        stat_tags, ctx_multi = _tags(*np.divmod(stat_keys, folds), len(od.ctx_codes) + 1, folds)
         fd = fold_data[n] = _FoldData(
-            keys, _narrow(counts), stat_keys,
-            _narrow(_stat_deltas(inv, len(stat_keys), od.type_counts[ti], counts)))
-        if n < order:
-            # an order-(n+1) type whose occurrences all sit in one fold is a
-            # left extension that leaving the fold out loses; its suffix type
-            # is one of the order-n types (``_derive`` checked) and occurs in
-            # that fold, so it has a key there
-            hi = fold_data[n + 1].type_keys
-            excl = hi[np.bincount(hi // folds)[hi // folds] == 1]
-            suffix = np.searchsorted(od.type_keys, _suffixes(
-                orders[n + 1], orders[n + 1].type_keys[excl // folds], base))
-            lost = np.bincount(np.searchsorted(keys, suffix * folds + excl % folds),
-                               minlength=len(keys))
+            _narrow(type_tags), keys[multi], _narrow(counts[multi]),
+            _narrow(stat_tags), stat_keys[ctx_multi],
+            _narrow(_stat_deltas(inv, len(stat_keys), od.type_counts[ti], counts)[ctx_multi]))
+        if excl is not None:
+            # an order-(n+1) type found in one fold is a left extension that
+            # leaving the fold out loses; at any of its positions the order-n
+            # (type, fold) key is its suffix type's in that fold
+            lost = np.bincount(np.searchsorted(keys, np.sort(pairs[excl])), minlength=len(keys))
             lost = lost.astype(width)
-            fd.cont_type_counts = _narrow(lost)
+            fd.cont_type_counts = _narrow(lost[multi])
             fd.cont_stat_deltas = _narrow(_stat_deltas(inv, len(stat_keys),
-                                                       od.cont_type_counts[ti], lost))
+                                                       od.cont_type_counts[ti], lost)[ctx_multi])
+        if n > 1:
+            at = np.empty(len(od.type_keys), dtype=width)
+            at[inverse] = np.arange(T, dtype=width)
+            excl = at[type_tags < folds]
 
     folded = FoldedCounts(table, folds, fold_assignment, fold_data)
     return table, folded
@@ -488,17 +512,43 @@ def _integers(name: str, values, size: int | None = None, bound: int = 0) -> np.
     return arr
 
 
-def _subtract(out: np.ndarray, deltas: np.ndarray, found) -> None:
-    """out[t] -= deltas[idx[t]] in place where hit[t], for ``found`` = (idx,
-    hit) of a ``_find`` over the deltas' keys (a whole row when ``out`` is
-    2-D): every position's delta is gathered, a miss's is zeroed, and the
-    wider ``out`` takes the subtraction; a negative query (built from rank
-    -1) matches no key.  Zeroing by a product is faster than a masked
-    subtraction or ``np.where``, which has no fast path for 1-byte deltas."""
-    idx, hit = found
-    taken = np.take(deltas, idx, axis=0)
-    taken *= hit if out.ndim == 1 else hit[:, None]
-    out -= taken
+class _Split(NamedTuple):
+    """What leaving each position's fold out takes, read from the positions'
+    fold tags: ``keep`` is False where the tag names the position's fold,
+    and ``idx`` and ``hit`` are the ``_find`` of the (id, fold) keys of the
+    positions tagged F, put back at their positions, and 0 and False at
+    every other position."""
+
+    keep: np.ndarray
+    idx: np.ndarray
+    hit: np.ndarray
+
+
+def _split(tags: np.ndarray, ids: np.ndarray, folds: np.ndarray, n_folds: int,
+           keys: np.ndarray) -> _Split:
+    """The ``_Split`` of positions with these tags, ids and folds; only the
+    ones tagged F are searched in the fold ``keys``, which an order without
+    tag-F ids leaves empty."""
+    multi = np.flatnonzero(tags == n_folds)
+    idx, hit = np.zeros(len(tags), dtype=np.intp), np.zeros(len(tags), dtype=bool)
+    if len(multi):
+        idx[multi], hit[multi] = _find(keys, ids[multi] * n_folds + folds[multi])
+    return _Split(tags != folds, idx, hit)
+
+
+def _leave_out(out: np.ndarray, deltas: np.ndarray, split: _Split) -> None:
+    """``out`` less each position's fold, in place (a whole row when it is
+    2-D): zeroed where ``split.keep`` is False, and less the delta found for
+    each position tagged F: every position's delta is gathered, zeroed
+    unless hit, and subtracted into the wider ``out``; empty deltas have no
+    hit.  Zeroing by a product is faster than a masked write or
+    ``np.where``, which has no fast path for 1-byte values."""
+    row = (slice(None),) if out.ndim == 1 else (slice(None), None)
+    out *= split.keep[row]
+    if len(deltas):
+        taken = np.take(deltas, split.idx, axis=0)
+        taken *= split.hit[row]
+        out -= taken
 
 
 class ContextStats(NamedTuple):
@@ -524,8 +574,10 @@ class _Kind(NamedTuple):
     counts: np.ndarray
     stats: np.ndarray
     index: memoryview  # the keys again, for scalar lookups
+    fold_tags: np.ndarray | None
     fold_keys: np.ndarray | None
     fold_counts: np.ndarray | None
+    stat_tags: np.ndarray | None
     stat_keys: np.ndarray | None
     stat_deltas: np.ndarray | None
 
@@ -545,12 +597,13 @@ class _Kind(NamedTuple):
 
 class _Lookup(NamedTuple):
     """One order's latest fold-view ``bulk_stats`` positions: copies of their
-    ranks and folds, the ``_find`` of their keys in the stat keys both kinds
-    share, and the read-only stats of each kind read for them so far."""
+    ranks and folds, the ``_split`` of their context tags and stat keys, which
+    both kinds share, and the read-only stats of each kind read for them so
+    far."""
 
     ranks: np.ndarray
     folds: np.ndarray
-    found: tuple[np.ndarray, np.ndarray]
+    split: _Split
     stats: dict[bool, ContextStats]  # by continuation
 
 
@@ -597,7 +650,8 @@ class CountView:
             fd = self.folded.fold_data[order] if self.folded is not None else _NO_FOLDS
             if not continuation:
                 kind = _Kind(od.type_keys, od.type_counts, od.stats, memoryview(od.type_keys),
-                             fd.type_keys, fd.type_counts, fd.stat_keys, fd.stat_deltas)
+                             fd.type_tags, fd.type_keys, fd.type_counts,
+                             fd.stat_tags, fd.stat_keys, fd.stat_deltas)
             elif od.cont_type_counts is None:
                 raise CountError(f"no continuation counts at order {order}")
             else:  # the raw kind's keys with the continuation values
@@ -729,8 +783,10 @@ class CountView:
         out = np.take(kind.counts, idx).astype(kind.keys.dtype)  # the store's width
         out *= hit
         if folds is not None:
-            _subtract(out, kind.fold_counts, _find(
-                kind.fold_keys, np.where(hit, idx, -1) * self.folded.n_folds + folds))
+            tags = np.take(kind.fold_tags, idx)
+            tags *= hit  # a miss, tagged 0, is not searched: its 0 is kept or zeroed alike
+            _leave_out(out, kind.fold_counts,
+                       _split(tags, idx, folds, self.folded.n_folds, kind.fold_keys))
         return out
 
     def bulk_stats(self, order: int, ranks: np.ndarray,
@@ -752,12 +808,13 @@ class CountView:
         kept = self._lookups.get(order)
         if kept is None or not (np.array_equal(ranks, kept.ranks)
                                 and np.array_equal(folds, kept.folds)):
-            found = _find(kind.stat_keys, ranks * self.folded.n_folds + folds)
-            kept = self._lookups[order] = _Lookup(ranks.copy(), folds.copy(), found, {})
+            split = _split(np.take(kind.stat_tags, ranks), ranks, folds, self.folded.n_folds,
+                           kind.stat_keys)
+            kept = self._lookups[order] = _Lookup(ranks.copy(), folds.copy(), split, {})
         stats = kept.stats.get(continuation)
         if stats is None:
             s = np.take(kind.stats, ranks, axis=0).astype(kind.keys.dtype)
-            _subtract(s, kind.stat_deltas, kept.found)
+            _leave_out(s, kind.stat_deltas, kept.split)
             s.setflags(write=False)
             stats = kept.stats[continuation] = ContextStats._make(s.T)
         return stats

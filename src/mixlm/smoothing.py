@@ -75,24 +75,33 @@ def discounts_from_count_of_counts(n1: int, n2: int, n3: int, n4: int) -> Discou
     return Discounts(level(1, n2, n1), level(2, n3, n2), level(3, n4, n3))
 
 
-def column_terms(d: Discounts | None, total, stats: ContextStats, counts=None):
+def column_terms(d: Discounts | None, total, stats: ContextStats, counts=None,
+                 fallback: bool = True):
     """(p, alpha) of observed contexts (total > 0), on scalars or arrays.
 
     p (None without counts) is c/total for ML and c - d(c) over the kept mass
-    with discounts; alpha is u/(total+u) (Witten-Bell) for ML and the removed
-    mass fraction with discounts.  When discounting removes all the mass, p
-    is uniform over the words seen after the context and alpha is 1.  One
-    context (float total, int stats) is computed on Python floats in the
-    formula's own order.
+    with discounts; alpha (None without ``fallback``, and then not computed)
+    is u/(total+u) (Witten-Bell) for ML and the removed mass fraction with
+    discounts.  When discounting removes all the mass, p is uniform over the
+    words seen after the context and alpha is 1.  One context (float total,
+    int stats) is computed on Python floats in the formula's own order.
     """
     if d is None:
+        p = None if counts is None else counts / total
+        if not fallback:
+            return p, None
         u = stats.unique
-        return (None if counts is None else counts / total), u / (total + u)
+        return p, u / (total + u)
     removed = d.mass(stats.n1, stats.n2, stats.n3p) / total
     keep_total = 1.0 - removed
     degenerate = keep_total <= _MIN_KEEP
     one_context = isinstance(degenerate, bool)
-    alpha = (1.0 if degenerate else removed) if one_context else np.where(degenerate, 1.0, removed)
+    if not fallback:
+        alpha = None
+    elif one_context:
+        alpha = 1.0 if degenerate else removed
+    else:
+        alpha = np.where(degenerate, 1.0, removed)
     if counts is None:
         return None, alpha
     kept = counts - d.applied(counts)
@@ -124,7 +133,7 @@ class Column:
             return 0.0
         count = self.view.cont_count if self.continuation else self.view.count
         return column_terms(self.discounts, float(s.total), s,
-                            count(self.order, self.rank, word))[0]
+                            count(self.order, self.rank, word), fallback=False)[0]
 
 
 def _observed(view: CountView, context, continuation: bool = False):

@@ -163,8 +163,9 @@ KEYS = ("ctx_codes", "type_keys", "stat_keys")  # every other store array holds 
 
 def narrowest(arr):
     """The narrowest of int8, int16, int32 and int64 that holds the minimum
-    and maximum of ``arr``: the width of each value array of a store."""
-    lo, hi = int(arr.min()), int(arr.max())
+    and maximum of ``arr`` (int8 when it is empty): the width of each value
+    array of a store."""
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
     return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
 
@@ -178,8 +179,30 @@ def _assert_width(holder, width, where):
             assert arr.dtype == want, f"{where} {name}: {arr.dtype}, not {want}"
 
 
-def assert_store_invariants(table, folded=None):
-    """Check what every count store keeps true, with its fold data if given.
+def fold_sets(table, corpus, n_folds):
+    """Per order n, the set of folds each type (by index) and each context
+    (by rank) occurs in, recounted from ``corpus`` one fold at a time
+    (sentence i in fold i % n_folds)."""
+    view = table.view()
+    out = [None] + [([set() for _ in od.type_keys], [set() for _ in od.ctx_codes])
+                    for od in table.orders[1:]]
+    for f in range(n_folds):
+        part = EncodedCorpus([s for i, s in enumerate(corpus.sentences) if i % n_folds == f],
+                             corpus.vocab)
+        grams = brute_ngrams(part, table.order)
+        for n in range(1, table.order + 1):
+            types, contexts = out[n]
+            for ctx, w in grams[n]:
+                r = int(view.rank_chain(ctx)[len(ctx)])
+                i = int(np.searchsorted(table.orders[n].type_keys, r * table.base + w))
+                types[i].add(f)
+                contexts[r].add(f)
+    return out
+
+
+def assert_store_invariants(table, folded=None, corpus=None):
+    """Check what every count store keeps true, with its fold data if given
+    (and then the corpus it was counted from).
 
     Every key array and the fold assignment have the store's width, every
     value array the narrowest width of its own values, keys are strictly
@@ -187,10 +210,13 @@ def assert_store_invariants(table, folded=None):
     of its type arrays plus one all-zero last row for rank -1, the raw
     totals of every order sum to the token count, the continuation counts
     are aligned with the raw type keys, and so are the continuation fold
-    deltas with the raw fold keys.  Every stat key is the context of a fold
-    type key, the order-1 fold totals sum to the token count, raw fold
-    counts are at least 1, continuation ones at least 0, and no fold delta
-    exceeds the full value it is subtracted from.
+    deltas with the raw fold keys.  Every type and context tag names the one
+    fold a recount finds it in, or is F where the recount finds two or
+    more, and the rank -1 row's tag is 0; no fold key belongs to a type or
+    context tagged with a fold, and every one tagged F has a key in each of
+    its (two or more) folds.  The order-1 fold totals sum to the token
+    count, raw fold counts are at least 1, continuation ones at least 0, and
+    no fold delta exceeds the full value it is subtracted from.
     """
     base = table.base
     width = store_width(table, 1 if folded is None else folded.n_folds)
@@ -220,13 +246,24 @@ def assert_store_invariants(table, folded=None):
     assert folded.fold_assignment.dtype == width
     F = folded.n_folds
     assert folded.fold_data[1].stat_deltas[:, 0].sum() == table.token_count
+    recount = fold_sets(table, corpus, F)
     for n in range(1, table.order + 1):
         od, fd = table.orders[n], folded.fold_data[n]
         _assert_width(fd, width, f"order {n} folds")
-        _assert_strictly_sorted(fd.type_keys, f"order {n} fold types")
-        _assert_strictly_sorted(fd.stat_keys, f"order {n} fold contexts")
-        ti, fold = np.divmod(fd.type_keys, F)
-        np.testing.assert_array_equal(fd.stat_keys, np.unique(od.type_keys[ti] // base * F + fold))
+        for tags, keys, sets, what in ((fd.type_tags, fd.type_keys, recount[n][0], "types"),
+                                       (fd.stat_tags, fd.stat_keys, recount[n][1], "contexts")):
+            where = f"order {n} fold {what}"
+            _assert_strictly_sorted(keys, where)
+            want = [min(folds) if len(folds) == 1 else F for folds in sets]
+            if what == "contexts":
+                want.append(0)  # the rank -1 row
+            assert tags.tolist() == want, where
+            ids, fold = np.divmod(keys, F)
+            assert np.all(tags[ids] == F), f"{where}: a key of an id tagged with a fold"
+            assert list(zip(ids.tolist(), fold.tolist())) == [
+                (i, f) for i, folds in enumerate(sets) if len(folds) > 1
+                for f in sorted(folds)], f"{where}: a tag-F id without a key per fold"
+        ti = fd.type_keys // F
         kinds = [("raw", od.type_counts, od.stats, fd.type_counts, fd.stat_deltas, 1)]
         if n < table.order:
             kinds.append(("continuation", od.cont_type_counts, od.cont_stats,

@@ -612,6 +612,31 @@ class TestBulkQueries:
                     assert cc[t] == self.view.cont_count(n, r, int(words[t]))
 
 
+def assert_left_out_equals_recount(folded, corpus, texts):
+    """Every bulk count and stats read of each text, with one fold left out
+    for every position, equals the store counted without that fold, and
+    comes at the store's width."""
+    view, order = folded.view(), folded.table.order
+    width = folded.table.orders[1].type_keys.dtype
+    for f, table in enumerate(fold_out_tables(corpus, order, folded.n_folds)):
+        rview = table.view()
+        for text in texts:
+            ranks, words, _ = view.bulk_ranks(text)
+            rranks = rview.bulk_ranks(text)[0]
+            same = np.full(len(words), f)
+            for n in range(1, order + 1):
+                r, r2 = ranks[:, n - 1], rranks[:, n - 1]
+                for cont in (False, True) if n < order else (False,):
+                    where = f"fold {f} order {n} continuation {cont}"
+                    got = view.bulk_counts(n, r, words, same, cont)
+                    stats = view.bulk_stats(n, r, same, cont)
+                    assert {a.dtype for a in (got, *stats)} == {width}, where
+                    np.testing.assert_array_equal(
+                        got, rview.bulk_counts(n, r2, words, continuation=cont), err_msg=where)
+                    np.testing.assert_array_equal(
+                        stats, rview.bulk_stats(n, r2, continuation=cont), err_msg=where)
+
+
 class TestFoldViews:
     """Bulk calls that leave out a fold equal stores counted without it,
     compared context by context."""
@@ -718,6 +743,44 @@ class TestFoldViews:
                             view.bulk_stats(n, r, folds=same, continuation=cont),
                             rv.bulk_stats(n, r2, continuation=cont))
 
+    def test_reads_follow_the_fold_tags(self):
+        """Every type and context read with every fold left out: one tagged
+        with that fold reads 0, one tagged with another fold its full value,
+        and one tagged F its full value less a delta where the fold holds it
+        and its full value where the fold does not (a type queried with a
+        fold it does not occur in).  Rank -1, tagged 0, reads 0 either way.
+        ``_check_against_reduced`` compares the same reads with a recount."""
+        view, table, F = self.folded.view(), self.folded.table, self.FOLDS
+        seen = set()
+        for n in range(1, self.ORDER + 1):
+            od, fd = table.orders[n], self.folded.fold_data[n]
+            ranks, words = np.divmod(od.type_keys, table.base)
+            ctx = np.arange(-1, len(od.ctx_codes))
+            reads = [("type", np.arange(len(ranks)), fd.type_tags, fd.type_keys,
+                      lambda f: view.bulk_counts(n, ranks, words, folds=f)),
+                     ("context", ctx, fd.stat_tags[ctx], fd.stat_keys,
+                      lambda f: view.bulk_stats(n, ctx, folds=f).total)]
+            for what, ids, tags, keys, read in reads:
+                full = read(None)
+                for f in range(F):
+                    got = read(np.full(len(ids), f))
+                    held = np.isin(ids * F + f, keys)
+                    cases = {"own": tags == f, "other": (tags < F) & (tags != f),
+                             "held": (tags == F) & held, "absent": (tags == F) & ~held}
+                    np.testing.assert_array_equal(got[cases["own"]], 0)
+                    for case in ("other", "absent"):
+                        np.testing.assert_array_equal(got[cases[case]], full[cases[case]])
+                    held = cases["held"]
+                    assert np.all(got[held] > 0) and np.all(got[held] < full[held])
+                    seen |= {(what, case) for case, mask in cases.items() if mask.any()}
+                if what == "context":
+                    assert tags[0] == 0 and full[0] == 0
+        assert ("context", "held") in seen and ("type", "held") in seen
+        if self.ORDER > 1:  # order 1 alone: every word of this text is in every fold
+            assert {("type", "own"), ("type", "other"), ("context", "own")} <= seen
+            # two folds of a tag-F type are all the folds there are
+            assert (("type", "absent") in seen) == (F > 2)
+
     def test_fold_validation(self):
         view = self.folded.view()
         ranks, words, _ = view.bulk_ranks(self.corpus)
@@ -733,7 +796,7 @@ class TestFoldViews:
         """Counted, folded and file-loaded stores all keep the store invariants."""
         table = accumulate(self.corpus, self.ORDER)
         assert_store_invariants(table)
-        assert_store_invariants(self.folded.table, self.folded)
+        assert_store_invariants(self.folded.table, self.folded, self.corpus)
         buf = io.BytesIO()
         table.write_binary(buf)
         buf.seek(0)
@@ -1198,7 +1261,8 @@ class TestSerialization:
         for view in (folded.view(), folded.table.view()):
             for n in (1, 2):
                 raw, cont = view._kind(n, False), view._kind(n, True)
-                for name in ("keys", "index", "fold_keys", "stat_keys"):
+                for name in ("keys", "index", "fold_tags", "fold_keys", "stat_tags",
+                             "stat_keys"):
                     assert getattr(cont, name) is getattr(raw, name), (n, name)
                 assert cont.counts is not raw.counts and cont.stats is not raw.stats, n
 
@@ -1264,15 +1328,43 @@ class TestWidth:
         other fold value array has its own width, and the keys are int32
         either way."""
         long = " ".join("abc"[i % 3] for i in range(largest - 1))  # and its end symbol
-        folded = cv_fold_counts(encode([long, "a b"]), 2, folds=2)
+        corpus = encode([long, "a b"])
+        folded = cv_fold_counts(corpus, 2, folds=2)
         assert folded.fold_data[1].stat_deltas[:, 0].tolist() == [largest, 3]
-        assert_store_invariants(folded.table, folded)
+        assert_store_invariants(folded.table, folded, corpus)
         want = np.int16 if largest < 2**15 else np.int32
         assert folded.fold_data[1].stat_deltas.dtype == want
         for fd in folded.fold_data[1:]:
             assert fd.type_keys.dtype == fd.stat_keys.dtype == np.int32
             for name, arr in vars(fd).items():
                 assert arr is None or name in KEYS or arr.dtype == narrowest(arr), name
+
+    def test_fold_tags_wider_than_int8(self):
+        """With 130 folds the tag F does not fit int8: every tag array takes
+        int16, and leaving out each fold, 127 and 128 among them, equals a
+        recount."""
+        corpus = encode(synthetic_lines(130, n_words=6, seed=9))
+        folded = cv_fold_counts(corpus, 3, folds=130)
+        assert_store_invariants(folded.table, folded, corpus)
+        for fd in folded.fold_data[1:]:
+            assert fd.type_tags.dtype == fd.stat_tags.dtype == np.int16
+        assert_left_out_equals_recount(folded, corpus, [corpus])
+
+    def test_order_without_tag_f_types_keeps_empty_fold_arrays(self):
+        """Where every type of an order occurs in one fold only, its fold type
+        keys and deltas are empty, at the store's width and at int8, and no
+        bulk call searches them; leaving either fold out equals a recount, on
+        held-out text with unseen contexts too."""
+        corpus = encode(["a b", "c d"])
+        folded = cv_fold_counts(corpus, 3, folds=2)
+        assert_store_invariants(folded.table, folded, corpus)
+        for n in (2, 3):
+            fd = folded.fold_data[n]
+            assert fd.type_keys.size == fd.type_counts.size == 0, n
+            assert fd.type_keys.dtype == np.int32 and fd.type_counts.dtype == np.int8, n
+        assert folded.fold_data[2].cont_type_counts.size == 0
+        held = encode_corpus(["a d", "b a c", "d"], corpus.vocab)
+        assert_left_out_equals_recount(folded, corpus, [corpus, held])
 
     @pytest.mark.parametrize("narrow", [True, False], ids=["int16-values", "int32-values"])
     def test_fold_values_of_either_width_equal_a_recount(self, monkeypatch, narrow):
@@ -1291,24 +1383,8 @@ class TestWidth:
             assert np.dtype(np.int8) in {arr.dtype for arr in values}
         else:
             assert {arr.dtype for arr in values} == {np.dtype(np.int32)}
-        view = folded.view()
-        for f, table in enumerate(fold_out_tables(corpus, 4, 3)):
-            rview = table.view()
-            for text in (corpus, held):
-                ranks, words, _ = view.bulk_ranks(text)
-                rranks = rview.bulk_ranks(text)[0]
-                same = np.full(len(words), f)
-                for n in range(1, 5):
-                    r, r2 = ranks[:, n - 1], rranks[:, n - 1]
-                    for cont in (False, True) if n < 4 else (False,):
-                        got = view.bulk_counts(n, r, words, same, cont)
-                        assert got.dtype == np.int32, (n, cont)
-                        np.testing.assert_array_equal(
-                            got, rview.bulk_counts(n, r2, words, continuation=cont))
-                        stats = view.bulk_stats(n, r, same, cont)
-                        assert {a.dtype for a in stats} == {np.dtype(np.int32)}, (n, cont)
-                        np.testing.assert_array_equal(
-                            stats, rview.bulk_stats(n, r2, continuation=cont))
+        assert folded.table.orders[1].type_keys.dtype == np.int32
+        assert_left_out_equals_recount(folded, corpus, [corpus, held])
 
     def test_int64_store_answers_as_int32(self, monkeypatch):
         """Every scalar and bulk query, with and without folds, and the
@@ -1321,7 +1397,7 @@ class TestWidth:
         wide = all_int64(monkeypatch, lambda: cv_fold_counts(corpus, 4, folds=3))
         assert store_width(narrow.table, 3) == np.int32
         assert np.dtype(np.int8) in {d for w in widths(narrow.table) for d in w.values()}
-        assert_store_invariants(narrow.table, narrow)
+        assert_store_invariants(narrow.table, narrow, corpus)
         holders = [*wide.table.orders[1:], *wide.fold_data[1:]]
         assert {a.dtype for h in holders for a in vars(h).values() if a is not None} == {
             np.dtype(np.int64)} == {wide.fold_assignment.dtype}
@@ -1502,12 +1578,21 @@ def test_store_invariants_catch_damage():
     def damage_table_alignment(t, f):
         t.orders[2].cont_type_counts = t.orders[2].cont_type_counts[1:]
 
+    def damage_type_tag(t, f):  # a type of one fold tagged with the other
+        tags = f.fold_data[2].type_tags
+        i = int(np.flatnonzero(tags < f.n_folds)[0])
+        tags[i] = 1 - tags[i]
+
+    def damage_stat_tag(t, f):  # a context with a key per fold tagged with one of them
+        f.fold_data[2].stat_tags[f.fold_data[2].stat_keys[0] // f.n_folds] = 0
+
     folded = cv_fold_counts(toy_corpus(), 3, folds=2)
-    assert_store_invariants(folded.table, folded)
+    assert_store_invariants(folded.table, folded, toy_corpus())
     for damage in (damage_type_order, damage_type_count, damage_token_count,
                    damage_fold_count, damage_fold_stats, damage_width, damage_key_width,
-                   damage_table_width, damage_cont_count, damage_cont_alignment, damage_table_alignment):
+                   damage_table_width, damage_cont_count, damage_cont_alignment,
+                   damage_table_alignment, damage_type_tag, damage_stat_tag):
         folded = cv_fold_counts(toy_corpus(), 3, folds=2)
         damage(folded.table, folded)
         with pytest.raises(AssertionError):
-            assert_store_invariants(folded.table, folded)
+            assert_store_invariants(folded.table, folded, toy_corpus())

@@ -328,7 +328,8 @@ class TestLazyColumns:
 
 class TestScalarArrayParity:
     """One context's ``column_terms`` runs on Python floats; it must equal the
-    one-element array call bit for bit, in the degenerate case too."""
+    one-element array call bit for bit, in the degenerate case too, and so
+    must its p computed without alpha."""
 
     DISCOUNTS = [None, Discounts(0.6, 1.1, 1.4), Discounts(0.0, 0.0, 0.0),
                  Discounts(1.0, 2.0, 3.0)]
@@ -351,11 +352,13 @@ class TestScalarArrayParity:
         arr_p, arr_alpha = column_terms(d, np.array([float(stats.total)]), arr_stats, arr_count)
         assert type(alpha) is float
         assert self.bits(alpha) == self.bits(np.asarray(arr_alpha).reshape(-1)[0])
+        alone, no_alpha = column_terms(d, float(stats.total), stats, count, fallback=False)
+        assert no_alpha is None
         if count is None:
-            assert p is None and arr_p is None
+            assert p is None and arr_p is None and alone is None
         else:
-            assert type(p) is float
-            assert self.bits(p) == self.bits(arr_p[0])
+            assert type(p) is float and type(alone) is float
+            assert self.bits(p) == self.bits(arr_p[0]) == self.bits(alone)
 
     def test_degenerate_cases_are_reached(self):
         capped = self.DISCOUNTS[-1]
