@@ -6,8 +6,9 @@ every end-to-end metric as a finite number, in the JSON line that an untraced
 
 ``bench/run.py`` exits 0 even when a check fails, so CI reads each verdict here.
 When ``GITHUB_STEP_SUMMARY`` names a file, one line with each workload's
-``store_bytes_per_token`` at this seed is appended to it, so that every run
-shows the size of its count stores.
+``store_bytes_per_token`` and ``peak_rss_mb`` at this seed is appended to
+it, so that every run shows the size of its count stores and its memory
+high-water mark.
 """
 
 import json
@@ -20,12 +21,14 @@ results = json.load(sys.stdin)
 workloads = [w["name"] for w in bench["workloads"]]
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
 if summary:
-    sizes = [(w, results.get(w, {}).get("metrics", {}).get("store_bytes_per_token", {})
-              .get("value")) for w in workloads]
+    def shown(workload, metric, unit):
+        value = results.get(workload, {}).get("metrics", {}).get(metric, {}).get("value")
+        return f"{value:.2f} {unit}" if isinstance(value, (int, float)) else f"{value}"
+
     with open(summary, "a") as fh:
-        fh.write(f"- seed {sys.argv[1]}, `store_bytes_per_token`: " + ", ".join(
-            f"`{w}` {v:.2f} B/token" if isinstance(v, (int, float)) else f"`{w}` {v}"
-            for w, v in sizes) + "\n")
+        fh.write(f"- seed {sys.argv[1]}, `store_bytes_per_token` and `peak_rss_mb`: " + ", ".join(
+            f"`{w}` {shown(w, 'store_bytes_per_token', 'B/token')}, "
+            f"{shown(w, 'peak_rss_mb', 'MB')}" for w in workloads) + "\n")
 bad = []
 for workload in workloads:
     res = results.get(workload, {})

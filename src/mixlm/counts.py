@@ -72,7 +72,12 @@ next order's codes; its type keys are sorted with one only in
 fold.  ``_derive`` sorts each order's suffix keys for their counts alone:
 the continuation deltas read the (suffix type, fold) key of each
 order-(n+1) type found in one fold at one of its positions, and search for
-those keys in sorted order.
+those keys in sorted order.  A build keeps no array past its last reader:
+the per-position corpus stream, targets, words, context ranks and sentence
+ids go once the top order is counted; each type inverse is kept at its
+order's key width, which holds inverse * F, and goes once its order's fold
+deltas are built; and the stat deltas are tallied over the (type, fold)
+pairs of tag-F contexts alone, the only ones stored.
 
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
 a ``CountView`` and written to disk in one form, binary file format 5:
@@ -393,7 +398,8 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
     words = stream[targets]
 
     # each order sorts in the width its contexts select, never wider than the
-    # table's; only the fold deltas read each position's type index
+    # table's, and keeps its type inverse at that width, which holds
+    # inverse * F; only the fold deltas read each position's type index
     built, type_inverse = [], [None]
     rank = np.zeros(len(targets), dtype=np.int64)
     ctx_codes = np.zeros(1, dtype=np.int64)
@@ -402,12 +408,15 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
             codes = rank * base + stream[targets - (n - 1)]
             ctx_codes, rank = np.unique(codes.astype(_width(len(ctx_codes), base, T, F)),
                                         return_inverse=True)
-        codes = (rank * base + words).astype(_width(len(ctx_codes), base, T, F))
+        key_width = _width(len(ctx_codes), base, T, F)
+        codes = (rank * base + words).astype(key_width)
         keys, *inverse, counts = np.unique(codes, return_inverse=folds is not None,
                                            return_counts=True)
         built.append((ctx_codes, keys, counts))
-        type_inverse += inverse
+        type_inverse += [i.astype(key_width, copy=False) for i in inverse]
     width = _width(len(ctx_codes), base, T, F)
+    fold_of_t = None if folds is None else (sent_of % folds).astype(width)
+    del stream, targets, words, rank, sent_of, codes  # every order is counted
     orders = [None] + [_OrderData(*(a.astype(width, copy=False) for a in arrays))
                        for arrays in built]
     _derive(orders, base)
@@ -416,8 +425,6 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
         return table, None
 
     fold_assignment = np.arange(len(corpus.sentences), dtype=width) % folds
-    fold_of_t = fold_assignment[sent_of]
-
     # the values are computed at the store's width and only then narrowed;
     # ``excl`` holds one position of each order-(n+1) type found in one fold
     fold_data: list = [None] * (order + 1)
@@ -432,10 +439,14 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
         stat_keys, inv = np.unique(od.type_keys[ti] // base * folds + fold, return_inverse=True)
         type_tags, multi = _tags(ti, fold, len(od.type_keys), folds)
         stat_tags, ctx_multi = _tags(*np.divmod(stat_keys, folds), len(od.ctx_codes) + 1, folds)
+        # only the (type, fold) pairs of tag-F contexts have stat deltas to
+        # keep: ``inv`` numbers their stat keys among the tag-F ones
+        kept = ctx_multi[inv]
+        ti, inv = ti[kept], (np.cumsum(ctx_multi) - 1)[inv[kept]]
+        stat_keys = stat_keys[ctx_multi]
         fd = fold_data[n] = _FoldData(
-            _narrow(type_tags), keys[multi], _narrow(counts[multi]),
-            _narrow(stat_tags), stat_keys[ctx_multi],
-            _narrow(_stat_deltas(inv, len(stat_keys), od.type_counts[ti], counts)[ctx_multi]))
+            _narrow(type_tags), keys[multi], _narrow(counts[multi]), _narrow(stat_tags), stat_keys,
+            _narrow(_stat_deltas(inv, len(stat_keys), od.type_counts[ti], counts[kept])))
         if excl is not None:
             # an order-(n+1) type found in one fold is a left extension that
             # leaving the fold out loses; at any of its positions the order-n
@@ -444,7 +455,7 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
             lost = lost.astype(width)
             fd.cont_type_counts = _narrow(lost[multi])
             fd.cont_stat_deltas = _narrow(_stat_deltas(inv, len(stat_keys),
-                                                       od.cont_type_counts[ti], lost)[ctx_multi])
+                                                       od.cont_type_counts[ti], lost[kept]))
         if n > 1:
             at = np.empty(len(od.type_keys), dtype=width)
             at[inverse] = np.arange(T, dtype=width)

@@ -26,13 +26,11 @@ def _init(rng: np.random.Generator, shape, scale=0.1) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluating each half only where it cannot overflow."""
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y
+    """Logistic function in one pass that cannot overflow: with e = exp(-|x|),
+    1/(1 + e) where x >= 0 and e/(1 + e) elsewhere."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _check_input(x: Tensor, width: int) -> None:
@@ -89,11 +87,13 @@ class LSTM:
     def step(self, x: Tensor, state):
         """One time step as two graph nodes, the cell state c and the output h.
 
-        h is a child of c, so its backward runs first: it adds its share of
-        dL/dc into c and leaves the output-gate gradient in the gate
-        gradient array the two nodes share.  c's backward fills in the other
-        three gates and sends the gate gradient on to x, h_prev, c_prev and
-        the weights.
+        h is a child of c, so its backward runs first: it makes the gate
+        gradient array the two nodes share, adds its share of dL/dc into c
+        and leaves the output-gate gradient in that array.  c's backward
+        fills in the other three gates (making the array, with a zero
+        output gate, when h had no gradient), sends the gate gradient on to
+        x, h_prev, c_prev and the weights, and drops the array, so a step
+        holds it only from its h's turn to the end of its c's.
         """
         _check_input(x, self.in_size)
         h_prev, c_prev = state
@@ -110,9 +110,12 @@ class LSTM:
         i, f, o, g = (act[:, k * H:(k + 1) * H] for k in range(4))
         c_val = f * cv + i * g
         tc = np.tanh(c_val)
-        dz = np.zeros_like(act)  # dL/d(gate pre-activations)
+        dz = None  # dL/d(gate pre-activations), while backward is in this step
 
         def c_backward(dc):
+            nonlocal dz
+            if dz is None:
+                dz = np.zeros_like(act)
             dz[:, :H] = dc * g * i * (1.0 - i)
             dz[:, H:2 * H] = dc * cv * f * (1.0 - f)
             dz[:, 3 * H:] = dc * i * (1.0 - g * g)
@@ -125,10 +128,13 @@ class LSTM:
             W_x._accum(xv.T @ dz)
             W_h._accum(hv.T @ dz)
             b._accum(dz.sum(axis=0))
+            dz = None
 
         c = Tensor(c_val, (x, h_prev, c_prev, W_x, W_h, b), c_backward)
 
         def h_backward(dh):
+            nonlocal dz
+            dz = np.empty_like(act)  # c's backward writes the other three gates
             dz[:, 2 * H:3 * H] = dh * tc * o * (1.0 - o)
             c._accum(dh * o * (1.0 - tc * tc))
 

@@ -2,9 +2,11 @@
 
 ``Adam.step`` scales every gradient array in place when their global norm
 exceeds ``CLIP_NORM``, then updates its own moment arrays and each
-parameter's value in place, through two scratch arrays per parameter that
-it keeps from step to step; only the squares summed for the norm are a new
-array.  Each operation keeps the order of value − lr·m̂ / (√v̂ + ε), with
+parameter's value in place, through two scratch buffers that it keeps from
+step to step and shares among the parameters: each is as large as the
+largest parameter, and each update views its first bytes with the
+parameter's dtype and shape.  Only the squares summed for the norm are a
+new array.  Each operation keeps the order of value − lr·m̂ / (√v̂ + ε), with
 m̂ = m / (1 − β1ᵗ) and v̂ = v / (1 − β2ᵗ), evaluated out of place, so the
 update gives the same bits.  The decay rates, epsilon and clipping norm are
 fixed; only the learning rate is set per optimizer.
@@ -35,8 +37,8 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
-        self._tmp = [np.empty_like(p.value) for p in self.params]
-        self._den = [np.empty_like(p.value) for p in self.params]
+        size = max((p.value.nbytes for p in self.params), default=0)
+        self._scratch = (np.empty(size, np.uint8), np.empty(size, np.uint8))
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -76,10 +78,12 @@ class Adam:
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        for p, m, v, tmp, den in zip(self.params, self.m, self.v, self._tmp, self._den):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
+            tmp, den = (buf[:p.value.nbytes].view(p.value.dtype).reshape(p.value.shape)
+                        for buf in self._scratch)
             m *= BETA1  # m = β1·m + (1 − β1)·g
             np.multiply(g, 1.0 - BETA1, out=tmp)
             m += tmp

@@ -3,7 +3,10 @@
 Every operation builds a node recording its parents and a backward pass.
 Calling ``backward`` on a scalar loss walks the graph once in reverse
 topological order.  Each tensor owns its gradient array and contributions
-are added into it in place; the optimizer may scale it in place.
+are added into it in place.  An interior node (one with parents) holds its
+array only during the pass, until its own backward has run, after which no
+node reads it; a leaf keeps its array, and the optimizer may scale it in
+place.
 
 ``_node`` builds the arithmetic, reduction and concatenation ops from a
 forward value and one gradient expression per parent.  Its backward
@@ -51,7 +54,8 @@ class Tensor:
         return self.grad
 
     def backward(self):
-        """Populate .grad on every upstream tensor that requires it."""
+        """Populate .grad on every upstream leaf that requires it; each
+        interior node's .grad is None again once its backward has run."""
         if self.value.size != 1:
             raise ValueError("backward() expects a scalar loss")
         order = []
@@ -75,6 +79,8 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node.parents:  # its children ran before it, so nothing reads it again
+                node.grad = None
 
     # operator sugar
     def __add__(self, other):

@@ -2,6 +2,7 @@
 the unfused reference, block dropout behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mixlm.neural.layers import (
     LSTM,
     FeedForward,
     OutputLayer,
+    _sigmoid,
     block_dropout_mask,
 )
 
@@ -21,6 +23,7 @@ from helpers import (
     lstm_step_unfused,
     mean_all,
     output_unfused,
+    sigmoid,
 )
 
 
@@ -299,6 +302,46 @@ class TestFusedLSTMStep:
             assert np.all(np.isfinite(t.value))
         for p in lstm.parameters():
             assert np.all(np.isfinite(p.grad))
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_equals_two_branch_reference_bit_for_bit():
+    """The one-pass logistic gives the bits of the reference that evaluates
+    each half only where it cannot overflow, and warns at no input."""
+    rng = np.random.default_rng(3)
+    edges = [0.0, 1e-300, 700.0, 745.2, 1000.0, np.inf]
+    gates = rng.normal(scale=4.0, size=(16, 1200))
+    for x in (np.array(edges + [-v for v in edges]), rng.normal(scale=10.0, size=(16, 300)),
+              gates[:, :900]):
+        got, want = _sigmoid(x), sigmoid(T.constant(x)).value
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def _backward_extra_bytes(steps):
+    """Memory that ``backward`` allocates above what it starts with, over a
+    batch-16 LSTM + 3,006-wide output graph of ``steps`` steps."""
+    rng = np.random.default_rng(5)
+    lstm, out = LSTM(6, 8, rng), OutputLayer(8, 3006, rng)
+    mask, D = np.ones((16, 3006)), rng.uniform(0.1, 1.0, (16, 3006))
+    state, loss = lstm.initial_state(16), None
+    for _ in range(steps):
+        h, state = lstm.step(T.constant(rng.normal(size=(16, 6))), state)
+        term = T.tsum(T.log(T.tsum(out(h, mask) * D, axis=1)))
+        loss = term if loss is None else loss + term
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_backward_memory_does_not_grow_with_steps():
+    """Each step's interior gradients, 3,006 wide, are dropped after their
+    turn, so a longer graph's backward holds little more than a short one's."""
+    assert _backward_extra_bytes(16) < 1.5 * _backward_extra_bytes(4)
 
 
 class TestFusedOutputLayer:

@@ -110,15 +110,18 @@ class TestClipGradients:
 
 class TestAgainstOutOfPlaceReference:
     """``Adam.step`` equals the out-of-place clip and update bit for bit,
-    over steps with and without clipping and with a missing gradient."""
+    over steps with and without clipping and with a missing gradient, and
+    whatever dtypes the parameters that share its scratch buffers have."""
 
     SHAPES = [(6, 11), (3, 11), (11,), (5, 7), (7,)]
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_bit_identical(self, dtype):
+    @pytest.mark.parametrize("dtypes", [(np.float64,) * 5, (np.float32,) * 5,
+                                        (np.float32, np.float64) * 2 + (np.float32,)],
+                             ids=["float64", "float32", "mixed"])
+    def test_bit_identical(self, dtypes):
         rng = np.random.default_rng(17)
         params = [T.param(rng.uniform(-0.1, 0.1, s).astype(dtype), f"p{i}")
-                  for i, s in enumerate(self.SHAPES)]
+                  for i, (s, dtype) in enumerate(zip(self.SHAPES, dtypes))]
         values = [p.value.copy() for p in params]
         m = [np.zeros_like(x) for x in values]
         v = [np.zeros_like(x) for x in values]
@@ -126,7 +129,8 @@ class TestAgainstOutOfPlaceReference:
         clipped = 0
         for t in range(1, 41):
             scale = 3.0 if t % 3 == 0 else 0.1  # every third step clips
-            grads = [(rng.normal(size=s) * scale).astype(dtype) for s in self.SHAPES]
+            grads = [(rng.normal(size=s) * scale).astype(dtype)
+                     for s, dtype in zip(self.SHAPES, dtypes)]
             if t % 7 == 0:
                 grads[t % len(grads)] = None
             for p, g in zip(params, grads):
@@ -139,7 +143,7 @@ class TestAgainstOutOfPlaceReference:
             for i, g in zip(have, clipped_grads):
                 values[i], m[i], v[i] = reference_adam(values[i], g, m[i], v[i], t, lr=0.01)
             for i, p in enumerate(params):
-                assert p.value.dtype == dtype and opt.m[i].dtype == dtype
+                assert p.value.dtype == dtypes[i] and opt.m[i].dtype == dtypes[i]
                 np.testing.assert_array_equal(p.value, values[i], err_msg=f"step {t} p{i}")
                 np.testing.assert_array_equal(opt.m[i], m[i])
                 np.testing.assert_array_equal(opt.v[i], v[i])

@@ -241,19 +241,23 @@ class TestInPlaceAccumulation:
         np.testing.assert_allclose(self.table.grad, self.expected(), rtol=1e-14)
 
     def test_no_gradient_shares_memory(self):
+        """Every gradient array a pass hands to a backward is its own, and
+        none outlives its node's turn except the leaves'."""
         loss = self.graph()
-        loss.backward()
-        tensors, stack = {}, [loss]
+        interior, handed, stack = {}, [], [loss]
         while stack:
             node = stack.pop()
-            if id(node) not in tensors:
-                tensors[id(node)] = node
+            if node.parents and id(node) not in interior:
+                interior[id(node)] = node
                 stack.extend(node.parents)
-        grads = [t.grad for t in tensors.values() if t.grad is not None]
-        assert len(grads) >= 8
-        for i, a in enumerate(grads):
-            for b in grads[i + 1:]:
+                node._backward = lambda g, run=node._backward: (handed.append(g), run(g))
+        loss.backward()
+        assert len(handed) == len(interior) == 10
+        arrays = handed + [self.table.grad]
+        for i, a in enumerate(handed):
+            for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+        assert all(node.grad is None for node in interior.values())
 
     def test_repeated_backward_after_zero_grad_is_equal(self):
         loss = self.graph()
