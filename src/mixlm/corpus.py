@@ -15,6 +15,7 @@ own int32 array.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -43,7 +44,8 @@ class Vocabulary:
 
     Ids 0..J-1 are predictable tokens (eos at 0, unk at 1, then words in
     descending frequency order).  The begin-of-sentence id is J and is only
-    legal inside contexts.
+    legal inside contexts.  ``fingerprint``, which a count table stores, is
+    the first 16 hex digits of the SHA-256 of the newline-joined words.
     """
 
     id_to_word: list[str]
@@ -51,6 +53,7 @@ class Vocabulary:
     # a word's id, the unknown id for any other word and for a literal begin
     # marker (context-only): one dict lookup, so ``map`` runs it in C
     id_of: Callable[[str], int] = field(init=False, repr=False, compare=False)
+    fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.id_to_word[:2] != [EOS, UNK]:
@@ -59,6 +62,7 @@ class Vocabulary:
         if len(self.word_to_id) != len(self.id_to_word) or "" in self.word_to_id:
             raise CorpusError("duplicate or empty word in the vocabulary")
         self.id_of = _Ids({**self.word_to_id, BOS: self.unk_id}).__getitem__
+        self.fingerprint = hashlib.sha256("\n".join(self.id_to_word).encode()).hexdigest()[:16]
 
     @property
     def size(self) -> int:

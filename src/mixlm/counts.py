@@ -51,18 +51,15 @@ one fold would be the full value again.  The continuation deltas are stored
 against the same keys, 0 where the fold takes nothing: a left extension
 found only in one fold puts its type there.
 
-A view looks each context up once however many callers read it (the
-context-state reuse of Pauls & Klein 2011 and KenLM), and keeps, besides
-the arrays it picks per (order, kind): the latest rank chain; the latest
-scalar stats row per (order, kind), with its rank; and per order the latest
-fold-view ``bulk_stats`` lookup, that is copies of the positions' ranks and
-folds, their search in the stat keys, and the stats of each kind read for
-them, which it returns read-only.  A bulk call for equal ranks and folds
-(``np.array_equal``, after its checks) reuses that lookup, and any other
-call replaces it, so one bulk entry per order and one row per (order,
-kind) bound what a view keeps; a new view starts empty.  It also keeps the
-vocabulary object ``bulk_ranks`` last accepted, and fingerprints only
-another one.
+A view keeps, besides the arrays it picks per (order, kind), the latest
+rank chain, a tuple of ints whose prefixes answer every suffix of the
+latest context (the context-state reuse of Pauls & Klein 2011 and KenLM),
+and per order the latest fold-view ``bulk_stats`` lookup: copies of the
+positions' ranks and folds, their search in the stat keys, and the stats of
+each kind read for them, returned read-only to a later call with equal
+ranks and folds (``np.array_equal``, after its checks).  Any other read is
+made afresh.  A ``rank_chain`` miss and a scalar count read their ids with
+``operator.index``, so a float raises.
 
 Counting is sorting (as in KenLM and Pauls & Klein 2011), and no sort
 computes an inverse that nothing reads.  Each order's context codes are
@@ -80,13 +77,14 @@ deltas are built; and the stat deltas are tallied over the (type, fold)
 pairs of tag-F contexts alone, the only ones stored.
 
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
-a ``CountView`` and written to disk in one form, binary file format 5:
-``MXCT``; version and order (u32); vocabulary size and token count (u64);
-the vocabulary fingerprint as a u32 length and ASCII bytes; per order only
-what counting produced, ctx_codes, type_keys and type_counts, each as its
-byte width W (u32), its element count (u64) and W-byte values, every array
-at the narrowest width of its own values; then a CRC32 of every byte after
-the magic, all little-endian.  Loading widens the keys to the store's width
+a ``CountView`` and written to disk in one form, binary file format 5
+(``CountTable.save`` and ``load``): ``MXCT``; version and order (u32);
+vocabulary size and token count (u64); the vocabulary's ``fingerprint`` as
+a u32 length and ASCII bytes; per order only what counting produced,
+ctx_codes, type_keys and type_counts, each as its byte width W (u32), its
+element count (u64) and W-byte values, every array at the narrowest width
+of its own values; then a CRC32 of every byte after the magic, all
+little-endian.  Loading widens the keys to the store's width
 and derives the stats and continuation arrays with ``_derive``, the code
 that builds them after counting.  A file that is cut short, has trailing
 bytes, fails its checksum, is malformed, has a W other than 1, 2, 4 or 8, or
@@ -97,8 +95,7 @@ encoded with a vocabulary whose fingerprint is not the table's.
 from __future__ import annotations
 
 import bisect
-import hashlib
-import io
+import operator
 import struct
 import zlib
 from dataclasses import dataclass
@@ -106,7 +103,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import EncodedCorpus, Vocabulary
+from .corpus import EncodedCorpus
 
 _BIN_MAGIC = b"MXCT"
 _BIN_VERSION = 5
@@ -117,11 +114,6 @@ _VALUE_TYPES = [np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)]
 
 class CountError(ValueError):
     pass
-
-
-def _vocab_fingerprint(vocab: Vocabulary) -> str:
-    h = hashlib.sha256("\n".join(vocab.id_to_word).encode("utf-8")).hexdigest()
-    return h[:16]
 
 
 @dataclass
@@ -167,7 +159,7 @@ class CountTable:
     """Immutable n-gram count store for orders 1..N."""
 
     def __init__(self, order: int, vocab_size: int, orders: list[_OrderData],
-                 token_count: int, vocab_fingerprint: str = ""):
+                 token_count: int, vocab_fingerprint: str):
         self.order = order
         self.vocab_size = vocab_size
         self.base = vocab_size + 1
@@ -188,15 +180,6 @@ class CountTable:
     # -- serialization ---------------------------------------------------
 
     def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            self.write_binary(fh)
-
-    @classmethod
-    def load(cls, path: str) -> "CountTable":
-        with open(path, "rb") as fh:
-            return cls.read_binary(fh)
-
-    def write_binary(self, fh: io.BufferedIOBase) -> None:
         fp = self.vocab_fingerprint.encode("ascii")
         parts = [_HEADER.pack(_BIN_VERSION, self.order, self.vocab_size, self.token_count),
                  struct.pack("<I", len(fp)), fp]
@@ -206,13 +189,13 @@ class CountTable:
                 parts += [_ARRAY.pack(arr.itemsize, arr.size),
                           np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()]
         body = b"".join(parts)
-        fh.write(_BIN_MAGIC)
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body)))
+        with open(path, "wb") as fh:
+            fh.writelines((_BIN_MAGIC, body, struct.pack("<I", zlib.crc32(body))))
 
     @classmethod
-    def read_binary(cls, fh: io.BufferedIOBase) -> "CountTable":
-        data = memoryview(fh.read())
+    def load(cls, path: str) -> "CountTable":
+        with open(path, "rb") as fh:
+            data = memoryview(fh.read())
         end = len(data) - 4  # the checksum follows the last array
         pos = 4
 
@@ -267,11 +250,6 @@ class CountTable:
         _check_arrays(orders, vocab_size + 1, token_count)
         _derive(orders, vocab_size + 1)
         return cls(order, int(vocab_size), orders, int(token_count), fingerprint)
-
-    def _check_vocab(self, vocab: Vocabulary) -> None:
-        """Reject ids from a vocabulary other than the one counted with."""
-        if _vocab_fingerprint(vocab) != self.vocab_fingerprint:
-            raise CountError("vocabulary does not match the count table's")
 
 
 def _check_arrays(orders: list, base: int, token_count: int) -> None:
@@ -420,7 +398,7 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
     orders = [None] + [_OrderData(*(a.astype(width, copy=False) for a in arrays))
                        for arrays in built]
     _derive(orders, base)
-    table = CountTable(order, corpus.vocab.size, orders, T, _vocab_fingerprint(corpus.vocab))
+    table = CountTable(order, corpus.vocab.size, orders, T, corpus.vocab.fingerprint)
     if folds is None:
         return table, None
 
@@ -624,27 +602,18 @@ class CountView:
     length, and given per-position ``folds`` leave each position's fold out,
     which needs the fold data of a ``FoldedCounts``.
 
-    A view keeps, as the module describes: the ``_Kind`` of each (order,
-    continuation) it reads; the latest rank chain (``rank_chain``); the
-    latest ``stats``/``cont_stats`` row per (order, kind), with its rank; and
-    per order the latest fold-view ``bulk_stats`` lookup (``_Lookup``), whose
-    stats it returns read-only; and the vocabulary ``bulk_ranks`` last
-    accepted.  Nothing else is kept, and a new view starts empty."""
+    A view keeps the ``_Kind`` of each (order, continuation) it reads, the
+    latest rank chain and per order the latest fold-view ``_Lookup`` (module
+    docstring); a new view starts empty."""
 
     fold = None  # always None: bench/spans._mode reads it on every traced bulk call
 
     def __init__(self, table: CountTable, folded: FoldedCounts | None = None):
         self.table = table
         self.folded = folded
-        # the latest context resolved and its rank chain, which every suffix of
-        # that context reads a prefix of; read-only because rank_chain hands it out
-        root = np.zeros(1, dtype=np.int64)
-        root.setflags(write=False)
-        self._latest: tuple[tuple[int, ...], np.ndarray] = ((), root)
+        self._latest = ((), (0,))  # the latest context resolved and its rank chain
         self._kinds: dict[tuple[int, bool], _Kind] = {}
-        self._rows: dict[tuple[int, bool], tuple[int, ContextStats]] = {}
         self._lookups: dict[int, _Lookup] = {}
-        self._vocab: Vocabulary | None = None  # the vocabulary bulk_ranks last accepted
         self._contexts = [memoryview(od.ctx_codes) for od in table.orders[1:]]
 
     @property
@@ -674,17 +643,17 @@ class CountView:
 
     # -- context resolution ------------------------------------------------
 
-    def rank_chain(self, context: tuple[int, ...]) -> np.ndarray:
-        """Ranks of the length-0..len(context) suffixes of ``context``.
+    def rank_chain(self, context: tuple[int, ...]) -> tuple[int, ...]:
+        """Ranks of the length-0..len(context) suffixes of ``context``, as a
+        tuple of ints.
 
         Entry k is the rank of the last k symbols as an order-(k+1) context,
         or -1 when that context never occurs in the full table: the key a
         longer context builds from rank -1 is negative and finds no context.
         The view keeps only the latest chain: a suffix of the latest context
         reads a prefix of it, and any other context is resolved from the root.
-        The returned array is that kept chain, so it is read-only.
         Every symbol of a resolved context must be a word id or the bos id J;
-        ids are converted with ``int`` only when the kept chain misses.
+        ids go through ``operator.index`` only when the kept chain misses.
         """
         context = tuple(context)
         last, chain = self._latest
@@ -693,38 +662,35 @@ class CountView:
             return chain[:k + 1]
         if k >= self.table.order:
             raise CountError("context longer than order - 1")
-        context = tuple(int(c) for c in context)
+        try:
+            context = tuple(map(operator.index, context))
+        except TypeError:
+            raise CountError(f"context ids must be integers, not {context}") from None
         base = self.table.base
         if min(context) < 0 or max(context) >= base:  # never empty here
             raise CountError(f"context ids must lie in 0..{base - 1}")
-        out = np.zeros(k + 1, dtype=np.int64)
-        rank = 0
+        chain = (0,)
         for i in range(1, k + 1):
-            rank = out[i] = _index(self._contexts[i], rank * base + context[k - i])
-        out.setflags(write=False)
-        self._latest = (context, out)
-        return out
+            chain += (_index(self._contexts[i], chain[-1] * base + context[k - i]),)
+        self._latest = (context, chain)
+        return chain
 
     # -- scalar queries ------------------------------------------------------
 
-    def _stats(self, order: int, rank: int, continuation: bool) -> ContextStats:
-        """One context's stats row, the kept one when ``rank`` is its rank."""
-        kept = self._rows.get((order, continuation))
-        if kept is not None and kept[0] == rank:
-            return kept[1]
-        kind = self._kind(order, continuation)
-        row = ContextStats._make(kind.stats[kind.rank(rank)].tolist())
-        self._rows[order, continuation] = (rank, row)
-        return row
-
     def stats(self, order: int, rank: int) -> ContextStats:
-        return self._stats(order, rank, False)
+        kind = self._kind(order, False)
+        return ContextStats._make(kind.stats[kind.rank(rank)].tolist())
 
     def cont_stats(self, order: int, rank: int) -> ContextStats:
-        return self._stats(order, rank, True)
+        kind = self._kind(order, True)
+        return ContextStats._make(kind.stats[kind.rank(rank)].tolist())
 
     def _count(self, order: int, rank: int, word: int, continuation: bool) -> int:
         kind = self._kind(order, continuation)
+        try:
+            rank, word = operator.index(rank), operator.index(word)
+        except TypeError:
+            raise CountError(f"rank {rank!r} and word {word!r} must be integers") from None
         if not 0 <= word < self.table.vocab_size:
             raise CountError(f"word {word} outside 0..{self.table.vocab_size - 1}")
         i = _index(kind.index, rank * self.table.base + word)
@@ -754,14 +720,12 @@ class CountView:
         """Per-position context ranks for all orders (PositionIndex arrays).
 
         Returns (ranks[T, order] int64 with -1 for unseen contexts, words[T],
-        sentence index[T]).  Rank columns follow ascending order 1..N.  The
-        corpus's vocabulary is checked against the table's fingerprint unless
-        it is the very object this view accepted last.
+        sentence index[T]).  Rank columns follow ascending order 1..N.  A
+        corpus whose vocabulary fingerprint is not the table's raises.
         """
         table = self.table
-        if corpus.vocab is not self._vocab:
-            table._check_vocab(corpus.vocab)
-            self._vocab = corpus.vocab
+        if corpus.vocab.fingerprint != table.vocab_fingerprint:
+            raise CountError("vocabulary does not match the count table's")
         base = table.base
         stream, targets, sent_of = _corpus_stream(corpus, table.order)
         words = stream[targets]

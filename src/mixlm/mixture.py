@@ -14,6 +14,7 @@ renormalises over the rest.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +51,16 @@ def context_distributions(view, spec: SmoothingSpec, context,
 
     One ``rank_chain`` call resolves the context and all its suffixes, then
     each order's stats are read once, of the kind ``spec.rule`` picks for
-    it.  The view keeps that chain and the latest stats row of each (order,
-    kind), so a later ``spec.fallback`` of any suffix reads both back
-    without a lookup.
+    it.  Ids must be integers.  The view keeps the chain, so a later
+    ``spec.fallback`` of any suffix reads its rank without a lookup.
     """
-    context = tuple(int(c) for c in context)
+    try:
+        context = tuple(map(operator.index, context))
+    except TypeError:
+        raise MixtureError(f"context ids must be integers, not {context!r}") from None
     spec._order_of(context)  # a context too long for the spec raises before any lookup
     cols = []
-    for n, rank in enumerate(view.rank_chain(context).tolist(), 1):
+    for n, rank in enumerate(view.rank_chain(context), 1):
         continuation, d = spec.rule(n)
         s = view.cont_stats(n, rank) if continuation else view.stats(n, rank)
         cols.append(Column(view, n, rank, s if s.total > 0 else None, continuation, d))
@@ -66,7 +69,10 @@ def context_distributions(view, spec: SmoothingSpec, context,
 
 def word_probability(dists: ContextDistributions, lam: np.ndarray, word: int) -> float:
     """p(word) = sum_k lam_k * column_k[word]; touches only K entries, never J."""
-    word = int(word)
+    try:
+        word = operator.index(word)
+    except TypeError:
+        raise MixtureError(f"word id must be an integer, not {word!r}") from None
     if not 0 <= word < dists.vocab_size:
         raise MixtureError(f"word id {word} outside vocabulary of {dists.vocab_size}")
     if len(lam) != dists.weight_length:

@@ -21,8 +21,8 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def _init(rng: np.random.Generator, shape, scale=0.1) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape)
+def _init(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.uniform(-0.1, 0.1, size=shape)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -139,7 +139,7 @@ class Column:
 def _observed(view: CountView, context, continuation: bool = False):
     """(order, rank, stats) of a context; stats is None when its column is masked."""
     order = len(context) + 1
-    rank = int(view.rank_chain(context)[len(context)])
+    rank = view.rank_chain(context)[len(context)]
     s = view.cont_stats(order, rank) if continuation else view.stats(order, rank)
     return order, rank, s if s.total > 0 else None
 
@@ -222,7 +222,8 @@ class SmoothingSpec:
         """Interpolation coefficient toward lower orders for this context,
         the removed mass of its column; 1 for a masked column.  After
         ``context_distributions`` of a context that ends with this one, the
-        view answers its rank and stats from what it kept."""
+        view answers its rank from the chain it kept, and reads its stats
+        row again."""
         continuation, d = self.rule(self._order_of(context))
         s = _observed(view, context, continuation)[2]
         return 1.0 if s is None else column_terms(d, float(s.total), s)[1]

@@ -1,7 +1,7 @@
 """N-gram count store: accumulation, queries, fold views, serialization."""
 
 import bisect
-import io
+import hashlib
 import struct
 import tracemalloc
 import zlib
@@ -49,6 +49,20 @@ def first_array_at(data):
     """Offset of the first array (order 1's contexts) in a count file."""
     (fp_len,) = struct.unpack_from("<I", data, FINGERPRINT_AT - 4)
     return FINGERPRINT_AT + fp_len
+
+
+def saved(table, tmp_path):
+    """The bytes ``save`` writes for ``table``."""
+    path = tmp_path / "saved.bin"
+    table.save(str(path))
+    return path.read_bytes()
+
+
+def loaded(data, tmp_path):
+    """``CountTable.load`` of a file that holds ``data``."""
+    path = tmp_path / "loaded.bin"
+    path.write_bytes(data)
+    return CountTable.load(str(path))
 
 
 def rewritten(data, at, values, width):
@@ -100,7 +114,7 @@ class TestToyCounts:
 
     def test_unigram_count(self):
         a = self.v.id_of("a")
-        assert self.view.rank_chain(()).tolist() == [0]
+        assert self.view.rank_chain(()) == (0,)
         assert self.view.count(1, 0, a) == 3
         s = self.view.stats(1, 0)
         assert s.total == 7  # five words plus two sentence ends
@@ -138,7 +152,7 @@ class TestToyCounts:
         assert self.view.count(2, rank, a) == 1
         assert self.view.count(2, rank, b) == 0
         # unseen context entirely: its suffix "b" resolves, "b b" does not
-        assert self.view.rank_chain((b, b)).tolist() == [0, rank, -1]
+        assert self.view.rank_chain((b, b)) == (0, rank, -1)
 
     def test_context_longer_than_order_rejected(self):
         with pytest.raises(CountError):
@@ -152,14 +166,15 @@ class TestToyCounts:
     @pytest.mark.parametrize("before, ctx", [
         ((), ()), ((), ("a", "b")), (("a", "b"), ("b",)), (("b",), ("a", "b")),
     ], ids=["root", "resolved", "suffix-of-latest", "extends-latest"])
-    def test_rank_chain_result_is_read_only(self, before, ctx):
-        """rank_chain returns the chain the view keeps (or a prefix of it), so
-        a caller cannot write into it and change what later lookups read."""
+    def test_rank_chain_is_a_tuple_of_ints(self, before, ctx):
+        """rank_chain returns the chain the view keeps (or a prefix of it) as
+        a tuple of Python ints, which no caller can change, so later lookups
+        read what a fresh view reads."""
         ids = lambda words: tuple(self.v.id_of(w) for w in words)
         self.view.rank_chain(ids(before))
         chain = self.view.rank_chain(ids(ctx))
-        with pytest.raises(ValueError, match="read-only"):
-            chain[:] = -1
+        assert type(chain) is tuple and len(chain) == len(ctx) + 1
+        assert all(type(r) is int for r in chain), chain
         for later in ((), ("b",), ("a", "b"), ("b", "a"), ("a",)):
             np.testing.assert_array_equal(self.view.rank_chain(ids(later)),
                                           CountView(self.table).rank_chain(ids(later)),
@@ -280,10 +295,10 @@ class TestContextIds:
         with pytest.raises(CountError, match="context ids must lie in 0..6"):
             self.view.rank_chain((bad,))
         # with its suffix cached, and extending it
-        fresh = self.view.rank_chain((self.b,)).tolist()
+        fresh = self.view.rank_chain((self.b,))
         with pytest.raises(CountError, match="context ids must lie in 0..6"):
             self.view.rank_chain((bad, self.b))
-        assert self.view.rank_chain((self.b,)).tolist() == fresh
+        assert self.view.rank_chain((self.b,)) == fresh
 
 
 class TestWordIds:
@@ -314,6 +329,18 @@ class TestWordIds:
         for folds in (None, np.array([0, 1, 0])):
             with pytest.raises(CountError, match=match):
                 view.bulk_counts(n, ranks, words, folds=folds, continuation=cont)
+
+    @pytest.mark.parametrize("cont", [False, True], ids=["raw", "cont"])
+    def test_non_integer_ids_rejected(self, cont):
+        """A scalar count takes its rank and word through ``operator.index``:
+        word 2.5 is not read as word 2, nor rank 0.5 as rank 0, and NumPy
+        integers pass."""
+        view = self.folded.table.view()
+        count = view.cont_count if cont else view.count
+        for rank, word in ((0, 2.5), (0, 2.0), (0.5, 2), (np.float64(0), 2)):
+            with pytest.raises(CountError, match="must be integers"):
+                count(1, rank, word)
+        assert count(1, np.int32(0), np.int64(2)) == count(1, 0, 2) > 0
 
 
 class TestUnobservedRank:
@@ -494,18 +521,35 @@ class TestRankChainHit:
 
     @FORMS
     def test_forms_yield_equal_chains(self, form):
-        want = CountView(self.table).rank_chain(self.ctx).tolist()
+        want = CountView(self.table).rank_chain(self.ctx)
         assert want[-1] >= 0
-        assert self.view.rank_chain(form(self.ctx)).tolist() == want  # a miss
+        assert self.view.rank_chain(form(self.ctx)) == want  # a miss
         for k in range(len(self.ctx) + 1):  # hits, on the kept chain
             got = self.view.rank_chain(form(self.ctx[k:]))
-            assert got.tolist() == want[:len(self.ctx) - k + 1]
+            assert got == want[:len(self.ctx) - k + 1]
 
-    def test_suffix_shares_the_kept_chain(self):
+    def test_suffix_is_answered_without_a_lookup(self, monkeypatch):
+        """A suffix of the latest context, in any form, and that context
+        itself read a prefix of the kept chain: no context is searched."""
         chain = self.view.rank_chain(self.ctx)
-        for suffix in (self.ctx[1:], (np.int64(self.ctx[1]),), [self.ctx[1]], ()):
-            assert np.shares_memory(self.view.rank_chain(suffix), chain), suffix
-        assert np.shares_memory(self.view.rank_chain(self.ctx), chain)  # itself is a hit too
+        searched = []
+        index = mcounts._index
+        monkeypatch.setattr(mcounts, "_index",
+                            lambda keys, key: searched.append(key) or index(keys, key))
+        for suffix in (self.ctx[1:], (np.int64(self.ctx[1]),), [self.ctx[1]], (), self.ctx):
+            assert self.view.rank_chain(suffix) == chain[:len(suffix) + 1], suffix
+        assert not searched
+        self.view.rank_chain(self.ctx[:1])  # not a suffix: searched
+        assert searched
+
+    @pytest.mark.parametrize("form", [tuple, list, lambda c: tuple(map(np.float64, c))],
+                             ids=["tuple", "list", "np-float64"])
+    def test_non_integer_id_on_a_miss_rejected(self, form):
+        """Ids go through ``operator.index`` on a miss: (2.7, 3.2) is not
+        read as (2, 3), and neither is an integral float."""
+        for ctx in ((2.7, 3.2), (float(self.ctx[1]),), (self.ctx[0], 0.5)):
+            with pytest.raises(CountError, match="context ids must be integers"):
+                self.view.rank_chain(form(ctx))
 
     @FORMS
     def test_out_of_range_id_on_a_miss_rejected(self, form):
@@ -514,8 +558,8 @@ class TestRankChainHit:
         for ctx in ((bad,), (bad, self.ctx[1]), (-1,)):
             with pytest.raises(CountError, match="context ids must lie in"):
                 self.view.rank_chain(form(ctx))
-        fresh = CountView(self.table).rank_chain(self.ctx[1:]).tolist()
-        assert self.view.rank_chain(self.ctx[1:]).tolist() == fresh
+        fresh = CountView(self.table).rank_chain(self.ctx[1:])
+        assert self.view.rank_chain(self.ctx[1:]) == fresh
 
     def test_top_order_continuation_raises_every_time(self):
         for _ in range(3):
@@ -578,29 +622,25 @@ class TestBulkQueries:
             with pytest.raises(CountError, match="vocabulary"):
                 self.view.bulk_ranks(other)
 
-    def test_accepted_vocabulary_lets_no_other_pass(self, monkeypatch):
-        """A view fingerprints the vocabulary it accepts once, and after
-        accepting it still rejects a same-size vocabulary, each time; an
-        equal copy of the table's vocabulary is another object, so it is
-        fingerprinted (and accepted)."""
+    def test_accepted_vocabulary_lets_no_other_pass(self):
+        """After accepting the table's vocabulary a view still rejects a
+        same-size one, each time, and accepts an equal copy of the table's:
+        the check compares fingerprints, the first 16 hex digits of the
+        SHA-256 of the newline-joined words."""
         renamed = encode([line.replace("w", "v")
                           for line in synthetic_lines(50, n_words=10, seed=11)])
         assert renamed.vocab.size == self.train.vocab.size
-        hashed = []
-        fingerprint = mcounts._vocab_fingerprint
-        monkeypatch.setattr(mcounts, "_vocab_fingerprint",
-                            lambda vocab: hashed.append(vocab) or fingerprint(vocab))
+        words = "\n".join(self.train.vocab.id_to_word).encode("utf-8")
+        assert self.table.vocab_fingerprint == hashlib.sha256(words).hexdigest()[:16]
         first = self.view.bulk_ranks(self.train)
         for _ in range(2):
             with pytest.raises(CountError, match="vocabulary"):
                 self.view.bulk_ranks(renamed)
             for got, want in zip(self.view.bulk_ranks(self.train), first):
                 np.testing.assert_array_equal(got, want)
-        # a rejected vocabulary leaves the accepted one kept
-        assert [id(v) for v in hashed] == [id(self.train.vocab)] + [id(renamed.vocab)] * 2
         copy = EncodedCorpus(self.train.sentences, Vocabulary(list(self.train.vocab.id_to_word)))
-        self.view.bulk_ranks(copy)
-        assert hashed[-1] is copy.vocab
+        for got, want in zip(self.view.bulk_ranks(copy), first):
+            np.testing.assert_array_equal(got, want)
 
     def test_bulk_continuation_counts(self):
         ranks, words, _ = self.view.bulk_ranks(self.train)
@@ -792,15 +832,12 @@ class TestFoldViews:
         with pytest.raises(CountError):
             cv_fold_counts(tiny, 2, folds=10)
 
-    def test_store_invariants(self):
+    def test_store_invariants(self, tmp_path):
         """Counted, folded and file-loaded stores all keep the store invariants."""
         table = accumulate(self.corpus, self.ORDER)
         assert_store_invariants(table)
         assert_store_invariants(self.folded.table, self.folded, self.corpus)
-        buf = io.BytesIO()
-        table.write_binary(buf)
-        buf.seek(0)
-        assert_store_invariants(CountTable.read_binary(buf))
+        assert_store_invariants(loaded(saved(table, tmp_path), tmp_path))
 
 
 class TestPerPositionFolds:
@@ -1000,9 +1037,9 @@ class TestKeptBulkStats:
         assert sum(searched) == self.ORDER
 
 
-class TestKeptRows:
-    """A view keeps the latest ``stats``/``cont_stats`` row per (order, kind)
-    with its rank; any other rank is read and checked again."""
+class TestStatsRows:
+    """Each ``stats``/``cont_stats`` call reads and checks its own rank's row,
+    whatever the view read before."""
 
     ORDER = 3
 
@@ -1104,32 +1141,28 @@ class TestSerialization:
         }
         for message, bad in behind_checksum.items():
             with pytest.raises(CountError, match=message):
-                CountTable.read_binary(io.BytesIO(sealed(bad)))
+                loaded(sealed(bad), tmp_path)
 
-    def test_rejects_every_single_byte_change(self):
-        buf = io.BytesIO()
-        accumulate(encode(["a b a", "a c", "a b", "d a"]), 3).write_binary(buf)
-        data = buf.getvalue()
+    def test_rejects_every_single_byte_change(self, tmp_path):
+        data = saved(accumulate(encode(["a b a", "a c", "a b", "d a"]), 3), tmp_path)
         accepted = []
         for i in range(len(data)):
             for flip in (0x01, 0xFF):
                 bad = bytearray(data)
                 bad[i] ^= flip
                 try:
-                    CountTable.read_binary(io.BytesIO(bytes(bad)))
+                    loaded(bytes(bad), tmp_path)
                 except CountError:
                     continue
                 accepted.append((i, flip))
         assert not accepted
 
-    def test_rejects_keys_out_of_order_or_range_behind_checksum(self):
+    def test_rejects_keys_out_of_order_or_range_behind_checksum(self, tmp_path):
         """A file whose checksum is valid still has its arrays checked: an
         order-1 type key past every context, two keys swapped, and a key past
         the store's width, written at the width it needs."""
-        buf = io.BytesIO()
         table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
-        table.write_binary(buf)
-        data = buf.getvalue()
+        data = saved(table, tmp_path)
         at = first_array_at(data) + 13  # order 1's type keys, after its one-byte context
         width, _ = struct.unpack_from("<IQ", data, at)
         assert width == 1
@@ -1143,18 +1176,17 @@ class TestSerialization:
         for bad in (sealed(bytes(oversized)), sealed(bytes(swapped)),
                     rewritten(data, at, keys, 8)):
             with pytest.raises(CountError, match="order-1 keys"):
-                CountTable.read_binary(io.BytesIO(bad))
+                loaded(bad, tmp_path)
 
     @pytest.mark.parametrize("field, value, message", [
         ("version", 3, "version 3"), ("width", 0, "width 0"), ("width", 2, "width 2"),
         ("width", 16, "width 16")], ids=["version-3", "width-0", "width-2", "width-16"])
-    def test_rejects_other_version_or_width_behind_checksum(self, field, value, message):
+    def test_rejects_other_version_or_width_behind_checksum(self, field, value, message,
+                                                            tmp_path):
         """A version other than 5, a width field other than 1, 2, 4 or 8, and
         an array wider than its values (order 1's one context, 0, at two
         bytes) do not load."""
-        buf = io.BytesIO()
-        self.table.write_binary(buf)
-        data = buf.getvalue()
+        data = saved(self.table, tmp_path)
         at = first_array_at(data)
         assert struct.unpack_from("<II", data, 4) == (5, 3)
         assert struct.unpack_from("<IQb", data, at) == (1, 1, 0)
@@ -1165,25 +1197,23 @@ class TestSerialization:
         else:
             bad = sealed(data[:at] + struct.pack("<I", value) + data[at + 4:])
         with pytest.raises(CountError, match=message):
-            CountTable.read_binary(io.BytesIO(bad))
+            loaded(bad, tmp_path)
 
-    def test_rejects_width_its_bounds_do_not_select(self, monkeypatch):
+    def test_rejects_width_its_bounds_do_not_select(self, monkeypatch, tmp_path):
         """A small table written with every array at width 8 behind a valid
         checksum: each array must have the narrowest width of its own values,
         so a file reads back at the widths a build gives."""
-        buf = io.BytesIO()
-        all_int64(monkeypatch, lambda: self.table.write_binary(buf))
-        data = buf.getvalue()
+        data = all_int64(monkeypatch, lambda: saved(self.table, tmp_path))
         assert struct.unpack_from("<I", data, first_array_at(data)) == (8,)
         with pytest.raises(CountError, match="width 8 is wider than its values"):
-            CountTable.read_binary(io.BytesIO(data))
+            loaded(data, tmp_path)
 
     @pytest.mark.parametrize("damage", [
         "contexts unsorted", "suffix rank past the shorter contexts", "key past the contexts",
         "negative key", "zero count", "counts miss the token count", "bos word",
         "second order-1 context", "last code past the width"])
-    def test_rejects_written_arrays_out_of_order_or_range(self, damage):
-        """``write_binary`` seals whatever arrays a table holds; load checks them."""
+    def test_rejects_written_arrays_out_of_order_or_range(self, damage, tmp_path):
+        """``save`` seals whatever arrays a table holds; ``load`` checks them."""
         table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
         o = table.orders
         if damage == "contexts unsorted":
@@ -1205,23 +1235,19 @@ class TestSerialization:
             o[2].type_counts[[0, 1]] = [o[2].type_counts[:2].sum(), 0]
         else:
             o[2].type_counts[0] += 1
-        buf = io.BytesIO()
-        table.write_binary(buf)
-        buf.seek(0)
+        data = saved(table, tmp_path)
         with pytest.raises(CountError, match="order-[123] (keys|counts)"):
-            CountTable.read_binary(buf)
+            loaded(data, tmp_path)
 
-    def test_store_arrays_are_direct_attributes(self):
+    def test_store_arrays_are_direct_attributes(self, tmp_path):
         """The benchmark counts store bytes (``bench/pipeline.store_bytes``)
         and compares loaded tables (``bench/checks.tables_equal``) through
         the arrays ``vars()`` finds on ``orders[n]`` and ``fold_data[n]``:
         every array a view reads must be one of them, and no other; the raw
         and continuation kinds share their key arrays."""
         folded = cv_fold_counts(self.corpus, 3, folds=3)
-        buf = io.BytesIO()
-        self.table.write_binary(buf)
-        buf.seek(0)
-        for table, folds in ((folded.table, folded), (CountTable.read_binary(buf), None)):
+        from_file = loaded(saved(self.table, tmp_path), tmp_path)
+        for table, folds in ((folded.table, folded), (from_file, None)):
             view = table.view() if folds is None else folds.view()
             for n in range(1, table.order + 1):
                 read = [table.orders[n].ctx_codes]
@@ -1237,7 +1263,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("damage", ["type without a left extension",
                                         "extension whose suffix is no type"])
-    def test_rejects_types_that_break_the_shared_keys(self, damage):
+    def test_rejects_types_that_break_the_shared_keys(self, damage, tmp_path):
         """With full bos padding the continuation types are the raw ones; a
         sealed file whose types break that does not load.  The counts still
         sum to the token count, so only ``_derive`` can tell."""
@@ -1248,11 +1274,9 @@ class TestSerialization:
         i = next(i for i, w in enumerate(words) if i > 0 and words.count(w) == 1)
         od.type_counts[i - 1] += od.type_counts[i]
         od.type_keys, od.type_counts = np.delete(od.type_keys, i), np.delete(od.type_counts, i)
-        buf = io.BytesIO()
-        table.write_binary(buf)
-        buf.seek(0)
+        data = saved(table, tmp_path)
         with pytest.raises(CountError, match="order-1 types are not the suffixes"):
-            CountTable.read_binary(buf)
+            loaded(data, tmp_path)
 
     def test_continuation_kind_reads_the_raw_keys(self):
         """One key set per order: the continuation kind of a view holds the
@@ -1386,7 +1410,7 @@ class TestWidth:
         assert folded.table.orders[1].type_keys.dtype == np.int32
         assert_left_out_equals_recount(folded, corpus, [corpus, held])
 
-    def test_int64_store_answers_as_int32(self, monkeypatch):
+    def test_int64_store_answers_as_int32(self, monkeypatch, tmp_path):
         """Every scalar and bulk query, with and without folds, and the
         smoothed rows and features built on them, read the same from an int32
         store with narrow value arrays and from one whose every array is
@@ -1402,10 +1426,7 @@ class TestWidth:
         assert {a.dtype for h in holders for a in vars(h).values() if a is not None} == {
             np.dtype(np.int64)} == {wide.fold_assignment.dtype}
         assert_tables_equal(narrow.table, wide.table)
-        files = [io.BytesIO(), io.BytesIO()]
-        narrow.table.write_binary(files[0])
-        wide.table.write_binary(files[1])
-        assert files[0].getvalue() == files[1].getvalue()
+        assert saved(narrow.table, tmp_path) == saved(wide.table, tmp_path)
 
         def same(got, want):  # equal values, each at its own store's width
             assert got.dtype == np.int64 and want.dtype == np.int32

@@ -83,6 +83,14 @@ class TestWordProbability:
         with pytest.raises(MixtureError):
             word_probability(dists, np.array([1.0]), 5)
 
+    def test_non_integer_word_rejected(self):
+        """Word 2.99 is not read as word 2; a NumPy integer passes."""
+        dists = ContextDistributions([sparse({2: 1.0})], 3)
+        for word in (2.99, 2.0, np.float64(2)):
+            with pytest.raises(MixtureError, match="must be an integer"):
+                word_probability(dists, np.array([1.0]), word)
+        assert word_probability(dists, np.array([1.0]), np.int64(2)) == 1.0
+
     def test_weight_length_checked(self):
         dists = ContextDistributions([sparse({0: 1.0})], 2)
         with pytest.raises(MixtureError):
@@ -181,3 +189,16 @@ class TestContextDistributionsBuilder:
         for bad in (corpus.vocab.bos_id + 3, -1):
             with pytest.raises(CountError, match="context ids"):
                 context_distributions(view, SmoothingSpec.ml(3), (bad, b))
+
+    def test_non_integer_context_id_rejected(self):
+        """The context (2.7, 3.2) is not read as (2, 3); NumPy integers pass."""
+        corpus = encode(["a b a", "a c", "a b", "d a"])
+        view = accumulate(corpus, 3).view()
+        spec = SmoothingSpec.ml(3)
+        a, b = corpus.vocab.id_of("a"), corpus.vocab.id_of("b")
+        for bad in ((2.7, 3.2), (float(a), b), (a, np.float64(b))):
+            with pytest.raises(MixtureError, match="context ids must be integers"):
+                context_distributions(view, spec, bad)
+        got = context_distributions(view, spec, (np.int32(a), np.int64(b)))
+        want = context_distributions(accumulate(corpus, 3).view(), spec, (a, b))
+        assert [(c.rank, c.stats) for c in got.columns] == [(c.rank, c.stats) for c in want.columns]

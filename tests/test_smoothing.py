@@ -588,6 +588,27 @@ class TestBulkColumnRows:
         assert np.all(alphas[~valid] == 1.0)
 
 
+class TestHeldOutUnknown:
+    """A held-out word that training never saw is read as ``<unk>``, and a
+    heuristic mixture should still give it mass."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 3: when training has no <unk>, a held-out <unk> "
+                              "gets an all-zero row with every order valid")
+    @pytest.mark.parametrize("family", ["ml", "kn"])
+    def test_every_position_gets_mass(self, family):
+        train = encode(["a b a", "a c", "a b", "d a"])
+        table = accumulate(train, 3)
+        spec = SmoothingSpec.ml(3) if family == "ml" else SmoothingSpec.kn(table, 3)
+        view = table.view()
+        ranks, words, _ = view.bulk_ranks(encode_corpus(["a zzz b"], train.vocab))
+        assert words[1] == train.vocab.unk_id
+        probs, alphas, _ = bulk_column_rows(view, spec, ranks, words)
+        lam = np.array([heuristic_lambda(a[:0:-1]) for a in alphas])  # orders 3, 2 passed
+        p = (lam * probs).sum(axis=1)
+        assert (p > 0).all(), p
+
+
 class TestSmoothingSpecContextLength:
     @pytest.mark.parametrize("family", ["ml", "kn"])
     def test_context_longer_than_order_rejected(self, family):
