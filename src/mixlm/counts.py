@@ -12,13 +12,15 @@ Pauls & Klein 2011), so every code and type key is below
 (F = 1 without folds).  The key arrays (contexts, type keys, fold keys) and
 the fold assignment share the store's width: int32 when both bounds are
 below 2**31, and int64 otherwise.  Every value array (type counts, stats,
-continuation counts and stats, and the fold deltas of each) has the
-narrowest of int8, int16, int32 and int64 that holds its own minimum and
-maximum (``_narrow``).  Their arithmetic never runs narrow: values are
-computed at the store's width and narrowed last, a bulk call casts what it
-gathers to the store's width or subtracts it into an array of that width,
-and a scalar read converts to a Python int.  Every array a query returns
-has the store's width.  A bulk query is cast to its keys' width and
+continuation counts and stats, and the fold deltas of each) is stored as
+codes into a table of its sorted distinct values, or distinct rows, at the
+store's width (the value-rank encoding of Pauls & Klein 2011): the values
+are few, so the codes are uint8 up to 256 entries, uint16 up to 65,536 and
+uint32 beyond (``_coded``).  Values are computed at the store's width and
+coded last; a bulk read gathers codes, then table entries, so every array
+a query returns has the store's width, and a scalar read indexes a
+memoryview of the codes into the table decoded once per view, into ints
+or ``ContextStats``.  A bulk query is cast to its keys' width and
 searched in sorted order, so that each needle's binary search starts at the
 previous needle's position, then its positions are put back in the query's
 order; a scalar one is a ``bisect`` over a kept memoryview, so no lookup
@@ -81,12 +83,12 @@ a ``CountView`` and written to disk in one form, binary file format 5
 (``CountTable.save`` and ``load``): ``MXCT``; version and order (u32);
 vocabulary size and token count (u64); the vocabulary's ``fingerprint`` as
 a u32 length and ASCII bytes; per order only what counting produced,
-ctx_codes, type_keys and type_counts, each as its byte width W (u32), its
-element count (u64) and W-byte values, every array at the narrowest width
-of its own values; then a CRC32 of every byte after the magic, all
-little-endian.  Loading widens the keys to the store's width
-and derives the stats and continuation arrays with ``_derive``, the code
-that builds them after counting.  A file that is cut short, has trailing
+ctx_codes, type_keys and the decoded type counts, each as its byte width W
+(u32), its element count (u64) and W-byte values, every array at the
+narrowest width of its own values (``_narrow``); then a CRC32 of every byte
+after the magic, all little-endian.  Loading widens the keys to the store's
+width, then codes the counts and derives the stats and continuation arrays
+with ``_derive``, the code that builds them after counting.  A file that is cut short, has trailing
 bytes, fails its checksum, is malformed, has a W other than 1, 2, 4 or 8, or
 an array wider than its values need raises ``CountError``, and so does text
 encoded with a vocabulary whose fingerprint is not the table's.
@@ -119,17 +121,22 @@ class CountError(ValueError):
 @dataclass
 class _OrderData:
     """Arrays for one n-gram order (contexts of length order-1).  The keys
-    have the store's width, each value array its own narrowest width."""
+    and the tables have the store's width; each value array is the codes
+    of its entries in the table after it (``_coded``)."""
 
     ctx_codes: np.ndarray  # sorted context codes
     type_keys: np.ndarray  # sorted rank * B + word
-    type_counts: np.ndarray
+    type_counts: np.ndarray  # the counts themselves until ``_derive`` codes them
     # derived from the arrays above by ``_derive``
-    stats: np.ndarray | None = None  # (n_ctx + 1, 4): total, n1, n2, n3p; last row 0
+    count_table: np.ndarray | None = None
+    stats: np.ndarray | None = None  # n_ctx + 1 codes: the last, rank -1's, of a zero row
+    stat_table: np.ndarray | None = None  # distinct (total, n1, n2, n3p) rows
     # continuation counts of the same types, aligned with type_keys, and their
     # stats (absent at the top order)
     cont_type_counts: np.ndarray | None = None
+    cont_count_table: np.ndarray | None = None
     cont_stats: np.ndarray | None = None
+    cont_stat_table: np.ndarray | None = None
 
 
 @dataclass
@@ -137,22 +144,27 @@ class _FoldData:
     """Per-order fold tags and fold-exclusion deltas (module docstring): a
     value without the fold is 0 where its tag names the fold, the full value
     where it names another, and the full value less the delta where it is F.
-    The keys have the store's width, each value array its own narrowest width."""
+    The keys and the tables have the store's width, the tags their narrowest
+    width, and each delta array is coded like the table's values."""
 
     type_tags: np.ndarray  # per type: the one fold it occurs in, or F for two or more
     type_keys: np.ndarray  # type_index * F + fold, for each fold a tag-F type occurs in
     type_counts: np.ndarray  # occurrences of the type inside the fold
+    count_table: np.ndarray
     stat_tags: np.ndarray  # per context likewise, then 0 for the all-zero rank -1 row
     stat_keys: np.ndarray  # ctx_rank * F + fold, for each fold a tag-F context occurs in
-    stat_deltas: np.ndarray  # (m, 4), columns as in the stats arrays
+    stat_deltas: np.ndarray  # one code per key into (m, 4) rows as in the stats
+    delta_table: np.ndarray
     # continuation deltas aligned with type_keys and stat_keys, 0 where the
     # fold takes nothing: a continuation count loses one for each left
     # extension that occurs only inside the fold
     cont_type_counts: np.ndarray | None = None
+    cont_count_table: np.ndarray | None = None
     cont_stat_deltas: np.ndarray | None = None
+    cont_delta_table: np.ndarray | None = None
 
 
-_NO_FOLDS = _FoldData(*[None] * 6)  # the fold arrays of a table without folds
+_NO_FOLDS = _FoldData(*[None] * 8)  # the fold arrays of a table without folds
 
 
 class CountTable:
@@ -172,7 +184,8 @@ class CountTable:
 
     def count_of_counts(self, order: int, continuation: bool = False) -> tuple[int, int, int, int]:
         """Global (n1, n2, n3, n4) over type counts at one order."""
-        counts = self.view()._kind(order, continuation).counts
+        kind = self.view()._kind(order, continuation)
+        counts = kind.count_table[kind.counts]
         small = counts[counts <= 4]
         cc = np.bincount(small, minlength=5)
         return int(cc[1]), int(cc[2]), int(cc[3]), int(cc[4])
@@ -184,7 +197,7 @@ class CountTable:
         parts = [_HEADER.pack(_BIN_VERSION, self.order, self.vocab_size, self.token_count),
                  struct.pack("<I", len(fp)), fp]
         for od in self.orders[1:]:
-            for arr in (od.ctx_codes, od.type_keys, od.type_counts):
+            for arr in (od.ctx_codes, od.type_keys, od.count_table[od.type_counts]):
                 arr = _narrow(arr)
                 parts += [_ARRAY.pack(arr.itemsize, arr.size),
                           np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()]
@@ -282,21 +295,74 @@ def _width(top_contexts: int, base: int, token_count: int, folds: int = 1) -> np
 
 def _narrow(arr: np.ndarray) -> np.ndarray:
     """``arr`` at the narrowest of int8, int16, int32 and int64 that holds its
-    minimum and maximum; ``arr`` itself when it has that width already."""
+    minimum and maximum; ``arr`` itself when it has that width already.  It
+    sizes each array of a count file and the fold tags."""
     lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
     return arr.astype(next(t for t in _VALUE_TYPES
                            if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max), copy=False)
 
 
-def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int, width: np.dtype) -> np.ndarray:
+def _unique(keys: np.ndarray, few: bool = False):
+    """``np.unique(keys, return_inverse=True)`` of non-negative integer keys
+    without its argsort.  Keys up to 4 times their number are looked up in a
+    table of the ones present.  Larger ones are sorted alone and searched
+    among the distinct ones when ``few`` of those are expected, or else
+    sorted once as ``key << b | position``; ``np.unique`` takes the keys
+    when that exceeds 63 bits."""
+    m, top = len(keys), int(keys.max()) if len(keys) else 0
+    if top <= 4 * m:
+        seen = np.zeros(top + 1, dtype=bool)
+        seen[keys] = True
+        return np.flatnonzero(seen).astype(keys.dtype), np.take(np.cumsum(seen) - 1, keys)
+    b = 0 if few else (m - 1).bit_length()
+    if top.bit_length() + b > 63:
+        return np.unique(keys, return_inverse=True)
+    packed = np.sort(keys.astype(np.int64) << b | np.arange(m) if b else keys)
+    new, key = np.empty(m, dtype=bool), packed >> b
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    distinct = key[new].astype(keys.dtype)
+    if not b:  # one key, or few distinct ones
+        return distinct, np.searchsorted(distinct, keys)
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[packed & ((1 << b) - 1)] = np.cumsum(new) - 1
+    return distinct, inverse
+
+
+def _coded(values: np.ndarray, width: np.dtype):
+    """(codes, table) of a value array: its sorted distinct values, or rows
+    when it is 2-D, at ``width``, and each entry's index among them as uint8,
+    uint16 or uint32 by their number.  Rows are packed into one key for
+    ``_unique``, each column less its minimum and reduced alone (a 2-D
+    reduction is slower); ``np.unique`` takes rows whose spans exceed 63 bits."""
+    cols = values.T if values.ndim == 2 else values[None]
+    los = [min(int(c.min()), 0) if c.size else 0 for c in cols]
+    bits = [(int(c.max()) - lo).bit_length() if c.size else 0 for c, lo in zip(cols, los)]
+    if sum(bits) > 63:
+        table, inverse = np.unique(values, axis=0, return_inverse=True)
+    else:  # a non-negative column goes in as it is: 1-D counts are their own keys
+        key = np.subtract(cols[0], los[0], dtype=np.int64) if los[0] else cols[0]
+        for c, lo, b in zip(cols[1:], los[1:], bits[1:]):
+            key = np.left_shift(key, b, dtype=np.int64)
+            key |= np.subtract(c, lo, dtype=np.int64) if lo else c
+        key, inverse = _unique(key, few=True)
+        table = np.empty((len(key), len(cols)), dtype=width)
+        for j in reversed(range(len(cols))):  # the last column sits in the low bits
+            table[:, j] = (key & ((1 << bits[j]) - 1)) + los[j]
+            key >>= bits[j]
+    codes = inverse.reshape(-1).astype(next(t for t in (np.uint8, np.uint16, np.uint32)
+                                            if len(table) <= np.iinfo(t).max + 1))
+    return codes, table.astype(width, copy=False).reshape(-1, *values.shape[1:])
+
+
+def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int) -> np.ndarray:
     """(n_groups, 4) stats of the counts in each group: total, n1, n2, n3p,
-    tallied at ``width`` whatever the counts' own width, so no total wraps.
-    The levels take one ``bincount`` over (group, min(count, 3)) cells, whose
-    level-0 cells (counts of 0) are dropped."""
-    out = np.empty((n_groups, 4), dtype=width)
+    tallied as intp whatever the counts' own width, so no total wraps.  The
+    levels take one ``bincount`` over (group, min(count, 3)) cells, whose
+    level-0 column (counts of 0) the totals overwrite."""
+    out = np.bincount(4 * groups.astype(np.intp) + np.minimum(counts, 3),
+                      minlength=4 * n_groups).reshape(n_groups, 4)
     out[:, 0] = np.bincount(groups, weights=counts, minlength=n_groups)
-    cells = 4 * groups.astype(np.intp) + np.minimum(counts, 3)
-    out[:, 1:] = np.bincount(cells, minlength=4 * n_groups).reshape(n_groups, 4)[:, 1:]
     return out
 
 
@@ -310,32 +376,33 @@ def _derive(orders: list, base: int) -> None:
     The continuation types are the raw ones (module docstring), so their
     counts are aligned with ``type_keys``; types that break this raise.
 
-    Values are tallied at the store's width, the keys', and narrowed last
-    (module docstring).
+    Values are tallied as intp and coded last, their tables at the store's
+    width, the keys' (module docstring).
     """
     width = orders[1].type_keys.dtype
-    for od in orders[1:]:
-        od.stats = _narrow(_tally(od.type_keys // base, od.type_counts,
-                                  len(od.ctx_codes) + 1, width))
-        od.type_counts = _narrow(od.type_counts)
+    # each type's context rank and word, read by its own order and the one below
+    split = [None] + [np.divmod(od.type_keys, base) for od in orders[1:]]
+    for od, (groups, _) in zip(orders[1:], split[1:]):
+        od.stats, od.stat_table = _coded(_tally(groups, od.type_counts, len(od.ctx_codes) + 1),
+                                         width)
+        od.type_counts, od.count_table = _coded(od.type_counts, width)
     for n in range(1, len(orders) - 1):
         hi, od = orders[n + 1], orders[n]
         # each order-(n+1) type's suffix type: its context's suffix rank, then its word
-        suffixes = hi.ctx_codes[hi.type_keys // base] // base * base + hi.type_keys % base
+        suffixes = np.take(hi.ctx_codes, split[n + 1][0]) // base * base + split[n + 1][1]
         keys, counts = np.unique(suffixes, return_counts=True)
         if not np.array_equal(keys, od.type_keys):
             raise CountError(f"order-{n} types are not the suffixes of the order-{n + 1} types")
-        od.cont_stats = _narrow(_tally(keys // base, counts, len(od.ctx_codes) + 1, width))
-        od.cont_type_counts = _narrow(counts)
+        od.cont_stats, od.cont_stat_table = _coded(
+            _tally(split[n][0], counts, len(od.ctx_codes) + 1), width)
+        od.cont_type_counts, od.cont_count_table = _coded(counts, width)
 
 
 def _stat_deltas(inv: np.ndarray, n_keys: int, full: np.ndarray, drop: np.ndarray) -> np.ndarray:
     """(n_keys, 4) stat deltas of the (type, fold) entries that map to each
     stat key through ``inv``: the stats of their full counts minus those of
-    their counts without the fold, at the width of ``drop``.  An entry that
-    drops 0 adds 0."""
-    width = drop.dtype
-    return _tally(inv, full, n_keys, width) - _tally(inv, full - drop, n_keys, width)
+    their counts without the fold.  An entry that drops 0 adds 0."""
+    return _tally(inv, full, n_keys) - _tally(inv, full - drop, n_keys)
 
 
 def _tags(ids: np.ndarray, folds: np.ndarray, size: int, n_folds: int):
@@ -373,7 +440,7 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
     if folds is not None and not 2 <= folds <= len(corpus.sentences):
         raise CountError(f"folds must lie in 2..{len(corpus.sentences)}, the sentence count")
     base, T, F = corpus.vocab.size + 1, len(targets), folds or 1
-    words = stream[targets]
+    words = np.take(stream, targets)
 
     # each order sorts in the width its contexts select, never wider than the
     # table's, and keeps its type inverse at that width, which holds
@@ -383,9 +450,8 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
     ctx_codes = np.zeros(1, dtype=np.int64)
     for n in range(1, order + 1):
         if n > 1:
-            codes = rank * base + stream[targets - (n - 1)]
-            ctx_codes, rank = np.unique(codes.astype(_width(len(ctx_codes), base, T, F)),
-                                        return_inverse=True)
+            codes = rank * base + np.take(stream, targets - (n - 1))
+            ctx_codes, rank = _unique(codes.astype(_width(len(ctx_codes), base, T, F)))
         key_width = _width(len(ctx_codes), base, T, F)
         codes = (rank * base + words).astype(key_width)
         keys, *inverse, counts = np.unique(codes, return_inverse=folds is not None,
@@ -403,7 +469,7 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
         return table, None
 
     fold_assignment = np.arange(len(corpus.sentences), dtype=width) % folds
-    # the values are computed at the store's width and only then narrowed;
+    # the values are computed at the store's width and only then coded;
     # ``excl`` holds one position of each order-(n+1) type found in one fold
     fold_data: list = [None] * (order + 1)
     excl = None
@@ -423,17 +489,19 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
         ti, inv = ti[kept], (np.cumsum(ctx_multi) - 1)[inv[kept]]
         stat_keys = stat_keys[ctx_multi]
         fd = fold_data[n] = _FoldData(
-            _narrow(type_tags), keys[multi], _narrow(counts[multi]), _narrow(stat_tags), stat_keys,
-            _narrow(_stat_deltas(inv, len(stat_keys), od.type_counts[ti], counts[kept])))
+            _narrow(type_tags), keys[multi], *_coded(counts[multi], width), _narrow(stat_tags),
+            stat_keys, *_coded(_stat_deltas(inv, len(stat_keys), od.count_table[od.type_counts[ti]],
+                                            counts[kept]), width))
         if excl is not None:
             # an order-(n+1) type found in one fold is a left extension that
             # leaving the fold out loses; at any of its positions the order-n
             # (type, fold) key is its suffix type's in that fold
             lost = np.bincount(np.searchsorted(keys, np.sort(pairs[excl])), minlength=len(keys))
             lost = lost.astype(width)
-            fd.cont_type_counts = _narrow(lost[multi])
-            fd.cont_stat_deltas = _narrow(_stat_deltas(inv, len(stat_keys),
-                                                       od.cont_type_counts[ti], lost[kept]))
+            fd.cont_type_counts, fd.cont_count_table = _coded(lost[multi], width)
+            fd.cont_stat_deltas, fd.cont_delta_table = _coded(
+                _stat_deltas(inv, len(stat_keys), od.cont_count_table[od.cont_type_counts[ti]],
+                             lost[kept]), width)
         if n > 1:
             at = np.empty(len(od.type_keys), dtype=width)
             at[inverse] = np.arange(T, dtype=width)
@@ -525,17 +593,17 @@ def _split(tags: np.ndarray, ids: np.ndarray, folds: np.ndarray, n_folds: int,
     return _Split(tags != folds, idx, hit)
 
 
-def _leave_out(out: np.ndarray, deltas: np.ndarray, split: _Split) -> None:
+def _leave_out(out: np.ndarray, deltas: np.ndarray, table: np.ndarray, split: _Split) -> None:
     """``out`` less each position's fold, in place (a whole row when it is
     2-D): zeroed where ``split.keep`` is False, and less the delta found for
-    each position tagged F: every position's delta is gathered, zeroed
-    unless hit, and subtracted into the wider ``out``; empty deltas have no
-    hit.  Zeroing by a product is faster than a masked write or
-    ``np.where``, which has no fast path for 1-byte values."""
+    each position tagged F: every position's delta code is gathered, then
+    its table entry, zeroed unless hit, and subtracted from ``out``; empty
+    deltas have no hit.  Zeroing by a product is faster than a masked write
+    or ``np.where``."""
     row = (slice(None),) if out.ndim == 1 else (slice(None), None)
     out *= split.keep[row]
     if len(deltas):
-        taken = np.take(deltas, split.idx, axis=0)
+        taken = np.take(table, np.take(deltas, split.idx), axis=0)
         taken *= split.hit[row]
         out -= taken
 
@@ -557,21 +625,36 @@ class ContextStats(NamedTuple):
 
 class _Kind(NamedTuple):
     """One kind of statistics at one order, with its fold deltas if any; the
-    continuation kind reads the raw kind's key arrays."""
+    continuation kind reads the raw kind's key arrays.  Each value array is
+    codes with their table; a scalar read takes a code from a memoryview
+    and its value from the table decoded once."""
 
     keys: np.ndarray
-    counts: np.ndarray
-    stats: np.ndarray
     index: memoryview  # the keys again, for scalar lookups
     fold_tags: np.ndarray | None
     fold_keys: np.ndarray | None
-    fold_counts: np.ndarray | None
     stat_tags: np.ndarray | None
     stat_keys: np.ndarray | None
+    counts: np.ndarray
+    count_table: np.ndarray
+    count_codes: memoryview
+    count_values: list[int]
+    stats: np.ndarray
+    stat_table: np.ndarray
+    stat_codes: memoryview
+    stat_rows: tuple[ContextStats, ...]
+    fold_counts: np.ndarray | None
+    fold_count_table: np.ndarray | None
     stat_deltas: np.ndarray | None
+    delta_table: np.ndarray | None
 
     def rank(self, rank: int) -> int:
-        """``rank`` if it names a context or is -1 (unobserved); else raise."""
+        """``rank`` as an int if it names a context or is -1 (unobserved);
+        else raise."""
+        try:
+            rank = operator.index(rank)
+        except TypeError:
+            raise CountError(f"rank {rank!r} must be an integer") from None
         if not -1 <= rank < len(self.stats) - 1:
             raise CountError(f"rank {rank} outside -1..{len(self.stats) - 2}")
         return rank
@@ -628,16 +711,20 @@ class CountView:
                 raise CountError(f"order {order} outside 1..{self.table.order}")
             od = self.table.orders[order]
             fd = self.folded.fold_data[order] if self.folded is not None else _NO_FOLDS
-            if not continuation:
-                kind = _Kind(od.type_keys, od.type_counts, od.stats, memoryview(od.type_keys),
-                             fd.type_tags, fd.type_keys, fd.type_counts,
-                             fd.stat_tags, fd.stat_keys, fd.stat_deltas)
-            elif od.cont_type_counts is None:
+            if continuation and od.cont_type_counts is None:
                 raise CountError(f"no continuation counts at order {order}")
-            else:  # the raw kind's keys with the continuation values
-                kind = self._kind(order, False)._replace(
-                    counts=od.cont_type_counts, stats=od.cont_stats,
-                    fold_counts=fd.cont_type_counts, stat_deltas=fd.cont_stat_deltas)
+            # the continuation kind: the raw kind's keys with the cont_ values
+            shared = (self._kind(order, False)[:6] if continuation else
+                      (od.type_keys, memoryview(od.type_keys), fd.type_tags, fd.type_keys,
+                       fd.stat_tags, fd.stat_keys))
+            c = "cont_" if continuation else ""
+            counts, count_table, stats, stat_table = (
+                getattr(od, c + a) for a in ("type_counts", "count_table", "stats", "stat_table"))
+            kind = _Kind(*shared, counts, count_table, memoryview(counts), count_table.tolist(),
+                         stats, stat_table, memoryview(stats),
+                         tuple(map(ContextStats._make, stat_table.tolist())),
+                         *(getattr(fd, c + a) for a in ("type_counts", "count_table",
+                                                        "stat_deltas", "delta_table")))
             self._kinds[order, continuation] = kind
         return kind
 
@@ -679,11 +766,11 @@ class CountView:
 
     def stats(self, order: int, rank: int) -> ContextStats:
         kind = self._kind(order, False)
-        return ContextStats._make(kind.stats[kind.rank(rank)].tolist())
+        return kind.stat_rows[kind.stat_codes[kind.rank(rank)]]
 
     def cont_stats(self, order: int, rank: int) -> ContextStats:
         kind = self._kind(order, True)
-        return ContextStats._make(kind.stats[kind.rank(rank)].tolist())
+        return kind.stat_rows[kind.stat_codes[kind.rank(rank)]]
 
     def _count(self, order: int, rank: int, word: int, continuation: bool) -> int:
         kind = self._kind(order, continuation)
@@ -695,7 +782,7 @@ class CountView:
             raise CountError(f"word {word} outside 0..{self.table.vocab_size - 1}")
         i = _index(kind.index, rank * self.table.base + word)
         if i >= 0:  # a key names a context: only a miss can hide a bad rank
-            return int(kind.counts[i])
+            return kind.count_values[kind.count_codes[i]]
         kind.rank(rank)
         return 0
 
@@ -709,10 +796,10 @@ class CountView:
         """(word ids, counts) of a context's successors, as new arrays of the
         store's width."""
         kind = self._kind(order, continuation)
-        base = self.table.base
-        lo = bisect.bisect_left(kind.index, kind.rank(rank) * base)
+        base, rank = self.table.base, kind.rank(rank)
+        lo = bisect.bisect_left(kind.index, rank * base)
         hi = bisect.bisect_left(kind.index, (rank + 1) * base, lo)
-        return kind.keys[lo:hi] % base, kind.counts[lo:hi].astype(kind.keys.dtype)
+        return kind.keys[lo:hi] % base, kind.count_table[kind.counts[lo:hi]]
 
     # -- bulk queries ----------------------------------------------------
 
@@ -755,12 +842,12 @@ class CountView:
         words = _integers("word", words, len(ranks), self.table.vocab_size)
         folds = self._folds(folds, len(ranks))
         idx, hit = _find(kind.keys, ranks * self.table.base + words)
-        out = np.take(kind.counts, idx).astype(kind.keys.dtype)  # the store's width
+        out = np.take(kind.count_table, np.take(kind.counts, idx))  # the store's width
         out *= hit
         if folds is not None:
             tags = np.take(kind.fold_tags, idx)
             tags *= hit  # a miss, tagged 0, is not searched: its 0 is kept or zeroed alike
-            _leave_out(out, kind.fold_counts,
+            _leave_out(out, kind.fold_counts, kind.fold_count_table,
                        _split(tags, idx, folds, self.folded.n_folds, kind.fold_keys))
         return out
 
@@ -777,9 +864,8 @@ class CountView:
         kind = self._kind(order, continuation)
         ranks = kind.ranks(_integers("rank", ranks))
         folds = self._folds(folds, len(ranks))
-        if folds is None:
-            return ContextStats._make(np.take(kind.stats, ranks, axis=0)
-                                      .astype(kind.keys.dtype).T)  # the store's width
+        if folds is None:  # the store's width
+            return ContextStats._make(np.take(kind.stat_table, np.take(kind.stats, ranks), axis=0).T)
         kept = self._lookups.get(order)
         if kept is None or not (np.array_equal(ranks, kept.ranks)
                                 and np.array_equal(folds, kept.folds)):
@@ -788,8 +874,8 @@ class CountView:
             kept = self._lookups[order] = _Lookup(ranks.copy(), folds.copy(), split, {})
         stats = kept.stats.get(continuation)
         if stats is None:
-            s = np.take(kind.stats, ranks, axis=0).astype(kind.keys.dtype)
-            _leave_out(s, kind.stat_deltas, kept.split)
+            s = np.take(kind.stat_table, np.take(kind.stats, ranks), axis=0)
+            _leave_out(s, kind.stat_deltas, kind.delta_table, kept.split)
             s.setflags(write=False)
             stats = kept.stats[continuation] = ContextStats._make(s.T)
         return stats

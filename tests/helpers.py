@@ -158,25 +158,53 @@ def store_width(table, n_folds=1):
     return np.dtype(np.int32 if bound < 2**31 else np.int64)
 
 
-KEYS = ("ctx_codes", "type_keys", "stat_keys")  # every other store array holds values
+KEYS = ("ctx_codes", "type_keys", "stat_keys")
+# each coded value array of a store and the table its codes index; the fold
+# tags are the only other arrays, and they take their narrowest width
+TABLES = {"type_counts": "count_table", "stats": "stat_table",
+          "cont_type_counts": "cont_count_table", "cont_stats": "cont_stat_table",
+          "stat_deltas": "delta_table", "cont_stat_deltas": "cont_delta_table"}
 
 
 def narrowest(arr):
     """The narrowest of int8, int16, int32 and int64 that holds the minimum
-    and maximum of ``arr`` (int8 when it is empty): the width of each value
-    array of a store."""
+    and maximum of ``arr`` (int8 when it is empty): the width of each fold
+    tag array and of each array in a count file."""
     lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
     return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
 
 
+def code_width(table):
+    """The width of the codes into ``table``: uint8 up to 256 entries,
+    uint16 up to 65,536 and uint32 beyond."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32)
+                if len(table) <= np.iinfo(t).max + 1)
+
+
+def decoded(holder, name):
+    """The values of the coded array ``name`` of ``holder``, an order's or a
+    fold's arrays: its codes looked up in its table (None when absent)."""
+    codes = getattr(holder, name)
+    return None if codes is None else getattr(holder, TABLES[name])[codes]
+
+
 def _assert_width(holder, width, where):
-    """Every key array of ``holder`` has the store's ``width``, and every
-    value array the narrowest width of its own values."""
+    """Every key array and table of ``holder`` has the store's ``width``,
+    every code array the width its table's length selects, and every tag
+    array the narrowest width of its own values.  Each table holds its
+    sorted distinct values (rows), every one of them indexed by a code."""
     for name, arr in vars(holder).items():
         if arr is not None:
-            want = width if name in KEYS else narrowest(arr)
+            table = getattr(holder, TABLES[name]) if name in TABLES else None
+            want = (code_width(table) if table is not None else
+                    width if name in KEYS or name in TABLES.values() else narrowest(arr))
             assert arr.dtype == want, f"{where} {name}: {arr.dtype}, not {want}"
+            if table is not None:
+                distinct = np.unique(table, axis=0)
+                assert len(distinct) == len(table), f"{where} {name}: a repeated table entry"
+                np.testing.assert_array_equal(table, distinct, err_msg=f"{where} {name}")
+                assert np.array_equal(np.unique(arr), np.arange(len(table))), f"{where} {name}"
 
 
 def fold_sets(table, corpus, n_folds):
@@ -204,8 +232,10 @@ def assert_store_invariants(table, folded=None, corpus=None):
     """Check what every count store keeps true, with its fold data if given
     (and then the corpus it was counted from).
 
-    Every key array and the fold assignment have the store's width, every
-    value array the narrowest width of its own values, keys are strictly
+    Every key array, table and the fold assignment have the store's width,
+    every code array the width its table selects, each table holds its
+    sorted distinct entries, every fold tag array the narrowest width of
+    its own values (values read through the tables below), keys are strictly
     sorted, type counts are at least 1, each stats array equals a re-tally
     of its type arrays plus one all-zero last row for rank -1, the raw
     totals of every order sum to the token count, the continuation counts
@@ -226,9 +256,10 @@ def assert_store_invariants(table, folded=None, corpus=None):
         _assert_strictly_sorted(od.ctx_codes, f"order {n} contexts")
         if n > 1:
             assert np.all(od.ctx_codes // base < len(table.orders[n - 1].ctx_codes)), n
-        kinds = [("raw", od.type_counts, od.stats)]
+        kinds = [("raw", decoded(od, "type_counts"), decoded(od, "stats"))]
         if n < table.order:
-            kinds.append(("continuation", od.cont_type_counts, od.cont_stats))
+            kinds.append(("continuation", decoded(od, "cont_type_counts"),
+                          decoded(od, "cont_stats")))
         else:
             assert od.cont_type_counts is None and od.cont_stats is None, n
         _assert_strictly_sorted(od.type_keys, f"order {n} types")
@@ -239,13 +270,13 @@ def assert_store_invariants(table, folded=None, corpus=None):
             assert len(counts) == len(od.type_keys) and np.all(counts >= 1), where
             np.testing.assert_array_equal(stats, _retally(groups, counts, len(od.ctx_codes) + 1),
                                           err_msg=where)
-        assert od.stats[:, 0].sum() == table.token_count, n
+        assert decoded(od, "stats")[:, 0].sum() == table.token_count, n
     if folded is None:
         return
     assert folded.table is table
     assert folded.fold_assignment.dtype == width
     F = folded.n_folds
-    assert folded.fold_data[1].stat_deltas[:, 0].sum() == table.token_count
+    assert decoded(folded.fold_data[1], "stat_deltas")[:, 0].sum() == table.token_count
     recount = fold_sets(table, corpus, F)
     for n in range(1, table.order + 1):
         od, fd = table.orders[n], folded.fold_data[n]
@@ -264,10 +295,13 @@ def assert_store_invariants(table, folded=None, corpus=None):
                 (i, f) for i, folds in enumerate(sets) if len(folds) > 1
                 for f in sorted(folds)], f"{where}: a tag-F id without a key per fold"
         ti = fd.type_keys // F
-        kinds = [("raw", od.type_counts, od.stats, fd.type_counts, fd.stat_deltas, 1)]
+        kinds = [("raw", *(decoded(h, a) for h, a in ((od, "type_counts"), (od, "stats"),
+                                                      (fd, "type_counts"), (fd, "stat_deltas"))),
+                  1)]
         if n < table.order:
-            kinds.append(("continuation", od.cont_type_counts, od.cont_stats,
-                          fd.cont_type_counts, fd.cont_stat_deltas, 0))
+            kinds.append(("continuation", *(decoded(h, a) for h, a in (
+                (od, "cont_type_counts"), (od, "cont_stats"), (fd, "cont_type_counts"),
+                (fd, "cont_stat_deltas"))), 0))
         else:
             assert fd.cont_type_counts is None and fd.cont_stat_deltas is None, n
         for name, counts, stats, type_deltas, stat_deltas, least in kinds:

@@ -22,10 +22,13 @@ from helpers import (
     KEYS,
     TOY_LINES,
     assert_store_invariants,
+    code_width,
+    decoded,
     brute_context_stats,
     brute_continuation,
     brute_ngrams,
     PARITY_CASES,
+    TABLES,
     encode,
     fold_out_tables,
     narrowest,
@@ -49,6 +52,24 @@ def first_array_at(data):
     """Offset of the first array (order 1's contexts) in a count file."""
     (fp_len,) = struct.unpack_from("<I", data, FINGERPRINT_AT - 4)
     return FINGERPRINT_AT + fp_len
+
+
+def recoded(holder, values, name="type_counts"):
+    """Give the coded array ``name`` of an order's or a fold's arrays these
+    values, coded as a build codes them."""
+    codes, table = mcounts._coded(np.asarray(values), getattr(holder, TABLES[name]).dtype)
+    setattr(holder, name, codes)
+    setattr(holder, TABLES[name], table)
+
+
+def file_widths(data):
+    """The byte width of each array of a count file, in file order."""
+    at, out = first_array_at(data), []
+    while at < len(data) - 4:
+        width, size = struct.unpack_from("<IQ", data, at)
+        out.append(width)
+        at += 12 + width * size
+    return out
 
 
 def saved(table, tmp_path):
@@ -219,7 +240,7 @@ class TestBruteForceEquivalence:
                 rank = resolve(self.view, ctx)
                 assert self.view.cont_count(n, rank, w) == c
             # the continuation counts are aligned with the raw types, each at least 1
-            assert int((self.table.orders[n].cont_type_counts >= 1).sum()) == len(cc)
+            assert int((decoded(self.table.orders[n], "cont_type_counts") >= 1).sum()) == len(cc)
 
     def test_continuation_stats_match(self):
         for n in range(1, self.ORDER):
@@ -1232,9 +1253,12 @@ class TestSerialization:
             o[1].ctx_codes = np.array([0, 5])
             o[1].type_keys[-1] += table.base
         elif damage == "zero count":  # the sum stays the token count
-            o[2].type_counts[[0, 1]] = [o[2].type_counts[:2].sum(), 0]
+            counts = decoded(o[2], "type_counts")
+            recoded(o[2], np.r_[counts[:2].sum(), 0, counts[2:]])
         else:
-            o[2].type_counts[0] += 1
+            counts = decoded(o[2], "type_counts")
+            counts[0] += 1
+            recoded(o[2], counts)
         data = saved(table, tmp_path)
         with pytest.raises(CountError, match="order-[123] (keys|counts)"):
             loaded(data, tmp_path)
@@ -1272,8 +1296,10 @@ class TestSerialization:
         words = (od.type_keys % table.base).tolist()
         # drop a word's only type, its count folded into the type before it
         i = next(i for i, w in enumerate(words) if i > 0 and words.count(w) == 1)
-        od.type_counts[i - 1] += od.type_counts[i]
-        od.type_keys, od.type_counts = np.delete(od.type_keys, i), np.delete(od.type_counts, i)
+        counts = decoded(od, "type_counts")
+        counts[i - 1] += counts[i]
+        od.type_keys = np.delete(od.type_keys, i)
+        recoded(od, np.delete(counts, i))
         data = saved(table, tmp_path)
         with pytest.raises(CountError, match="order-1 types are not the suffixes"):
             loaded(data, tmp_path)
@@ -1327,41 +1353,46 @@ class TestWidth:
 
     @pytest.mark.parametrize("count", [127, 128, 2**15 - 1, 2**15])
     def test_built_store_narrows_each_value_array_at_the_bound(self, count, tmp_path):
-        """A type count and a stats total of 127 and 128 (int8 to int16), and
-        of 2**15 - 1 and 2**15 (int16 to int32): the word "a" repeated
-        ``count`` times counts ``count`` at order 1, and its context "a" has
-        ``count`` successors at order 2.  A file reads back at the same
-        widths."""
+        """A type count and a stats total of 127 and 128 (int8 to int16 in a
+        file), and of 2**15 - 1 and 2**15 (int16 to int32): the word "a"
+        repeated ``count`` times counts ``count`` at order 1, and its context
+        "a" has ``count`` successors at order 2.  In the store each is a
+        table entry at the store's width, whatever its size, and its code is
+        uint8; a file reads back at the same widths."""
         table = accumulate(encode([" ".join(["a"] * count)]), 2)
-        want = np.dtype(np.int8 if count < 2**7 else np.int16 if count < 2**15 else np.int32)
-        assert table.orders[1].type_counts.max() == count
-        assert table.orders[2].stats[:, 0].max() == count
-        assert table.orders[1].type_counts.dtype == table.orders[2].stats.dtype == want
+        want = 1 if count < 2**7 else 2 if count < 2**15 else 4
+        assert decoded(table.orders[1], "type_counts").max() == count
+        assert decoded(table.orders[2], "stats")[:, 0].max() == count
+        assert table.orders[1].count_table.dtype == table.orders[2].stat_table.dtype == np.int32
+        assert table.orders[1].type_counts.dtype == table.orders[2].stats.dtype == np.uint8
         assert table.orders[2].type_keys.dtype == np.int32
         assert_store_invariants(table)
         path = str(tmp_path / "counts.bin")
         table.save(path)
+        assert file_widths(Path(path).read_bytes())[2] == want  # order 1's counts
         loaded = CountTable.load(path)
         assert widths(loaded) == widths(table)
         assert_tables_equal(table, loaded)
 
     @pytest.mark.parametrize("largest", [2**15 - 1, 2**15])
     def test_built_store_narrows_by_its_largest_fold(self, largest):
-        """The order-1 fold totals are the folds' token counts: int16 up to
-        the bound and int32 at it, whatever the smaller folds hold; every
-        other fold value array has its own width, and the keys are int32
-        either way."""
+        """The order-1 fold totals are the folds' token counts: table entries
+        at the store's width on either side of the int16 bound, with uint8
+        codes, whatever the smaller folds hold; every other fold code array
+        has the width its table selects, and the keys are int32 either
+        way."""
         long = " ".join("abc"[i % 3] for i in range(largest - 1))  # and its end symbol
         corpus = encode([long, "a b"])
         folded = cv_fold_counts(corpus, 2, folds=2)
-        assert folded.fold_data[1].stat_deltas[:, 0].tolist() == [largest, 3]
+        assert decoded(folded.fold_data[1], "stat_deltas")[:, 0].tolist() == [largest, 3]
         assert_store_invariants(folded.table, folded, corpus)
-        want = np.int16 if largest < 2**15 else np.int32
-        assert folded.fold_data[1].stat_deltas.dtype == want
+        assert folded.fold_data[1].delta_table.dtype == np.int32
+        assert folded.fold_data[1].stat_deltas.dtype == np.uint8
         for fd in folded.fold_data[1:]:
             assert fd.type_keys.dtype == fd.stat_keys.dtype == np.int32
             for name, arr in vars(fd).items():
-                assert arr is None or name in KEYS or arr.dtype == narrowest(arr), name
+                assert arr is None or name not in TABLES or arr.dtype == code_width(
+                    getattr(fd, TABLES[name])), name
 
     def test_fold_tags_wider_than_int8(self):
         """With 130 folds the tag F does not fit int8: every tag array takes
@@ -1376,7 +1407,8 @@ class TestWidth:
 
     def test_order_without_tag_f_types_keeps_empty_fold_arrays(self):
         """Where every type of an order occurs in one fold only, its fold type
-        keys and deltas are empty, at the store's width and at int8, and no
+        keys and deltas are empty, the keys and table at the store's width
+        and the codes at uint8, and no
         bulk call searches them; leaving either fold out equals a recount, on
         held-out text with unseen contexts too."""
         corpus = encode(["a b", "c d"])
@@ -1385,28 +1417,27 @@ class TestWidth:
         for n in (2, 3):
             fd = folded.fold_data[n]
             assert fd.type_keys.size == fd.type_counts.size == 0, n
-            assert fd.type_keys.dtype == np.int32 and fd.type_counts.dtype == np.int8, n
+            assert fd.type_keys.dtype == fd.count_table.dtype == np.int32, n
+            assert fd.count_table.size == 0 and fd.type_counts.dtype == np.uint8, n
         assert folded.fold_data[2].cont_type_counts.size == 0
         held = encode_corpus(["a d", "b a c", "d"], corpus.vocab)
         assert_left_out_equals_recount(folded, corpus, [corpus, held])
 
-    @pytest.mark.parametrize("narrow", [True, False], ids=["int16-values", "int32-values"])
+    @pytest.mark.parametrize("narrow", [True, False], ids=["uint8-codes", "uint32-codes"])
     def test_fold_values_of_either_width_equal_a_recount(self, monkeypatch, narrow):
         """Bulk counts and stats with a fold left out equal the store counted
-        without it, whether each value array has its own narrowest width or
-        the store's, and are returned at the store's width either way."""
+        without it, whether each code array has the width its table selects
+        or uint32, and are returned at the store's width either way."""
         corpus, held = parity_corpora(61)
+        coded = mcounts._coded
         with monkeypatch.context() as m:
             if not narrow:
-                m.setattr(mcounts, "_narrow", lambda arr: arr.astype(np.int32))
+                m.setattr(mcounts, "_coded", lambda values, width: (
+                    lambda codes, table: (codes.astype(np.uint32), table))(*coded(values, width)))
             folded = cv_fold_counts(corpus, 4, folds=3)
-        values = [arr for h in (*folded.table.orders[1:], *folded.fold_data[1:])
-                  for name, arr in vars(h).items() if arr is not None and name not in KEYS]
-        if narrow:
-            assert all(arr.dtype == narrowest(arr) for arr in values)
-            assert np.dtype(np.int8) in {arr.dtype for arr in values}
-        else:
-            assert {arr.dtype for arr in values} == {np.dtype(np.int32)}
+        codes = [arr for h in (*folded.table.orders[1:], *folded.fold_data[1:])
+                 for name, arr in vars(h).items() if arr is not None and name in TABLES]
+        assert {arr.dtype for arr in codes} == {np.dtype(np.uint8 if narrow else np.uint32)}
         assert folded.table.orders[1].type_keys.dtype == np.int32
         assert_left_out_equals_recount(folded, corpus, [corpus, held])
 
@@ -1414,17 +1445,22 @@ class TestWidth:
         """Every scalar and bulk query, with and without folds, and the
         smoothed rows and features built on them, read the same from an int32
         store with narrow value arrays and from one whose every array is
-        int64; each returns arrays at its own store's width, and both write
-        one file."""
+        int64 but its codes; each returns arrays at its own store's width,
+        and both write one file."""
         corpus, held = parity_corpora(23)
         narrow = cv_fold_counts(corpus, 4, folds=3)
         wide = all_int64(monkeypatch, lambda: cv_fold_counts(corpus, 4, folds=3))
         assert store_width(narrow.table, 3) == np.int32
-        assert np.dtype(np.int8) in {d for w in widths(narrow.table) for d in w.values()}
+        assert np.dtype(np.uint8) in {d for w in widths(narrow.table) for d in w.values()}
         assert_store_invariants(narrow.table, narrow, corpus)
         holders = [*wide.table.orders[1:], *wide.fold_data[1:]]
-        assert {a.dtype for h in holders for a in vars(h).values() if a is not None} == {
+        assert {a.dtype for h in holders for name, a in vars(h).items()
+                if a is not None and name not in TABLES} == {
             np.dtype(np.int64)} == {wide.fold_assignment.dtype}
+        for h, other in zip(holders, [*narrow.table.orders[1:], *narrow.fold_data[1:]]):
+            for name in TABLES.keys() & vars(h).keys():
+                assert getattr(h, name) is None or getattr(h, name).dtype == getattr(
+                    other, name).dtype, name
         assert_tables_equal(narrow.table, wide.table)
         assert saved(narrow.table, tmp_path) == saved(wide.table, tmp_path)
 
@@ -1560,7 +1596,7 @@ class TestInputValidation:
     def test_token_count_matches_empty_context_total(self):
         corpus = toy_corpus()
         table = accumulate(corpus, 2)
-        assert int(table.orders[1].stats[0, 0]) == corpus.token_count == 7
+        assert int(decoded(table.orders[1], "stats")[0, 0]) == corpus.token_count == 7
 
 
 def test_store_invariants_catch_damage():
@@ -1568,29 +1604,37 @@ def test_store_invariants_catch_damage():
         t.orders[2].type_keys[[0, 1]] = t.orders[2].type_keys[[1, 0]]
 
     def damage_type_count(t, f):
-        t.orders[2].type_counts[0] += 1
+        counts = decoded(t.orders[2], "type_counts")
+        counts[0] += 1
+        recoded(t.orders[2], counts)
 
     def damage_token_count(t, f):
         t.token_count += 1
 
     def damage_fold_count(t, f):
         fd = f.fold_data[1]
-        fd.type_counts[0] = t.orders[1].type_counts[fd.type_keys[0] // f.n_folds] + 1
+        counts = decoded(fd, "type_counts")
+        counts[0] = decoded(t.orders[1], "type_counts")[fd.type_keys[0] // f.n_folds] + 1
+        recoded(fd, counts)
 
     def damage_fold_stats(t, f):
-        f.fold_data[2].cont_stat_deltas[0, 0] += 100
+        deltas = decoded(f.fold_data[2], "cont_stat_deltas")
+        deltas[0, 0] += 100
+        recoded(f.fold_data[2], deltas, "cont_stat_deltas")
 
-    def damage_width(t, f):  # the values stay right; only the width differs
+    def damage_width(t, f):  # the codes stay right; only the width differs
         f.fold_data[2].cont_stat_deltas = f.fold_data[2].cont_stat_deltas.astype(np.int64)
 
     def damage_key_width(t, f):  # fold keys keep the store's width, not the values'
         f.fold_data[2].type_keys = f.fold_data[2].type_keys.astype(np.int16)
 
-    def damage_table_width(t, f):  # table values too have their own narrowest width
-        t.orders[2].stats = t.orders[2].stats.astype(np.int32)
+    def damage_table_width(t, f):  # a table has the store's width
+        t.orders[2].stat_table = t.orders[2].stat_table.astype(np.int64)
 
     def damage_cont_count(t, f):
-        f.fold_data[1].cont_type_counts[0] = -1
+        counts = decoded(f.fold_data[1], "cont_type_counts")
+        counts[0] = -1
+        recoded(f.fold_data[1], counts, "cont_type_counts")
 
     def damage_cont_alignment(t, f):  # a continuation delta with no raw fold key
         fd = f.fold_data[1]
