@@ -7,9 +7,10 @@ untraced run, and with ``--traced`` the per-layer metrics of a traced one.
 
 ``bench/run.py`` exits 0 even when a check fails, so CI reads each verdict here.
 No metric is bounded.  When ``GITHUB_STEP_SUMMARY`` names a file, an
-untraced run appends one line with each workload's ``store_bytes_per_token``
-and ``peak_rss_mb`` at this seed to it, so that every run shows the size of
-its count stores and its memory high-water mark.
+untraced run appends one line with each workload's ``store_bytes_per_token``,
+``peak_rss_mb``, ``query_us`` and ``train_tok_s`` at this seed to it, so that
+every run shows the size of its count stores, its memory high-water mark,
+and the speed of its scalar queries and of its training (or counting).
 """
 
 import json
@@ -26,14 +27,16 @@ results = json.load(sys.stdin)
 workloads = [w["name"] for w in bench["workloads"]]
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
 if summary and not traced:
-    def shown(workload, metric, unit):
+    def shown(workload, metric, unit, spec=".2f"):
         value = results.get(workload, {}).get("metrics", {}).get(metric, {}).get("value")
-        return f"{value:.2f} {unit}" if isinstance(value, (int, float)) else f"{value}"
+        return f"{value:{spec}} {unit}" if isinstance(value, (int, float)) else f"{value}"
 
     with open(summary, "a") as fh:
-        fh.write(f"- seed {seed}, `store_bytes_per_token` and `peak_rss_mb`: " + ", ".join(
-            f"`{w}` {shown(w, 'store_bytes_per_token', 'B/token')}, "
-            f"{shown(w, 'peak_rss_mb', 'MB')}" for w in workloads) + "\n")
+        fh.write(f"- seed {seed}, `store_bytes_per_token`, `peak_rss_mb`, `query_us` and "
+                 "`train_tok_s`: " + ", ".join(
+                     f"`{w}` {shown(w, 'store_bytes_per_token', 'B/token')}, "
+                     f"{shown(w, 'peak_rss_mb', 'MB')}, {shown(w, 'query_us', 'us')}, "
+                     f"{shown(w, 'train_tok_s', 'tokens/s', ',.0f')}" for w in workloads) + "\n")
 bad = []
 for workload in workloads:
     res = results.get(workload, {})

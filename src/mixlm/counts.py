@@ -12,27 +12,26 @@ Pauls & Klein 2011), so every code and type key is below
 (F = 1 without folds).  The key arrays (contexts, type keys, fold keys) and
 the fold assignment share the store's width: int32 when both bounds are
 below 2**31, and int64 otherwise.  Every value array (type counts, stats,
-continuation counts and stats, and the fold deltas of each) is stored as
-codes into a table of its sorted distinct values, or distinct rows, at the
-store's width (the value-rank encoding of Pauls & Klein 2011): the values
-are few, so the codes are uint8 up to 256 entries, uint16 up to 65,536 and
-uint32 beyond (``_coded``).  Values are computed at the store's width and
-coded last; a bulk read gathers codes, then table entries, so every array
-a query returns has the store's width, and a scalar read indexes a
-memoryview of the codes into the table decoded once per view, into ints
-or ``ContextStats``.  A bulk query is cast to its keys' width and
-searched in sorted order, so that each needle's binary search starts at the
-previous needle's position, then its positions are put back in the query's
-order; a scalar one is a ``bisect`` over a kept memoryview, so no lookup
-converts a key array.
-Every position is counted with full left bos-padding.
+continuation counts and stats, and the fold deltas of each) is codes into a
+table of its sorted distinct values, or rows, at the store's width (the
+value-rank encoding of Pauls & Klein 2011): the values are few, so the codes
+are uint8 up to 256 entries, uint16 up to 65,536 and uint32 beyond
+(``_coded``).  Values are computed wide and coded last.  A bulk read gathers
+codes, then table entries, so every array a query returns has the store's
+width; a scalar read indexes a memoryview of the codes into the table,
+decoded once per view into ints or ``ContextStats``.  A bulk query is cast
+to its keys' width and searched in sorted order, so that each needle's
+binary search starts at the previous needle's position, then its positions
+are put back in the query's order; a scalar one is a ``bisect`` over a kept
+memoryview, so no lookup converts a key array.  Every position is counted
+with full left bos-padding.
 
 Each order holds sorted ``rank * B + word`` type keys with parallel raw
 counts and, below the top order, parallel continuation counts (distinct
 single-symbol left extensions, from the order-(n+1) types): with full
 bos-padding every type has a left extension, so both kinds share one key
-array.  Each kind has an (n_ctx + 1, 4) stats array of total, n1, n2 and n3p
-per context.  Its last row is all zero: rank -1 names an unobserved
+array.  Each kind has (n_ctx + 1, 4) stats of total, n1, n2 and n3p per
+context.  The last row is all zero: rank -1 names an unobserved
 context, so it reads zeros by plain indexing, and every key built from it
 (-B plus a word or the bos id) is negative and matches nothing.  Successors
 are a slice; a (context, word) lookup is two binary searches.  Distinct
@@ -60,13 +59,13 @@ and per order the latest fold-view ``bulk_stats`` lookup: copies of the
 positions' ranks and folds, their search in the stat keys, and the stats of
 each kind read for them, returned read-only to a later call with equal
 ranks and folds (``np.array_equal``, after its checks).  Any other read is
-made afresh.  A ``rank_chain`` miss and a scalar count read their ids with
-``operator.index``, so a float raises.
+made afresh.  A ``rank_chain`` miss and every scalar read take their ids
+and ranks through ``operator.index``, so a float raises.
 
 Counting is sorting (as in KenLM and Pauls & Klein 2011), and no sort
 computes an inverse that nothing reads.  Each order's context codes are
-sorted with their inverse, since each position's context rank builds the
-next order's codes; its type keys are sorted with one only in
+sorted with their inverse by ``_unique``, since each position's context rank
+builds the next order's codes; its type keys are sorted with one only in
 ``cv_fold_counts``, whose fold keys pair each position's type index with its
 fold.  ``_derive`` sorts each order's suffix keys for their counts alone:
 the continuation deltas read the (suffix type, fold) key of each
@@ -84,13 +83,13 @@ a ``CountView`` and written to disk in one form, binary file format 5
 vocabulary size and token count (u64); the vocabulary's ``fingerprint`` as
 a u32 length and ASCII bytes; per order only what counting produced,
 ctx_codes, type_keys and the decoded type counts, each as its byte width W
-(u32), its element count (u64) and W-byte values, every array at the
-narrowest width of its own values (``_narrow``); then a CRC32 of every byte
-after the magic, all little-endian.  Loading widens the keys to the store's
-width, then codes the counts and derives the stats and continuation arrays
-with ``_derive``, the code that builds them after counting.  A file that is cut short, has trailing
-bytes, fails its checksum, is malformed, has a W other than 1, 2, 4 or 8, or
-an array wider than its values need raises ``CountError``, and so does text
+(u32), its element count (u64) and W-byte values at the narrowest width of
+its own values (``_narrow``); then a CRC32 of every byte after the magic, all
+little-endian.  Loading widens the keys to the store's width and codes the
+counts and derives the stats and continuation arrays with ``_derive``, the
+code that ends counting.  A file that is cut short, has trailing bytes,
+fails its checksum, is malformed, has a W other than 1, 2, 4 or 8, or an
+array wider than its values need raises ``CountError``, and so does text
 encoded with a vocabulary whose fingerprint is not the table's.
 """
 
@@ -304,11 +303,10 @@ def _narrow(arr: np.ndarray) -> np.ndarray:
 
 def _unique(keys: np.ndarray, few: bool = False):
     """``np.unique(keys, return_inverse=True)`` of non-negative integer keys
-    without its argsort.  Keys up to 4 times their number are looked up in a
-    table of the ones present.  Larger ones are sorted alone and searched
-    among the distinct ones when ``few`` of those are expected, or else
-    sorted once as ``key << b | position``; ``np.unique`` takes the keys
-    when that exceeds 63 bits."""
+    without its argsort: keys up to 4 times their number are looked up in a
+    table of the ones present; larger ones are sorted alone and searched
+    among the distinct ones when ``few`` are expected, or else sorted once as
+    ``key << b | position``, and ``np.unique`` takes those past 63 bits."""
     m, top = len(keys), int(keys.max()) if len(keys) else 0
     if top <= 4 * m:
         seen = np.zeros(top + 1, dtype=bool)
@@ -331,10 +329,10 @@ def _unique(keys: np.ndarray, few: bool = False):
 
 def _coded(values: np.ndarray, width: np.dtype):
     """(codes, table) of a value array: its sorted distinct values, or rows
-    when it is 2-D, at ``width``, and each entry's index among them as uint8,
-    uint16 or uint32 by their number.  Rows are packed into one key for
-    ``_unique``, each column less its minimum and reduced alone (a 2-D
-    reduction is slower); ``np.unique`` takes rows whose spans exceed 63 bits."""
+    when 2-D, at ``width``, and each entry's index among them in the
+    narrowest unsigned type.  Rows are packed into one key for ``_unique``,
+    each column reduced alone (a 2-D reduction is slower) and less its
+    minimum when that is negative; ``np.unique`` takes rows past 63 bits."""
     cols = values.T if values.ndim == 2 else values[None]
     los = [min(int(c.min()), 0) if c.size else 0 for c in cols]
     bits = [(int(c.max()) - lo).bit_length() if c.size else 0 for c, lo in zip(cols, los)]
@@ -350,8 +348,7 @@ def _coded(values: np.ndarray, width: np.dtype):
         for j in reversed(range(len(cols))):  # the last column sits in the low bits
             table[:, j] = (key & ((1 << bits[j]) - 1)) + los[j]
             key >>= bits[j]
-    codes = inverse.reshape(-1).astype(next(t for t in (np.uint8, np.uint16, np.uint32)
-                                            if len(table) <= np.iinfo(t).max + 1))
+    codes = inverse.reshape(-1).astype(np.min_scalar_type(max(len(table) - 1, 0)))
     return codes, table.astype(width, copy=False).reshape(-1, *values.shape[1:])
 
 
@@ -368,17 +365,13 @@ def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int) -> np.ndarray:
 
 def _derive(orders: list, base: int) -> None:
     """Fill in every order's stats and, below the top order, its continuation
-    arrays (from the order-(n+1) raw types), using only ctx_codes, type_keys
-    and type_counts.  Counting and loading both end here.  No type is mapped
-    to its suffix type's index: the fold deltas read the ones they need off
-    the positions.
-
-    The continuation types are the raw ones (module docstring), so their
-    counts are aligned with ``type_keys``; types that break this raise.
-
-    Values are tallied as intp and coded last, their tables at the store's
-    width, the keys' (module docstring).
-    """
+    arrays from the order-(n+1) raw types, reading only ctx_codes, type_keys
+    and the uncoded type_counts; counting and loading both end here.  The
+    continuation types are the raw ones (module docstring), so their counts
+    align with ``type_keys``; types that break this raise.  No type is mapped
+    to its suffix type's index (the fold deltas read the ones they need off
+    the positions).  Values are tallied as intp and coded last, their tables
+    at the keys' width."""
     width = orders[1].type_keys.dtype
     # each type's context rank and word, read by its own order and the one below
     split = [None] + [np.divmod(od.type_keys, base) for od in orders[1:]]
@@ -649,8 +642,7 @@ class _Kind(NamedTuple):
     delta_table: np.ndarray | None
 
     def rank(self, rank: int) -> int:
-        """``rank`` as an int if it names a context or is -1 (unobserved);
-        else raise."""
+        """``rank`` as an int if it names a context or is -1 (unobserved); else raise."""
         try:
             rank = operator.index(rank)
         except TypeError:
@@ -865,7 +857,8 @@ class CountView:
         ranks = kind.ranks(_integers("rank", ranks))
         folds = self._folds(folds, len(ranks))
         if folds is None:  # the store's width
-            return ContextStats._make(np.take(kind.stat_table, np.take(kind.stats, ranks), axis=0).T)
+            return ContextStats._make(
+                np.take(kind.stat_table, np.take(kind.stats, ranks), axis=0).T)
         kept = self._lookups.get(order)
         if kept is None or not (np.array_equal(ranks, kept.ranks)
                                 and np.array_equal(folds, kept.folds)):

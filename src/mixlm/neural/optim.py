@@ -4,10 +4,11 @@
 exceeds ``CLIP_NORM``, then updates its own moment arrays and each
 parameter's value in place, through two scratch buffers that it keeps from
 step to step and shares among the parameters: each is as large as the
-largest parameter, and each update views its first bytes with the
-parameter's dtype and shape.  Only the squares summed for the norm are a
-new array.  Each operation keeps the order of value − lr·m̂ / (√v̂ + ε), with
-m̂ = m / (1 − β1ᵗ) and v̂ = v / (1 − β2ᵗ), evaluated out of place, so the
+largest parameter, or its float64 squares, and each update views its first
+bytes with the parameter's dtype and shape.  The norm squares each gradient
+into the first buffer in float64, so a step allocates no array of a
+parameter's size.  Each operation keeps the order of value − lr·m̂ / (√v̂ + ε),
+with m̂ = m / (1 − β1ᵗ) and v̂ = v / (1 − β2ᵗ), evaluated out of place, so the
 update gives the same bits.  The decay rates, epsilon and clipping norm are
 fixed; only the learning rate is set per optimizer.
 """
@@ -37,7 +38,8 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
-        size = max((p.value.nbytes for p in self.params), default=0)
+        # a float32 parameter's float64 squares take twice its bytes
+        size = max((max(p.value.nbytes, 8 * p.value.size) for p in self.params), default=0)
         self._scratch = (np.empty(size, np.uint8), np.empty(size, np.uint8))
 
     def zero_grad(self) -> None:
@@ -51,10 +53,11 @@ class Adam:
         grads, total = [], 0.0
         with np.errstate(over="ignore"):  # an overflowed sum is recomputed below
             for p in self.params:
-                if p.grad is None:
+                g = p.grad
+                if g is None:
                     continue
-                g = p.grad.astype(np.float64, copy=False)
-                sq = float((g ** 2).sum())
+                tmp = self._scratch[0][:8 * g.size].view(np.float64).reshape(g.shape)
+                sq = float(np.square(g, out=tmp, dtype=np.float64).sum())
                 # a non-finite sum of squares has a non-finite entry or overflowed
                 if not np.isfinite(sq) and not np.all(np.isfinite(g)):
                     raise OptimError(f"non-finite gradient in {p.name or 'unnamed parameter'}")
@@ -62,6 +65,7 @@ class Adam:
                 total += sq
         norm = float(np.sqrt(total))
         if not np.isfinite(norm):  # every entry is finite: scale by the largest first
+            grads = [g.astype(np.float64, copy=False) for g in grads]
             big = max(float(np.abs(g).max(initial=0.0)) for g in grads)
             norm = big * float(np.sqrt(sum(float(((g / big) ** 2).sum()) for g in grads)))
         if norm > CLIP_NORM:

@@ -3,6 +3,7 @@
 import bisect
 import hashlib
 import struct
+import sys
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -362,6 +363,49 @@ class TestWordIds:
             with pytest.raises(CountError, match="must be integers"):
                 count(1, rank, word)
         assert count(1, np.int32(0), np.int64(2)) == count(1, 0, 2) > 0
+
+
+class TestNonIntegerRank:
+    """Each scalar read takes its rank through ``operator.index``: rank 0.5,
+    or an integral float, raises ``CountError`` instead of reading a row or
+    slice that no integer names, and NumPy integers pass."""
+
+    def setup_method(self):
+        self.table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
+        self.view = self.table.view()
+
+    BAD = (0.5, 1.0, np.float64(1), "1")
+
+    def check(self, read):
+        for rank in self.BAD:
+            with pytest.raises(CountError, match="must be an integer"):
+                read(rank)
+        for rank in (np.int64(1), np.int32(-1), np.uint8(0)):
+            assert read(rank) == read(int(rank)), rank
+
+    def test_stats(self):
+        self.check(lambda rank: self.view.stats(2, rank))
+
+    def test_cont_stats(self):
+        self.check(lambda rank: self.view.cont_stats(2, rank))
+
+    @pytest.mark.parametrize("cont", [False, True], ids=["raw", "cont"])
+    def test_successors(self, cont):
+        """Rank 0.5 once read as rank 0's last successor and rank 1's ones."""
+        self.check(lambda rank: [a.tolist() for a in self.view.successors(2, rank, cont)])
+
+    @pytest.mark.parametrize("cont", [False, True], ids=["raw", "cont"])
+    def test_count_on_a_miss(self, cont):
+        """A word that follows none of the contexts read: a non-integer rank
+        raises, and an integer one, NumPy's too, reads 0."""
+        count = self.view.cont_count if cont else self.view.count
+        word = next(w for w in range(self.table.vocab_size)
+                    if all(count(2, r, w) == 0 for r in (-1, 0, 1)))
+        for rank in self.BAD:
+            with pytest.raises(CountError, match="must be integers"):
+                count(2, rank, word)
+        for rank in (np.int64(1), np.int32(-1), np.uint8(0)):
+            assert count(2, rank, word) == 0, rank
 
 
 class TestUnobservedRank:
@@ -1263,6 +1307,26 @@ class TestSerialization:
         with pytest.raises(CountError, match="order-[123] (keys|counts)"):
             loaded(data, tmp_path)
 
+    def test_store_holds_nothing_but_arrays(self):
+        """Every attribute of every order's and fold's arrays, from
+        ``accumulate`` and from ``cv_fold_counts``, is an ndarray or None:
+        ``bench/pipeline.store_bytes`` sums the ndarrays alone, so no store
+        byte may hide in anything else."""
+        corpus = encode(synthetic_lines(60, n_words=11, seed=4))
+        folded = cv_fold_counts(corpus, 4, folds=3)
+        for holder in (*accumulate(corpus, 4).orders[1:], *folded.table.orders[1:],
+                       *folded.fold_data[1:]):
+            for name, value in vars(holder).items():
+                assert value is None or type(value) is np.ndarray, (type(holder), name)
+
+    def test_saved_file_is_pinned(self, tmp_path):
+        """The file of a fixed small corpus, counted to order 4, has the
+        SHA-256 it had while the store kept its values uncoded: the codes
+        change no byte of format 5."""
+        table = accumulate(encode(synthetic_lines(60, n_words=11, seed=4)), 4)
+        assert hashlib.sha256(saved(table, tmp_path)).hexdigest() == (
+            "1d1cd93c1dd49358abf02c7817ea94f0497087e8bba585edc4bb115a9618788e")
+
     def test_store_arrays_are_direct_attributes(self, tmp_path):
         """The benchmark counts store bytes (``bench/pipeline.store_bytes``)
         and compares loaded tables (``bench/checks.tables_equal``) through
@@ -1315,6 +1379,129 @@ class TestSerialization:
                              "stat_keys"):
                     assert getattr(cont, name) is getattr(raw, name), (n, name)
                 assert cont.counts is not raw.counts and cont.stats is not raw.stats, n
+
+
+class TestCoded:
+    """``_coded`` stores a value array as codes into a table of its sorted
+    distinct values, or rows, and ``_unique`` is ``np.unique`` with its
+    inverse, whichever of its paths a set of keys takes."""
+
+    @staticmethod
+    def check(values, width=np.dtype(np.int32)):
+        """Codes and table of ``values`` against ``np.unique``'s."""
+        codes, table = mcounts._coded(values, width)
+        want, inverse = np.unique(values, axis=0, return_inverse=True)
+        assert table.dtype == width and table.shape == (len(want), *values.shape[1:])
+        np.testing.assert_array_equal(table, want)
+        np.testing.assert_array_equal(codes, inverse.reshape(-1))
+        assert codes.dtype == code_width(table)
+        np.testing.assert_array_equal(table[codes], values)
+        return codes, table
+
+    @staticmethod
+    def check_unique(keys):
+        got, want = mcounts._unique(keys), np.unique(keys, return_inverse=True)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w.reshape(-1))
+        assert got[0].dtype == keys.dtype
+        few = mcounts._unique(keys, few=True)
+        for g, w in zip(few, got):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("n_distinct, want", [
+        (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
+        (70_000, np.uint32)])
+    @pytest.mark.parametrize("spread", [False, True], ids=["dense", "spread"])
+    def test_code_width_by_table_length(self, n_distinct, want, spread):
+        """uint8 codes up to 256 distinct values, uint16 up to 65,536 and
+        uint32 beyond, built directly from that many values, each repeated
+        up to three times in shuffled order: dense values take the lookup
+        path and values spread over 2**40 the sort path."""
+        rng = np.random.default_rng(n_distinct)
+        distinct = (rng.choice(2**40, n_distinct, replace=False) if spread
+                    else np.arange(n_distinct) - n_distinct // 3)
+        values = rng.permutation(np.repeat(distinct, rng.integers(1, 4, n_distinct)))
+        codes, table = self.check(values, np.dtype(np.int64))
+        assert codes.dtype == want and len(table) == n_distinct
+
+    def test_rows_with_negative_entries(self):
+        """Stat-delta rows: (m, 4) rows with negative entries in every
+        column, repeated, and the columns of one row in any order."""
+        rng = np.random.default_rng(3)
+        rows = rng.integers(-6, 7, size=(500, 4))
+        rows[::7] = rows[::7, ::-1]
+        codes, table = self.check(rows)
+        assert (table < 0).any(axis=0).all()
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 4)])
+    def test_empty(self, shape):
+        codes, table = self.check(np.zeros(shape, dtype=np.int32))
+        assert codes.shape == (0,) and codes.dtype == np.uint8 and table.shape == shape
+        self.check_unique(np.zeros(0, dtype=np.int32))
+
+    def test_order1_stats_have_two_rows(self):
+        """Order 1 has one context and the all-zero rank -1 row: two table
+        rows, the zero row first, so the context reads code 1."""
+        table = accumulate(toy_corpus(), 1)
+        od = table.orders[1]
+        assert od.stats.tolist() == [1, 0]
+        assert od.stat_table.tolist() == [[0, 0, 0, 0], [7, 2, 1, 1]]
+        assert table.view().stats(1, 0) == (7, 2, 1, 1) and table.view().stats(1, -1) == (0,) * 4
+
+    def test_fallback_when_the_bits_do_not_fit(self, monkeypatch):
+        """Rows whose column spans exceed 63 bits together, and keys whose
+        bits plus position bits exceed 63, go to ``np.unique``."""
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(k) or unique(*a, **k))
+        wide = np.array([[2**40, 0], [0, 2**40], [2**40, 0], [0, 0]], dtype=np.int64)
+        self.check(wide, np.dtype(np.int64))  # 41 + 41 bits
+        assert calls[0].get("axis") == 0
+        calls.clear()
+        self.check(wide[:, :1], np.dtype(np.int64))  # 41 bits fit
+        assert all(k.get("axis") == 0 for k in calls)  # only the check's own
+        calls.clear()
+        keys = np.array([2**62, 5, 2**62, 2**61], dtype=np.int64)  # 63 + 2 bits
+        got = mcounts._unique(keys)
+        assert calls and calls[0] == {"return_inverse": True}
+        calls.clear()
+        self.check_unique(keys[1:2])  # one key: no position bits
+        self.check_unique(np.array([2**60, 5, 2**60], dtype=np.int64))  # 61 + 2 bits fit
+        assert calls == [{"return_inverse": True}] * 2  # only the checks' own
+        assert [a.tolist() for a in got] == [[5, 2**61, 2**62], [2, 0, 2, 1]]
+
+    @pytest.mark.parametrize("keys", [
+        np.array([5, 3, 5, 0, 3, 3], dtype=np.int32),  # the lookup path
+        np.array([9_000_000, 12, 9_000_000, 7, 12, 8_999_999], dtype=np.int32),  # the sort path
+        np.array([4]), np.array([4, 4, 4]), np.array([10**9])])
+    def test_unique_equals_numpy(self, keys):
+        self.check_unique(keys)
+
+    def test_build_context_ranks_equal_numpy(self, monkeypatch):
+        """Every ``_unique`` call of a build, the context sorts of each order
+        and the coding of each value array, equals ``np.unique`` on the
+        benchmark's seed-1 training corpus."""
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        try:
+            import inputs
+            import run
+        finally:
+            sys.path.pop(0)
+        lines = inputs.generate(run.SHAPE, 1, run.FOLDS).train
+        corpus = encode(lines, max_size=run.SHAPE.vocab_cap)
+        unique, calls = mcounts._unique, []
+
+        def checked(keys, few=False):
+            got = unique(keys, few)
+            calls.append(few)
+            want = np.unique(keys, return_inverse=True)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            return got
+
+        monkeypatch.setattr(mcounts, "_unique", checked)
+        accumulate(corpus, 5)
+        assert calls.count(False) == 4  # the contexts of orders 2 to 5
+        assert calls.count(True) == 18  # the counts and stats of each kind
 
 
 class TestWidth:

@@ -1,6 +1,7 @@
 """Adam updates, gradient clipping, the in-place update against the
 out-of-place reference, and gradients against central differences."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -106,6 +107,43 @@ class TestClipGradients:
         assert _step_with([p, q], [None, [3.0, 4.0]]) == pytest.approx(5.0)
         np.testing.assert_array_equal(p.value, 0.0)
         assert np.all(q.value < 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_norm_matches_squares_in_new_arrays(self, dtype):
+        """The norm, squared into the kept buffer, has the bits of the sum of
+        ``(g ** 2)`` over float64 copies, with float64 and float32 parameters
+        of several shapes, a larger one after a smaller one too."""
+        rng = np.random.default_rng(4)
+        shapes = [(3, 5), (7,), (40, 30), (2, 2)]
+        for trial in range(5):
+            grads = [(rng.standard_normal(sh) * 10.0 ** rng.integers(-3, 3)).astype(dtype)
+                     for sh in shapes]
+            params = [T.param(np.zeros(sh, dtype=dtype), f"p{i}") for i, sh in enumerate(shapes)]
+            opt = Adam(params)
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            total = 0.0
+            for g in grads:
+                total += float((g.astype(np.float64, copy=False) ** 2).sum())
+            assert opt.step() == float(np.sqrt(total)), trial
+
+    def test_step_allocates_less_than_the_parameter(self):
+        """One step on a 100 x 3,005 parameter, the size of an output layer
+        over a 3,000-word vocabulary, allocates less than that parameter's
+        bytes: the squares of the norm go into a kept buffer."""
+        rng = np.random.default_rng(5)
+        p = T.param(np.zeros((100, 3005)), "out.W")
+        opt = Adam([p])
+        p.grad = rng.standard_normal(p.value.shape)
+        opt.step()  # any first-call allocation happens here
+        p.grad = rng.standard_normal(p.value.shape)
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.value.nbytes, (peak, p.value.nbytes)
 
 
 class TestAgainstOutOfPlaceReference:
