@@ -19,8 +19,9 @@ are uint8 up to 256 entries, uint16 up to 65,536 and uint32 beyond
 (``_coded``).  Values are computed wide and coded last.  A bulk read gathers
 codes, then table entries, so every array a query returns has the store's
 width; a scalar read indexes a memoryview of the codes into the table,
-decoded once per view into ints or ``ContextStats``.  A bulk query is cast
-to its keys' width and searched in sorted order, so that each needle's
+decoded once per view into ints or ``ContextStats`` (the latter by the
+first scalar stats read, so a bulk-only view builds none).  A bulk query is
+cast to its keys' width and searched in sorted order, so that each needle's
 binary search starts at the previous needle's position, then its positions
 are put back in the query's order; a scalar one is a ``bisect`` over a kept
 memoryview, so no lookup converts a key array.  Every position is counted
@@ -181,13 +182,24 @@ class CountTable:
     def view(self) -> "CountView":
         return CountView(self)
 
+    def _arrays(self, order: int, continuation: bool) -> tuple[_OrderData, str]:
+        """One order's arrays and the prefix of one kind's value arrays, the
+        one place that picks; an order outside 1..N raises, and so does the
+        continuation kind at the top order."""
+        if not 1 <= order <= self.order:
+            raise CountError(f"order {order} outside 1..{self.order}")
+        od = self.orders[order]
+        if continuation and od.cont_type_counts is None:
+            raise CountError(f"no continuation counts at order {order}")
+        return od, "cont_" if continuation else ""
+
     def count_of_counts(self, order: int, continuation: bool = False) -> tuple[int, int, int, int]:
-        """Global (n1, n2, n3, n4) over type counts at one order."""
-        kind = self.view()._kind(order, continuation)
-        counts = kind.count_table[kind.counts]
-        small = counts[counts <= 4]
-        cc = np.bincount(small, minlength=5)
-        return int(cc[1]), int(cc[2]), int(cc[3]), int(cc[4])
+        """Global (n1, n2, n3, n4) over type counts at one order, from the
+        number of types that take each table entry."""
+        od, c = self._arrays(order, continuation)
+        table = getattr(od, c + "count_table")
+        per_entry = np.bincount(getattr(od, c + "type_counts"), minlength=len(table))
+        return tuple(int(per_entry[table == k].sum()) for k in range(1, 5))
 
     # -- serialization ---------------------------------------------------
 
@@ -620,7 +632,8 @@ class _Kind(NamedTuple):
     """One kind of statistics at one order, with its fold deltas if any; the
     continuation kind reads the raw kind's key arrays.  Each value array is
     codes with their table; a scalar read takes a code from a memoryview
-    and its value from the table decoded once."""
+    and its value from the table decoded once: the counts when the kind is
+    built, the stats rows by the first scalar stats read (``_rows``)."""
 
     keys: np.ndarray
     index: memoryview  # the keys again, for scalar lookups
@@ -635,7 +648,7 @@ class _Kind(NamedTuple):
     stats: np.ndarray
     stat_table: np.ndarray
     stat_codes: memoryview
-    stat_rows: tuple[ContextStats, ...]
+    stat_rows: list[ContextStats]  # empty until ``_rows`` fills it
     fold_counts: np.ndarray | None
     fold_count_table: np.ndarray | None
     stat_deltas: np.ndarray | None
@@ -657,6 +670,13 @@ class _Kind(NamedTuple):
         if len(ranks) and not (ranks.min() >= -1 and ranks.max() < n_ctx):
             raise CountError(f"ranks must lie in -1..{n_ctx - 1}")
         return ranks
+
+
+def _rows(kind: _Kind) -> list[ContextStats]:
+    """A kind's stats table as ``ContextStats``, filled in by the first scalar
+    read: building them costs more than a bulk-only view ever reads."""
+    kind.stat_rows.extend(map(ContextStats._make, kind.stat_table.tolist()))
+    return kind.stat_rows
 
 
 class _Lookup(NamedTuple):
@@ -696,25 +716,20 @@ class CountView:
         return self.table.vocab_size
 
     def _kind(self, order: int, continuation: bool) -> _Kind:
-        """Raw or continuation arrays of one order, kept per view: the one place that picks."""
+        """Raw or continuation arrays of one order (``CountTable._arrays``),
+        with their fold data, kept per view."""
         kind = self._kinds.get((order, continuation))
         if kind is None:
-            if not 1 <= order <= self.table.order:
-                raise CountError(f"order {order} outside 1..{self.table.order}")
-            od = self.table.orders[order]
+            od, c = self.table._arrays(order, continuation)
             fd = self.folded.fold_data[order] if self.folded is not None else _NO_FOLDS
-            if continuation and od.cont_type_counts is None:
-                raise CountError(f"no continuation counts at order {order}")
             # the continuation kind: the raw kind's keys with the cont_ values
             shared = (self._kind(order, False)[:6] if continuation else
                       (od.type_keys, memoryview(od.type_keys), fd.type_tags, fd.type_keys,
                        fd.stat_tags, fd.stat_keys))
-            c = "cont_" if continuation else ""
             counts, count_table, stats, stat_table = (
                 getattr(od, c + a) for a in ("type_counts", "count_table", "stats", "stat_table"))
             kind = _Kind(*shared, counts, count_table, memoryview(counts), count_table.tolist(),
-                         stats, stat_table, memoryview(stats),
-                         tuple(map(ContextStats._make, stat_table.tolist())),
+                         stats, stat_table, memoryview(stats), [],
                          *(getattr(fd, c + a) for a in ("type_counts", "count_table",
                                                         "stat_deltas", "delta_table")))
             self._kinds[order, continuation] = kind
@@ -758,11 +773,11 @@ class CountView:
 
     def stats(self, order: int, rank: int) -> ContextStats:
         kind = self._kind(order, False)
-        return kind.stat_rows[kind.stat_codes[kind.rank(rank)]]
+        return (kind.stat_rows or _rows(kind))[kind.stat_codes[kind.rank(rank)]]
 
     def cont_stats(self, order: int, rank: int) -> ContextStats:
         kind = self._kind(order, True)
-        return kind.stat_rows[kind.stat_codes[kind.rank(rank)]]
+        return (kind.stat_rows or _rows(kind))[kind.stat_codes[kind.rank(rank)]]
 
     def _count(self, order: int, rank: int, word: int, continuation: bool) -> int:
         kind = self._kind(order, continuation)
