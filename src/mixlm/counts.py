@@ -208,7 +208,7 @@ class CountTable:
         parts = [_HEADER.pack(_BIN_VERSION, self.order, self.vocab_size, self.token_count),
                  struct.pack("<I", len(fp)), fp]
         for od in self.orders[1:]:
-            for arr in (od.ctx_codes, od.type_keys, od.count_table[od.type_counts]):
+            for arr in (od.ctx_codes, od.type_keys, np.take(od.count_table, od.type_counts)):
                 arr = _narrow(arr)
                 parts += [_ARRAY.pack(arr.itemsize, arr.size),
                           np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()]
@@ -366,13 +366,14 @@ def _coded(values: np.ndarray, width: np.dtype):
 
 def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int) -> np.ndarray:
     """(n_groups, 4) stats of the counts in each group: total, n1, n2, n3p,
-    tallied as intp whatever the counts' own width, so no total wraps.  The
-    levels take one ``bincount`` over (group, min(count, 3)) cells, whose
-    level-0 column (counts of 0) the totals overwrite."""
-    out = np.bincount(4 * groups.astype(np.intp) + np.minimum(counts, 3),
-                      minlength=4 * n_groups).reshape(n_groups, 4)
-    out[:, 0] = np.bincount(groups, weights=counts, minlength=n_groups)
-    return out
+    tallied as intp whatever the counts' own width, so no total wraps, and
+    laid out column by column, which ``_coded`` reads.  The levels take one
+    ``bincount`` over (min(count, 3), group) cells, whose level-0 column
+    (counts of 0) the totals overwrite."""
+    out = np.bincount(np.minimum(counts, 3).astype(np.intp) * n_groups + groups,
+                      minlength=4 * n_groups).reshape(4, n_groups)
+    out[0] = np.bincount(groups, weights=counts, minlength=n_groups)
+    return out.T
 
 
 def _derive(orders: list, base: int) -> None:
