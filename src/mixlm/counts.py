@@ -182,24 +182,12 @@ class CountTable:
     def view(self) -> "CountView":
         return CountView(self)
 
-    def _arrays(self, order: int, continuation: bool) -> tuple[_OrderData, str]:
-        """One order's arrays and the prefix of one kind's value arrays, the
-        one place that picks; an order outside 1..N raises, and so does the
-        continuation kind at the top order."""
-        if not 1 <= order <= self.order:
-            raise CountError(f"order {order} outside 1..{self.order}")
-        od = self.orders[order]
-        if continuation and od.cont_type_counts is None:
-            raise CountError(f"no continuation counts at order {order}")
-        return od, "cont_" if continuation else ""
-
     def count_of_counts(self, order: int, continuation: bool = False) -> tuple[int, int, int, int]:
         """Global (n1, n2, n3, n4) over type counts at one order, from the
         number of types that take each table entry."""
-        od, c = self._arrays(order, continuation)
-        table = getattr(od, c + "count_table")
-        per_entry = np.bincount(getattr(od, c + "type_counts"), minlength=len(table))
-        return tuple(int(per_entry[table == k].sum()) for k in range(1, 5))
+        kind = self.view()._kind(order, continuation)
+        per_entry = np.bincount(kind.counts, minlength=len(kind.count_table))
+        return tuple(int(per_entry[kind.count_table == k].sum()) for k in range(1, 5))
 
     # -- serialization ---------------------------------------------------
 
@@ -717,12 +705,15 @@ class CountView:
         return self.table.vocab_size
 
     def _kind(self, order: int, continuation: bool) -> _Kind:
-        """Raw or continuation arrays of one order (``CountTable._arrays``),
-        with their fold data, kept per view."""
+        """Raw or continuation arrays of one order, kept per view: the one place that picks."""
         kind = self._kinds.get((order, continuation))
         if kind is None:
-            od, c = self.table._arrays(order, continuation)
+            if not 1 <= order <= self.table.order:
+                raise CountError(f"order {order} outside 1..{self.table.order}")
+            od, c = self.table.orders[order], "cont_" if continuation else ""
             fd = self.folded.fold_data[order] if self.folded is not None else _NO_FOLDS
+            if continuation and od.cont_type_counts is None:
+                raise CountError(f"no continuation counts at order {order}")
             # the continuation kind: the raw kind's keys with the cont_ values
             shared = (self._kind(order, False)[:6] if continuation else
                       (od.type_keys, memoryview(od.type_keys), fd.type_tags, fd.type_keys,
