@@ -201,9 +201,8 @@ def _assert_width(holder, width, where):
                     width if name in KEYS or name in TABLES.values() else narrowest(arr))
             assert arr.dtype == want, f"{where} {name}: {arr.dtype}, not {want}"
             if table is not None:
-                distinct = np.unique(table, axis=0)
-                assert len(distinct) == len(table), f"{where} {name}: a repeated table entry"
-                np.testing.assert_array_equal(table, distinct, err_msg=f"{where} {name}")
+                np.testing.assert_array_equal(table, np.unique(table, axis=0),
+                                              err_msg=f"{where} {name}: not sorted distinct")
                 assert np.array_equal(np.unique(arr), np.arange(len(table))), f"{where} {name}"
 
 

@@ -20,16 +20,15 @@ from mixlm.neural.features import bulk_context_features
 from mixlm.smoothing import SmoothingSpec, bulk_column_rows
 
 from helpers import (
-    KEYS,
     TOY_LINES,
     assert_store_invariants,
-    code_width,
-    decoded,
     brute_context_stats,
     brute_continuation,
     brute_ngrams,
     PARITY_CASES,
     TABLES,
+    code_width,
+    decoded,
     encode,
     fold_out_tables,
     narrowest,
