@@ -79,18 +79,17 @@ deltas are built; and the stat deltas are tallied over the (type, fold)
 pairs of tag-F contexts alone, the only ones stored.
 
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
-a ``CountView`` and written to disk in one form, binary file format 5
+a ``CountView`` and written to disk in one form, binary file format 6
 (``CountTable.save`` and ``load``): ``MXCT``; version and order (u32);
 vocabulary size and token count (u64); the vocabulary's ``fingerprint`` as
-a u32 length and ASCII bytes; per order only what counting produced,
-ctx_codes, type_keys and the decoded type counts, each as its byte width W
-(u32), its element count (u64) and W-byte values at the narrowest width of
-its own values (``_narrow``); then a CRC32 of every byte after the magic, all
-little-endian.  Loading widens the keys to the store's width and codes the
-counts and derives the stats and continuation arrays with ``_derive``, the
-code that ends counting.  A file that is cut short, has trailing bytes,
-fails its checksum, is malformed, has a W other than 1, 2, 4 or 8, or an
-array wider than its values need raises ``CountError``, and so does text
+a u32 length and ASCII bytes; per order what counting produced, as the
+store holds it (ctx_codes, type_keys, type_counts and count_table), each as
+its byte width W (u32), its element count (u64) and W-byte values, unsigned
+for the codes; then a CRC32 of every byte after the magic, all
+little-endian.  Loading checks the arrays and derives the rest with
+``_derive``, the code that ends counting.  A file that is cut short, has
+trailing bytes, fails its checksum, is malformed or holds an array at
+another width than a build gives it raises ``CountError``, and so does text
 encoded with a vocabulary whose fingerprint is not the table's.
 """
 
@@ -108,10 +107,9 @@ import numpy as np
 from .corpus import EncodedCorpus
 
 _BIN_MAGIC = b"MXCT"
-_BIN_VERSION = 5
+_BIN_VERSION = 6
 _HEADER = struct.Struct("<IIQQ")
 _ARRAY = struct.Struct("<IQ")  # byte width and element count of one array
-_VALUE_TYPES = [np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)]
 
 
 class CountError(ValueError):
@@ -120,15 +118,15 @@ class CountError(ValueError):
 
 @dataclass
 class _OrderData:
-    """Arrays for one n-gram order (contexts of length order-1).  The keys
-    and the tables have the store's width; each value array is the codes
-    of its entries in the table after it (``_coded``)."""
+    """Arrays for one n-gram order (contexts of length order-1), the first four
+    as a count file holds them.  The keys and the tables have the store's
+    width; each value array is codes into the table after it (``_coded``)."""
 
     ctx_codes: np.ndarray  # sorted context codes
     type_keys: np.ndarray  # sorted rank * B + word
-    type_counts: np.ndarray  # the counts themselves until ``_derive`` codes them
+    type_counts: np.ndarray  # codes into count_table
+    count_table: np.ndarray  # the distinct counts, strictly increasing from 1
     # derived from the arrays above by ``_derive``
-    count_table: np.ndarray | None = None
     stats: np.ndarray | None = None  # n_ctx + 1 codes: the last, rank -1's, of a zero row
     stat_table: np.ndarray | None = None  # distinct (total, n1, n2, n3p) rows
     # continuation counts of the same types, aligned with type_keys, and their
@@ -144,8 +142,8 @@ class _FoldData:
     """Per-order fold tags and fold-exclusion deltas (module docstring): a
     value without the fold is 0 where its tag names the fold, the full value
     where it names another, and the full value less the delta where it is F.
-    The keys and the tables have the store's width, the tags their narrowest
-    width, and each delta array is coded like the table's values."""
+    The keys and the tables have the store's width, the tags the unsigned
+    width of F, and each delta array is coded like the table's values."""
 
     type_tags: np.ndarray  # per type: the one fold it occurs in, or F for two or more
     type_keys: np.ndarray  # type_index * F + fold, for each fold a tag-F type occurs in
@@ -196,8 +194,7 @@ class CountTable:
         parts = [_HEADER.pack(_BIN_VERSION, self.order, self.vocab_size, self.token_count),
                  struct.pack("<I", len(fp)), fp]
         for od in self.orders[1:]:
-            for arr in (od.ctx_codes, od.type_keys, np.take(od.count_table, od.type_counts)):
-                arr = _narrow(arr)
+            for arr in (od.ctx_codes, od.type_keys, od.type_counts, od.count_table):
                 parts += [_ARRAY.pack(arr.itemsize, arr.size),
                           np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()]
         body = b"".join(parts)
@@ -218,15 +215,12 @@ class CountTable:
             pos += size
             return data[pos - size:pos]
 
-        def read_arr(n: int) -> np.ndarray:
-            """One array as a writable copy, at the width its file gives it."""
+        def read_arr(sign: str) -> np.ndarray:
+            """One array as a writable copy at its file's width, "u" or "i"."""
             width, size = _ARRAY.unpack(read(_ARRAY.size))
             if width not in (1, 2, 4, 8):
                 raise CountError(f"unsupported count-table width {width}")
-            arr = np.frombuffer(read(size * width), dtype=f"<i{width}").astype(f"=i{width}")
-            if _narrow(arr).dtype != arr.dtype:
-                raise CountError(f"an order-{n} array of width {width} is wider than its values")
-            return arr
+            return np.frombuffer(read(size * width), f"<{sign}{width}").astype(f"{sign}{width}")
 
         if data[:4] != _BIN_MAGIC:
             raise CountError("not a count-table file")
@@ -245,41 +239,45 @@ class CountTable:
 
         orders: list = [None]
         for n in range(1, order + 1):
-            ctx_codes, keys, counts = read_arr(n), read_arr(n), read_arr(n)
-            if len(keys) != len(counts):
+            od = _OrderData(read_arr("i"), read_arr("i"), read_arr("u"), read_arr("i"))
+            if len(od.type_keys) != len(od.type_counts):
                 raise CountError(f"order-{n} arrays disagree in length")
-            orders.append(_OrderData(ctx_codes, keys, counts))
+            orders.append(od)
         if pos != end:
             raise CountError("trailing bytes after the last array")
         del data  # the arrays are copies: free the file's bytes before deriving
-        width = _width(len(orders[-1].ctx_codes), vocab_size + 1, token_count)
-        for n, od in enumerate(orders[1:], 1):
-            # keys that need more than the store's width lie past its bounds
-            if max(od.ctx_codes.itemsize, od.type_keys.itemsize) > width.itemsize:
-                raise CountError(f"order-{n} keys are out of order or range")
-            od.ctx_codes = od.ctx_codes.astype(width, copy=False)
-            od.type_keys = od.type_keys.astype(width, copy=False)
         _check_arrays(orders, vocab_size + 1, token_count)
         _derive(orders, vocab_size + 1)
         return cls(order, int(vocab_size), orders, int(token_count), fingerprint)
 
 
 def _check_arrays(orders: list, base: int, token_count: int) -> None:
-    """Reject loaded keys out of order, naming no context or the bos id J as a
-    word, an order 1 with any context but the empty one, and counts below 1 or
-    not summing to the token count: binary searches and ``_derive`` trust them."""
+    """Reject loaded arrays at other widths than a build gives them, keys out
+    of order, naming no context or the bos id J as a word, an order 1 with
+    any context but the empty one, and counts that are not codes of every
+    entry of a table strictly increasing from 1 or miss the token count:
+    binary searches and ``_derive`` trust them."""
+    width = _width(len(orders[-1].ctx_codes), base, token_count)
     if orders[1].ctx_codes.tolist() != [0]:
         raise CountError("order-1 keys must be the empty context alone")
     n_prev = 1
     for n, od in enumerate(orders[1:], 1):
+        table, codes = od.count_table, od.type_counts
+        got = [a.itemsize for a in (od.ctx_codes, od.type_keys, codes, table)]
+        want = [width.itemsize] * 2 + [_code_type(len(table)).itemsize, width.itemsize]
+        if got != want:
+            raise CountError(f"order-{n} arrays have widths {got}, not {want}")
         for keys, n_groups in ((od.ctx_codes, n_prev), (od.type_keys, len(od.ctx_codes))):
             if len(keys) and not (keys[0] >= 0 and keys[-1] // base < n_groups
                                   and (keys[1:] > keys[:-1]).all()):
                 raise CountError(f"order-{n} keys are out of order or range")
         if not (od.type_keys % base < base - 1).all():
             raise CountError(f"order-{n} keys name the bos id as a word")
-        if not ((od.type_counts >= 1).all() and od.type_counts.sum() == token_count):
-            raise CountError(f"order-{n} counts are below 1 or miss the token count")
+        uses = np.bincount(codes, minlength=len(table))
+        if not (len(uses) == len(table) and uses.all() and (np.diff(table, prepend=0) > 0).all()
+                and uses @ table == token_count):
+            raise CountError(f"order-{n} counts are not codes of each entry of a table "
+                             "increasing from 1, or miss the token count")
         n_prev = len(od.ctx_codes)
 
 
@@ -292,39 +290,31 @@ def _width(top_contexts: int, base: int, token_count: int, folds: int = 1) -> np
                     else np.int64)
 
 
-def _narrow(arr: np.ndarray) -> np.ndarray:
-    """``arr`` at the narrowest of int8, int16, int32 and int64 that holds its
-    minimum and maximum; ``arr`` itself when it has that width already.  It
-    sizes each array of a count file and the fold tags."""
-    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
-    return arr.astype(next(t for t in _VALUE_TYPES
-                           if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max), copy=False)
+def _code_type(n: int) -> np.dtype:
+    """The narrowest unsigned type of the codes into a table of ``n`` entries."""
+    return np.min_scalar_type(max(n - 1, 0))
 
 
-def _unique(keys: np.ndarray, few: bool = False):
+def _unique(keys: np.ndarray):
     """``np.unique(keys, return_inverse=True)`` of non-negative integer keys
     without its argsort: keys up to 4 times their number are looked up in a
-    table of the ones present; larger ones are sorted alone and searched
-    among the distinct ones when ``few`` are expected, or else sorted once as
+    table of the ones present; larger ones are sorted once as
     ``key << b | position``, and ``np.unique`` takes those past 63 bits."""
     m, top = len(keys), int(keys.max()) if len(keys) else 0
     if top <= 4 * m:
         seen = np.zeros(top + 1, dtype=bool)
         seen[keys] = True
         return np.flatnonzero(seen).astype(keys.dtype), np.take(np.cumsum(seen) - 1, keys)
-    b = 0 if few else (m - 1).bit_length()
+    b = (m - 1).bit_length()
     if top.bit_length() + b > 63:
         return np.unique(keys, return_inverse=True)
-    packed = np.sort(keys.astype(np.int64) << b | np.arange(m) if b else keys)
+    packed = np.sort(keys.astype(np.int64) << b | np.arange(m))
     new, key = np.empty(m, dtype=bool), packed >> b
     new[0] = True
     np.not_equal(key[1:], key[:-1], out=new[1:])
-    distinct = key[new].astype(keys.dtype)
-    if not b:  # one key, or few distinct ones
-        return distinct, np.searchsorted(distinct, keys)
     inverse = np.empty(m, dtype=np.intp)
     inverse[packed & ((1 << b) - 1)] = np.cumsum(new) - 1
-    return distinct, inverse
+    return key[new].astype(keys.dtype), inverse
 
 
 def _coded(values: np.ndarray, width: np.dtype):
@@ -343,12 +333,12 @@ def _coded(values: np.ndarray, width: np.dtype):
         for c, lo, b in zip(cols[1:], los[1:], bits[1:]):
             key = np.left_shift(key, b, dtype=np.int64)
             key |= np.subtract(c, lo, dtype=np.int64) if lo else c
-        key, inverse = _unique(key, few=True)
+        key, inverse = _unique(key)
         table = np.empty((len(key), len(cols)), dtype=width)
         for j in reversed(range(len(cols))):  # the last column sits in the low bits
             table[:, j] = (key & ((1 << bits[j]) - 1)) + los[j]
             key >>= bits[j]
-    codes = inverse.reshape(-1).astype(np.min_scalar_type(max(len(table) - 1, 0)))
+    codes = inverse.reshape(-1).astype(_code_type(len(table)))
     return codes, table.astype(width, copy=False).reshape(-1, *values.shape[1:])
 
 
@@ -367,7 +357,7 @@ def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int) -> np.ndarray:
 def _derive(orders: list, base: int) -> None:
     """Fill in every order's stats and, below the top order, its continuation
     arrays from the order-(n+1) raw types, reading only ctx_codes, type_keys
-    and the uncoded type_counts; counting and loading both end here.  The
+    and the coded type counts; counting and loading both end here.  The
     continuation types are the raw ones (module docstring), so their counts
     align with ``type_keys``; types that break this raise.  No type is mapped
     to its suffix type's index (the fold deltas read the ones they need off
@@ -377,9 +367,8 @@ def _derive(orders: list, base: int) -> None:
     # each type's context rank and word, read by its own order and the one below
     split = [None] + [np.divmod(od.type_keys, base) for od in orders[1:]]
     for od, (groups, _) in zip(orders[1:], split[1:]):
-        od.stats, od.stat_table = _coded(_tally(groups, od.type_counts, len(od.ctx_codes) + 1),
-                                         width)
-        od.type_counts, od.count_table = _coded(od.type_counts, width)
+        counts = np.take(od.count_table, od.type_counts)
+        od.stats, od.stat_table = _coded(_tally(groups, counts, len(od.ctx_codes) + 1), width)
     for n in range(1, len(orders) - 1):
         hi, od = orders[n + 1], orders[n]
         # each order-(n+1) type's suffix type: its context's suffix rank, then its word
@@ -400,11 +389,11 @@ def _stat_deltas(inv: np.ndarray, n_keys: int, full: np.ndarray, drop: np.ndarra
 
 
 def _tags(ids: np.ndarray, folds: np.ndarray, size: int, n_folds: int):
-    """One tag per id in 0..size-1 of sorted (id, fold) pairs: the fold of an
-    id found in one fold only, ``n_folds`` for an id found in two or more,
-    and 0 for an id in no pair; and the mask of the pairs of tag-F ids."""
+    """One unsigned tag per id in 0..size-1 of sorted (id, fold) pairs: the
+    fold of an id found in one fold only, ``n_folds`` for an id found in two
+    or more, and 0 for an id in no pair; and the mask of the pairs of tag-F ids."""
     multi = np.bincount(ids, minlength=size)[ids] > 1
-    tags = np.zeros(size, dtype=folds.dtype)
+    tags = np.zeros(size, dtype=np.min_scalar_type(n_folds))
     tags[ids] = np.where(multi, n_folds, folds)
     return tags, multi
 
@@ -455,8 +444,8 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
     width = _width(len(ctx_codes), base, T, F)
     fold_of_t = None if folds is None else (sent_of % folds).astype(width)
     del stream, targets, words, rank, sent_of, codes  # every order is counted
-    orders = [None] + [_OrderData(*(a.astype(width, copy=False) for a in arrays))
-                       for arrays in built]
+    orders = [None] + [_OrderData(ctx.astype(width, copy=False), keys.astype(width, copy=False),
+                                  *_coded(counts, width)) for ctx, keys, counts in built]
     _derive(orders, base)
     table = CountTable(order, corpus.vocab.size, orders, T, corpus.vocab.fingerprint)
     if folds is None:
@@ -483,7 +472,7 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
         ti, inv = ti[kept], (np.cumsum(ctx_multi) - 1)[inv[kept]]
         stat_keys = stat_keys[ctx_multi]
         fd = fold_data[n] = _FoldData(
-            _narrow(type_tags), keys[multi], *_coded(counts[multi], width), _narrow(stat_tags),
+            type_tags, keys[multi], *_coded(counts[multi], width), stat_tags,
             stat_keys, *_coded(_stat_deltas(inv, len(stat_keys), od.count_table[od.type_counts[ti]],
                                             counts[kept]), width))
         if excl is not None:

@@ -160,19 +160,18 @@ def store_width(table, n_folds=1):
 
 KEYS = ("ctx_codes", "type_keys", "stat_keys")
 # each coded value array of a store and the table its codes index; the fold
-# tags are the only other arrays, and they take their narrowest width
+# tags are the only other arrays, and they take the unsigned width of F
 TABLES = {"type_counts": "count_table", "stats": "stat_table",
           "cont_type_counts": "cont_count_table", "cont_stats": "cont_stat_table",
           "stat_deltas": "delta_table", "cont_stat_deltas": "cont_delta_table"}
 
 
-def narrowest(arr):
-    """The narrowest of int8, int16, int32 and int64 that holds the minimum
-    and maximum of ``arr`` (int8 when it is empty): the width of each fold
-    tag array and of each array in a count file."""
-    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
-    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
-                if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+def tag_width(n_folds):
+    """The width of each fold tag array of a store with ``n_folds`` folds,
+    whose largest tag is F = ``n_folds``: uint8 up to 255 folds, uint16 up
+    to 65,535 and uint32 beyond."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32)
+                if n_folds <= np.iinfo(t).max)
 
 
 def code_width(table):
@@ -189,16 +188,16 @@ def decoded(holder, name):
     return None if codes is None else getattr(holder, TABLES[name])[codes]
 
 
-def _assert_width(holder, width, where):
+def _assert_width(holder, width, where, n_folds=None):
     """Every key array and table of ``holder`` has the store's ``width``,
     every code array the width its table's length selects, and every tag
-    array the narrowest width of its own values.  Each table holds its
-    sorted distinct values (rows), every one of them indexed by a code."""
+    array the width of ``n_folds``.  Each table holds its sorted distinct
+    values (rows), every one of them indexed by a code."""
     for name, arr in vars(holder).items():
         if arr is not None:
             table = getattr(holder, TABLES[name]) if name in TABLES else None
             want = (code_width(table) if table is not None else
-                    width if name in KEYS or name in TABLES.values() else narrowest(arr))
+                    width if name in KEYS or name in TABLES.values() else tag_width(n_folds))
             assert arr.dtype == want, f"{where} {name}: {arr.dtype}, not {want}"
             if table is not None:
                 np.testing.assert_array_equal(table, np.unique(table, axis=0),
@@ -233,9 +232,9 @@ def assert_store_invariants(table, folded=None, corpus=None):
 
     Every key array, table and the fold assignment have the store's width,
     every code array the width its table selects, each table holds its
-    sorted distinct entries, every fold tag array the narrowest width of
-    its own values (values read through the tables below), keys are strictly
-    sorted, type counts are at least 1, each stats array equals a re-tally
+    sorted distinct entries, every fold tag array the unsigned width of F
+    (values read through the tables below), keys are strictly sorted,
+    type counts are at least 1, each stats array equals a re-tally
     of its type arrays plus one all-zero last row for rank -1, the raw
     totals of every order sum to the token count, the continuation counts
     are aligned with the raw type keys, and so are the continuation fold
@@ -279,7 +278,7 @@ def assert_store_invariants(table, folded=None, corpus=None):
     recount = fold_sets(table, corpus, F)
     for n in range(1, table.order + 1):
         od, fd = table.orders[n], folded.fold_data[n]
-        _assert_width(fd, width, f"order {n} folds")
+        _assert_width(fd, width, f"order {n} folds", F)
         for tags, keys, sets, what in ((fd.type_tags, fd.type_keys, recount[n][0], "types"),
                                        (fd.stat_tags, fd.stat_keys, recount[n][1], "contexts")):
             where = f"order {n} fold {what}"

@@ -31,16 +31,22 @@ from helpers import (
     decoded,
     encode,
     fold_out_tables,
-    narrowest,
     parity_corpora,
     parity_id,
     store_width,
     synthetic_lines,
+    tag_width,
     toy_corpus,
 )
 
 
 FINGERPRINT_AT = 32  # magic and header, then the fingerprint's u32 length
+# the bytes format 5 wrote for accumulate(encode(["a b a", "a c"]), 2)
+FORMAT_5_FILE = (
+    "4d584354050000000200000005000000000000000700000000000000100000006639346362333362"
+    "313033323937633201000000010000000000000000010000000400000000000000000203040100"
+    "000004000000000000000203010101000000040000000000000002030405010000000600000000"
+    "000000000304080c14010000000600000000000000010101010102ace47e32")
 
 
 def sealed(data):
@@ -96,11 +102,10 @@ def rewritten(data, at, values, width):
 
 
 def all_int64(monkeypatch, build):
-    """What ``build`` returns when every array is int64, keys and values, as
-    in a table past 2**31 whose every value array needs eight bytes."""
+    """What ``build`` returns when every key array and table is int64, as in
+    a table past 2**31; the codes keep the widths their tables select."""
     with monkeypatch.context() as m:
         m.setattr(mcounts, "_width", lambda *bounds: np.dtype(np.int64))
-        m.setattr(mcounts, "_narrow", lambda arr: arr.astype(np.int64))
         return build()
 
 
@@ -614,6 +619,19 @@ class TestRankChainHit:
         for ctx in ((2.7, 3.2), (float(self.ctx[1]),), (self.ctx[0], 0.5)):
             with pytest.raises(CountError, match="context ids must be integers"):
                 self.view.rank_chain(form(ctx))
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="ROADMAP item 17: a hit compares ids with the kept context "
+                              "by value before converting any, so integral floats pass")
+    def test_integral_float_on_a_hit_rejected(self):
+        """After a chain for (a, b), the same context as floats raises, as it
+        does on a fresh view."""
+        floats = tuple(map(float, self.ctx))
+        with pytest.raises(CountError, match="context ids must be integers"):
+            CountView(self.table).rank_chain(floats)
+        self.view.rank_chain(self.ctx)
+        with pytest.raises(CountError, match="context ids must be integers"):
+            self.view.rank_chain(floats)
 
     @FORMS
     def test_out_of_range_id_on_a_miss_rejected(self, form):
@@ -1227,33 +1245,35 @@ class TestSerialization:
         the store's width, written at the width it needs."""
         table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
         data = saved(table, tmp_path)
-        at = first_array_at(data) + 13  # order 1's type keys, after its one-byte context
+        at = first_array_at(data) + 16  # order 1's type keys, after its int32 context
         width, _ = struct.unpack_from("<IQ", data, at)
-        assert width == 1
-        first, second = slice(at + 12, at + 13), slice(at + 13, at + 14)
+        assert width == 4
+        first, second = slice(at + 12, at + 16), slice(at + 16, at + 20)
         oversized = bytearray(data)
-        oversized[first] = struct.pack("<b", 127)
+        oversized[first] = struct.pack("<i", 2**31 - 1)
         swapped = bytearray(data)
         swapped[first], swapped[second] = data[second], data[first]
-        keys = table.orders[1].type_keys.astype(np.int64)
-        keys[-1] = 2**31
-        for bad in (sealed(bytes(oversized)), sealed(bytes(swapped)),
-                    rewritten(data, at, keys, 8)):
+        for bad in (sealed(bytes(oversized)), sealed(bytes(swapped))):
             with pytest.raises(CountError, match="order-1 keys"):
                 loaded(bad, tmp_path)
+        keys = table.orders[1].type_keys.astype(np.int64)
+        keys[-1] = 2**31
+        with pytest.raises(CountError, match=r"order-1 arrays have widths \[4, 8, 1, 4\]"):
+            loaded(rewritten(data, at, keys, 8), tmp_path)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("version", 3, "version 3"), ("width", 0, "width 0"), ("width", 2, "width 2"),
-        ("width", 16, "width 16")], ids=["version-3", "width-0", "width-2", "width-16"])
+        ("version", 3, "version 3"), ("width", 0, "width 0"),
+        ("width", 2, r"widths \[2, 4, 1, 4\], not \[4, 4, 1, 4\]"), ("width", 16, "width 16")],
+        ids=["version-3", "width-0", "width-2", "width-16"])
     def test_rejects_other_version_or_width_behind_checksum(self, field, value, message,
                                                             tmp_path):
-        """A version other than 5, a width field other than 1, 2, 4 or 8, and
-        an array wider than its values (order 1's one context, 0, at two
-        bytes) do not load."""
+        """A version other than 6, a width field other than 1, 2, 4 or 8, and
+        an array at another width than the store's (order 1's one context,
+        0, at two bytes) do not load."""
         data = saved(self.table, tmp_path)
         at = first_array_at(data)
-        assert struct.unpack_from("<II", data, 4) == (5, 3)
-        assert struct.unpack_from("<IQb", data, at) == (1, 1, 0)
+        assert struct.unpack_from("<II", data, 4) == (6, 3)
+        assert struct.unpack_from("<IQi", data, at) == (4, 1, 0)
         if field == "version":
             bad = sealed(data[:4] + struct.pack("<I", value) + data[8:])
         elif value == 2:
@@ -1264,13 +1284,73 @@ class TestSerialization:
             loaded(bad, tmp_path)
 
     def test_rejects_width_its_bounds_do_not_select(self, monkeypatch, tmp_path):
-        """A small table written with every array at width 8 behind a valid
-        checksum: each array must have the narrowest width of its own values,
-        so a file reads back at the widths a build gives."""
-        data = all_int64(monkeypatch, lambda: saved(self.table, tmp_path))
+        """A small table written with every key array and table at width 8
+        behind a valid checksum: each array must have the width a build of
+        that table gives it, so a file reads back at those widths."""
+        data = all_int64(monkeypatch, lambda: saved(accumulate(self.corpus, 3), tmp_path))
         assert struct.unpack_from("<I", data, first_array_at(data)) == (8,)
-        with pytest.raises(CountError, match="width 8 is wider than its values"):
+        with pytest.raises(CountError, match=r"order-1 arrays have widths \[8, 8, 1, 8\], "
+                                             r"not \[4, 4, 1, 4\]"):
             loaded(data, tmp_path)
+
+    def test_rejects_a_format_5_file(self, tmp_path):
+        """A format-5 file, which held each order's decoded counts at the
+        narrowest width of their values, is refused by its version although
+        its checksum holds.  The bytes are those format 5 wrote for the
+        order-2 table of "a b a / a c"."""
+        data = bytes.fromhex(FORMAT_5_FILE)
+        assert data == sealed(data) and struct.unpack_from("<II", data, 4) == (5, 2)
+        fingerprint = encode(["a b a", "a c"]).vocab.fingerprint.encode("ascii")
+        assert data[FINGERPRINT_AT:first_array_at(data)] == fingerprint
+        with pytest.raises(CountError, match="unsupported count-table version 5"):
+            loaded(data, tmp_path)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["int32", "int64"])
+    def test_round_trip_keeps_values_and_widths(self, monkeypatch, tmp_path, wide):
+        """A loaded table holds every array of the saved one at its value and
+        dtype, at int32 and for a table whose key arrays and tables are all
+        int64; the file holds each counted array at the store's width."""
+        table = all_int64(monkeypatch, lambda: accumulate(self.corpus, 3)) if wide else self.table
+        data = saved(table, tmp_path)
+        got = (all_int64(monkeypatch, lambda: loaded(data, tmp_path)) if wide
+               else loaded(data, tmp_path))
+        assert {d for w in widths(got) for name, d in w.items() if name not in TABLES} == {
+            np.dtype(np.int64 if wide else np.int32)}
+        assert widths(got) == widths(table)
+        assert_tables_equal(table, got)
+        assert file_widths(data) == [
+            a.itemsize for od in table.orders[1:]
+            for a in (od.ctx_codes, od.type_keys, od.type_counts, od.count_table)]
+
+    @pytest.mark.parametrize("damage", [
+        "code past its table", "entry left out", "table out of order", "equal entries",
+        "codes wider than their table needs"])
+    def test_rejects_count_codes_that_do_not_fit_their_table(self, damage, tmp_path):
+        """``save`` seals whatever codes and table an order holds; ``load``
+        takes only codes of the narrowest unsigned width that index every
+        entry of a table strictly increasing from 1.  Each damage but the
+        first keeps the decoded counts, so their sum still holds."""
+        table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
+        od = table.orders[2]
+        counts, codes = decoded(od, "type_counts"), od.type_counts
+        assert len(od.count_table) >= 2 and np.bincount(codes)[0] >= 2
+        if damage == "code past its table":  # one of two types of count 1 moves past the end
+            codes[np.flatnonzero(codes == 0)[0]] = len(od.count_table)
+        elif damage == "entry left out":
+            od.count_table = np.append(od.count_table, od.count_table[-1] + 1)
+        elif damage == "table out of order":
+            od.count_table[[0, 1]] = od.count_table[[1, 0]]
+            od.type_counts = np.where(codes < 2, codes ^ 1, codes)
+        elif damage == "equal entries":  # one of two types of count 1 reads a second 1
+            od.count_table = np.insert(od.count_table, 0, od.count_table[0])
+            od.type_counts = codes + 1
+            od.type_counts[np.flatnonzero(codes == 0)[0]] = 0
+        else:
+            od.type_counts = codes.astype(np.uint16)
+        if damage != "code past its table":
+            np.testing.assert_array_equal(decoded(od, "type_counts"), counts)
+        with pytest.raises(CountError, match="order-2 (counts are not codes|arrays have widths)"):
+            loaded(saved(table, tmp_path), tmp_path)
 
     @pytest.mark.parametrize("damage", [
         "contexts unsorted", "suffix rank past the shorter contexts", "key past the contexts",
@@ -1319,12 +1399,11 @@ class TestSerialization:
                 assert value is None or type(value) is np.ndarray, (type(holder), name)
 
     def test_saved_file_is_pinned(self, tmp_path):
-        """The file of a fixed small corpus, counted to order 4, has the
-        SHA-256 it had while the store kept its values uncoded: the codes
-        change no byte of format 5."""
+        """The format-6 file of a fixed small corpus, counted to order 4, has
+        a pinned SHA-256: a change to any byte a build writes fails here."""
         table = accumulate(encode(synthetic_lines(60, n_words=11, seed=4)), 4)
         assert hashlib.sha256(saved(table, tmp_path)).hexdigest() == (
-            "1d1cd93c1dd49358abf02c7817ea94f0497087e8bba585edc4bb115a9618788e")
+            "c4538da67e156f19e2cf7c8807dfa5e23e4dd7d73b4a6f8d8fda0ba422d56165")
 
     def test_store_arrays_are_direct_attributes(self, tmp_path):
         """The benchmark counts store bytes (``bench/pipeline.store_bytes``)
@@ -1403,9 +1482,6 @@ class TestCoded:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w.reshape(-1))
         assert got[0].dtype == keys.dtype
-        few = mcounts._unique(keys, few=True)
-        for g, w in zip(few, got):
-            np.testing.assert_array_equal(g, w)
 
     @pytest.mark.parametrize("n_distinct, want", [
         (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
@@ -1488,24 +1564,33 @@ class TestCoded:
             sys.path.pop(0)
         lines = inputs.generate(run.SHAPE, 1, run.FOLDS).train
         corpus = encode(lines, max_size=run.SHAPE.vocab_cap)
-        unique, calls = mcounts._unique, []
+        unique, coded, calls, coding = mcounts._unique, mcounts._coded, [], []
 
-        def checked(keys, few=False):
-            got = unique(keys, few)
-            calls.append(few)
+        def checked(keys):
+            got = unique(keys)
+            calls.append(bool(coding))
             want = np.unique(keys, return_inverse=True)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
             return got
 
+        def recorded(values, width):
+            coding.append(True)
+            try:
+                return coded(values, width)
+            finally:
+                coding.pop()
+
         monkeypatch.setattr(mcounts, "_unique", checked)
+        monkeypatch.setattr(mcounts, "_coded", recorded)
         accumulate(corpus, 5)
         assert calls.count(False) == 4  # the contexts of orders 2 to 5
         assert calls.count(True) == 18  # the counts and stats of each kind
 
 
 class TestWidth:
-    """One integer width per store for its keys, chosen from its bounds
-    alone, and for each value array the narrowest width of its own values."""
+    """One integer width per store for its keys and tables, chosen from its
+    bounds alone, for each code array the width its table's length selects,
+    and for the fold tags the width F selects."""
 
     def test_width_at_the_bound(self):
         """int32 at a bound of 2**31 - 1 and int64 at 2**31, from each of the
@@ -1522,31 +1607,31 @@ class TestWidth:
             table = SimpleNamespace(orders=orders, base=base, token_count=tokens)
             assert store_width(table, folds) == want
 
-    def test_fold_value_width_at_the_bound(self):
-        """A value array, fold values included, takes the narrowest width
-        that holds its minimum and maximum, at each bound of each width and
-        without building a large table; one already at that width is kept."""
-        for t, wider in ((np.int8, np.int16), (np.int16, np.int32), (np.int32, np.int64)):
-            info = np.iinfo(t)
-            for lo, hi, want in ((0, info.max, t), (0, info.max + 1, wider),
-                                 (info.min, 0, t), (info.min - 1, 0, wider)):
-                arr = np.array([lo, 1, hi], dtype=np.int64)
-                got = mcounts._narrow(arr)
-                assert got.dtype == want == narrowest(arr), (lo, hi)
-                np.testing.assert_array_equal(got, arr)
-                assert mcounts._narrow(got) is got
-        assert mcounts._narrow(np.array([2**40], dtype=np.int64)).dtype == np.int64
+    def test_fold_tag_width_at_the_bound(self):
+        """The fold tags take the narrowest unsigned width that holds F, at
+        each bound of each width and without building a large table: an id
+        found in two folds is tagged F, one found in the last fold alone
+        that fold, and one in no pair 0."""
+        for t, wider in ((np.uint8, np.uint16), (np.uint16, np.uint32)):
+            top = int(np.iinfo(t).max)
+            for n_folds, want in ((top, t), (top + 1, wider)):
+                ids = np.array([0, 0, 1], dtype=np.int64)
+                folds = np.array([0, n_folds - 1, n_folds - 1], dtype=np.int64)
+                tags, multi = mcounts._tags(ids, folds, 3, n_folds)
+                assert tags.dtype == want == tag_width(n_folds), n_folds
+                assert tags.tolist() == [n_folds, n_folds - 1, 0], n_folds
+                assert multi.tolist() == [True, True, False], n_folds
 
     @pytest.mark.parametrize("count", [127, 128, 2**15 - 1, 2**15])
-    def test_built_store_narrows_each_value_array_at_the_bound(self, count, tmp_path):
-        """A type count and a stats total of 127 and 128 (int8 to int16 in a
-        file), and of 2**15 - 1 and 2**15 (int16 to int32): the word "a"
-        repeated ``count`` times counts ``count`` at order 1, and its context
-        "a" has ``count`` successors at order 2.  In the store each is a
-        table entry at the store's width, whatever its size, and its code is
-        uint8; a file reads back at the same widths."""
+    def test_built_store_codes_each_value_array_at_the_bound(self, count, tmp_path):
+        """A type count and a stats total of 127 and 128 (the int8 bound),
+        and of 2**15 - 1 and 2**15 (the int16 bound): the word "a" repeated
+        ``count`` times counts ``count`` at order 1, and its context "a" has
+        ``count`` successors at order 2.  In the store each is a table entry
+        at the store's width, whatever its size, and its code is uint8; a
+        file holds every counted array at its store width and reads back at
+        the same widths."""
         table = accumulate(encode([" ".join(["a"] * count)]), 2)
-        want = 1 if count < 2**7 else 2 if count < 2**15 else 4
         assert decoded(table.orders[1], "type_counts").max() == count
         assert decoded(table.orders[2], "stats")[:, 0].max() == count
         assert table.orders[1].count_table.dtype == table.orders[2].stat_table.dtype == np.int32
@@ -1555,7 +1640,7 @@ class TestWidth:
         assert_store_invariants(table)
         path = str(tmp_path / "counts.bin")
         table.save(path)
-        assert file_widths(Path(path).read_bytes())[2] == want  # order 1's counts
+        assert file_widths(Path(path).read_bytes()) == [4, 4, 1, 4] * 2
         loaded = CountTable.load(path)
         assert widths(loaded) == widths(table)
         assert_tables_equal(table, loaded)
@@ -1580,15 +1665,15 @@ class TestWidth:
                 assert arr is None or name not in TABLES or arr.dtype == code_width(
                     getattr(fd, TABLES[name])), name
 
-    def test_fold_tags_wider_than_int8(self):
-        """With 130 folds the tag F does not fit int8: every tag array takes
-        int16, and leaving out each fold, 127 and 128 among them, equals a
+    def test_fold_tags_wider_than_uint8(self):
+        """With 256 folds the tag F does not fit uint8: every tag array takes
+        uint16, and leaving out each fold, 254 and 255 among them, equals a
         recount."""
-        corpus = encode(synthetic_lines(130, n_words=6, seed=9))
-        folded = cv_fold_counts(corpus, 3, folds=130)
+        corpus = encode(synthetic_lines(256, n_words=6, seed=9))
+        folded = cv_fold_counts(corpus, 3, folds=256)
         assert_store_invariants(folded.table, folded, corpus)
         for fd in folded.fold_data[1:]:
-            assert fd.type_tags.dtype == fd.stat_tags.dtype == np.int16
+            assert fd.type_tags.dtype == fd.stat_tags.dtype == np.uint16
         assert_left_out_equals_recount(folded, corpus, [corpus])
 
     def test_order_without_tag_f_types_keeps_empty_fold_arrays(self):
@@ -1631,8 +1716,8 @@ class TestWidth:
         """Every scalar and bulk query, with and without folds, and the
         smoothed rows and features built on them, read the same from an int32
         store with narrow value arrays and from one whose every array is
-        int64 but its codes; each returns arrays at its own store's width,
-        and both write one file."""
+        int64 but its codes and tags; each returns arrays at its own store's
+        width, and the int64 store's file loads back at its widths."""
         corpus, held = parity_corpora(23)
         narrow = cv_fold_counts(corpus, 4, folds=3)
         wide = all_int64(monkeypatch, lambda: cv_fold_counts(corpus, 4, folds=3))
@@ -1640,15 +1725,19 @@ class TestWidth:
         assert np.dtype(np.uint8) in {d for w in widths(narrow.table) for d in w.values()}
         assert_store_invariants(narrow.table, narrow, corpus)
         holders = [*wide.table.orders[1:], *wide.fold_data[1:]]
+        narrowed = {*TABLES, "type_tags", "stat_tags"}  # codes and tags
         assert {a.dtype for h in holders for name, a in vars(h).items()
-                if a is not None and name not in TABLES} == {
+                if a is not None and name not in narrowed} == {
             np.dtype(np.int64)} == {wide.fold_assignment.dtype}
         for h, other in zip(holders, [*narrow.table.orders[1:], *narrow.fold_data[1:]]):
-            for name in TABLES.keys() & vars(h).keys():
+            for name in narrowed & vars(h).keys():
                 assert getattr(h, name) is None or getattr(h, name).dtype == getattr(
                     other, name).dtype, name
         assert_tables_equal(narrow.table, wide.table)
-        assert saved(narrow.table, tmp_path) == saved(wide.table, tmp_path)
+        data = saved(wide.table, tmp_path)
+        from_file = all_int64(monkeypatch, lambda: loaded(data, tmp_path))
+        assert widths(from_file) == widths(wide.table)
+        assert_tables_equal(narrow.table, from_file)
 
         def same(got, want):  # equal values, each at its own store's width
             assert got.dtype == np.int64 and want.dtype == np.int32
