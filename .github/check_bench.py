@@ -8,9 +8,10 @@ untraced run, and with ``--traced`` the per-layer metrics of a traced one.
 ``bench/run.py`` exits 0 even when a check fails, so CI reads each verdict here.
 No metric is bounded.  When ``GITHUB_STEP_SUMMARY`` names a file, an
 untraced run appends one line with each workload's ``store_bytes_per_token``,
-``peak_rss_mb``, ``query_us`` and ``train_tok_s`` at this seed to it, so that
-every run shows the size of its count stores, its memory high-water mark,
-and the speed of its scalar queries and of its training (or counting).
+``peak_rss_mb``, ``query_us``, ``train_tok_s`` and ``setup_s`` at this seed to
+it, so that every run shows the size of its count stores, its memory
+high-water mark, the speed of its scalar queries and of its training (or
+counting), and the time of its set-up (counting, and the file round trip).
 """
 
 import json
@@ -32,11 +33,12 @@ if summary and not traced:
         return f"{value:{spec}} {unit}" if isinstance(value, (int, float)) else f"{value}"
 
     with open(summary, "a") as fh:
-        fh.write(f"- seed {seed}, `store_bytes_per_token`, `peak_rss_mb`, `query_us` and "
-                 "`train_tok_s`: " + ", ".join(
+        fh.write(f"- seed {seed}, `store_bytes_per_token`, `peak_rss_mb`, `query_us`, "
+                 "`train_tok_s` and `setup_s`: " + ", ".join(
                      f"`{w}` {shown(w, 'store_bytes_per_token', 'B/token')}, "
                      f"{shown(w, 'peak_rss_mb', 'MB')}, {shown(w, 'query_us', 'us')}, "
-                     f"{shown(w, 'train_tok_s', 'tokens/s', ',.0f')}" for w in workloads) + "\n")
+                     f"{shown(w, 'train_tok_s', 'tokens/s', ',.0f')}, "
+                     f"{shown(w, 'setup_s', 's', '.4f')}" for w in workloads) + "\n")
 bad = []
 for workload in workloads:
     res = results.get(workload, {})

@@ -45,7 +45,8 @@ class Vocabulary:
     Ids 0..J-1 are predictable tokens (eos at 0, unk at 1, then words in
     descending frequency order).  The begin-of-sentence id is J and is only
     legal inside contexts.  ``fingerprint``, which a count table stores, is
-    the first 16 hex digits of the SHA-256 of the newline-joined words.
+    the first 16 hex digits of the SHA-256 of the newline-joined words, each
+    one whitespace-free token, so that two word lists never join alike.
     """
 
     id_to_word: list[str]
@@ -59,8 +60,13 @@ class Vocabulary:
         if self.id_to_word[:2] != [EOS, UNK]:
             raise CorpusError(f"a vocabulary starts with {EOS} and {UNK}")
         self.word_to_id = {w: i for i, w in enumerate(self.id_to_word)}
-        if len(self.word_to_id) != len(self.id_to_word) or "" in self.word_to_id:
-            raise CorpusError("duplicate or empty word in the vocabulary")
+        if len(self.word_to_id) != len(self.id_to_word):
+            raise CorpusError("duplicate word in the vocabulary")
+        # a word with whitespace (or none at all) is never a token of text, and
+        # would let two word lists join to the same fingerprint
+        bad = next((w for w in self.id_to_word if w.split() != [w]), None)
+        if bad is not None:
+            raise CorpusError(f"vocabulary word {bad!r} is not one whitespace-free token")
         self.id_of = _Ids({**self.word_to_id, BOS: self.unk_id}).__getitem__
         self.fingerprint = hashlib.sha256("\n".join(self.id_to_word).encode()).hexdigest()[:16]
 

@@ -66,31 +66,35 @@ and ranks through ``operator.index``, so a float raises.
 Counting is sorting (as in KenLM and Pauls & Klein 2011), and no sort
 computes an inverse that nothing reads.  Each order's context codes are
 sorted with their inverse by ``_unique``, since each position's context rank
-builds the next order's codes; its type keys are sorted with one only in
-``cv_fold_counts``, whose fold keys pair each position's type index with its
-fold.  ``_derive`` sorts each order's suffix keys for their counts alone:
-the continuation deltas read the (suffix type, fold) key of each
-order-(n+1) type found in one fold at one of its positions, and search for
-those keys in sorted order.  A build keeps no array past its last reader:
-the per-position corpus stream, targets, words, context ranks and sentence
-ids go once the top order is counted; each type inverse is kept at its
-order's key width, which holds inverse * F, and goes once its order's fold
-deltas are built; and the stat deltas are tallied over the (type, fold)
-pairs of tag-F contexts alone, the only ones stored.
+builds the next order's codes; only the top order's positions are sorted
+into types, with their inverse only in ``cv_fold_counts``, whose top-order
+fold keys pair each position's type index with its fold.  Every lower order
+follows from the one above, as in the estimator of Heafield et al. (2013):
+``_derive`` sorts the suffix keys of the order-(n+1) types with their
+inverse: the keys are the order-n types, and the inverse, each type's suffix
+index, sums their raw counts and counts their left extensions.  ``_derive``
+returns it, and through it the fold build maps each order's (type, fold)
+pairs and their counts onto the order below, and takes one left extension
+from the suffix pair of each type found in one fold.  A build keeps no array
+past its last reader: the per-position corpus stream, targets, words,
+context ranks, sentence ids and type inverse go once the top order's types
+and (type, fold) pairs are counted; and the stat deltas are tallied over the
+(type, fold) pairs of tag-F contexts alone, the only ones stored.
 
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
-a ``CountView`` and written to disk in one form, binary file format 6
+a ``CountView`` and written to disk in one form, binary file format 7
 (``CountTable.save`` and ``load``): ``MXCT``; version and order (u32);
 vocabulary size and token count (u64); the vocabulary's ``fingerprint`` as
-a u32 length and ASCII bytes; per order what counting produced, as the
-store holds it (ctx_codes, type_keys, type_counts and count_table), each as
-its byte width W (u32), its element count (u64) and W-byte values, unsigned
-for the codes; then a CRC32 of every byte after the magic, all
-little-endian.  Loading checks the arrays and derives the rest with
-``_derive``, the code that ends counting.  A file that is cut short, has
-trailing bytes, fails its checksum, is malformed or holds an array at
-another width than a build gives it raises ``CountError``, and so does text
-encoded with a vocabulary whose fingerprint is not the table's.
+a u32 length and ASCII bytes; the ctx_codes of every order, then the top
+order's type_keys, type_counts and count_table, as the store holds them,
+each as its byte width W (u32), its element count (u64) and W-byte values,
+unsigned for the codes; then a CRC32 of every byte after the magic, all
+little-endian.  The file keeps no array that can be derived from another:
+loading checks the arrays it holds and fills in the rest with ``_derive``,
+the code that ends counting.  A file that is cut short, has trailing bytes,
+fails its checksum, is malformed or holds an array at another width than a
+build gives it raises ``CountError``, and so does text encoded with a
+vocabulary whose fingerprint is not the table's.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ import numpy as np
 from .corpus import EncodedCorpus
 
 _BIN_MAGIC = b"MXCT"
-_BIN_VERSION = 6
+_BIN_VERSION = 7
 _HEADER = struct.Struct("<IIQQ")
 _ARRAY = struct.Struct("<IQ")  # byte width and element count of one array
 
@@ -118,15 +122,17 @@ class CountError(ValueError):
 
 @dataclass
 class _OrderData:
-    """Arrays for one n-gram order (contexts of length order-1), the first four
-    as a count file holds them.  The keys and the tables have the store's
-    width; each value array is codes into the table after it (``_coded``)."""
+    """Arrays for one n-gram order (contexts of length order-1).  Counting and
+    a count file give the contexts of every order and the next three arrays
+    of the top order alone; ``_derive`` fills in the rest, and the next three
+    of each lower order from the order above.  The keys and the tables have
+    the store's width; each value array is codes into the table after it
+    (``_coded``)."""
 
     ctx_codes: np.ndarray  # sorted context codes
-    type_keys: np.ndarray  # sorted rank * B + word
-    type_counts: np.ndarray  # codes into count_table
-    count_table: np.ndarray  # the distinct counts, strictly increasing from 1
-    # derived from the arrays above by ``_derive``
+    type_keys: np.ndarray | None = None  # sorted rank * B + word
+    type_counts: np.ndarray | None = None  # codes into count_table
+    count_table: np.ndarray | None = None  # the distinct counts, strictly increasing from 1
     stats: np.ndarray | None = None  # n_ctx + 1 codes: the last, rank -1's, of a zero row
     stat_table: np.ndarray | None = None  # distinct (total, n1, n2, n3p) rows
     # continuation counts of the same types, aligned with type_keys, and their
@@ -193,10 +199,11 @@ class CountTable:
         fp = self.vocab_fingerprint.encode("ascii")
         parts = [_HEADER.pack(_BIN_VERSION, self.order, self.vocab_size, self.token_count),
                  struct.pack("<I", len(fp)), fp]
-        for od in self.orders[1:]:
-            for arr in (od.ctx_codes, od.type_keys, od.type_counts, od.count_table):
-                parts += [_ARRAY.pack(arr.itemsize, arr.size),
-                          np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()]
+        top = self.orders[-1]
+        for arr in [od.ctx_codes for od in self.orders[1:]] + [
+                top.type_keys, top.type_counts, top.count_table]:
+            parts += [_ARRAY.pack(arr.itemsize, arr.size),
+                      np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()]
         body = b"".join(parts)
         with open(path, "wb") as fh:
             fh.writelines((_BIN_MAGIC, body, struct.pack("<I", zlib.crc32(body))))
@@ -237,12 +244,10 @@ class CountTable:
         except UnicodeDecodeError:
             raise CountError("vocabulary fingerprint is not ASCII") from None
 
-        orders: list = [None]
-        for n in range(1, order + 1):
-            od = _OrderData(read_arr("i"), read_arr("i"), read_arr("u"), read_arr("i"))
-            if len(od.type_keys) != len(od.type_counts):
-                raise CountError(f"order-{n} arrays disagree in length")
-            orders.append(od)
+        orders = [None] + [_OrderData(read_arr("i")) for _ in range(order - 1)]
+        orders.append(_OrderData(read_arr("i"), read_arr("i"), read_arr("u"), read_arr("i")))
+        if len(orders[-1].type_keys) != len(orders[-1].type_counts):
+            raise CountError(f"order-{order} arrays disagree in length")
         if pos != end:
             raise CountError("trailing bytes after the last array")
         del data  # the arrays are copies: free the file's bytes before deriving
@@ -254,31 +259,32 @@ class CountTable:
 def _check_arrays(orders: list, base: int, token_count: int) -> None:
     """Reject loaded arrays at other widths than a build gives them, keys out
     of order, naming no context or the bos id J as a word, an order 1 with
-    any context but the empty one, and counts that are not codes of every
-    entry of a table strictly increasing from 1 or miss the token count:
-    binary searches and ``_derive`` trust them."""
-    width = _width(len(orders[-1].ctx_codes), base, token_count)
+    any context but the empty one, and top-order counts that are not codes
+    of every entry of a table strictly increasing from 1 or miss the token
+    count: binary searches and ``_derive`` trust them, and every lower order
+    that ``_derive`` fills in from them passes the same checks."""
+    top, n_top = orders[-1], len(orders) - 1
+    table, codes = top.count_table, top.type_counts
+    width = _width(len(top.ctx_codes), base, token_count).itemsize
+    got = [a.itemsize for a in [od.ctx_codes for od in orders[1:]] + [top.type_keys, codes, table]]
+    want = [width] * (n_top + 1) + [_code_type(len(table)).itemsize, width]
+    if got != want:
+        raise CountError(f"arrays have widths {got}, not {want}")
     if orders[1].ctx_codes.tolist() != [0]:
         raise CountError("order-1 keys must be the empty context alone")
-    n_prev = 1
-    for n, od in enumerate(orders[1:], 1):
-        table, codes = od.count_table, od.type_counts
-        got = [a.itemsize for a in (od.ctx_codes, od.type_keys, codes, table)]
-        want = [width.itemsize] * 2 + [_code_type(len(table)).itemsize, width.itemsize]
-        if got != want:
-            raise CountError(f"order-{n} arrays have widths {got}, not {want}")
-        for keys, n_groups in ((od.ctx_codes, n_prev), (od.type_keys, len(od.ctx_codes))):
-            if len(keys) and not (keys[0] >= 0 and keys[-1] // base < n_groups
-                                  and (keys[1:] > keys[:-1]).all()):
-                raise CountError(f"order-{n} keys are out of order or range")
-        if not (od.type_keys % base < base - 1).all():
-            raise CountError(f"order-{n} keys name the bos id as a word")
-        uses = np.bincount(codes, minlength=len(table))
-        if not (len(uses) == len(table) and uses.all() and (np.diff(table, prepend=0) > 0).all()
-                and uses @ table == token_count):
-            raise CountError(f"order-{n} counts are not codes of each entry of a table "
-                             "increasing from 1, or miss the token count")
-        n_prev = len(od.ctx_codes)
+    # each key array with its order and the number of groups its keys // B name
+    keyed = [(n, orders[n].ctx_codes, len(orders[n - 1].ctx_codes)) for n in range(2, n_top + 1)]
+    for n, keys, n_groups in keyed + [(n_top, top.type_keys, len(top.ctx_codes))]:
+        if len(keys) and not (keys[0] >= 0 and keys[-1] // base < n_groups
+                              and (keys[1:] > keys[:-1]).all()):
+            raise CountError(f"order-{n} keys are out of order or range")
+    if not (top.type_keys % base < base - 1).all():
+        raise CountError(f"order-{n_top} keys name the bos id as a word")
+    uses = np.bincount(codes, minlength=len(table))
+    if not (len(uses) == len(table) and uses.all() and (np.diff(table, prepend=0) > 0).all()
+            and uses @ table == token_count):
+        raise CountError(f"order-{n_top} counts are not codes of each entry of a table "
+                         "increasing from 1, or miss the token count")
 
 
 # -- accumulation ---------------------------------------------------------
@@ -354,31 +360,34 @@ def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int) -> np.ndarray:
     return out.T
 
 
-def _derive(orders: list, base: int) -> None:
-    """Fill in every order's stats and, below the top order, its continuation
-    arrays from the order-(n+1) raw types, reading only ctx_codes, type_keys
-    and the coded type counts; counting and loading both end here.  The
-    continuation types are the raw ones (module docstring), so their counts
-    align with ``type_keys``; types that break this raise.  No type is mapped
-    to its suffix type's index (the fold deltas read the ones they need off
-    the positions).  Values are tallied as intp and coded last, their tables
-    at the keys' width."""
-    width = orders[1].type_keys.dtype
-    # each type's context rank and word, read by its own order and the one below
-    split = [None] + [np.divmod(od.type_keys, base) for od in orders[1:]]
-    for od, (groups, _) in zip(orders[1:], split[1:]):
-        counts = np.take(od.count_table, od.type_counts)
+def _derive(orders: list, base: int) -> list:
+    """Fill in every order below the top from the order above, and every
+    order's stats, reading the contexts of every order and the top order's
+    types; counting and loading both end here.  With full bos padding each
+    order-n type is the suffix of an order-(n+1) type (module docstring), so
+    one suffix pass gives its key, its raw count (the sum over its left
+    extensions, by a float64 ``bincount``, exact below 2**53 tokens) and its
+    continuation count (their number).  Returns, at index n + 1, each
+    order-(n+1) type's suffix type index at order n.  Values are tallied as
+    intp and coded last, their tables at the keys' width."""
+    width, suffix = orders[1].ctx_codes.dtype, [None] * len(orders)
+    counts = np.take(orders[-1].count_table, orders[-1].type_counts)
+    groups, words = np.divmod(orders[-1].type_keys, base)  # each type's context rank and word
+    for n in range(len(orders) - 1, 0, -1):
+        od = orders[n]
         od.stats, od.stat_table = _coded(_tally(groups, counts, len(od.ctx_codes) + 1), width)
-    for n in range(1, len(orders) - 1):
-        hi, od = orders[n + 1], orders[n]
-        # each order-(n+1) type's suffix type: its context's suffix rank, then its word
-        suffixes = np.take(hi.ctx_codes, split[n + 1][0]) // base * base + split[n + 1][1]
-        keys, counts = np.unique(suffixes, return_counts=True)
-        if not np.array_equal(keys, od.type_keys):
-            raise CountError(f"order-{n} types are not the suffixes of the order-{n + 1} types")
-        od.cont_stats, od.cont_stat_table = _coded(
-            _tally(split[n][0], counts, len(od.ctx_codes) + 1), width)
-        od.cont_type_counts, od.cont_count_table = _coded(counts, width)
+        if n > 1:
+            lo = orders[n - 1]
+            # each type's suffix type: its context's suffix rank, then its word
+            lo.type_keys, suffix[n] = _unique(np.take(od.ctx_codes, groups) // base * base + words)
+            extensions = np.bincount(suffix[n], minlength=len(lo.type_keys))
+            counts = np.bincount(suffix[n], counts, len(lo.type_keys)).astype(np.intp)
+            groups, words = np.divmod(lo.type_keys, base)
+            lo.type_counts, lo.count_table = _coded(counts, width)
+            lo.cont_type_counts, lo.cont_count_table = _coded(extensions, width)
+            lo.cont_stats, lo.cont_stat_table = _coded(
+                _tally(groups, extensions, len(lo.ctx_codes) + 1), width)
+    return suffix
 
 
 def _stat_deltas(inv: np.ndarray, n_keys: int, full: np.ndarray, drop: np.ndarray) -> np.ndarray:
@@ -415,6 +424,10 @@ def accumulate(corpus: EncodedCorpus, order: int) -> CountTable:
 
 
 def _build(corpus: EncodedCorpus, order: int, folds: int | None):
+    try:
+        order, folds = operator.index(order), None if folds is None else operator.index(folds)
+    except TypeError:
+        raise CountError(f"order and folds must be integers, not {order!r}, {folds!r}") from None
     if order < 1:
         raise CountError("order must be >= 1")
     stream, targets, sent_of = _corpus_stream(corpus, order)
@@ -425,70 +438,62 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
     base, T, F = corpus.vocab.size + 1, len(targets), folds or 1
     words = np.take(stream, targets)
 
-    # each order sorts in the width its contexts select, never wider than the
-    # table's, and keeps its type inverse at that width, which holds
-    # inverse * F; only the fold deltas read each position's type index
-    built, type_inverse = [], [None]
-    rank = np.zeros(len(targets), dtype=np.int64)
-    ctx_codes = np.zeros(1, dtype=np.int64)
-    for n in range(1, order + 1):
-        if n > 1:
-            codes = rank * base + np.take(stream, targets - (n - 1))
-            ctx_codes, rank = _unique(codes.astype(_width(len(ctx_codes), base, T, F)))
-        key_width = _width(len(ctx_codes), base, T, F)
-        codes = (rank * base + words).astype(key_width)
-        keys, *inverse, counts = np.unique(codes, return_inverse=folds is not None,
-                                           return_counts=True)
-        built.append((ctx_codes, keys, counts))
-        type_inverse += [i.astype(key_width, copy=False) for i in inverse]
-    width = _width(len(ctx_codes), base, T, F)
-    fold_of_t = None if folds is None else (sent_of % folds).astype(width)
-    del stream, targets, words, rank, sent_of, codes  # every order is counted
-    orders = [None] + [_OrderData(ctx.astype(width, copy=False), keys.astype(width, copy=False),
-                                  *_coded(counts, width)) for ctx, keys, counts in built]
-    _derive(orders, base)
+    # each order's contexts are sorted in the width they select, never wider
+    # than the table's; the types only at the top order, where the fold
+    # deltas read each position's type index
+    rank, contexts = np.zeros(T, dtype=np.int64), [np.zeros(1, dtype=np.int64)]
+    for n in range(2, order + 1):
+        codes = rank * base + np.take(stream, targets - (n - 1))
+        ctx_codes, rank = _unique(codes.astype(_width(len(contexts[-1]), base, T, F)))
+        contexts.append(ctx_codes)
+    width = _width(len(contexts[-1]), base, T, F)
+    codes = (rank * base + words).astype(width)
+    keys, *inverse, counts = np.unique(codes, return_inverse=folds is not None,
+                                       return_counts=True)
+    orders = [None] + [_OrderData(ctx.astype(width, copy=False)) for ctx in contexts[:-1]] + [
+        _OrderData(contexts[-1].astype(width, copy=False), keys, *_coded(counts, width))]
+    if folds is not None:  # the top order's (type, fold) pairs and their counts
+        keys, counts = np.unique((inverse[0] * folds + sent_of % folds).astype(width),
+                                 return_counts=True)
+    del stream, targets, words, rank, sent_of, codes, inverse  # the top order is counted
+    suffix = _derive(orders, base)
     table = CountTable(order, corpus.vocab.size, orders, T, corpus.vocab.fingerprint)
     if folds is None:
         return table, None
 
     fold_assignment = np.arange(len(corpus.sentences), dtype=width) % folds
-    # the values are computed at the store's width and only then coded;
-    # ``excl`` holds one position of each order-(n+1) type found in one fold
+    # the values are computed at the store's width and only then coded; each
+    # lower order's pairs come from the order above's through ``suffix``
     fold_data: list = [None] * (order + 1)
-    excl = None
+    lost = None  # per pair: the left extensions found in its fold alone
     for n in range(order, 0, -1):
         od = orders[n]
-        inverse = type_inverse.pop()  # order n's: each is freed once its order is done
-        pairs = (inverse * folds + fold_of_t).astype(width)
-        keys, counts = np.unique(pairs, return_counts=True)
         counts = counts.astype(width)
-        ti, fold = np.divmod(keys, folds)
-        stat_keys, inv = np.unique(od.type_keys[ti] // base * folds + fold, return_inverse=True)
-        type_tags, multi = _tags(ti, fold, len(od.type_keys), folds)
+        ids, fold = np.divmod(keys, folds)
+        stat_keys, inv = np.unique(od.type_keys[ids] // base * folds + fold, return_inverse=True)
+        type_tags, multi = _tags(ids, fold, len(od.type_keys), folds)
         stat_tags, ctx_multi = _tags(*np.divmod(stat_keys, folds), len(od.ctx_codes) + 1, folds)
         # only the (type, fold) pairs of tag-F contexts have stat deltas to
         # keep: ``inv`` numbers their stat keys among the tag-F ones
         kept = ctx_multi[inv]
-        ti, inv = ti[kept], (np.cumsum(ctx_multi) - 1)[inv[kept]]
+        ti, inv = ids[kept], (np.cumsum(ctx_multi) - 1)[inv[kept]]
         stat_keys = stat_keys[ctx_multi]
         fd = fold_data[n] = _FoldData(
-            type_tags, keys[multi], *_coded(counts[multi], width), stat_tags,
-            stat_keys, *_coded(_stat_deltas(inv, len(stat_keys), od.count_table[od.type_counts[ti]],
-                                            counts[kept]), width))
-        if excl is not None:
-            # an order-(n+1) type found in one fold is a left extension that
-            # leaving the fold out loses; at any of its positions the order-n
-            # (type, fold) key is its suffix type's in that fold
-            lost = np.bincount(np.searchsorted(keys, np.sort(pairs[excl])), minlength=len(keys))
-            lost = lost.astype(width)
+            type_tags, keys[multi], *_coded(counts[multi], width), stat_tags, stat_keys,
+            *_coded(_stat_deltas(inv, len(stat_keys), od.count_table[od.type_counts[ti]],
+                                 counts[kept]), width))
+        if lost is not None:
             fd.cont_type_counts, fd.cont_count_table = _coded(lost[multi], width)
             fd.cont_stat_deltas, fd.cont_delta_table = _coded(
                 _stat_deltas(inv, len(stat_keys), od.cont_count_table[od.cont_type_counts[ti]],
                              lost[kept]), width)
         if n > 1:
-            at = np.empty(len(od.type_keys), dtype=width)
-            at[inverse] = np.arange(T, dtype=width)
-            excl = at[type_tags < folds]
+            # each pair's suffix pair sums its occurrences (as ``_derive``
+            # sums counts), and a type found in one fold is a left extension
+            # that leaving that fold out takes from its suffix type
+            keys, up = _unique((suffix[n][ids] * folds + fold).astype(width))
+            counts = np.bincount(up, counts, len(keys))
+            lost = np.bincount(up[~multi], minlength=len(keys)).astype(width)
 
     folded = FoldedCounts(table, folds, fold_assignment, fold_data)
     return table, folded
@@ -497,6 +502,8 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
 def cv_fold_counts(corpus: EncodedCorpus, order: int, folds: int = 10) -> "FoldedCounts":
     """Accumulate counts with the fold deltas that let bulk calls leave a
     position's fold out (sentence i -> fold i % folds)."""
+    if folds is None:  # which ``_build`` reads as no folds
+        raise CountError("folds must be an integer, not None")
     return _build(corpus, order, folds=folds)[1]
 
 

@@ -89,16 +89,26 @@ class TestVocabulary:
 
     @pytest.mark.parametrize("words, message", [
         (["a", "</s>", "<unk>"], "starts with"),
-        (["</s>", "<unk>", "a", "a"], "duplicate or empty"),
-        (["</s>", "<unk>", "", "a"], "duplicate or empty"),
+        (["</s>", "<unk>", "a", "a"], "duplicate"),
+        (["</s>", "<unk>", "", "a"], "'' is not one whitespace-free token"),
         (["<unk>", "</s>", "a"], "starts with"),
         (["</s>", "a"], "starts with"),
-        (["</s>", "<unk>", "a", "</s>"], "duplicate or empty"),
+        (["</s>", "<unk>", "a", "</s>"], "duplicate"),
+        (["</s>", "<unk>", "a\nb"], r"'a\\nb' is not one whitespace-free token"),
+        (["</s>", "<unk>", "a", " b"], "' b' is not one whitespace-free token"),
     ], ids=["reserved-not-first", "duplicate-word", "empty-word", "reserved-swapped",
-            "unk-missing", "reserved-repeated"])
+            "unk-missing", "reserved-repeated", "newline-in-word", "space-in-word"])
     def test_rejects_bad_word_list(self, words, message):
         with pytest.raises(CorpusError, match=message):
             Vocabulary(words)
+
+    def test_word_lists_that_join_alike_do_not_both_build(self):
+        """Newline-joined, ["a\\nb"] and ["a", "b"] would share a fingerprint
+        although their sizes differ, so a count table would take text encoded
+        with the other list; the list whose word holds the newline is refused."""
+        assert Vocabulary([EOS, UNK, "a", "b"]).size == 4
+        with pytest.raises(CorpusError, match="whitespace-free"):
+            Vocabulary([EOS, UNK, "a\nb"])
 
 
 class TestEncodedCorpus:

@@ -41,12 +41,21 @@ from helpers import (
 
 
 FINGERPRINT_AT = 32  # magic and header, then the fingerprint's u32 length
-# the bytes format 5 wrote for accumulate(encode(["a b a", "a c"]), 2)
-FORMAT_5_FILE = (
-    "4d584354050000000200000005000000000000000700000000000000100000006639346362333362"
-    "313033323937633201000000010000000000000000010000000400000000000000000203040100"
-    "000004000000000000000203010101000000040000000000000002030405010000000600000000"
-    "000000000304080c14010000000600000000000000010101010102ace47e32")
+# the bytes earlier formats wrote for accumulate(encode(["a b a", "a c"]), 2):
+# format 5 held each order's decoded counts at the narrowest width of their
+# values, and format 6 each order's types, count codes and count table
+OLDER_FORMAT_FILES = {
+    5: "4d584354050000000200000005000000000000000700000000000000100000006639346362333362"
+       "313033323937633201000000010000000000000000010000000400000000000000000203040100"
+       "000004000000000000000203010101000000040000000000000002030405010000000600000000"
+       "000000000304080c14010000000600000000000000010101010102ace47e32",
+    6: "4d584354060000000200000005000000000000000700000000000000100000006639346362333362"
+       "31303332393763320400000001000000000000000000000004000000040000000000000000000000"
+       "02000000030000000400000001000000040000000000000001020000040000000300000000000000"
+       "01000000020000000300000004000000040000000000000002000000030000000400000005000000"
+       "040000000600000000000000000000000300000004000000080000000c0000001400000001000000"
+       "06000000000000000000000000010400000002000000000000000100000002000000317c4a64",
+}
 
 
 def sealed(data):
@@ -68,14 +77,28 @@ def recoded(holder, values, name="type_counts"):
     setattr(holder, TABLES[name], table)
 
 
-def file_widths(data):
-    """The byte width of each array of a count file, in file order."""
+def file_arrays(data):
+    """(offset, byte width, element count) of each array of a count file, in
+    file order."""
     at, out = first_array_at(data), []
     while at < len(data) - 4:
         width, size = struct.unpack_from("<IQ", data, at)
-        out.append(width)
+        out.append((at, width, size))
         at += 12 + width * size
     return out
+
+
+def file_widths(data):
+    """The byte width of each array of a count file, in file order."""
+    return [width for _, width, _ in file_arrays(data)]
+
+
+def written(table):
+    """The arrays a count file of ``table`` holds, in file order: the contexts
+    of every order, then the top order's type keys, count codes and table."""
+    top = table.orders[-1]
+    return [od.ctx_codes for od in table.orders[1:]] + [
+        top.type_keys, top.type_counts, top.count_table]
 
 
 def saved(table, tmp_path):
@@ -1240,39 +1263,44 @@ class TestSerialization:
         assert not accepted
 
     def test_rejects_keys_out_of_order_or_range_behind_checksum(self, tmp_path):
-        """A file whose checksum is valid still has its arrays checked: an
-        order-1 type key past every context, two keys swapped, and a key past
-        the store's width, written at the width it needs."""
+        """A file whose checksum is valid still has its arrays checked: a top
+        type key past every context, two keys swapped, and a key past the
+        store's width, written at the width it needs; and the same at the
+        order-2 contexts."""
         table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
         data = saved(table, tmp_path)
-        at = first_array_at(data) + 16  # order 1's type keys, after its int32 context
-        width, _ = struct.unpack_from("<IQ", data, at)
-        assert width == 4
-        first, second = slice(at + 12, at + 16), slice(at + 16, at + 20)
-        oversized = bytearray(data)
-        oversized[first] = struct.pack("<i", 2**31 - 1)
-        swapped = bytearray(data)
-        swapped[first], swapped[second] = data[second], data[first]
-        for bad in (sealed(bytes(oversized)), sealed(bytes(swapped))):
-            with pytest.raises(CountError, match="order-1 keys"):
-                loaded(bad, tmp_path)
-        keys = table.orders[1].type_keys.astype(np.int64)
-        keys[-1] = 2**31
-        with pytest.raises(CountError, match=r"order-1 arrays have widths \[4, 8, 1, 4\]"):
-            loaded(rewritten(data, at, keys, 8), tmp_path)
+        arrays = file_arrays(data)
+        assert [width for _, width, _ in arrays] == [4, 4, 4, 4, 1, 4]
+        for n, (at, _, _), keys in ((3, arrays[3], table.orders[3].type_keys),
+                                    (2, arrays[1], table.orders[2].ctx_codes)):
+            first, second = slice(at + 12, at + 16), slice(at + 16, at + 20)
+            oversized = bytearray(data)
+            oversized[first] = struct.pack("<i", 2**31 - 1)
+            swapped = bytearray(data)
+            swapped[first], swapped[second] = data[second], data[first]
+            for bad in (sealed(bytes(oversized)), sealed(bytes(swapped))):
+                with pytest.raises(CountError, match=f"order-{n} keys"):
+                    loaded(bad, tmp_path)
+            keys = keys.astype(np.int64)
+            keys[-1] = 2**31
+            got = r"\[4, 4, 4, 8, 1, 4\]" if n == 3 else r"\[4, 8, 4, 4, 1, 4\]"
+            with pytest.raises(CountError, match=rf"arrays have widths {got}, "
+                                                 r"not \[4, 4, 4, 4, 1, 4\]"):
+                loaded(rewritten(data, at, keys, 8), tmp_path)
 
     @pytest.mark.parametrize("field, value, message", [
         ("version", 3, "version 3"), ("width", 0, "width 0"),
-        ("width", 2, r"widths \[2, 4, 1, 4\], not \[4, 4, 1, 4\]"), ("width", 16, "width 16")],
+        ("width", 2, r"widths \[2, 4, 4, 4, 1, 4\], not \[4, 4, 4, 4, 1, 4\]"),
+        ("width", 16, "width 16")],
         ids=["version-3", "width-0", "width-2", "width-16"])
     def test_rejects_other_version_or_width_behind_checksum(self, field, value, message,
                                                             tmp_path):
-        """A version other than 6, a width field other than 1, 2, 4 or 8, and
+        """A version other than 7, a width field other than 1, 2, 4 or 8, and
         an array at another width than the store's (order 1's one context,
         0, at two bytes) do not load."""
         data = saved(self.table, tmp_path)
         at = first_array_at(data)
-        assert struct.unpack_from("<II", data, 4) == (6, 3)
+        assert struct.unpack_from("<II", data, 4) == (7, 3)
         assert struct.unpack_from("<IQi", data, at) == (4, 1, 0)
         if field == "version":
             bad = sealed(data[:4] + struct.pack("<I", value) + data[8:])
@@ -1289,27 +1317,29 @@ class TestSerialization:
         that table gives it, so a file reads back at those widths."""
         data = all_int64(monkeypatch, lambda: saved(accumulate(self.corpus, 3), tmp_path))
         assert struct.unpack_from("<I", data, first_array_at(data)) == (8,)
-        with pytest.raises(CountError, match=r"order-1 arrays have widths \[8, 8, 1, 8\], "
-                                             r"not \[4, 4, 1, 4\]"):
+        with pytest.raises(CountError, match=r"arrays have widths \[8, 8, 8, 8, 1, 8\], "
+                                             r"not \[4, 4, 4, 4, 1, 4\]"):
             loaded(data, tmp_path)
 
-    def test_rejects_a_format_5_file(self, tmp_path):
-        """A format-5 file, which held each order's decoded counts at the
-        narrowest width of their values, is refused by its version although
-        its checksum holds.  The bytes are those format 5 wrote for the
-        order-2 table of "a b a / a c"."""
-        data = bytes.fromhex(FORMAT_5_FILE)
-        assert data == sealed(data) and struct.unpack_from("<II", data, 4) == (5, 2)
+    @pytest.mark.parametrize("version", sorted(OLDER_FORMAT_FILES))
+    def test_rejects_an_older_format_file(self, version, tmp_path):
+        """A format-5 or format-6 file is refused by its version although its
+        checksum holds; no reader of either is kept.  The bytes are those each
+        format wrote for the order-2 table of "a b a / a c"."""
+        data = bytes.fromhex(OLDER_FORMAT_FILES[version])
+        assert data == sealed(data) and struct.unpack_from("<II", data, 4) == (version, 2)
         fingerprint = encode(["a b a", "a c"]).vocab.fingerprint.encode("ascii")
         assert data[FINGERPRINT_AT:first_array_at(data)] == fingerprint
-        with pytest.raises(CountError, match="unsupported count-table version 5"):
+        with pytest.raises(CountError, match=f"unsupported count-table version {version}"):
             loaded(data, tmp_path)
 
     @pytest.mark.parametrize("wide", [False, True], ids=["int32", "int64"])
     def test_round_trip_keeps_values_and_widths(self, monkeypatch, tmp_path, wide):
         """A loaded table holds every array of the saved one at its value and
         dtype, at int32 and for a table whose key arrays and tables are all
-        int64; the file holds each counted array at the store's width."""
+        int64.  The file holds the contexts of every order, then the top
+        order's type keys, count codes and count table, each as the store
+        holds it, and nothing else."""
         table = all_int64(monkeypatch, lambda: accumulate(self.corpus, 3)) if wide else self.table
         data = saved(table, tmp_path)
         got = (all_int64(monkeypatch, lambda: loaded(data, tmp_path)) if wide
@@ -1318,20 +1348,23 @@ class TestSerialization:
             np.dtype(np.int64 if wide else np.int32)}
         assert widths(got) == widths(table)
         assert_tables_equal(table, got)
-        assert file_widths(data) == [
-            a.itemsize for od in table.orders[1:]
-            for a in (od.ctx_codes, od.type_keys, od.type_counts, od.count_table)]
+        arrays = file_arrays(data)
+        assert len(arrays) == table.order + 3
+        for (at, width, size), want in zip(arrays, written(table)):
+            assert (width, size) == (want.itemsize, want.size)
+            np.testing.assert_array_equal(
+                np.frombuffer(data, want.dtype.newbyteorder("<"), size, at + 12), want)
 
     @pytest.mark.parametrize("damage", [
         "code past its table", "entry left out", "table out of order", "equal entries",
         "codes wider than their table needs"])
     def test_rejects_count_codes_that_do_not_fit_their_table(self, damage, tmp_path):
-        """``save`` seals whatever codes and table an order holds; ``load``
+        """``save`` seals whatever codes and table the top order holds; ``load``
         takes only codes of the narrowest unsigned width that index every
         entry of a table strictly increasing from 1.  Each damage but the
         first keeps the decoded counts, so their sum still holds."""
         table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
-        od = table.orders[2]
+        od = table.orders[3]
         counts, codes = decoded(od, "type_counts"), od.type_counts
         assert len(od.count_table) >= 2 and np.bincount(codes)[0] >= 2
         if damage == "code past its table":  # one of two types of count 1 moves past the end
@@ -1349,41 +1382,50 @@ class TestSerialization:
             od.type_counts = codes.astype(np.uint16)
         if damage != "code past its table":
             np.testing.assert_array_equal(decoded(od, "type_counts"), counts)
-        with pytest.raises(CountError, match="order-2 (counts are not codes|arrays have widths)"):
+        with pytest.raises(CountError, match="order-3 counts are not codes|arrays have widths"):
             loaded(saved(table, tmp_path), tmp_path)
 
     @pytest.mark.parametrize("damage", [
-        "contexts unsorted", "suffix rank past the shorter contexts", "key past the contexts",
-        "negative key", "zero count", "counts miss the token count", "bos word",
-        "second order-1 context", "last code past the width"])
+        "second order-1 context", "negative order-2 context", "order-2 contexts unsorted",
+        "contexts unsorted", "suffix rank past the shorter contexts", "last code past the width",
+        "key past the contexts", "negative key", "types unsorted", "bos word", "zero count",
+        "counts miss the token count"])
     def test_rejects_written_arrays_out_of_order_or_range(self, damage, tmp_path):
-        """``save`` seals whatever arrays a table holds; ``load`` checks them."""
+        """``save`` seals whatever arrays a table holds; ``load`` checks each
+        one it writes: the contexts of every order, and the top order's types
+        and counts."""
         table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
         o = table.orders
-        if damage == "contexts unsorted":
+        if damage == "second order-1 context":
+            o[1].ctx_codes = np.array([0, 5], dtype=o[1].ctx_codes.dtype)
+        elif damage == "negative order-2 context":
+            o[2].ctx_codes[0] = -1
+        elif damage == "order-2 contexts unsorted":
+            o[2].ctx_codes[[0, 1]] = o[2].ctx_codes[[1, 0]]
+        elif damage == "contexts unsorted":
             o[3].ctx_codes[[0, 1]] = o[3].ctx_codes[[1, 0]]
         elif damage == "suffix rank past the shorter contexts":
             o[3].ctx_codes[-1] = len(o[2].ctx_codes) * table.base
-        elif damage == "key past the contexts":
-            o[2].type_keys[-1] = len(o[2].ctx_codes) * table.base
-        elif damage == "negative key":
-            o[1].type_keys[0] = -1
         elif damage == "last code past the width":  # its difference wraps to a positive int32
             o[3].ctx_codes[-1] = -2**31
+        elif damage == "key past the contexts":
+            o[3].type_keys[-1] = len(o[3].ctx_codes) * table.base
+        elif damage == "negative key":
+            o[3].type_keys[0] = -1
+        elif damage == "types unsorted":
+            o[3].type_keys[[0, 1]] = o[3].type_keys[[1, 0]]
         elif damage == "bos word":  # still the largest key
-            o[2].type_keys[-1] += table.base - 1 - o[2].type_keys[-1] % table.base
-        elif damage == "second order-1 context":  # the largest key moves to it
-            o[1].ctx_codes = np.array([0, 5])
-            o[1].type_keys[-1] += table.base
+            o[3].type_keys[-1] += table.base - 1 - o[3].type_keys[-1] % table.base
         elif damage == "zero count":  # the sum stays the token count
-            counts = decoded(o[2], "type_counts")
-            recoded(o[2], np.r_[counts[:2].sum(), 0, counts[2:]])
+            counts = decoded(o[3], "type_counts")
+            recoded(o[3], np.r_[counts[:2].sum(), 0, counts[2:]])
         else:
-            counts = decoded(o[2], "type_counts")
+            counts = decoded(o[3], "type_counts")
             counts[0] += 1
-            recoded(o[2], counts)
+            recoded(o[3], counts)
         data = saved(table, tmp_path)
-        with pytest.raises(CountError, match="order-[123] (keys|counts)"):
+        n = damage.partition("order-")[2][:1] or "3"
+        with pytest.raises(CountError, match=f"order-{n} (keys|counts)"):
             loaded(data, tmp_path)
 
     def test_store_holds_nothing_but_arrays(self):
@@ -1399,11 +1441,11 @@ class TestSerialization:
                 assert value is None or type(value) is np.ndarray, (type(holder), name)
 
     def test_saved_file_is_pinned(self, tmp_path):
-        """The format-6 file of a fixed small corpus, counted to order 4, has
+        """The format-7 file of a fixed small corpus, counted to order 4, has
         a pinned SHA-256: a change to any byte a build writes fails here."""
         table = accumulate(encode(synthetic_lines(60, n_words=11, seed=4)), 4)
         assert hashlib.sha256(saved(table, tmp_path)).hexdigest() == (
-            "c4538da67e156f19e2cf7c8807dfa5e23e4dd7d73b4a6f8d8fda0ba422d56165")
+            "ce79bd5bebb3be0f83cab0f292bfd56c42bd6bc0f968f4c1726859dc51870b4c")
 
     def test_store_arrays_are_direct_attributes(self, tmp_path):
         """The benchmark counts store bytes (``bench/pipeline.store_bytes``)
@@ -1427,25 +1469,6 @@ class TestSerialization:
                 assert len(set(map(id, found))) == len(found), n
                 assert set(map(id, read)) == set(map(id, found)), n
 
-    @pytest.mark.parametrize("damage", ["type without a left extension",
-                                        "extension whose suffix is no type"])
-    def test_rejects_types_that_break_the_shared_keys(self, damage, tmp_path):
-        """With full bos padding the continuation types are the raw ones; a
-        sealed file whose types break that does not load.  The counts still
-        sum to the token count, so only ``_derive`` can tell."""
-        table = accumulate(encode(["a b a", "a c"]), 2)
-        od = table.orders[2 if damage == "type without a left extension" else 1]
-        words = (od.type_keys % table.base).tolist()
-        # drop a word's only type, its count folded into the type before it
-        i = next(i for i, w in enumerate(words) if i > 0 and words.count(w) == 1)
-        counts = decoded(od, "type_counts")
-        counts[i - 1] += counts[i]
-        od.type_keys = np.delete(od.type_keys, i)
-        recoded(od, np.delete(counts, i))
-        data = saved(table, tmp_path)
-        with pytest.raises(CountError, match="order-1 types are not the suffixes"):
-            loaded(data, tmp_path)
-
     def test_continuation_kind_reads_the_raw_keys(self):
         """One key set per order: the continuation kind of a view holds the
         raw kind's key arrays themselves, with and without fold data."""
@@ -1457,6 +1480,39 @@ class TestSerialization:
                              "stat_keys"):
                     assert getattr(cont, name) is getattr(raw, name), (n, name)
                 assert cont.counts is not raw.counts and cont.stats is not raw.stats, n
+
+
+class TestLoadedStore:
+    """A store saved and loaded back, whose lower orders ``load`` derives
+    from the contexts of every order and the top order's types."""
+
+    @pytest.fixture(autouse=True, params=PARITY_CASES, ids=parity_id)
+    def case(self, request):
+        self.order, self.folds, seed = request.param
+        self.corpus, _ = parity_corpora(seed)
+
+    def test_equals_the_built_store_and_a_recount(self, tmp_path):
+        """Every array at its value and width, and at every order the counts,
+        continuation counts and both kinds of stats of a dict recount; order 6
+        is longer than many of the sentences, whose contexts are mostly bos."""
+        built = cv_fold_counts(self.corpus, self.order, self.folds).table
+        got = loaded(saved(built, tmp_path), tmp_path)
+        assert_tables_equal(built, got)
+        assert widths(got) == widths(built)
+        assert_store_invariants(got)
+        grams, view = brute_ngrams(self.corpus, self.order), got.view()
+        for n in range(1, self.order + 1):
+            assert len(got.orders[n].type_keys) == len(grams[n]), n
+            kinds = [(False, grams[n])]
+            if n < self.order:
+                kinds.append((True, brute_continuation(grams, n)))
+            for cont, counts in kinds:
+                count, stats = (view.cont_count, view.cont_stats) if cont else (view.count,
+                                                                               view.stats)
+                for (ctx, w), c in counts.items():
+                    assert count(n, resolve(view, ctx), w) == c, (n, ctx, w, cont)
+                for ctx, (total, _, n1, n2, n3p) in brute_context_stats(counts).items():
+                    assert stats(n, resolve(view, ctx)) == (total, n1, n2, n3p), (n, ctx, cont)
 
 
 class TestCoded:
@@ -1553,9 +1609,9 @@ class TestCoded:
         self.check_unique(keys)
 
     def test_build_context_ranks_equal_numpy(self, monkeypatch):
-        """Every ``_unique`` call of a build, the context sorts of each order
-        and the coding of each value array, equals ``np.unique`` on the
-        benchmark's seed-1 training corpus."""
+        """Every ``_unique`` call of a build, the context sorts of each order,
+        the suffix sorts of ``_derive`` and the coding of each value array,
+        equals ``np.unique`` on the benchmark's seed-1 training corpus."""
         sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
         try:
             import inputs
@@ -1583,7 +1639,7 @@ class TestCoded:
         monkeypatch.setattr(mcounts, "_unique", checked)
         monkeypatch.setattr(mcounts, "_coded", recorded)
         accumulate(corpus, 5)
-        assert calls.count(False) == 4  # the contexts of orders 2 to 5
+        assert calls.count(False) == 8  # the contexts of orders 2 to 5, the types of 1 to 4
         assert calls.count(True) == 18  # the counts and stats of each kind
 
 
@@ -1629,8 +1685,9 @@ class TestWidth:
         ``count`` times counts ``count`` at order 1, and its context "a" has
         ``count`` successors at order 2.  In the store each is a table entry
         at the store's width, whatever its size, and its code is uint8; a
-        file holds every counted array at its store width and reads back at
-        the same widths."""
+        file holds both orders' contexts and the order-2 types, keys and table
+        at the store's width and codes at uint8, and reads back at the same
+        widths."""
         table = accumulate(encode([" ".join(["a"] * count)]), 2)
         assert decoded(table.orders[1], "type_counts").max() == count
         assert decoded(table.orders[2], "stats")[:, 0].max() == count
@@ -1640,7 +1697,7 @@ class TestWidth:
         assert_store_invariants(table)
         path = str(tmp_path / "counts.bin")
         table.save(path)
-        assert file_widths(Path(path).read_bytes()) == [4, 4, 1, 4] * 2
+        assert file_widths(Path(path).read_bytes()) == [4, 4, 4, 1, 4]
         loaded = CountTable.load(path)
         assert widths(loaded) == widths(table)
         assert_tables_equal(table, loaded)
@@ -1872,6 +1929,25 @@ class TestInputValidation:
         corpus = toy_corpus()
         table = accumulate(corpus, 2)
         assert int(decoded(table.orders[1], "stats")[0, 0]) == corpus.token_count == 7
+
+    @pytest.mark.parametrize("build", [lambda c: accumulate(c, 2.0),
+                                       lambda c: cv_fold_counts(c, 2, 2.0),
+                                       lambda c: cv_fold_counts(c, "2", 2),
+                                       lambda c: cv_fold_counts(c, 2, None)],
+                             ids=["float-order", "float-folds", "str-order", "no-folds"])
+    def test_non_integer_order_or_folds_rejected(self, build):
+        with pytest.raises(CountError, match="must be (an )?integers?, not"):
+            build(toy_corpus())
+
+    def test_integral_order_and_folds_are_plain_ints(self):
+        """An order or a fold count given as a bool or a NumPy integer is
+        taken through ``operator.index``: the store holds plain ints."""
+        table = accumulate(toy_corpus(), True)
+        assert type(table.order) is int and table.order == 1
+        assert_tables_equal(table, accumulate(toy_corpus(), 1))
+        folded = cv_fold_counts(toy_corpus(), np.int64(2), np.uint8(2))
+        assert type(folded.table.order) is int and type(folded.n_folds) is int
+        assert (folded.table.order, folded.n_folds) == (2, 2)
 
 
 def test_store_invariants_catch_damage():
