@@ -12,6 +12,8 @@ untraced run appends one line with each workload's ``store_bytes_per_token``,
 it, so that every run shows the size of its count stores, its memory
 high-water mark, the speed of its scalar queries and of its training (or
 counting), and the time of its set-up (counting, and the file round trip).
+A traced run appends one line with each workload's ``counts.build_tok_s``,
+``counts.save_s`` and ``counts.load_s``, so that it shows where set-up goes.
 """
 
 import json
@@ -27,18 +29,23 @@ bench = json.load(open("BENCHMARK.json"))
 results = json.load(sys.stdin)
 workloads = [w["name"] for w in bench["workloads"]]
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
-if summary and not traced:
-    def shown(workload, metric, unit, spec=".2f"):
+# the metrics each mode's summary line shows, with their units and formats
+SHOWN = {False: [("store_bytes_per_token", "B/token", ".2f"), ("peak_rss_mb", "MB", ".2f"),
+                 ("query_us", "us", ".2f"), ("train_tok_s", "tokens/s", ",.0f"),
+                 ("setup_s", "s", ".4f")],
+         True: [("counts.build_tok_s", "tokens/s", ",.0f"), ("counts.save_s", "s", ".4f"),
+                ("counts.load_s", "s", ".4f")]}
+if summary:
+    def shown(workload, metric, unit, spec):
         value = results.get(workload, {}).get("metrics", {}).get(metric, {}).get("value")
         return f"{value:{spec}} {unit}" if isinstance(value, (int, float)) else f"{value}"
 
+    names = [f"`{metric}`" for metric, _, _ in SHOWN[traced]]
     with open(summary, "a") as fh:
-        fh.write(f"- seed {seed}, `store_bytes_per_token`, `peak_rss_mb`, `query_us`, "
-                 "`train_tok_s` and `setup_s`: " + ", ".join(
-                     f"`{w}` {shown(w, 'store_bytes_per_token', 'B/token')}, "
-                     f"{shown(w, 'peak_rss_mb', 'MB')}, {shown(w, 'query_us', 'us')}, "
-                     f"{shown(w, 'train_tok_s', 'tokens/s', ',.0f')}, "
-                     f"{shown(w, 'setup_s', 's', '.4f')}" for w in workloads) + "\n")
+        fh.write(f"- seed {seed}{', traced' if traced else ''}, {', '.join(names[:-1])} and "
+                 f"{names[-1]}: " + ", ".join(
+                     f"`{w}` " + ", ".join(shown(w, *m) for m in SHOWN[traced])
+                     for w in workloads) + "\n")
 bad = []
 for workload in workloads:
     res = results.get(workload, {})

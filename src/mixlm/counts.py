@@ -64,21 +64,28 @@ made afresh.  A ``rank_chain`` miss and every scalar read take their ids
 and ranks through ``operator.index``, so a float raises.
 
 Counting is sorting (as in KenLM and Pauls & Klein 2011), and no sort
-computes an inverse that nothing reads.  Each order's context codes are
-sorted with their inverse by ``_unique``, since each position's context rank
-builds the next order's codes; only the top order's positions are sorted
-into types, with their inverse only in ``cv_fold_counts``, whose top-order
-fold keys pair each position's type index with its fold.  Every lower order
-follows from the one above, as in the estimator of Heafield et al. (2013):
-``_derive`` sorts the suffix keys of the order-(n+1) types with their
-inverse: the keys are the order-n types, and the inverse, each type's suffix
-index, sums their raw counts and counts their left extensions.  ``_derive``
-returns it, and through it the fold build maps each order's (type, fold)
-pairs and their counts onto the order below, and takes one left extension
-from the suffix pair of each type found in one fold.  A build keeps no array
-past its last reader: the per-position corpus stream, targets, words,
-context ranks, sentence ids and type inverse go once the top order's types
-and (type, fold) pairs are counted; and the stat deltas are tallied over the
+computes an inverse that nothing reads.  A context code orders contexts by
+their most recent symbol first, so one sort of every position's whole
+n-gram orders every lower order's contexts as its prefixes (``_ngrams``):
+a position's ``order`` symbols of ``J.bit_length()`` bits each, the most
+recent context symbol in the high bits and the word in the low bits, are one
+int64 key when they fit in 63 bits, sorted once, and wider n-grams are
+(T, order) symbol rows for ``np.unique``.  The distinct keys are the top
+order's types in key order, with their counts, and the contexts of order n
+are where the first n - 1 symbols change among them, one pass per order.
+Only ``cv_fold_counts`` sorts by an argsort, whose top-order fold keys pair
+each position's type index with its fold.  Every lower order follows from
+the one above, as in the estimator of Heafield et al. (2013): ``_derive``
+sorts the suffix keys of the order-(n+1) types (``_runs``), and each run of
+equal keys is an order-n type, whose raw count is the integer sum of its
+left extensions' counts and whose continuation count is the run's length.
+``_derive`` returns each sort's order and run heads, through which the
+fold build maps each order's (type, fold) pairs and their counts onto the
+order below, and takes one left extension from the suffix pair of each type
+found in one fold.  A build keeps no array past its last reader: the
+per-position corpus stream, targets, keys and sentence ids go once the top
+order's types are counted, and the positions' type indices and folds once
+its (type, fold) pairs are; and the stat deltas are tallied over the
 (type, fold) pairs of tag-F contexts alone, the only ones stored.
 
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
@@ -258,11 +265,15 @@ class CountTable:
 
 def _check_arrays(orders: list, base: int, token_count: int) -> None:
     """Reject loaded arrays at other widths than a build gives them, keys out
-    of order, naming no context or the bos id J as a word, an order 1 with
-    any context but the empty one, and top-order counts that are not codes
-    of every entry of a table strictly increasing from 1 or miss the token
-    count: binary searches and ``_derive`` trust them, and every lower order
-    that ``_derive`` fills in from them passes the same checks."""
+    of order, naming no context or the bos id J as a word, or leaving a
+    context unnamed, an order 1 with any context but the empty one, and
+    top-order counts that are not codes of every entry of a table strictly
+    increasing from 1 or miss the token count: binary searches and
+    ``_derive`` trust them, and every lower order that ``_derive`` fills in
+    from them passes the same checks.  A build names every context: each
+    order-n context is the suffix of an order-(n+1) one, and each top-order
+    context has a successor, so the groups ``keys // B`` of every key array
+    run from 0 to the last context they index without a gap."""
     top, n_top = orders[-1], len(orders) - 1
     table, codes = top.count_table, top.type_counts
     width = _width(len(top.ctx_codes), base, token_count).itemsize
@@ -278,6 +289,10 @@ def _check_arrays(orders: list, base: int, token_count: int) -> None:
         if len(keys) and not (keys[0] >= 0 and keys[-1] // base < n_groups
                               and (keys[1:] > keys[:-1]).all()):
             raise CountError(f"order-{n} keys are out of order or range")
+        groups = keys // base
+        if not (len(keys) and groups[0] == 0 and groups[-1] == n_groups - 1
+                and (np.diff(groups) <= 1).all()):
+            raise CountError(f"order-{n} keys leave a context unnamed")
     if not (top.type_keys % base < base - 1).all():
         raise CountError(f"order-{n_top} keys name the bos id as a word")
     uses = np.bincount(codes, minlength=len(table))
@@ -301,26 +316,55 @@ def _code_type(n: int) -> np.dtype:
     return np.min_scalar_type(max(n - 1, 0))
 
 
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """True at the first of each run of equal keys in sorted ``keys``."""
+    heads = np.empty(len(keys), dtype=bool)
+    heads[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    return heads
+
+
+def _runs(keys: np.ndarray):
+    """(sorted, order, heads) of non-negative integer keys: ``sorted`` is
+    ``keys[order]`` and ``heads`` is its ``_heads``.  The keys are packed as
+    int64 ``key << b | position`` and sorted once, in place, the low b bits
+    then giving the order and the rest the sorted keys, at int64; keys past
+    63 - b bits take an ``argsort``."""
+    m, top = len(keys), int(keys.max()) if len(keys) else 0
+    b = (m - 1).bit_length()
+    if top.bit_length() + b > 63:
+        order = np.argsort(keys)
+        packed = keys[order]
+    else:
+        packed = keys.astype(np.int64)
+        packed <<= b
+        packed |= np.arange(m)
+        packed.sort()
+        order = packed & ((1 << b) - 1)
+        packed >>= b
+    return packed, order, _heads(packed)
+
+
 def _unique(keys: np.ndarray):
     """``np.unique(keys, return_inverse=True)`` of non-negative integer keys
     without its argsort: keys up to 4 times their number are looked up in a
-    table of the ones present; larger ones are sorted once as
-    ``key << b | position``, and ``np.unique`` takes those past 63 bits."""
+    table of the ones present; larger ones are sorted by ``_runs``, and the
+    inverse is scattered through its order."""
     m, top = len(keys), int(keys.max()) if len(keys) else 0
     if top <= 4 * m:
         seen = np.zeros(top + 1, dtype=bool)
         seen[keys] = True
         return np.flatnonzero(seen).astype(keys.dtype), np.take(np.cumsum(seen) - 1, keys)
-    b = (m - 1).bit_length()
-    if top.bit_length() + b > 63:
-        return np.unique(keys, return_inverse=True)
-    packed = np.sort(keys.astype(np.int64) << b | np.arange(m))
-    new, key = np.empty(m, dtype=bool), packed >> b
-    new[0] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    inverse = np.empty(m, dtype=np.intp)
-    inverse[packed & ((1 << b) - 1)] = np.cumsum(new) - 1
-    return key[new].astype(keys.dtype), inverse
+    key, order, heads = _runs(keys)
+    return key[heads].astype(keys.dtype), _inverse(order, heads)
+
+
+def _inverse(order: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Each key's run index among the sorted keys, from the ``order`` and
+    ``heads`` of ``_runs``."""
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(heads) - 1
+    return inverse
 
 
 def _coded(values: np.ndarray, width: np.dtype):
@@ -365,12 +409,14 @@ def _derive(orders: list, base: int) -> list:
     order's stats, reading the contexts of every order and the top order's
     types; counting and loading both end here.  With full bos padding each
     order-n type is the suffix of an order-(n+1) type (module docstring), so
-    one suffix pass gives its key, its raw count (the sum over its left
-    extensions, by a float64 ``bincount``, exact below 2**53 tokens) and its
-    continuation count (their number).  Returns, at index n + 1, each
-    order-(n+1) type's suffix type index at order n.  Values are tallied as
-    intp and coded last, their tables at the keys' width."""
-    width, suffix = orders[1].ctx_codes.dtype, [None] * len(orders)
+    one sort of the order-(n+1) types' suffix keys (``_runs``) gives each
+    order-n type as a run: its key, its raw count (the integer
+    ``np.add.reduceat`` of its left extensions' counts, exact at any size)
+    and its continuation count (the run's length).  Returns, at index n + 1,
+    that sort's order and ``_heads``, which mark the first of each run.
+    Values are tallied as intp (the counts at the store's width) and coded
+    last, their tables at the keys' width."""
+    width, runs = orders[1].ctx_codes.dtype, [None] * len(orders)
     counts = np.take(orders[-1].count_table, orders[-1].type_counts)
     groups, words = np.divmod(orders[-1].type_keys, base)  # each type's context rank and word
     for n in range(len(orders) - 1, 0, -1):
@@ -379,15 +425,18 @@ def _derive(orders: list, base: int) -> list:
         if n > 1:
             lo = orders[n - 1]
             # each type's suffix type: its context's suffix rank, then its word
-            lo.type_keys, suffix[n] = _unique(np.take(od.ctx_codes, groups) // base * base + words)
-            extensions = np.bincount(suffix[n], minlength=len(lo.type_keys))
-            counts = np.bincount(suffix[n], counts, len(lo.type_keys)).astype(np.intp)
+            keys, order, heads = _runs(np.take(od.ctx_codes, groups) // base * base + words)
+            starts = np.flatnonzero(heads)
+            runs[n] = order, heads
+            lo.type_keys = keys[starts].astype(width)
+            counts = np.add.reduceat(np.take(counts, order), starts)
+            extensions = np.diff(starts, append=len(keys))
             groups, words = np.divmod(lo.type_keys, base)
             lo.type_counts, lo.count_table = _coded(counts, width)
             lo.cont_type_counts, lo.cont_count_table = _coded(extensions, width)
             lo.cont_stats, lo.cont_stat_table = _coded(
                 _tally(groups, extensions, len(lo.ctx_codes) + 1), width)
-    return suffix
+    return runs
 
 
 def _stat_deltas(inv: np.ndarray, n_keys: int, full: np.ndarray, drop: np.ndarray) -> np.ndarray:
@@ -418,6 +467,70 @@ def _corpus_stream(corpus: EncodedCorpus, order: int):
     return stream, targets, sent_of
 
 
+def _ngrams(stream: np.ndarray, targets: np.ndarray, order: int, base: int,
+            fold: np.ndarray | None):
+    """Count every position's n-gram by one sort (module docstring): the
+    contexts of every order as int64 codes, from order 1's empty one, the top
+    order's type keys and counts, and given each position's fold, each
+    position's type index and its fold, aligned.  A position's ``order``
+    symbols, its most recent context symbol first and its word last, are
+    one int64 key when their bits fit in 63, else one row for ``np.unique``;
+    the contexts of k symbols are where the first k symbols change among
+    the sorted types."""
+    bits = (base - 1).bit_length()
+    if order * bits <= 63:
+        # the key of each stream position from ``lo`` on, shifted in from
+        # slices of the stream: the symbol d back ends bits * (order - d)
+        # above the word, which goes in last
+        lo = order - 1
+        key = np.zeros(len(stream) - lo, dtype=np.int64)
+        for d in (*range(1, order), 0):
+            key <<= bits
+            key |= stream[lo - d:len(stream) - d]
+        key = np.take(key, targets - lo)
+        if fold is None:
+            key = np.sort(key)
+        else:
+            perm = np.argsort(key)
+            key, fold = np.take(key, perm), np.take(fold, perm)
+        heads = _heads(key)
+        starts = np.flatnonzero(heads)
+        counts = np.diff(starts, append=len(key))
+        pairs = None if fold is None else (np.cumsum(heads) - 1, fold)
+        types = np.take(key, starts)
+        step = types[1:] ^ types[:-1]  # zero in the bits of every symbol two types share
+
+        def changed(k):
+            return step >= 1 << bits * (order - k)
+
+        def symbol(k, at):
+            return (types[at] >> bits * (order - k)) & ((1 << bits) - 1)
+    else:
+        rows = np.stack([np.take(stream, targets - d) for d in (*range(1, order), 0)], axis=1)
+        rows, *inverse, counts = np.unique(rows, axis=0, return_inverse=fold is not None,
+                                           return_counts=True)
+        pairs = None if fold is None else (inverse[0].reshape(-1), fold)
+        # true where any of the first k symbols differ from the row before
+        step = np.logical_or.accumulate(rows[1:] != rows[:-1], axis=1)
+
+        def changed(k):
+            return step[:, k - 1]
+
+        def symbol(k, at):
+            return rows[at, k - 1]
+    # where the first k - 1 symbols change, they change at every longer
+    # prefix too, so each order's suffix ranks count the heads below it
+    above, contexts = np.zeros(len(counts), dtype=bool), [np.zeros(1, dtype=np.int64)]
+    above[0] = True
+    for k in range(1, order):  # the contexts of order k + 1
+        heads = np.ones(len(counts), dtype=bool)
+        heads[1:] = changed(k)
+        at = np.flatnonzero(heads)
+        contexts.append((np.cumsum(above[at]) - 1) * base + symbol(k, at))
+        above = heads
+    return contexts, (np.cumsum(above) - 1) * base + symbol(order, slice(None)), counts, pairs
+
+
 def accumulate(corpus: EncodedCorpus, order: int) -> CountTable:
     """Count all n-grams of orders 1..order with full bos padding."""
     return _build(corpus, order, folds=None)[0]
@@ -436,34 +549,24 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
     if folds is not None and not 2 <= folds <= len(corpus.sentences):
         raise CountError(f"folds must lie in 2..{len(corpus.sentences)}, the sentence count")
     base, T, F = corpus.vocab.size + 1, len(targets), folds or 1
-    words = np.take(stream, targets)
-
-    # each order's contexts are sorted in the width they select, never wider
-    # than the table's; the types only at the top order, where the fold
-    # deltas read each position's type index
-    rank, contexts = np.zeros(T, dtype=np.int64), [np.zeros(1, dtype=np.int64)]
-    for n in range(2, order + 1):
-        codes = rank * base + np.take(stream, targets - (n - 1))
-        ctx_codes, rank = _unique(codes.astype(_width(len(contexts[-1]), base, T, F)))
-        contexts.append(ctx_codes)
+    contexts, keys, counts, pairs = _ngrams(stream, targets, order, base,
+                                            None if folds is None else sent_of % folds)
+    del stream, targets, sent_of
     width = _width(len(contexts[-1]), base, T, F)
-    codes = (rank * base + words).astype(width)
-    keys, *inverse, counts = np.unique(codes, return_inverse=folds is not None,
-                                       return_counts=True)
     orders = [None] + [_OrderData(ctx.astype(width, copy=False)) for ctx in contexts[:-1]] + [
-        _OrderData(contexts[-1].astype(width, copy=False), keys, *_coded(counts, width))]
+        _OrderData(contexts[-1].astype(width, copy=False), keys.astype(width, copy=False),
+                   *_coded(counts, width))]
     if folds is not None:  # the top order's (type, fold) pairs and their counts
-        keys, counts = np.unique((inverse[0] * folds + sent_of % folds).astype(width),
-                                 return_counts=True)
-    del stream, targets, words, rank, sent_of, codes, inverse  # the top order is counted
-    suffix = _derive(orders, base)
+        keys, counts = np.unique((pairs[0] * folds + pairs[1]).astype(width), return_counts=True)
+    del contexts, pairs  # the top order is counted
+    runs = _derive(orders, base)
     table = CountTable(order, corpus.vocab.size, orders, T, corpus.vocab.fingerprint)
     if folds is None:
         return table, None
 
     fold_assignment = np.arange(len(corpus.sentences), dtype=width) % folds
     # the values are computed at the store's width and only then coded; each
-    # lower order's pairs come from the order above's through ``suffix``
+    # lower order's pairs come from the order above's through ``_derive``'s runs
     fold_data: list = [None] * (order + 1)
     lost = None  # per pair: the left extensions found in its fold alone
     for n in range(order, 0, -1):
@@ -490,8 +593,9 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
         if n > 1:
             # each pair's suffix pair sums its occurrences (as ``_derive``
             # sums counts), and a type found in one fold is a left extension
-            # that leaving that fold out takes from its suffix type
-            keys, up = _unique((suffix[n][ids] * folds + fold).astype(width))
+            # that leaving that fold out takes from its suffix type; each
+            # type's suffix type comes from runs[n], the last one left
+            keys, up = _unique((_inverse(*runs.pop())[ids] * folds + fold).astype(width))
             counts = np.bincount(up, counts, len(keys))
             lost = np.bincount(up[~multi], minlength=len(keys)).astype(width)
 

@@ -5,14 +5,18 @@ reference of the optimizer.
 The count oracles here are deliberately slow dict-based reimplementations of
 the count semantics (full bos padding, eos predicted, continuation counts
 from distinct left extensions).  Tests compare the vectorized store against
-them on small random corpora.  The layer references compose one autograd
-node per operation, from the library's ops and the reference ops kept here
-(``matmul``, ``tanh``, ``sigmoid``, ``softmax_rows``); tests compare the
-fused layer nodes against them and every gradient against central
-differences.
+them on small random corpora, and against a build whose top order is
+counted by the per-order context loop (``reference_ngrams``).  The layer
+references compose one autograd node per operation, from the library's ops
+and the reference ops kept here (``matmul``, ``tanh``, ``sigmoid``,
+``softmax_rows``); tests compare the fused layer nodes against them and every
+gradient against central differences.
 """
 
+import functools
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +58,20 @@ def parity_corpora(seed, n_words=9):
     train = encode(synthetic_lines(40, n_words=n_words, seed=seed), max_size=n_words - 2)
     held = encode_corpus(synthetic_lines(8, n_words=n_words + 4, seed=seed + 1), train.vocab)
     return train, held
+
+
+@functools.cache
+def bench_corpus(seed):
+    """The benchmark's training corpus at ``seed``, encoded with its capped
+    vocabulary (``bench/inputs.py``)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import inputs
+        import run
+    finally:
+        sys.path.pop(0)
+    return encode(inputs.generate(run.SHAPE, seed, run.FOLDS).train,
+                  max_size=run.SHAPE.vocab_cap)
 
 
 def synthetic_lines(n_sentences, n_words=30, seed=0, avg_len=8.0):
@@ -135,6 +153,22 @@ def fold_out_tables(corpus: EncodedCorpus, order: int, n_folds: int):
     for bulk calls that leave the fold out, compared context by context
     (the two stores rank their contexts differently)."""
     return [accumulate(drop_fold(corpus, f, n_folds), order) for f in range(n_folds)]
+
+
+def reference_ngrams(stream, targets, order, base, fold):
+    """What ``counts._ngrams`` returns, counted by the per-order context loop
+    it replaced: each order's context codes, suffix rank * B + leftmost
+    symbol, sorted with their inverse, whose ranks build the next order's
+    codes; then the top order's type keys from the last ranks and the words,
+    with their counts and, given each position's fold, each position's type
+    index and fold."""
+    rank, contexts = np.zeros(len(targets), dtype=np.int64), [np.zeros(1, dtype=np.int64)]
+    for n in range(2, order + 1):
+        ctx, rank = np.unique(rank * base + stream[targets - (n - 1)], return_inverse=True)
+        contexts.append(ctx)
+    keys, inverse, counts = np.unique(rank * base + stream[targets], return_inverse=True,
+                                      return_counts=True)
+    return contexts, keys, counts, None if fold is None else (inverse, fold)
 
 
 def _retally(groups, counts, n_groups):

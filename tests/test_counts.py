@@ -3,9 +3,9 @@
 import bisect
 import hashlib
 import struct
-import sys
 import tracemalloc
 import zlib
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +22,8 @@ from mixlm.smoothing import SmoothingSpec, bulk_column_rows
 from helpers import (
     TOY_LINES,
     assert_store_invariants,
+    bench_corpus,
+    reference_ngrams,
     brute_context_stats,
     brute_continuation,
     brute_ngrams,
@@ -1428,6 +1430,24 @@ class TestSerialization:
         with pytest.raises(CountError, match=f"order-{n} (keys|counts)"):
             loaded(data, tmp_path)
 
+    def test_rejects_a_context_no_type_names(self, tmp_path):
+        """An order-3 context code put into a gap between two of the codes,
+        the type keys after it shifted one rank, and sealed behind a valid
+        checksum: every array is in order and in range, but the new context
+        has no successor, so its distributions would sum to less than 1.  A
+        build names every context, and ``load`` refuses the file."""
+        table = accumulate(encode(["a b a", "a c", "a b", "d a"]), 3)
+        od, base = table.orders[3], table.base
+        codes = od.ctx_codes.tolist()
+        gap = next(c for c in range(codes[0], codes[-1]) if c not in codes)
+        at = int(np.searchsorted(od.ctx_codes, gap))
+        od.ctx_codes = np.insert(od.ctx_codes, at, gap)
+        od.type_keys[od.type_keys // base >= at] += base
+        data = saved(table, tmp_path)
+        assert data == sealed(data)
+        with pytest.raises(CountError, match="order-3 keys leave a context unnamed"):
+            loaded(data, tmp_path)
+
     def test_store_holds_nothing_but_arrays(self):
         """Every attribute of every order's and fold's arrays, from
         ``accumulate`` and from ``cv_fold_counts``, is an ndarray or None:
@@ -1482,6 +1502,24 @@ class TestSerialization:
                 assert cont.counts is not raw.counts and cont.stats is not raw.stats, n
 
 
+def assert_recounted(table, corpus):
+    """At every order, the type count, the counts, continuation counts and
+    both kinds of stats of a dict recount of ``corpus``."""
+    grams, view = brute_ngrams(corpus, table.order), table.view()
+    for n in range(1, table.order + 1):
+        assert len(table.orders[n].type_keys) == len(grams[n]), n
+        kinds = [(False, grams[n])]
+        if n < table.order:
+            kinds.append((True, brute_continuation(grams, n)))
+        for cont, counts in kinds:
+            count, stats = (view.cont_count, view.cont_stats) if cont else (view.count,
+                                                                           view.stats)
+            for (ctx, w), c in counts.items():
+                assert count(n, resolve(view, ctx), w) == c, (n, ctx, w, cont)
+            for ctx, (total, _, n1, n2, n3p) in brute_context_stats(counts).items():
+                assert stats(n, resolve(view, ctx)) == (total, n1, n2, n3p), (n, ctx, cont)
+
+
 class TestLoadedStore:
     """A store saved and loaded back, whose lower orders ``load`` derives
     from the contexts of every order and the top order's types."""
@@ -1500,19 +1538,88 @@ class TestLoadedStore:
         assert_tables_equal(built, got)
         assert widths(got) == widths(built)
         assert_store_invariants(got)
-        grams, view = brute_ngrams(self.corpus, self.order), got.view()
-        for n in range(1, self.order + 1):
-            assert len(got.orders[n].type_keys) == len(grams[n]), n
-            kinds = [(False, grams[n])]
-            if n < self.order:
-                kinds.append((True, brute_continuation(grams, n)))
-            for cont, counts in kinds:
-                count, stats = (view.cont_count, view.cont_stats) if cont else (view.count,
-                                                                               view.stats)
-                for (ctx, w), c in counts.items():
-                    assert count(n, resolve(view, ctx), w) == c, (n, ctx, w, cont)
-                for ctx, (total, _, n1, n2, n3p) in brute_context_stats(counts).items():
-                    assert stats(n, resolve(view, ctx)) == (total, n1, n2, n3p), (n, ctx, cont)
+        assert_recounted(got, self.corpus)
+
+
+def assert_stores_equal(got, want):
+    """Equal stores: the same header, and every array of every order and, for
+    a ``FoldedCounts``, of every fold at the same value and dtype."""
+    if isinstance(want, mcounts.FoldedCounts):
+        assert got.n_folds == want.n_folds
+        folds = [("fold assignment", got.fold_assignment, want.fold_assignment)] + [
+            (f"order {n} folds {name}", getattr(got.fold_data[n], name), arr)
+            for n in range(1, want.table.order + 1)
+            for name, arr in vars(want.fold_data[n]).items()]
+        for where, a, b in folds:
+            assert (a is None) == (b is None), where
+            if b is not None:
+                assert a.dtype == b.dtype, where
+                np.testing.assert_array_equal(a, b, err_msg=where)
+        got, want = got.table, want.table
+    assert_tables_equal(got, want)
+    assert widths(got) == widths(want)
+
+
+class TestReferenceBuild:
+    """Every array of ``accumulate`` and ``cv_fold_counts`` equals the store
+    built from the per-order context loop (``helpers.reference_ngrams``), on
+    the benchmark's seed-1 training corpus and on the parity corpora."""
+
+    @staticmethod
+    def check(monkeypatch, corpus, order, folds):
+        with monkeypatch.context() as m:
+            m.setattr(mcounts, "_ngrams", reference_ngrams)
+            want = accumulate(corpus, order), cv_fold_counts(corpus, order, folds)
+        assert_stores_equal(accumulate(corpus, order), want[0])
+        assert_stores_equal(cv_fold_counts(corpus, order, folds), want[1])
+
+    def test_benchmark_corpus(self, monkeypatch):
+        self.check(monkeypatch, bench_corpus(1), 5, 10)
+
+    @pytest.mark.parametrize("case", PARITY_CASES, ids=parity_id)
+    def test_parity_corpora(self, monkeypatch, case):
+        order, folds, seed = case
+        self.check(monkeypatch, parity_corpora(seed)[0], order, folds)
+
+
+class TestPackingPaths:
+    """Order 9 on each side of the 63-bit fit of the packed n-gram key: with
+    J = 127 every symbol (a word id or the bos id) takes 7 bits, 63 in all,
+    and with J = 128 it takes 8, so the n-grams are sorted as symbol rows by
+    ``np.unique``.  Both stores, with and without folds, agree with a dict
+    recount."""
+
+    ORDER = 9
+
+    @pytest.mark.parametrize("J, rows", [(127, 0), (128, 2)], ids=["packed", "rows"])
+    def test_agrees_with_a_recount(self, monkeypatch, J, rows):
+        corpus = encode(synthetic_lines(150, n_words=J + 20, seed=J), max_size=J - 2)
+        assert corpus.vocab.size == J
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda a, *args, **kwargs: calls.append(
+            np.shape(a)[1:] == (self.ORDER,)) or unique(a, *args, **kwargs))
+        table, folded = accumulate(corpus, self.ORDER), cv_fold_counts(corpus, self.ORDER, 3)
+        assert sum(calls) == rows
+        assert_store_invariants(table)
+        assert_store_invariants(folded.table, folded, corpus)
+        assert_stores_equal(folded.table, table)
+        assert_recounted(table, corpus)
+        # each fold left out at every position of the text reads what a store
+        # counted without that fold reads through its own ranks
+        view = folded.view()
+        ranks, words, _ = view.bulk_ranks(corpus)
+        for f, part in enumerate(fold_out_tables(corpus, self.ORDER, 3)):
+            part_view, same = part.view(), np.full(len(words), f)
+            part_ranks = part_view.bulk_ranks(corpus)[0]
+            for n in range(1, self.ORDER + 1):
+                r, pr = ranks[:, n - 1], part_ranks[:, n - 1]
+                for cont in (False, True) if n < self.ORDER else (False,):
+                    np.testing.assert_array_equal(
+                        view.bulk_counts(n, r, words, same, cont),
+                        part_view.bulk_counts(n, pr, words, continuation=cont))
+                    np.testing.assert_array_equal(
+                        view.bulk_stats(n, r, same, cont),
+                        part_view.bulk_stats(n, pr, continuation=cont))
 
 
 class TestCoded:
@@ -1580,25 +1687,24 @@ class TestCoded:
         assert table.view().stats(1, 0) == (7, 2, 1, 1) and table.view().stats(1, -1) == (0,) * 4
 
     def test_fallback_when_the_bits_do_not_fit(self, monkeypatch):
-        """Rows whose column spans exceed 63 bits together, and keys whose
-        bits plus position bits exceed 63, go to ``np.unique``."""
-        calls = []
-        unique = np.unique
+        """Rows whose column spans exceed 63 bits together go to ``np.unique``,
+        and keys whose bits plus position bits exceed 63 to ``np.argsort``."""
+        calls, sorted_ = [], []
+        unique, argsort = np.unique, np.argsort
         monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(k) or unique(*a, **k))
+        monkeypatch.setattr(np, "argsort", lambda a: sorted_.append(a.tolist()) or argsort(a))
         wide = np.array([[2**40, 0], [0, 2**40], [2**40, 0], [0, 0]], dtype=np.int64)
         self.check(wide, np.dtype(np.int64))  # 41 + 41 bits
         assert calls[0].get("axis") == 0
         calls.clear()
         self.check(wide[:, :1], np.dtype(np.int64))  # 41 bits fit
         assert all(k.get("axis") == 0 for k in calls)  # only the check's own
-        calls.clear()
         keys = np.array([2**62, 5, 2**62, 2**61], dtype=np.int64)  # 63 + 2 bits
         got = mcounts._unique(keys)
-        assert calls and calls[0] == {"return_inverse": True}
-        calls.clear()
+        assert sorted_ == [keys.tolist()]
         self.check_unique(keys[1:2])  # one key: no position bits
         self.check_unique(np.array([2**60, 5, 2**60], dtype=np.int64))  # 61 + 2 bits fit
-        assert calls == [{"return_inverse": True}] * 2  # only the checks' own
+        assert sorted_ == [keys.tolist()]
         assert [a.tolist() for a in got] == [[5, 2**61, 2**62], [2, 0, 2, 1]]
 
     @pytest.mark.parametrize("keys", [
@@ -1608,26 +1714,38 @@ class TestCoded:
     def test_unique_equals_numpy(self, keys):
         self.check_unique(keys)
 
-    def test_build_context_ranks_equal_numpy(self, monkeypatch):
-        """Every ``_unique`` call of a build, the context sorts of each order,
-        the suffix sorts of ``_derive`` and the coding of each value array,
-        equals ``np.unique`` on the benchmark's seed-1 training corpus."""
-        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-        try:
-            import inputs
-            import run
-        finally:
-            sys.path.pop(0)
-        lines = inputs.generate(run.SHAPE, 1, run.FOLDS).train
-        corpus = encode(lines, max_size=run.SHAPE.vocab_cap)
-        unique, coded, calls, coding = mcounts._unique, mcounts._coded, [], []
+    def test_build_sorts_equal_numpy(self, monkeypatch):
+        """Every sort of a build equals ``np.unique`` on the benchmark's seed-1
+        training corpus: the one sort of the top order's packed n-grams
+        (``np.sort`` in ``accumulate``, ``np.argsort`` in ``cv_fold_counts``),
+        each order's suffix sort in ``_derive`` (``_runs``), every ``_unique``,
+        which codes each value array and maps the fold build's pairs, and the
+        ``_runs`` of every ``_unique`` that sorts."""
+        corpus = bench_corpus(1)
+        coded, calls, coding = mcounts._coded, [], []
 
-        def checked(keys):
-            got = unique(keys)
-            calls.append(bool(coding))
-            want = np.unique(keys, return_inverse=True)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            return got
+        def spied(owner, name, check):
+            raw = getattr(owner, name)
+
+            def call(keys, *args, **kwargs):
+                got = raw(keys, *args, **kwargs)
+                calls.append((name, bool(coding)))
+                check(keys, got)
+                return got
+            monkeypatch.setattr(owner, name, call)
+
+        def sorted_keys(keys):
+            return np.repeat(*np.unique(keys, return_counts=True))
+
+        def check_runs(keys, got):
+            in_order, order, heads = got
+            assert np.array_equal(in_order, sorted_keys(keys))
+            assert np.array_equal(keys[order], in_order)
+            assert np.array_equal(in_order[heads], np.unique(keys))
+
+        def check_unique(keys, got):
+            for g, w in zip(got, np.unique(keys, return_inverse=True)):
+                np.testing.assert_array_equal(g, w)
 
         def recorded(values, width):
             coding.append(True)
@@ -1636,11 +1754,24 @@ class TestCoded:
             finally:
                 coding.pop()
 
-        monkeypatch.setattr(mcounts, "_unique", checked)
+        spied(np, "sort", lambda keys, got: np.testing.assert_array_equal(got, sorted_keys(keys)))
+        spied(np, "argsort",
+              lambda keys, got: np.testing.assert_array_equal(keys[got], sorted_keys(keys)))
+        spied(mcounts, "_runs", check_runs)
+        spied(mcounts, "_unique", check_unique)
         monkeypatch.setattr(mcounts, "_coded", recorded)
         accumulate(corpus, 5)
-        assert calls.count(False) == 8  # the contexts of orders 2 to 5, the types of 1 to 4
-        assert calls.count(True) == 18  # the counts and stats of each kind
+        # the top sort, the suffix sorts of orders 5 to 2, and the coding of
+        # the counts and stats of each kind, 10 of the 18 by sorting
+        assert Counter(calls) == {("sort", False): 1, ("_runs", False): 4,
+                                  ("_unique", True): 18, ("_runs", True): 10}
+        calls.clear()
+        cv_fold_counts(corpus, 5, 10)
+        # the top argsort, the suffix sorts, the fold build's maps of the pairs
+        # of orders 5 to 2 (2 by sorting), and 36 codings (19 by sorting)
+        assert Counter(calls) == {("argsort", False): 1, ("_runs", False): 6,
+                                  ("_unique", False): 4, ("_unique", True): 36,
+                                  ("_runs", True): 19}
 
 
 class TestWidth:
