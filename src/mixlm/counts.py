@@ -69,16 +69,20 @@ their most recent symbol first, so one sort of every position's whole
 n-gram orders every lower order's contexts as its prefixes (``_ngrams``):
 a position's ``order`` symbols of ``J.bit_length()`` bits each, the most
 recent context symbol in the high bits and the word in the low bits, are one
-int64 key when they fit in 63 bits, sorted once, and wider n-grams are
-(T, order) symbol rows for ``np.unique``.  The distinct keys are the top
-order's types in key order, with their counts, and the contexts of order n
-are where the first n - 1 symbols change among them, one pass per order.
-Only ``cv_fold_counts`` sorts by an argsort, whose top-order fold keys pair
-each position's type index with its fold.  Every lower order follows from
-the one above, as in the estimator of Heafield et al. (2013): ``_derive``
-sorts the suffix keys of the order-(n+1) types (``_runs``), and each run of
-equal keys is an order-n type, whose raw count is the integer sum of its
-left extensions' counts and whose continuation count is the run's length.
+int64 key when they fit in 63 bits, sorted once.  Wider n-grams (order 5
+from J = 4,096 on) are packed in stages: the leading symbols that fit are
+replaced by their rank among the distinct ones, which the next symbols
+are packed on below, so the last stage's key sorts as the whole n-gram,
+at one sort per stage.  The distinct keys are the top order's types in
+key order, with their counts, and the contexts of order n are where the
+first n - 1 symbols change among them, one pass per order.  Only
+``cv_fold_counts`` sorts the last keys with their positions (``_runs``),
+whose top-order fold keys pair each position's type index with its fold.
+Every lower order follows from the one above, as in the estimator of
+Heafield et al. (2013): ``_derive`` sorts the suffix keys of the
+order-(n+1) types (``_runs``), and each run of equal keys is an order-n
+type, whose raw count is the integer sum of its left extensions' counts
+and whose continuation count is the run's length.
 ``_derive`` returns each sort's order and run heads, through which the
 fold build maps each order's (type, fold) pairs and their counts onto the
 order below, and takes one left extension from the suffix pair of each type
@@ -474,61 +478,69 @@ def _ngrams(stream: np.ndarray, targets: np.ndarray, order: int, base: int,
     order's type keys and counts, and given each position's fold, each
     position's type index and its fold, aligned.  A position's ``order``
     symbols, its most recent context symbol first and its word last, are
-    one int64 key when their bits fit in 63, else one row for ``np.unique``;
-    the contexts of k symbols are where the first k symbols change among
-    the sorted types."""
-    bits = (base - 1).bit_length()
-    if order * bits <= 63:
-        # the key of each stream position from ``lo`` on, shifted in from
-        # slices of the stream: the symbol d back ends bits * (order - d)
-        # above the word, which goes in last
-        lo = order - 1
-        key = np.zeros(len(stream) - lo, dtype=np.int64)
-        for d in (*range(1, order), 0):
+    one int64 key when their bits fit in 63, else one key of the last of
+    the stages that rank the leading symbols; the contexts of k symbols are
+    where the first k symbols change among the sorted types, read from the
+    keys of the stage that holds symbol k."""
+    bits, lo, symbols, stages = (base - 1).bit_length(), order - 1, (*range(1, order), 0), []
+    # an int64 key's room for symbols, less the position bits of ``_runs``
+    # when they do not all fit
+    room = 63 if order * bits <= 63 else 63 - (len(targets) - 1).bit_length()
+    end = min(max(room // bits, 1), order)
+    # the key of each stream position from ``lo`` on, shifted in from slices
+    # of the stream; each symbol goes in below the ones before it
+    key = np.zeros(len(stream) - lo, dtype=np.int64)
+    for d in symbols[:end]:
+        key <<= bits
+        key |= stream[lo - d:len(stream) - d]
+    key = np.take(key, targets - lo)
+    # the leading symbols that leave no room for the rest are replaced by
+    # their rank among the distinct ones, then packed on with the next
+    # symbols (one at least), until the key holds them all; each stage keeps
+    # the number of symbols it ends at and its distinct keys, which the ranks
+    # index
+    while end < order:
+        distinct, key = _unique(key)
+        stages.append((end, distinct))
+        key = key.astype(np.int64, copy=False)
+        take = max((room - int(key.max()).bit_length()) // bits, 1)
+        for d in symbols[end:end + take]:
             key <<= bits
-            key |= stream[lo - d:len(stream) - d]
-        key = np.take(key, targets - lo)
-        if fold is None:
-            key = np.sort(key)
-        else:
-            perm = np.argsort(key)
-            key, fold = np.take(key, perm), np.take(fold, perm)
+            key |= np.take(stream, targets - d)
+        end = min(end + take, order)
+    if fold is None:
+        key = np.sort(key)
         heads = _heads(key)
-        starts = np.flatnonzero(heads)
-        counts = np.diff(starts, append=len(key))
-        pairs = None if fold is None else (np.cumsum(heads) - 1, fold)
-        types = np.take(key, starts)
-        step = types[1:] ^ types[:-1]  # zero in the bits of every symbol two types share
-
-        def changed(k):
-            return step >= 1 << bits * (order - k)
-
-        def symbol(k, at):
-            return (types[at] >> bits * (order - k)) & ((1 << bits) - 1)
     else:
-        rows = np.stack([np.take(stream, targets - d) for d in (*range(1, order), 0)], axis=1)
-        rows, *inverse, counts = np.unique(rows, axis=0, return_inverse=fold is not None,
-                                           return_counts=True)
-        pairs = None if fold is None else (inverse[0].reshape(-1), fold)
-        # true where any of the first k symbols differ from the row before
-        step = np.logical_or.accumulate(rows[1:] != rows[:-1], axis=1)
-
-        def changed(k):
-            return step[:, k - 1]
-
-        def symbol(k, at):
-            return rows[at, k - 1]
-    # where the first k - 1 symbols change, they change at every longer
-    # prefix too, so each order's suffix ranks count the heads below it
-    above, contexts = np.zeros(len(counts), dtype=bool), [np.zeros(1, dtype=np.int64)]
+        key, perm, heads = _runs(key)
+        fold = np.take(fold, perm)
+    starts = np.flatnonzero(heads)
+    counts = np.diff(starts, append=len(key))
+    pairs = None if fold is None else (np.cumsum(heads) - 1, fold)
+    # each type's key at every stage, from the rank in the high bits of
+    # the stage after it
+    types = np.take(key, starts)
+    levels = [(order, types)]
+    for end, distinct in reversed(stages):
+        after, keys = levels[0]
+        levels.insert(0, (end, np.take(distinct, keys >> bits * (after - end))))
+    # the contexts of k + 1 symbols are where the first k change; and where
+    # they change, they change at every longer prefix too, so each order's
+    # suffix ranks count the heads below it
+    above, contexts, done = np.zeros(len(counts), dtype=bool), [np.zeros(1, dtype=np.int64)], 0
     above[0] = True
-    for k in range(1, order):  # the contexts of order k + 1
-        heads = np.ones(len(counts), dtype=bool)
-        heads[1:] = changed(k)
-        at = np.flatnonzero(heads)
-        contexts.append((np.cumsum(above[at]) - 1) * base + symbol(k, at))
-        above = heads
-    return contexts, (np.cumsum(above) - 1) * base + symbol(order, slice(None)), counts, pairs
+    for end, keys in levels:
+        step = keys[1:] ^ keys[:-1]  # zero in the bits of every symbol two types share
+        for k in range(done + 1, min(end, order - 1) + 1):
+            shift = bits * (end - k)  # where symbol k sits in this stage's keys
+            heads = np.ones(len(counts), dtype=bool)
+            heads[1:] = step >= 1 << shift
+            at = np.flatnonzero(heads)
+            contexts.append((np.cumsum(above[at]) - 1) * base
+                            + ((np.take(keys, at) >> shift) & ((1 << bits) - 1)))
+            above = heads
+        done = end
+    return contexts, (np.cumsum(above) - 1) * base + (types & ((1 << bits) - 1)), counts, pairs
 
 
 def accumulate(corpus: EncodedCorpus, order: int) -> CountTable:

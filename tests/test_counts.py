@@ -3,6 +3,7 @@
 import bisect
 import hashlib
 import struct
+import sys
 import tracemalloc
 import zlib
 from collections import Counter
@@ -1585,21 +1586,28 @@ class TestReferenceBuild:
 class TestPackingPaths:
     """Order 9 on each side of the 63-bit fit of the packed n-gram key: with
     J = 127 every symbol (a word id or the bos id) takes 7 bits, 63 in all,
-    and with J = 128 it takes 8, so the n-grams are sorted as symbol rows by
-    ``np.unique``.  Both stores, with and without folds, agree with a dict
-    recount."""
+    and with J = 128 it takes 8, so the leading symbols are ranked in a
+    stage of their own, one ``_unique`` per build.  Both stores, with and
+    without folds, agree with a dict recount; and ``_ngrams`` returns what
+    the per-order context loop does at every number of stages."""
 
     ORDER = 9
 
-    @pytest.mark.parametrize("J, rows", [(127, 0), (128, 2)], ids=["packed", "rows"])
-    def test_agrees_with_a_recount(self, monkeypatch, J, rows):
+    @staticmethod
+    def stage_sorts(monkeypatch):
+        """The names of the callers of ``_unique``, as it is called."""
+        calls, unique = [], mcounts._unique
+        monkeypatch.setattr(mcounts, "_unique", lambda keys: calls.append(
+            sys._getframe(1).f_code.co_name) or unique(keys))
+        return calls
+
+    @pytest.mark.parametrize("J, stages", [(127, 0), (128, 1)], ids=["packed", "staged"])
+    def test_agrees_with_a_recount(self, monkeypatch, J, stages):
         corpus = encode(synthetic_lines(150, n_words=J + 20, seed=J), max_size=J - 2)
         assert corpus.vocab.size == J
-        calls, unique = [], np.unique
-        monkeypatch.setattr(np, "unique", lambda a, *args, **kwargs: calls.append(
-            np.shape(a)[1:] == (self.ORDER,)) or unique(a, *args, **kwargs))
+        calls = self.stage_sorts(monkeypatch)
         table, folded = accumulate(corpus, self.ORDER), cv_fold_counts(corpus, self.ORDER, 3)
-        assert sum(calls) == rows
+        assert calls.count("_ngrams") == 2 * stages
         assert_store_invariants(table)
         assert_store_invariants(folded.table, folded, corpus)
         assert_stores_equal(folded.table, table)
@@ -1620,6 +1628,33 @@ class TestPackingPaths:
                     np.testing.assert_array_equal(
                         view.bulk_stats(n, r, same, cont),
                         part_view.bulk_stats(n, pr, continuation=cont))
+
+    @pytest.mark.parametrize("order, J, stages", [
+        (5, 4095, 0), (5, 4096, 1), (9, 128, 1), (13, 128, 2), (3, 2**40, 2)])
+    @pytest.mark.parametrize("folds", [None, 3], ids=["counts", "folds"])
+    def test_ngrams_equal_the_context_loop(self, monkeypatch, order, J, stages, folds):
+        """A stream of 3,000 symbols from six spread over 0..J, J among them,
+        so that every symbol bit is used and n-grams repeat; at J = 2**40 a
+        rank leaves no room for a whole symbol, and one goes in anyway.  The
+        type index of each position, paired with its fold, is compared as a
+        multiset, since ``_ngrams`` returns the pairs in key order."""
+        rng = np.random.default_rng(order)
+        stream = rng.choice(np.append(rng.choice(J, 5, replace=False), J), 3000)
+        targets = np.arange(order - 1, len(stream))
+        fold = None if folds is None else rng.integers(0, folds, len(targets))
+        calls = self.stage_sorts(monkeypatch)
+        got = mcounts._ngrams(stream, targets, order, J + 1, fold)
+        want = reference_ngrams(stream, targets, order, J + 1, fold)
+        assert calls == ["_ngrams"] * stages
+        assert len(got[0]) == order
+        for g, w in zip([*got[0], *got[1:3]], [*want[0], *want[1:3]]):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+        if folds is None:
+            assert got[3] is None
+        else:
+            np.testing.assert_array_equal(
+                *(np.sort(ids * folds + f) for ids, f in (got[3], want[3])))
 
 
 class TestCoded:
@@ -1717,7 +1752,7 @@ class TestCoded:
     def test_build_sorts_equal_numpy(self, monkeypatch):
         """Every sort of a build equals ``np.unique`` on the benchmark's seed-1
         training corpus: the one sort of the top order's packed n-grams
-        (``np.sort`` in ``accumulate``, ``np.argsort`` in ``cv_fold_counts``),
+        (``np.sort`` in ``accumulate``, ``_runs`` in ``cv_fold_counts``),
         each order's suffix sort in ``_derive`` (``_runs``), every ``_unique``,
         which codes each value array and maps the fold build's pairs, and the
         ``_runs`` of every ``_unique`` that sorts."""
@@ -1767,9 +1802,11 @@ class TestCoded:
                                   ("_unique", True): 18, ("_runs", True): 10}
         calls.clear()
         cv_fold_counts(corpus, 5, 10)
-        # the top argsort, the suffix sorts, the fold build's maps of the pairs
-        # of orders 5 to 2 (2 by sorting), and 36 codings (19 by sorting)
-        assert Counter(calls) == {("argsort", False): 1, ("_runs", False): 6,
+        # the top sort (``_runs``, by an argsort, as its keys leave no room
+        # for the position bits), the suffix sorts, the fold build's maps of
+        # the pairs of orders 5 to 2 (2 by sorting), and 36 codings (19 by
+        # sorting)
+        assert Counter(calls) == {("argsort", False): 1, ("_runs", False): 7,
                                   ("_unique", False): 4, ("_unique", True): 36,
                                   ("_runs", True): 19}
 
