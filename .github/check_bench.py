@@ -13,7 +13,9 @@ it, so that every run shows the size of its count stores, its memory
 high-water mark, the speed of its scalar queries and of its training (or
 counting), and the time of its set-up (counting, and the file round trip).
 A traced run appends one line with each workload's ``counts.build_tok_s``,
-``counts.save_s`` and ``counts.load_s``, so that it shows where set-up goes.
+``counts.save_s``, ``counts.load_s``, ``counts.bulk_stats_self_s`` and
+``counts.bulk_counts_self_s``, so that it shows where set-up goes and what
+the bulk count reads, with their fold views, cost a round.
 """
 
 import json
@@ -34,7 +36,8 @@ SHOWN = {False: [("store_bytes_per_token", "B/token", ".2f"), ("peak_rss_mb", "M
                  ("query_us", "us", ".2f"), ("train_tok_s", "tokens/s", ",.0f"),
                  ("setup_s", "s", ".4f")],
          True: [("counts.build_tok_s", "tokens/s", ",.0f"), ("counts.save_s", "s", ".4f"),
-                ("counts.load_s", "s", ".4f")]}
+                ("counts.load_s", "s", ".4f"), ("counts.bulk_stats_self_s", "s", ".4f"),
+                ("counts.bulk_counts_self_s", "s", ".4f")]}
 if summary:
     def shown(workload, metric, unit, spec):
         value = results.get(workload, {}).get("metrics", {}).get(metric, {}).get("value")

@@ -8,15 +8,15 @@ where ``suffix_rank`` is the rank of its length-(n-2) suffix among order-(n-1)
 contexts and ``B = J + 1`` (the begin-of-sentence symbol is J).  Ranks stay
 below the number of distinct contexts (the sorted-array context encoding of
 Pauls & Klein 2011), so every code and type key is below
-``len(top-order contexts) * B``, and every fold key below ``token_count * F``
-(F = 1 without folds).  The key arrays (contexts, type keys, fold keys) and
-the fold assignment share the store's width: int32 when both bounds are
-below 2**31, and int64 otherwise.  Every value array (type counts, stats,
-continuation counts and stats, and the fold deltas of each) is codes into a
-table of its sorted distinct values, or rows, at the store's width (the
-value-rank encoding of Pauls & Klein 2011): the values are few, so the codes
-are uint8 up to 256 entries, uint16 up to 65,536 and uint32 beyond
-(``_coded``).  Values are computed wide and coded last.  A bulk read gathers
+``len(top-order contexts) * B``, and every fold cell index below
+``token_count * F`` (F = 1 without folds).  The key arrays, the fold
+assignment and a view's rows of fold cells share the store's width: int32
+when both bounds are below 2**31, and int64 otherwise.  Every value array
+(type counts, stats, continuation counts and stats, and the fold cells of
+each) is codes into a table of its sorted distinct values, or rows, at the
+store's width (the value-rank encoding of Pauls & Klein 2011): the values
+are few, so the codes are uint8 up to 256 entries, uint16 up to 65,536 and
+uint32 beyond (``_coded``).  Values are computed wide and coded last.  A bulk read gathers
 codes, then table entries, so every array a query returns has the store's
 width; a scalar read indexes a memoryview of the codes into the table,
 decoded once per view into ints or ``ContextStats`` (the latter by the
@@ -45,23 +45,23 @@ the one fold it occurs in, or with F when it occurs in two or more; the
 all-zero rank -1 row is tagged 0.  With a fold left out, a value tagged
 with that fold is 0 (all its occurrences sit there, and so do all the left
 extensions of a type, so its continuation value is 0 too), and one tagged
-with another fold is the full value.  Only the tag-F types and contexts
-keep per-(type, fold) count deltas and per-(context, fold) deltas of the
-four stats, which give ``full - fold`` exactly, and a bulk call searches
-those keys for its tag-F positions alone: the delta of a value found in
-one fold would be the full value again.  The continuation deltas are stored
-against the same keys, 0 where the fold takes nothing: a left extension
-found only in one fold puts its type there.
+with another fold is the full value.  Only the tag-F ids keep values of
+their own, in cells read by position rather than under keys that a search
+finds (per-entry values, as in Pauls & Klein 2011): the r-th tag-F id owns
+row r of F cells, one per fold, after an all-zero row 0.  Each cell holds
+what leaving its fold out takes from the count or from the four stats, 0
+in a fold the id does not occur in, and the continuation cells share the
+rows.  A bulk read is then one gather,
+``full * (tag != fold) - table[cells[row * F + fold]]``, where
+``row = cumsum(tags == F) * (tags == F)`` is derived once per view, and a
+miss reads row 0.
 
-A view keeps, besides the arrays it picks per (order, kind), the latest
-rank chain, a tuple of ints whose prefixes answer every suffix of the
-latest context (the context-state reuse of Pauls & Klein 2011 and KenLM),
-and per order the latest fold-view ``bulk_stats`` lookup: copies of the
-positions' ranks and folds, their search in the stat keys, and the stats of
-each kind read for them, returned read-only to a later call with equal
-ranks and folds (``np.array_equal``, after its checks).  Any other read is
-made afresh.  A ``rank_chain`` miss and every scalar read take their ids
-and ranks through ``operator.index``, so a float raises.
+A view keeps, besides the arrays and cell rows it picks per (order, kind),
+the latest rank chain, a tuple of ints whose prefixes answer every suffix
+of the latest context (the context-state reuse of Pauls & Klein 2011 and
+KenLM).  Every bulk read is made afresh.  A ``rank_chain`` miss and every
+scalar read take their ids and ranks through ``operator.index``, so a float
+raises.
 
 Counting is sorting (as in KenLM and Pauls & Klein 2011), and no sort
 computes an inverse that nothing reads.  A context code orders contexts by
@@ -89,8 +89,9 @@ order below, and takes one left extension from the suffix pair of each type
 found in one fold.  A build keeps no array past its last reader: the
 per-position corpus stream, targets, keys and sentence ids go once the top
 order's types are counted, and the positions' type indices and folds once
-its (type, fold) pairs are; and the stat deltas are tallied over the
-(type, fold) pairs of tag-F contexts alone, the only ones stored.
+its (type, fold) pairs are.  The pairs of tag-F contexts are tallied by
+their distinct stat cells: numbered by rows, the cells are few enough for
+``_unique`` to look them up in a table rather than sort them.
 
 A store is built by ``accumulate`` or ``cv_fold_counts``, queried through
 a ``CountView`` and written to disk in one form, binary file format 7
@@ -156,30 +157,27 @@ class _OrderData:
 
 @dataclass
 class _FoldData:
-    """Per-order fold tags and fold-exclusion deltas (module docstring): a
-    value without the fold is 0 where its tag names the fold, the full value
-    where it names another, and the full value less the delta where it is F.
-    The keys and the tables have the store's width, the tags the unsigned
-    width of F, and each delta array is coded like the table's values."""
+    """Per-order fold tags and fold cells (module docstring): a value without
+    the fold is 0 where its tag names the fold, the full value where it
+    names another, and the full value less its cell where it is F.  The
+    tables have the store's width, the tags the unsigned width of F, and
+    each cell array is codes into its table (``_coded_cells``)."""
 
     type_tags: np.ndarray  # per type: the one fold it occurs in, or F for two or more
-    type_keys: np.ndarray  # type_index * F + fold, for each fold a tag-F type occurs in
-    type_counts: np.ndarray  # occurrences of the type inside the fold
+    type_cells: np.ndarray  # per type row and fold: the type's occurrences inside the fold
     count_table: np.ndarray
     stat_tags: np.ndarray  # per context likewise, then 0 for the all-zero rank -1 row
-    stat_keys: np.ndarray  # ctx_rank * F + fold, for each fold a tag-F context occurs in
-    stat_deltas: np.ndarray  # one code per key into (m, 4) rows as in the stats
+    stat_cells: np.ndarray  # per context row and fold: codes into (m, 4) rows as in the stats
     delta_table: np.ndarray
-    # continuation deltas aligned with type_keys and stat_keys, 0 where the
-    # fold takes nothing: a continuation count loses one for each left
-    # extension that occurs only inside the fold
-    cont_type_counts: np.ndarray | None = None
+    # continuation cells in the same rows: a continuation count loses one for
+    # each left extension that occurs only inside the fold
+    cont_type_cells: np.ndarray | None = None
     cont_count_table: np.ndarray | None = None
-    cont_stat_deltas: np.ndarray | None = None
+    cont_stat_cells: np.ndarray | None = None
     cont_delta_table: np.ndarray | None = None
 
 
-_NO_FOLDS = _FoldData(*[None] * 8)  # the fold arrays of a table without folds
+_NO_FOLDS = _FoldData(*[None] * 6)  # the fold arrays of a table without folds
 
 
 class CountTable:
@@ -396,15 +394,33 @@ def _coded(values: np.ndarray, width: np.dtype):
     return codes, table.astype(width, copy=False).reshape(-1, *values.shape[1:])
 
 
-def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int) -> np.ndarray:
+def _coded_cells(at: np.ndarray, size: int, values: np.ndarray, width: np.dtype):
+    """``_coded`` of ``size`` fold cells that hold ``values`` (counts, or rows
+    of stat deltas) at ``at`` and 0 elsewhere: the values are coded after a
+    0 (a zero row), which sorts first, as no count is negative and a row of
+    deltas with a zero total is zero throughout, so code 0 reads it."""
+    zero = np.zeros((1, *values.shape[1:]), dtype=values.dtype)
+    codes, table = _coded(np.concatenate([zero, values]), width)
+    out = np.zeros(size, dtype=codes.dtype)
+    out[at] = codes[1:]
+    return out, table
+
+
+def _tally(groups: np.ndarray, counts: np.ndarray, n_groups: int,
+           drop: np.ndarray | None = None) -> np.ndarray:
     """(n_groups, 4) stats of the counts in each group: total, n1, n2, n3p,
     tallied as intp whatever the counts' own width, so no total wraps, and
-    laid out column by column, which ``_coded`` reads.  The levels take one
-    ``bincount`` over (min(count, 3), group) cells, whose level-0 column
-    (counts of 0) the totals overwrite."""
+    laid out column by column, which ``_coded`` reads; given each count's
+    ``drop``, what dropping it takes from them instead.  The levels take one
+    ``bincount`` over (min(count, 3), group) cells, less one over the counts
+    left, and the totals (or drops) overwrite the level-0 column."""
     out = np.bincount(np.minimum(counts, 3).astype(np.intp) * n_groups + groups,
-                      minlength=4 * n_groups).reshape(4, n_groups)
-    out[0] = np.bincount(groups, weights=counts, minlength=n_groups)
+                      minlength=4 * n_groups)
+    if drop is not None:
+        out -= np.bincount(np.minimum(counts - drop, 3).astype(np.intp) * n_groups + groups,
+                           minlength=4 * n_groups)
+    out = out.reshape(4, n_groups)
+    out[0] = np.bincount(groups, weights=counts if drop is None else drop, minlength=n_groups)
     return out.T
 
 
@@ -443,21 +459,32 @@ def _derive(orders: list, base: int) -> list:
     return runs
 
 
-def _stat_deltas(inv: np.ndarray, n_keys: int, full: np.ndarray, drop: np.ndarray) -> np.ndarray:
-    """(n_keys, 4) stat deltas of the (type, fold) entries that map to each
-    stat key through ``inv``: the stats of their full counts minus those of
-    their counts without the fold.  An entry that drops 0 adds 0."""
-    return _tally(inv, full, n_keys) - _tally(inv, full - drop, n_keys)
+def _cell_rows(tags: np.ndarray, n_folds: int, width: np.dtype) -> np.ndarray:
+    """Each id's row of fold cells, at ``width``: the r-th id tagged F (from 1)
+    owns row r, and every other id reads the all-zero row 0.  Row times F
+    plus a fold stays below (T / 2 + 1) * F, within the store's bounds."""
+    multi = tags == n_folds
+    rows = np.cumsum(multi, dtype=width)
+    rows *= multi
+    return rows
 
 
-def _tags(ids: np.ndarray, folds: np.ndarray, size: int, n_folds: int):
-    """One unsigned tag per id in 0..size-1 of sorted (id, fold) pairs: the
-    fold of an id found in one fold only, ``n_folds`` for an id found in two
-    or more, and 0 for an id in no pair; and the mask of the pairs of tag-F ids."""
-    multi = np.bincount(ids, minlength=size)[ids] > 1
+def _fold_cells(ids: np.ndarray, folds: np.ndarray, size: int, n_folds: int, width: np.dtype):
+    """(tags, cells, mask, n_cells) of ids 0..size-1 from their (id, fold)
+    pairs sorted by id: one unsigned tag per id, the fold of an id found in
+    one fold only, ``n_folds`` for one found in two or more (two of its pairs
+    side by side differ in fold) and 0 for one in no pair; the cell
+    ``row * F + fold`` of each pair of a tag-F id, those pairs' mask, and
+    the number of cells, row 0's among them."""
     tags = np.zeros(size, dtype=np.min_scalar_type(n_folds))
-    tags[ids] = np.where(multi, n_folds, folds)
-    return tags, multi
+    tags[ids] = folds
+    tags[ids[1:][(folds[1:] != folds[:-1]) & (ids[1:] == ids[:-1])]] = n_folds
+    rows = _cell_rows(tags, n_folds, width)
+    at = np.take(rows, ids)
+    mask = at > 0
+    at *= n_folds
+    at += folds
+    return tags, at[mask], mask, (int(rows.max(initial=0)) + 1) * n_folds
 
 
 def _corpus_stream(corpus: EncodedCorpus, order: int):
@@ -584,24 +611,24 @@ def _build(corpus: EncodedCorpus, order: int, folds: int | None):
     for n in range(order, 0, -1):
         od = orders[n]
         counts = counts.astype(width)
+        # the pairs come sorted by type, and so by context; only the pairs
+        # of tag-F types and contexts have cells, where the types' values
+        # are put and the stat deltas tallied
         ids, fold = np.divmod(keys, folds)
-        stat_keys, inv = np.unique(od.type_keys[ids] // base * folds + fold, return_inverse=True)
-        type_tags, multi = _tags(ids, fold, len(od.type_keys), folds)
-        stat_tags, ctx_multi = _tags(*np.divmod(stat_keys, folds), len(od.ctx_codes) + 1, folds)
-        # only the (type, fold) pairs of tag-F contexts have stat deltas to
-        # keep: ``inv`` numbers their stat keys among the tag-F ones
-        kept = ctx_multi[inv]
-        ti, inv = ids[kept], (np.cumsum(ctx_multi) - 1)[inv[kept]]
-        stat_keys = stat_keys[ctx_multi]
+        type_tags, at, multi, size = _fold_cells(ids, fold, len(od.type_keys), folds, width)
+        stat_tags, into, kept, n_cells = _fold_cells(
+            np.take(od.type_keys, ids) // base, fold, len(od.ctx_codes) + 1, folds, width)
+        # the stat cells' pairs are tallied by the distinct cells among them
+        ti, (distinct, inv) = ids[kept], _unique(into)
         fd = fold_data[n] = _FoldData(
-            type_tags, keys[multi], *_coded(counts[multi], width), stat_tags, stat_keys,
-            *_coded(_stat_deltas(inv, len(stat_keys), od.count_table[od.type_counts[ti]],
-                                 counts[kept]), width))
+            type_tags, *_coded_cells(at, size, counts[multi], width), stat_tags,
+            *_coded_cells(distinct, n_cells, _tally(inv, od.count_table[od.type_counts[ti]],
+                                                    len(distinct), counts[kept]), width))
         if lost is not None:
-            fd.cont_type_counts, fd.cont_count_table = _coded(lost[multi], width)
-            fd.cont_stat_deltas, fd.cont_delta_table = _coded(
-                _stat_deltas(inv, len(stat_keys), od.cont_count_table[od.cont_type_counts[ti]],
-                             lost[kept]), width)
+            fd.cont_type_cells, fd.cont_count_table = _coded_cells(at, size, lost[multi], width)
+            fd.cont_stat_cells, fd.cont_delta_table = _coded_cells(distinct, n_cells, _tally(
+                inv, od.cont_count_table[od.cont_type_counts[ti]], len(distinct), lost[kept]),
+                width)
         if n > 1:
             # each pair's suffix pair sums its occurrences (as ``_derive``
             # sums counts), and a type found in one fold is a left extension
@@ -675,43 +702,17 @@ def _integers(name: str, values, size: int | None = None, bound: int = 0) -> np.
     return arr
 
 
-class _Split(NamedTuple):
-    """What leaving each position's fold out takes, read from the positions'
-    fold tags: ``keep`` is False where the tag names the position's fold,
-    and ``idx`` and ``hit`` are the ``_find`` of the (id, fold) keys of the
-    positions tagged F, put back at their positions, and 0 and False at
-    every other position."""
-
-    keep: np.ndarray
-    idx: np.ndarray
-    hit: np.ndarray
-
-
-def _split(tags: np.ndarray, ids: np.ndarray, folds: np.ndarray, n_folds: int,
-           keys: np.ndarray) -> _Split:
-    """The ``_Split`` of positions with these tags, ids and folds; only the
-    ones tagged F are searched in the fold ``keys``, which an order without
-    tag-F ids leaves empty."""
-    multi = np.flatnonzero(tags == n_folds)
-    idx, hit = np.zeros(len(tags), dtype=np.intp), np.zeros(len(tags), dtype=bool)
-    if len(multi):
-        idx[multi], hit[multi] = _find(keys, ids[multi] * n_folds + folds[multi])
-    return _Split(tags != folds, idx, hit)
-
-
-def _leave_out(out: np.ndarray, deltas: np.ndarray, table: np.ndarray, split: _Split) -> None:
-    """``out`` less each position's fold, in place (a whole row when it is
-    2-D): zeroed where ``split.keep`` is False, and less the delta found for
-    each position tagged F: every position's delta code is gathered, then
-    its table entry, zeroed unless hit, and subtracted from ``out``; empty
-    deltas have no hit.  Zeroing by a product is faster than a masked write
-    or ``np.where``."""
+def _leave_out(out: np.ndarray, tags: np.ndarray, at: np.ndarray, folds: np.ndarray,
+               n_folds: int, cells: np.ndarray, table: np.ndarray) -> None:
+    """``out`` less each position's fold, in place (a whole row when 2-D):
+    zeroed where its tag names the fold, then less the table entry of cell
+    ``row * F + fold``, from the rows that ``at`` holds and gives up.
+    Zeroing by a product is faster than a masked write or ``np.where``."""
     row = (slice(None),) if out.ndim == 1 else (slice(None), None)
-    out *= split.keep[row]
-    if len(deltas):
-        taken = np.take(table, np.take(deltas, split.idx), axis=0)
-        taken *= split.hit[row]
-        out -= taken
+    out *= (tags != folds)[row]
+    at *= n_folds
+    at += folds
+    out -= np.take(table, np.take(cells, at), axis=0)
 
 
 class ContextStats(NamedTuple):
@@ -730,18 +731,19 @@ class ContextStats(NamedTuple):
 
 
 class _Kind(NamedTuple):
-    """One kind of statistics at one order, with its fold deltas if any; the
-    continuation kind reads the raw kind's key arrays.  Each value array is
-    codes with their table; a scalar read takes a code from a memoryview
-    and its value from the table decoded once: the counts when the kind is
-    built, the stats rows by the first scalar stats read (``_rows``)."""
+    """One kind of statistics at one order, with its fold cells if any; the
+    continuation kind reads the raw kind's keys, fold tags and the cell rows
+    the view derives from them (``_cell_rows``).  Each value array is codes
+    with their table; a scalar read takes a code from a memoryview and its
+    value from the table decoded once: the counts when the kind is built,
+    the stats by the first scalar stats read (``_stat_values``)."""
 
     keys: np.ndarray
     index: memoryview  # the keys again, for scalar lookups
-    fold_tags: np.ndarray | None
-    fold_keys: np.ndarray | None
+    type_tags: np.ndarray | None
+    type_rows: np.ndarray | None
     stat_tags: np.ndarray | None
-    stat_keys: np.ndarray | None
+    ctx_rows: np.ndarray | None
     counts: np.ndarray
     count_table: np.ndarray
     count_codes: memoryview
@@ -749,11 +751,11 @@ class _Kind(NamedTuple):
     stats: np.ndarray
     stat_table: np.ndarray
     stat_codes: memoryview
-    stat_rows: list[ContextStats]  # empty until ``_rows`` fills it
-    fold_counts: np.ndarray | None
-    fold_count_table: np.ndarray | None
-    stat_deltas: np.ndarray | None
-    delta_table: np.ndarray | None
+    stat_values: list[ContextStats]  # empty until ``_stat_values`` fills it
+    type_cells: np.ndarray | None
+    type_cell_table: np.ndarray | None
+    stat_cells: np.ndarray | None
+    stat_cell_table: np.ndarray | None
 
     def rank(self, rank: int) -> int:
         """``rank`` as an int if it names a context or is -1 (unobserved); else raise."""
@@ -773,23 +775,11 @@ class _Kind(NamedTuple):
         return ranks
 
 
-def _rows(kind: _Kind) -> list[ContextStats]:
+def _stat_values(kind: _Kind) -> list[ContextStats]:
     """A kind's stats table as ``ContextStats``, filled in by the first scalar
     read: building them costs more than a bulk-only view ever reads."""
-    kind.stat_rows.extend(map(ContextStats._make, kind.stat_table.tolist()))
-    return kind.stat_rows
-
-
-class _Lookup(NamedTuple):
-    """One order's latest fold-view ``bulk_stats`` positions: copies of their
-    ranks and folds, the ``_split`` of their context tags and stat keys, which
-    both kinds share, and the read-only stats of each kind read for them so
-    far."""
-
-    ranks: np.ndarray
-    folds: np.ndarray
-    split: _Split
-    stats: dict[bool, ContextStats]  # by continuation
+    kind.stat_values.extend(map(ContextStats._make, kind.stat_table.tolist()))
+    return kind.stat_values
 
 
 class CountView:
@@ -798,9 +788,9 @@ class CountView:
     length, and given per-position ``folds`` leave each position's fold out,
     which needs the fold data of a ``FoldedCounts``.
 
-    A view keeps the ``_Kind`` of each (order, continuation) it reads, the
-    latest rank chain and per order the latest fold-view ``_Lookup`` (module
-    docstring); a new view starts empty."""
+    A view keeps the ``_Kind`` of each (order, continuation) it reads, with
+    the rows of fold cells it derives for it, and the latest rank chain
+    (module docstring); a new view starts empty."""
 
     fold = None  # always None: bench/spans._mode reads it on every traced bulk call
 
@@ -809,7 +799,6 @@ class CountView:
         self.folded = folded
         self._latest = ((), (0,))  # the latest context resolved and its rank chain
         self._kinds: dict[tuple[int, bool], _Kind] = {}
-        self._lookups: dict[int, _Lookup] = {}
         self._contexts = [memoryview(od.ctx_codes) for od in table.orders[1:]]
 
     @property
@@ -826,16 +815,22 @@ class CountView:
             fd = self.folded.fold_data[order] if self.folded is not None else _NO_FOLDS
             if continuation and od.cont_type_counts is None:
                 raise CountError(f"no continuation counts at order {order}")
-            # the continuation kind: the raw kind's keys with the cont_ values
-            shared = (self._kind(order, False)[:6] if continuation else
-                      (od.type_keys, memoryview(od.type_keys), fd.type_tags, fd.type_keys,
-                       fd.stat_tags, fd.stat_keys))
+            # the continuation kind: the raw kind's keys, tags and rows with
+            # the cont_ values
+            if continuation:
+                shared = self._kind(order, False)[:6]
+            else:
+                rows = [None if tags is None else
+                        _cell_rows(tags, self.folded.n_folds, od.type_keys.dtype)
+                        for tags in (fd.type_tags, fd.stat_tags)]
+                shared = (od.type_keys, memoryview(od.type_keys), fd.type_tags, rows[0],
+                          fd.stat_tags, rows[1])
             counts, count_table, stats, stat_table = (
                 getattr(od, c + a) for a in ("type_counts", "count_table", "stats", "stat_table"))
             kind = _Kind(*shared, counts, count_table, memoryview(counts), count_table.tolist(),
                          stats, stat_table, memoryview(stats), [],
-                         *(getattr(fd, c + a) for a in ("type_counts", "count_table",
-                                                        "stat_deltas", "delta_table")))
+                         *(getattr(fd, c + a) for a in ("type_cells", "count_table",
+                                                        "stat_cells", "delta_table")))
             self._kinds[order, continuation] = kind
         return kind
 
@@ -877,11 +872,11 @@ class CountView:
 
     def stats(self, order: int, rank: int) -> ContextStats:
         kind = self._kind(order, False)
-        return (kind.stat_rows or _rows(kind))[kind.stat_codes[kind.rank(rank)]]
+        return (kind.stat_values or _stat_values(kind))[kind.stat_codes[kind.rank(rank)]]
 
     def cont_stats(self, order: int, rank: int) -> ContextStats:
         kind = self._kind(order, True)
-        return (kind.stat_rows or _rows(kind))[kind.stat_codes[kind.rank(rank)]]
+        return (kind.stat_values or _stat_values(kind))[kind.stat_codes[kind.rank(rank)]]
 
     def _count(self, order: int, rank: int, word: int, continuation: bool) -> int:
         kind = self._kind(order, continuation)
@@ -956,38 +951,23 @@ class CountView:
         out = np.take(kind.count_table, np.take(kind.counts, idx))  # the store's width
         out *= hit
         if folds is not None:
-            tags = np.take(kind.fold_tags, idx)
-            tags *= hit  # a miss, tagged 0, is not searched: its 0 is kept or zeroed alike
-            _leave_out(out, kind.fold_counts, kind.fold_count_table,
-                       _split(tags, idx, folds, self.folded.n_folds, kind.fold_keys))
+            rows = np.take(kind.type_rows, idx)
+            rows *= hit  # a miss reads row 0: its 0 is kept or zeroed alike
+            _leave_out(out, np.take(kind.type_tags, idx), rows, folds, self.folded.n_folds,
+                       kind.type_cells, kind.type_cell_table)
         return out
 
     def bulk_stats(self, order: int, ranks: np.ndarray,
                    folds: np.ndarray | None = None, continuation: bool = False):
         """Vectorized per-context stats as a ``ContextStats`` of arrays; rank -1
-        yields zeros, and any other rank outside the contexts raises.
-
-        With ``folds``, the arguments are checked and then compared with the
-        order's kept lookup (module docstring): equal ranks and folds reuse
-        its stat-key search, and its stats when this kind was read already;
-        other positions replace it.  The arrays returned are then the kept
-        ones, read-only."""
+        yields zeros, and any other rank outside the contexts raises.  With
+        ``folds``, each position's stats are read from its context's tag and
+        cell row, with no search (module docstring)."""
         kind = self._kind(order, continuation)
         ranks = kind.ranks(_integers("rank", ranks))
         folds = self._folds(folds, len(ranks))
-        if folds is None:  # the store's width
-            return ContextStats._make(
-                np.take(kind.stat_table, np.take(kind.stats, ranks), axis=0).T)
-        kept = self._lookups.get(order)
-        if kept is None or not (np.array_equal(ranks, kept.ranks)
-                                and np.array_equal(folds, kept.folds)):
-            split = _split(np.take(kind.stat_tags, ranks), ranks, folds, self.folded.n_folds,
-                           kind.stat_keys)
-            kept = self._lookups[order] = _Lookup(ranks.copy(), folds.copy(), split, {})
-        stats = kept.stats.get(continuation)
-        if stats is None:
-            s = np.take(kind.stat_table, np.take(kind.stats, ranks), axis=0)
-            _leave_out(s, kind.stat_deltas, kind.delta_table, kept.split)
-            s.setflags(write=False)
-            stats = kept.stats[continuation] = ContextStats._make(s.T)
-        return stats
+        s = np.take(kind.stat_table, np.take(kind.stats, ranks), axis=0)  # the store's width
+        if folds is not None:
+            _leave_out(s, np.take(kind.stat_tags, ranks), np.take(kind.ctx_rows, ranks), folds,
+                       self.folded.n_folds, kind.stat_cells, kind.stat_cell_table)
+        return ContextStats._make(s.T)

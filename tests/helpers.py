@@ -192,12 +192,13 @@ def store_width(table, n_folds=1):
     return np.dtype(np.int32 if bound < 2**31 else np.int64)
 
 
-KEYS = ("ctx_codes", "type_keys", "stat_keys")
+KEYS = ("ctx_codes", "type_keys")
 # each coded value array of a store and the table its codes index; the fold
 # tags are the only other arrays, and they take the unsigned width of F
 TABLES = {"type_counts": "count_table", "stats": "stat_table",
           "cont_type_counts": "cont_count_table", "cont_stats": "cont_stat_table",
-          "stat_deltas": "delta_table", "cont_stat_deltas": "cont_delta_table"}
+          "type_cells": "count_table", "stat_cells": "delta_table",
+          "cont_type_cells": "cont_count_table", "cont_stat_cells": "cont_delta_table"}
 
 
 def tag_width(n_folds):
@@ -239,24 +240,42 @@ def _assert_width(holder, width, where, n_folds=None):
                 assert np.array_equal(np.unique(arr), np.arange(len(table))), f"{where} {name}"
 
 
-def fold_sets(table, corpus, n_folds):
-    """Per order n, the set of folds each type (by index) and each context
-    (by rank) occurs in, recounted from ``corpus`` one fold at a time
-    (sentence i in fold i % n_folds)."""
-    view = table.view()
-    out = [None] + [([set() for _ in od.type_keys], [set() for _ in od.ctx_codes])
+def _levels(count):
+    """(total, n1, n2, n3p) of one count, 0 counting nowhere."""
+    return np.array([count, count == 1, count == 2, count >= 3])
+
+
+def fold_recount(table, corpus, n_folds):
+    """Per order n, what leaving each fold out takes from each type (by
+    index) and each context (by rank), recounted with dicts one fold at a
+    time (sentence i in fold i % n_folds): an (n_types, F, 2) array of each
+    type's raw and continuation count lost, and an (n_ctx, F, 2, 4) array of
+    each context's raw and continuation stats lost.  A type loses its
+    occurrences inside the fold, and its continuation count one for each
+    left extension found only there; zero where the fold does not hold it."""
+    view, order = table.view(), table.order
+    full = brute_ngrams(corpus, order)
+    cont = [None] + [brute_continuation(full, n) for n in range(1, order)] + [{}]
+    out = [None] + [(np.zeros((len(od.type_keys), n_folds, 2), dtype=np.int64),
+                     np.zeros((len(od.ctx_codes), n_folds, 2, 4), dtype=np.int64))
                     for od in table.orders[1:]]
     for f in range(n_folds):
-        part = EncodedCorpus([s for i, s in enumerate(corpus.sentences) if i % n_folds == f],
-                             corpus.vocab)
-        grams = brute_ngrams(part, table.order)
-        for n in range(1, table.order + 1):
+        part = brute_ngrams(EncodedCorpus([s for i, s in enumerate(corpus.sentences)
+                                           if i % n_folds == f], corpus.vocab), order)
+        for n in range(1, order + 1):
             types, contexts = out[n]
-            for ctx, w in grams[n]:
+            lost = defaultdict(int)
+            for (ctx, w), c in (part[n + 1].items() if n < order else ()):
+                if c == full[n + 1][(ctx, w)]:  # a left extension found only in fold f
+                    lost[(ctx[1:], w)] += 1
+            for (ctx, w), c in part[n].items():
                 r = int(view.rank_chain(ctx)[len(ctx)])
                 i = int(np.searchsorted(table.orders[n].type_keys, r * table.base + w))
-                types[i].add(f)
-                contexts[r].add(f)
+                types[i, f] = c, lost[(ctx, w)]
+                contexts[r, f, 0] += _levels(full[n][(ctx, w)]) - _levels(full[n][(ctx, w)] - c)
+                if n < order:
+                    cc = cont[n][(ctx, w)]
+                    contexts[r, f, 1] += _levels(cc) - _levels(cc - lost[(ctx, w)])
     return out
 
 
@@ -270,15 +289,14 @@ def assert_store_invariants(table, folded=None, corpus=None):
     (values read through the tables below), keys are strictly sorted,
     type counts are at least 1, each stats array equals a re-tally
     of its type arrays plus one all-zero last row for rank -1, the raw
-    totals of every order sum to the token count, the continuation counts
-    are aligned with the raw type keys, and so are the continuation fold
-    deltas with the raw fold keys.  Every type and context tag names the one
-    fold a recount finds it in, or is F where the recount finds two or
-    more, and the rank -1 row's tag is 0; no fold key belongs to a type or
-    context tagged with a fold, and every one tagged F has a key in each of
-    its (two or more) folds.  The order-1 fold totals sum to the token
-    count, raw fold counts are at least 1, continuation ones at least 0, and
-    no fold delta exceeds the full value it is subtracted from.
+    totals of every order sum to the token count, and the continuation
+    counts are aligned with the raw type keys.  Every type and context tag
+    names the one fold a dict recount (``fold_recount``) finds it in, or is
+    F where the recount finds two or more, and the rank -1 row's tag is 0.
+    Every cell of every tag-F id, raw and continuation, of types and of
+    contexts, equals what the recount finds leaving that fold out takes, 0
+    in the folds the id does not occur in; row 0 is zero, and the order-1
+    fold totals sum to the token count.
     """
     base = table.base
     width = store_width(table, 1 if folded is None else folded.n_folds)
@@ -308,41 +326,35 @@ def assert_store_invariants(table, folded=None, corpus=None):
     assert folded.table is table
     assert folded.fold_assignment.dtype == width
     F = folded.n_folds
-    assert decoded(folded.fold_data[1], "stat_deltas")[:, 0].sum() == table.token_count
-    recount = fold_sets(table, corpus, F)
+    assert decoded(folded.fold_data[1], "stat_cells")[:, 0].sum() == table.token_count
+    recount = fold_recount(table, corpus, F)
     for n in range(1, table.order + 1):
-        od, fd = table.orders[n], folded.fold_data[n]
+        fd = folded.fold_data[n]
         _assert_width(fd, width, f"order {n} folds", F)
-        for tags, keys, sets, what in ((fd.type_tags, fd.type_keys, recount[n][0], "types"),
-                                       (fd.stat_tags, fd.stat_keys, recount[n][1], "contexts")):
+        types, contexts = recount[n]
+        for what, tags, lost, names in (
+                ("types", fd.type_tags, types, ("type_cells", "cont_type_cells")),
+                ("contexts", fd.stat_tags, contexts, ("stat_cells", "cont_stat_cells"))):
             where = f"order {n} fold {what}"
-            _assert_strictly_sorted(keys, where)
-            want = [min(folds) if len(folds) == 1 else F for folds in sets]
+            held = (lost[:, :, 0] if what == "types" else lost[:, :, 0, 0]) > 0
+            assert held.any(axis=1).all(), f"{where}: an id in no fold"
+            want = np.where(held.sum(axis=1) > 1, F, held.argmax(axis=1)).tolist()
             if what == "contexts":
                 want.append(0)  # the rank -1 row
             assert tags.tolist() == want, where
-            ids, fold = np.divmod(keys, F)
-            assert np.all(tags[ids] == F), f"{where}: a key of an id tagged with a fold"
-            assert list(zip(ids.tolist(), fold.tolist())) == [
-                (i, f) for i, folds in enumerate(sets) if len(folds) > 1
-                for f in sorted(folds)], f"{where}: a tag-F id without a key per fold"
-        ti = fd.type_keys // F
-        kinds = [("raw", *(decoded(h, a) for h, a in ((od, "type_counts"), (od, "stats"),
-                                                      (fd, "type_counts"), (fd, "stat_deltas"))),
-                  1)]
-        if n < table.order:
-            kinds.append(("continuation", *(decoded(h, a) for h, a in (
-                (od, "cont_type_counts"), (od, "cont_stats"), (fd, "cont_type_counts"),
-                (fd, "cont_stat_deltas"))), 0))
-        else:
-            assert fd.cont_type_counts is None and fd.cont_stat_deltas is None, n
-        for name, counts, stats, type_deltas, stat_deltas, least in kinds:
-            where = f"order {n} {name} folds"
-            assert type_deltas.shape == fd.type_keys.shape, where
-            assert stat_deltas.shape == (len(fd.stat_keys), 4), where
-            assert np.all(type_deltas >= least), where
-            assert np.all(type_deltas <= counts[ti]), where
-            assert np.all(stat_deltas <= stats[fd.stat_keys // F]), where
+            # row 0 of zeros, then one row per tag-F id in id order, which
+            # holds 0 in the folds the id does not occur in
+            rows = np.concatenate([np.zeros_like(lost[:1]), lost[tags[:len(lost)] == F]])
+            for k, name in enumerate(names):
+                if n == table.order and k == 1:
+                    assert getattr(fd, name) is None, f"{where} {name}"
+                    continue
+                cells = decoded(fd, name)
+                want = rows[:, :, k]
+                assert cells.shape == (len(want) * F, *want.shape[2:]), f"{where} {name}"
+                np.testing.assert_array_equal(cells.reshape(want.shape), want,
+                                              err_msg=f"{where} {name}")
+                assert not cells[:F].any(), f"{where} {name}: row 0 is not zero"
 
 
 # -- unfused reference of the network layers -------------------------------

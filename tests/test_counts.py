@@ -34,6 +34,7 @@ from helpers import (
     decoded,
     encode,
     fold_out_tables,
+    fold_recount,
     parity_corpora,
     parity_id,
     store_width,
@@ -895,24 +896,29 @@ class TestFoldViews:
         """Every type and context read with every fold left out: one tagged
         with that fold reads 0, one tagged with another fold its full value,
         and one tagged F its full value less a delta where the fold holds it
-        and its full value where the fold does not (a type queried with a
-        fold it does not occur in).  Rank -1, tagged 0, reads 0 either way.
-        ``_check_against_reduced`` compares the same reads with a recount."""
+        (by a dict recount) and its full value where the fold does not (a
+        type queried with a fold it does not occur in).  Rank -1, tagged 0,
+        reads 0 either way.  ``_check_against_reduced`` compares the same
+        reads with a recount."""
         view, table, F = self.folded.view(), self.folded.table, self.FOLDS
-        seen = set()
+        recount, seen = fold_recount(table, self.corpus, F), set()
         for n in range(1, self.ORDER + 1):
             od, fd = table.orders[n], self.folded.fold_data[n]
             ranks, words = np.divmod(od.type_keys, table.base)
             ctx = np.arange(-1, len(od.ctx_codes))
-            reads = [("type", np.arange(len(ranks)), fd.type_tags, fd.type_keys,
+            # which folds hold each type, and each context after rank -1
+            types, contexts = recount[n]
+            held_in = [types[:, :, 0] > 0,
+                       np.concatenate([np.zeros((1, F), dtype=bool), contexts[:, :, 0, 0] > 0])]
+            reads = [("type", np.arange(len(ranks)), fd.type_tags, held_in[0],
                       lambda f: view.bulk_counts(n, ranks, words, folds=f)),
-                     ("context", ctx, fd.stat_tags[ctx], fd.stat_keys,
+                     ("context", ctx, fd.stat_tags[ctx], held_in[1],
                       lambda f: view.bulk_stats(n, ctx, folds=f).total)]
-            for what, ids, tags, keys, read in reads:
+            for what, ids, tags, held_in, read in reads:
                 full = read(None)
                 for f in range(F):
                     got = read(np.full(len(ids), f))
-                    held = np.isin(ids * F + f, keys)
+                    held = held_in[:, f]
                     cases = {"own": tags == f, "other": (tags < F) & (tags != f),
                              "held": (tags == F) & held, "absent": (tags == F) & ~held}
                     np.testing.assert_array_equal(got[cases["own"]], 0)
@@ -1041,10 +1047,9 @@ def assert_stats_equal(got, want, where):
 
 
 class TestKeptBulkStats:
-    """A view keeps each order's latest fold-view ``bulk_stats`` lookup: a
-    call for equal ranks and folds, of either kind, reuses it, and a call for
-    other positions replaces it.  Every result equals the same call on a
-    fresh view."""
+    """A view keeps no fold-view ``bulk_stats`` result: every call, of either
+    kind and for any positions, reads its own, and equals the same call on
+    a fresh view."""
 
     ORDER, FOLDS = 5, 4
 
@@ -1098,23 +1103,26 @@ class TestKeptBulkStats:
         f[:] = (f + 1) % self.FOLDS
         assert_stats_equal(view.bulk_stats(3, r, folds=f), self.fresh(3, r, f, False), "folds")
 
-    def test_results_are_read_only(self):
+    def test_writing_into_a_result_changes_no_later_result(self):
         view = self.folded.view()
         r = self.ranks[:, 1]
         for cont in (False, True):
             got = view.bulk_stats(2, r, folds=self.folds, continuation=cont)
             for arr in got:
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[0] += 1
+                arr += 1000
             assert_stats_equal(view.bulk_stats(2, r, folds=self.folds, continuation=cont),
                                self.fresh(2, r, self.folds, cont), cont)
+        counts = view.bulk_counts(2, r, self.words, folds=self.folds)
+        counts[:] = -1
+        np.testing.assert_array_equal(
+            view.bulk_counts(2, r, self.words, folds=self.folds),
+            self.folded.view().bulk_counts(2, r, self.words, folds=self.folds))
 
     def test_checks_still_raise_on_a_kept_lookup(self):
         view = self.folded.view()
         r, f = self.ranks[:, 3], self.folds
         n_ctx = len(self.folded.table.orders[4].ctx_codes)
-        kept = view.bulk_stats(4, r, folds=f)
+        view.bulk_stats(4, r, folds=f)
         bad = r.copy()
         bad[0] = n_ctx
         with pytest.raises(CountError, match=rf"ranks must lie in -1\.\.{n_ctx - 1}"):
@@ -1125,24 +1133,28 @@ class TestKeptBulkStats:
             view.bulk_stats(4, r, folds=f[:-1])
         with pytest.raises(CountError, match="folds must be integers"):
             view.bulk_stats(4, r, folds=f.astype(float))
-        assert view.bulk_stats(4, r, folds=f) is kept
 
-    def test_rows_then_features_search_the_stat_keys_once_per_order(self, monkeypatch):
-        stat_keys = [fd.stat_keys for fd in self.folded.fold_data[1:]]
+    def test_fold_views_search_the_type_keys_alone(self, monkeypatch):
+        """A fold-view ``bulk_stats`` call makes no ``_find`` call, reading
+        its positions' tags and cell rows by rank, and a fold-view
+        ``bulk_counts`` call exactly one, into the type keys."""
         searched = []
         find = mcounts._find
 
         def counting(keys, query):
-            searched.append(any(keys is k for k in stat_keys))
+            searched.append(keys)
             return find(keys, query)
 
         monkeypatch.setattr(mcounts, "_find", counting)
-        view = self.folded.view()
-        bulk_column_rows(view, self.spec, self.ranks, self.words, self.folds)
-        bulk_context_features(view, self.spec, self.ranks, self.folds)
-        assert sum(searched) == self.ORDER
-        bulk_context_features(view, self.spec, self.ranks)  # full view: no stat-key search
-        assert sum(searched) == self.ORDER
+        view, table = self.folded.view(), self.folded.table
+        for n in range(1, self.ORDER + 1):
+            r = self.ranks[:, n - 1]
+            for cont in (False, True) if n < self.ORDER else (False,):
+                view.bulk_stats(n, r, folds=self.folds, continuation=cont)
+                assert searched == [], (n, cont)
+                view.bulk_counts(n, r, self.words, folds=self.folds, continuation=cont)
+                assert len(searched) == 1 and searched[0] is table.orders[n].type_keys, (n, cont)
+                searched.clear()
 
 
 class TestStatsRows:
@@ -1472,8 +1484,9 @@ class TestSerialization:
         """The benchmark counts store bytes (``bench/pipeline.store_bytes``)
         and compares loaded tables (``bench/checks.tables_equal``) through
         the arrays ``vars()`` finds on ``orders[n]`` and ``fold_data[n]``:
-        every array a view reads must be one of them, and no other; the raw
-        and continuation kinds share their key arrays."""
+        every array a view reads must be one of them, and no other, but the
+        rows of fold cells that it derives from the tags; the raw and
+        continuation kinds share their key arrays."""
         folded = cv_fold_counts(self.corpus, 3, folds=3)
         from_file = loaded(saved(self.table, tmp_path), tmp_path)
         for table, folds in ((folded.table, folded), (from_file, None)):
@@ -1483,7 +1496,16 @@ class TestSerialization:
                 for continuation in (False, True) if n < table.order else (False,):
                     kind = view._kind(n, continuation)
                     assert kind.index.obj is kind.keys, n  # the memoryview reads the keys
-                    read += [a for a in kind if isinstance(a, np.ndarray)]
+                    derived = [kind.type_rows, kind.ctx_rows]
+                    if folds is None:
+                        assert derived == [None, None], n
+                    else:
+                        for rows, tags in zip(derived, (kind.type_tags, kind.stat_tags)):
+                            assert rows.dtype == kind.keys.dtype, n
+                            np.testing.assert_array_equal(rows,
+                                                          np.cumsum(tags == 3) * (tags == 3))
+                    read += [a for a in kind if isinstance(a, np.ndarray)
+                             and not any(a is d for d in derived)]
                 holders = [table.orders[n]] + ([] if folds is None else [folds.fold_data[n]])
                 found = [v for h in holders for v in vars(h).values() if v is not None]
                 assert all(isinstance(v, np.ndarray) for v in found), n
@@ -1492,13 +1514,14 @@ class TestSerialization:
 
     def test_continuation_kind_reads_the_raw_keys(self):
         """One key set per order: the continuation kind of a view holds the
-        raw kind's key arrays themselves, with and without fold data."""
+        raw kind's key arrays, fold tags and cell rows themselves, with and
+        without fold data."""
         folded = cv_fold_counts(self.corpus, 3, folds=3)
         for view in (folded.view(), folded.table.view()):
             for n in (1, 2):
                 raw, cont = view._kind(n, False), view._kind(n, True)
-                for name in ("keys", "index", "fold_tags", "fold_keys", "stat_tags",
-                             "stat_keys"):
+                for name in ("keys", "index", "type_tags", "type_rows", "stat_tags",
+                             "ctx_rows"):
                     assert getattr(cont, name) is getattr(raw, name), (n, name)
                 assert cont.counts is not raw.counts and cont.stats is not raw.stats, n
 
@@ -1804,10 +1827,11 @@ class TestCoded:
         cv_fold_counts(corpus, 5, 10)
         # the top sort (``_runs``, by an argsort, as its keys leave no room
         # for the position bits), the suffix sorts, the fold build's maps of
-        # the pairs of orders 5 to 2 (2 by sorting), and 36 codings (19 by
-        # sorting)
+        # the pairs of orders 5 to 2 (2 by sorting) and of the stat cells of
+        # orders 5 to 1 (each by a table of the cells, not a sort), and 36
+        # codings (19 by sorting)
         assert Counter(calls) == {("argsort", False): 1, ("_runs", False): 7,
-                                  ("_unique", False): 4, ("_unique", True): 36,
+                                  ("_unique", False): 9, ("_unique", True): 36,
                                   ("_runs", True): 19}
 
 
@@ -1834,17 +1858,21 @@ class TestWidth:
     def test_fold_tag_width_at_the_bound(self):
         """The fold tags take the narrowest unsigned width that holds F, at
         each bound of each width and without building a large table: an id
-        found in two folds is tagged F, one found in the last fold alone
-        that fold, and one in no pair 0."""
+        found in two folds is tagged F and owns cell row 1, one found in the
+        last fold alone that fold, and one in no pair 0."""
         for t, wider in ((np.uint8, np.uint16), (np.uint16, np.uint32)):
             top = int(np.iinfo(t).max)
             for n_folds, want in ((top, t), (top + 1, wider)):
                 ids = np.array([0, 0, 1], dtype=np.int64)
                 folds = np.array([0, n_folds - 1, n_folds - 1], dtype=np.int64)
-                tags, multi = mcounts._tags(ids, folds, 3, n_folds)
+                tags, cells, mask, n_cells = mcounts._fold_cells(ids, folds, 3, n_folds,
+                                                                 np.dtype(np.int32))
                 assert tags.dtype == want == tag_width(n_folds), n_folds
                 assert tags.tolist() == [n_folds, n_folds - 1, 0], n_folds
-                assert multi.tolist() == [True, True, False], n_folds
+                # id 0 owns row 1, after row 0: its pairs' cells are F and 2F - 1
+                assert cells.tolist() == [n_folds, 2 * n_folds - 1], n_folds
+                assert cells.dtype == np.int32 and n_cells == 2 * n_folds, n_folds
+                assert mask.tolist() == [True, True, False], n_folds
 
     @pytest.mark.parametrize("count", [127, 128, 2**15 - 1, 2**15])
     def test_built_store_codes_each_value_array_at_the_bound(self, count, tmp_path):
@@ -1875,17 +1903,18 @@ class TestWidth:
         """The order-1 fold totals are the folds' token counts: table entries
         at the store's width on either side of the int16 bound, with uint8
         codes, whatever the smaller folds hold; every other fold code array
-        has the width its table selects, and the keys are int32 either
+        has the width its table selects, and the tables are int32 either
         way."""
         long = " ".join("abc"[i % 3] for i in range(largest - 1))  # and its end symbol
         corpus = encode([long, "a b"])
         folded = cv_fold_counts(corpus, 2, folds=2)
-        assert decoded(folded.fold_data[1], "stat_deltas")[:, 0].tolist() == [largest, 3]
+        # row 0, then the lone context's row: one cell per fold
+        assert decoded(folded.fold_data[1], "stat_cells")[:, 0].tolist() == [0, 0, largest, 3]
         assert_store_invariants(folded.table, folded, corpus)
         assert folded.fold_data[1].delta_table.dtype == np.int32
-        assert folded.fold_data[1].stat_deltas.dtype == np.uint8
+        assert folded.fold_data[1].stat_cells.dtype == np.uint8
         for fd in folded.fold_data[1:]:
-            assert fd.type_keys.dtype == fd.stat_keys.dtype == np.int32
+            assert fd.count_table.dtype == fd.delta_table.dtype == np.int32
             for name, arr in vars(fd).items():
                 assert arr is None or name not in TABLES or arr.dtype == code_width(
                     getattr(fd, TABLES[name])), name
@@ -1901,21 +1930,30 @@ class TestWidth:
             assert fd.type_tags.dtype == fd.stat_tags.dtype == np.uint16
         assert_left_out_equals_recount(folded, corpus, [corpus])
 
-    def test_order_without_tag_f_types_keeps_empty_fold_arrays(self):
-        """Where every type of an order occurs in one fold only, its fold type
-        keys and deltas are empty, the keys and table at the store's width
-        and the codes at uint8, and no
-        bulk call searches them; leaving either fold out equals a recount, on
-        held-out text with unseen contexts too."""
+    def test_cells_past_the_uint16_bound_equal_a_recount(self):
+        """A store with more than 65,536 order-2 type cells and order-3 stat
+        cells: each position reads cell ``row * F + fold`` past the uint16
+        bound, so leaving each fold out equals a recount; a row times F
+        computed in a narrower type would wrap onto another id's cell."""
+        corpus = encode(synthetic_lines(6000, n_words=400, seed=7))
+        folded = cv_fold_counts(corpus, 3, folds=10)
+        assert folded.fold_data[2].type_cells.size > 2**16
+        assert len(folded.fold_data[3].stat_cells) > 2**16
+        assert_left_out_equals_recount(folded, corpus, [corpus])
+
+    def test_order_without_tag_f_types_keeps_row_0_alone(self):
+        """Where every type of an order occurs in one fold only, its type
+        cells are row 0 alone, one zero cell per fold, coded at uint8 into a
+        table holding 0 alone at the store's width; leaving either fold out
+        equals a recount, on held-out text with unseen contexts too."""
         corpus = encode(["a b", "c d"])
         folded = cv_fold_counts(corpus, 3, folds=2)
         assert_store_invariants(folded.table, folded, corpus)
         for n in (2, 3):
             fd = folded.fold_data[n]
-            assert fd.type_keys.size == fd.type_counts.size == 0, n
-            assert fd.type_keys.dtype == fd.count_table.dtype == np.int32, n
-            assert fd.count_table.size == 0 and fd.type_counts.dtype == np.uint8, n
-        assert folded.fold_data[2].cont_type_counts.size == 0
+            assert fd.type_cells.tolist() == [0, 0] and fd.type_cells.dtype == np.uint8, n
+            assert fd.count_table.tolist() == [0] and fd.count_table.dtype == np.int32, n
+        assert decoded(folded.fold_data[2], "cont_type_cells").tolist() == [0, 0]
         held = encode_corpus(["a d", "b a c", "d"], corpus.vocab)
         assert_left_out_equals_recount(folded, corpus, [corpus, held])
 
@@ -2130,34 +2168,35 @@ def test_store_invariants_catch_damage():
     def damage_token_count(t, f):
         t.token_count += 1
 
-    def damage_fold_count(t, f):
-        fd = f.fold_data[1]
-        counts = decoded(fd, "type_counts")
-        counts[0] = decoded(t.orders[1], "type_counts")[fd.type_keys[0] // f.n_folds] + 1
-        recoded(fd, counts)
+    def damage_fold_count(t, f):  # the first tag-F type's fold-0 cell, in row 1
+        cells = decoded(f.fold_data[1], "type_cells")
+        cells[f.n_folds] += 1
+        recoded(f.fold_data[1], cells, "type_cells")
 
     def damage_fold_stats(t, f):
-        deltas = decoded(f.fold_data[2], "cont_stat_deltas")
-        deltas[0, 0] += 100
-        recoded(f.fold_data[2], deltas, "cont_stat_deltas")
+        cells = decoded(f.fold_data[2], "cont_stat_cells")
+        cells[f.n_folds, 0] += 100
+        recoded(f.fold_data[2], cells, "cont_stat_cells")
 
     def damage_width(t, f):  # the codes stay right; only the width differs
-        f.fold_data[2].cont_stat_deltas = f.fold_data[2].cont_stat_deltas.astype(np.int64)
+        f.fold_data[2].cont_stat_cells = f.fold_data[2].cont_stat_cells.astype(np.int64)
 
-    def damage_key_width(t, f):  # fold keys keep the store's width, not the values'
-        f.fold_data[2].type_keys = f.fold_data[2].type_keys.astype(np.int16)
+    def damage_row_0(t, f):  # the row that every id not tagged F reads
+        cells = decoded(f.fold_data[2], "type_cells")
+        cells[0] = 1
+        recoded(f.fold_data[2], cells, "type_cells")
 
     def damage_table_width(t, f):  # a table has the store's width
         t.orders[2].stat_table = t.orders[2].stat_table.astype(np.int64)
 
     def damage_cont_count(t, f):
-        counts = decoded(f.fold_data[1], "cont_type_counts")
-        counts[0] = -1
-        recoded(f.fold_data[1], counts, "cont_type_counts")
+        cells = decoded(f.fold_data[1], "cont_type_cells")
+        cells[f.n_folds] = -1
+        recoded(f.fold_data[1], cells, "cont_type_cells")
 
-    def damage_cont_alignment(t, f):  # a continuation delta with no raw fold key
+    def damage_cont_alignment(t, f):  # a row of continuation cells with no raw one
         fd = f.fold_data[1]
-        fd.cont_type_counts = np.append(fd.cont_type_counts, fd.cont_type_counts[:1])
+        fd.cont_type_cells = np.append(fd.cont_type_cells, fd.cont_type_cells[:f.n_folds])
 
     def damage_table_alignment(t, f):
         t.orders[2].cont_type_counts = t.orders[2].cont_type_counts[1:]
@@ -2167,13 +2206,14 @@ def test_store_invariants_catch_damage():
         i = int(np.flatnonzero(tags < f.n_folds)[0])
         tags[i] = 1 - tags[i]
 
-    def damage_stat_tag(t, f):  # a context with a key per fold tagged with one of them
-        f.fold_data[2].stat_tags[f.fold_data[2].stat_keys[0] // f.n_folds] = 0
+    def damage_stat_tag(t, f):  # a context with a cell row tagged with one fold
+        tags = f.fold_data[2].stat_tags
+        tags[int(np.flatnonzero(tags == f.n_folds)[0])] = 0
 
     folded = cv_fold_counts(toy_corpus(), 3, folds=2)
     assert_store_invariants(folded.table, folded, toy_corpus())
     for damage in (damage_type_order, damage_type_count, damage_token_count,
-                   damage_fold_count, damage_fold_stats, damage_width, damage_key_width,
+                   damage_fold_count, damage_fold_stats, damage_width, damage_row_0,
                    damage_table_width, damage_cont_count, damage_cont_alignment,
                    damage_table_alignment, damage_type_tag, damage_stat_tag):
         folded = cv_fold_counts(toy_corpus(), 3, folds=2)
