@@ -17,10 +17,10 @@ each) is codes into a table of its sorted distinct values, or rows, at the
 store's width (the value-rank encoding of Pauls & Klein 2011): the values
 are few, so the codes are uint8 up to 256 entries, uint16 up to 65,536 and
 uint32 beyond (``_coded``).  Values are computed wide and coded last.  A bulk read gathers
-codes, then table entries, so every array a query returns has the store's
-width; a scalar read indexes a memoryview of the codes into the table,
-decoded once per view into ints or ``ContextStats`` (the latter by the
-first scalar stats read, so a bulk-only view builds none).  A bulk query is
+codes, then table entries (``_gather``), so every array a query returns has
+the store's width; a scalar read indexes a memoryview of the codes into the
+table, decoded into ints or ``ContextStats`` by the first scalar read of
+it (``_decoded``), so a bulk-only view decodes none.  A bulk query is
 cast to its keys' width and searched in sorted order, so that each needle's
 binary search starts at the previous needle's position, then its positions
 are put back in the query's order; a scalar one is a ``bisect`` over a kept
@@ -54,14 +54,16 @@ in a fold the id does not occur in, and the continuation cells share the
 rows.  A bulk read is then one gather,
 ``full * (tag != fold) - table[cells[row * F + fold]]``, where
 ``row = cumsum(tags == F) * (tags == F)`` is derived once per view, and a
-miss reads row 0.
+count that no key matches is zeroed last.
 
-A view keeps, besides the arrays and cell rows it picks per (order, kind),
-the latest rank chain, a tuple of ints whose prefixes answer every suffix
-of the latest context (the context-state reuse of Pauls & Klein 2011 and
-KenLM).  Every bulk read is made afresh.  A ``rank_chain`` miss and every
-scalar read take their ids and ranks through ``operator.index``, so a float
-raises.
+A view keeps, per (order, kind), the type keys and two readers (``_Values``),
+of the type counts and of the context stats, each with its fold tags and
+cell rows in a fold view; the continuation kind shares the raw kind's keys,
+tags and rows.  It keeps the latest rank chain too, a tuple of ints whose
+prefixes answer every suffix of the latest context (the context-state reuse
+of Pauls & Klein 2011 and KenLM).  Every bulk read is made afresh.  A
+``rank_chain`` miss and every scalar read take their ids and ranks through
+``operator.index``, so a float raises.
 
 Counting is sorting (as in KenLM and Pauls & Klein 2011), and no sort
 computes an inverse that nothing reads.  A context code orders contexts by
@@ -177,9 +179,6 @@ class _FoldData:
     cont_delta_table: np.ndarray | None = None
 
 
-_NO_FOLDS = _FoldData(*[None] * 6)  # the fold arrays of a table without folds
-
-
 class CountTable:
     """Immutable n-gram count store for orders 1..N."""
 
@@ -198,9 +197,9 @@ class CountTable:
     def count_of_counts(self, order: int, continuation: bool = False) -> tuple[int, int, int, int]:
         """Global (n1, n2, n3, n4) over type counts at one order, from the
         number of types that take each table entry."""
-        kind = self.view()._kind(order, continuation)
-        per_entry = np.bincount(kind.counts, minlength=len(kind.count_table))
-        return tuple(int(per_entry[kind.count_table == k].sum()) for k in range(1, 5))
+        types = self.view()._kind(order, continuation).types
+        per_entry = np.bincount(types.codes, minlength=len(types.table))
+        return tuple(int(per_entry[types.table == k].sum()) for k in range(1, 5))
 
     # -- serialization ---------------------------------------------------
 
@@ -702,19 +701,6 @@ def _integers(name: str, values, size: int | None = None, bound: int = 0) -> np.
     return arr
 
 
-def _leave_out(out: np.ndarray, tags: np.ndarray, at: np.ndarray, folds: np.ndarray,
-               n_folds: int, cells: np.ndarray, table: np.ndarray) -> None:
-    """``out`` less each position's fold, in place (a whole row when 2-D):
-    zeroed where its tag names the fold, then less the table entry of cell
-    ``row * F + fold``, from the rows that ``at`` holds and gives up.
-    Zeroing by a product is faster than a masked write or ``np.where``."""
-    row = (slice(None),) if out.ndim == 1 else (slice(None), None)
-    out *= (tags != folds)[row]
-    at *= n_folds
-    at += folds
-    out -= np.take(table, np.take(cells, at), axis=0)
-
-
 class ContextStats(NamedTuple):
     """The four stats of a context: ints from ``stats``, arrays (one entry
     per position) from ``bulk_stats``."""
@@ -730,32 +716,62 @@ class ContextStats(NamedTuple):
         return self.n1 + self.n2 + self.n3p
 
 
+class _Values(NamedTuple):
+    """The reader of one value array of a kind, type counts or context stats:
+    codes into a table, their memoryview, the table as ``_decoded`` leaves
+    it, and in a fold view the ids' fold tags, the cell rows the view
+    derives from them (``_cell_rows``), the cells and their table."""
+
+    codes: np.ndarray
+    table: np.ndarray
+    view: memoryview
+    decoded: list  # empty until the first scalar read
+    tags: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    cells: np.ndarray | None = None
+    cell_table: np.ndarray | None = None
+
+
+def _decoded(values: _Values) -> list:
+    """The table of ``values`` as ints, or ``ContextStats`` of its rows, filled
+    in by the first scalar read: it costs more than a bulk-only view reads."""
+    if not values.decoded:
+        entries = values.table.tolist()
+        values.decoded.extend(map(ContextStats._make, entries) if values.table.ndim == 2
+                              else entries)
+    return values.decoded
+
+
+def _gather(values: _Values, ids: np.ndarray, folds: np.ndarray | None, n_folds: int,
+            hit: np.ndarray | None = None) -> np.ndarray:
+    """Every bulk read: the values (rows for stats) of ``ids`` at the store's
+    width, codes then table entries; given ``folds``, less each position's
+    fold: zeroed where its tag names it, then less the table entry of cell
+    ``row * F + fold``; and zeroed where ``hit`` is False, last, so whatever
+    a miss read is dropped.  Zeroing by a product is faster than a masked
+    write or ``np.where``."""
+    out = np.take(values.table, np.take(values.codes, ids), axis=0)
+    if folds is not None:
+        per_position = out.T  # each position's value, or row, along the last axis
+        per_position *= np.take(values.tags, ids) != folds
+        at = np.take(values.rows, ids)
+        at *= n_folds
+        at += folds
+        out -= np.take(values.cell_table, np.take(values.cells, at), axis=0)
+    if hit is not None:
+        out *= hit
+    return out
+
+
 class _Kind(NamedTuple):
-    """One kind of statistics at one order, with its fold cells if any; the
-    continuation kind reads the raw kind's keys, fold tags and the cell rows
-    the view derives from them (``_cell_rows``).  Each value array is codes
-    with their table; a scalar read takes a code from a memoryview and its
-    value from the table decoded once: the counts when the kind is built,
-    the stats by the first scalar stats read (``_stat_values``)."""
+    """One kind of statistics at one order: the type keys, their memoryview,
+    and the readers of the type counts and of the context stats; the
+    continuation kind holds the raw kind's keys, memoryview, tags and rows."""
 
     keys: np.ndarray
-    index: memoryview  # the keys again, for scalar lookups
-    type_tags: np.ndarray | None
-    type_rows: np.ndarray | None
-    stat_tags: np.ndarray | None
-    ctx_rows: np.ndarray | None
-    counts: np.ndarray
-    count_table: np.ndarray
-    count_codes: memoryview
-    count_values: list[int]
-    stats: np.ndarray
-    stat_table: np.ndarray
-    stat_codes: memoryview
-    stat_values: list[ContextStats]  # empty until ``_stat_values`` fills it
-    type_cells: np.ndarray | None
-    type_cell_table: np.ndarray | None
-    stat_cells: np.ndarray | None
-    stat_cell_table: np.ndarray | None
+    index: memoryview
+    types: _Values
+    contexts: _Values
 
     def rank(self, rank: int) -> int:
         """``rank`` as an int if it names a context or is -1 (unobserved); else raise."""
@@ -763,23 +779,16 @@ class _Kind(NamedTuple):
             rank = operator.index(rank)
         except TypeError:
             raise CountError(f"rank {rank!r} must be an integer") from None
-        if not -1 <= rank < len(self.stats) - 1:
-            raise CountError(f"rank {rank} outside -1..{len(self.stats) - 2}")
+        if not -1 <= rank < len(self.contexts.codes) - 1:
+            raise CountError(f"rank {rank} outside -1..{len(self.contexts.codes) - 2}")
         return rank
 
     def ranks(self, ranks: np.ndarray) -> np.ndarray:
         """``ranks`` if each names a context or is -1; else raise."""
-        n_ctx = len(self.stats) - 1
+        n_ctx = len(self.contexts.codes) - 1
         if len(ranks) and not (ranks.min() >= -1 and ranks.max() < n_ctx):
             raise CountError(f"ranks must lie in -1..{n_ctx - 1}")
         return ranks
-
-
-def _stat_values(kind: _Kind) -> list[ContextStats]:
-    """A kind's stats table as ``ContextStats``, filled in by the first scalar
-    read: building them costs more than a bulk-only view ever reads."""
-    kind.stat_values.extend(map(ContextStats._make, kind.stat_table.tolist()))
-    return kind.stat_values
 
 
 class CountView:
@@ -788,9 +797,10 @@ class CountView:
     length, and given per-position ``folds`` leave each position's fold out,
     which needs the fold data of a ``FoldedCounts``.
 
-    A view keeps the ``_Kind`` of each (order, continuation) it reads, with
-    the rows of fold cells it derives for it, and the latest rank chain
-    (module docstring); a new view starts empty."""
+    A view keeps the ``_Kind`` of each (order, continuation) it reads, whose
+    readers hold the cell rows it derives and the tables its scalar reads
+    decode, and the latest rank chain (module docstring); a new view starts
+    empty."""
 
     fold = None  # always None: bench/spans._mode reads it on every traced bulk call
 
@@ -812,25 +822,24 @@ class CountView:
             if not 1 <= order <= self.table.order:
                 raise CountError(f"order {order} outside 1..{self.table.order}")
             od, c = self.table.orders[order], "cont_" if continuation else ""
-            fd = self.folded.fold_data[order] if self.folded is not None else _NO_FOLDS
             if continuation and od.cont_type_counts is None:
                 raise CountError(f"no continuation counts at order {order}")
-            # the continuation kind: the raw kind's keys, tags and rows with
-            # the cont_ values
-            if continuation:
-                shared = self._kind(order, False)[:6]
-            else:
-                rows = [None if tags is None else
-                        _cell_rows(tags, self.folded.n_folds, od.type_keys.dtype)
-                        for tags in (fd.type_tags, fd.stat_tags)]
-                shared = (od.type_keys, memoryview(od.type_keys), fd.type_tags, rows[0],
-                          fd.stat_tags, rows[1])
-            counts, count_table, stats, stat_table = (
-                getattr(od, c + a) for a in ("type_counts", "count_table", "stats", "stat_table"))
-            kind = _Kind(*shared, counts, count_table, memoryview(counts), count_table.tolist(),
-                         stats, stat_table, memoryview(stats), [],
-                         *(getattr(fd, c + a) for a in ("type_cells", "count_table",
-                                                        "stat_cells", "delta_table")))
+            fd = None if self.folded is None else self.folded.fold_data[order]
+            raw = self._kind(order, False) if continuation else None
+            readers = []
+            for codes, table, tags, cells, cell_table in (
+                    ("type_counts", "count_table", "type_tags", "type_cells", "count_table"),
+                    ("stats", "stat_table", "stat_tags", "stat_cells", "delta_table")):
+                codes = getattr(od, c + codes)
+                values = _Values(codes, getattr(od, c + table), memoryview(codes), [])
+                if fd is not None:  # the continuation reader takes the raw one's rows
+                    tags = getattr(fd, tags)
+                    rows = (_cell_rows(tags, self.folded.n_folds, od.type_keys.dtype)
+                            if raw is None else (raw.types, raw.contexts)[len(readers)].rows)
+                    values = values._replace(tags=tags, rows=rows, cells=getattr(fd, c + cells),
+                                             cell_table=getattr(fd, c + cell_table))
+                readers.append(values)
+            kind = _Kind(od.type_keys, raw.index if raw else memoryview(od.type_keys), *readers)
             self._kinds[order, continuation] = kind
         return kind
 
@@ -872,11 +881,11 @@ class CountView:
 
     def stats(self, order: int, rank: int) -> ContextStats:
         kind = self._kind(order, False)
-        return (kind.stat_values or _stat_values(kind))[kind.stat_codes[kind.rank(rank)]]
+        return _decoded(kind.contexts)[kind.contexts.view[kind.rank(rank)]]
 
     def cont_stats(self, order: int, rank: int) -> ContextStats:
         kind = self._kind(order, True)
-        return (kind.stat_values or _stat_values(kind))[kind.stat_codes[kind.rank(rank)]]
+        return _decoded(kind.contexts)[kind.contexts.view[kind.rank(rank)]]
 
     def _count(self, order: int, rank: int, word: int, continuation: bool) -> int:
         kind = self._kind(order, continuation)
@@ -888,7 +897,7 @@ class CountView:
             raise CountError(f"word {word} outside 0..{self.table.vocab_size - 1}")
         i = _index(kind.index, rank * self.table.base + word)
         if i >= 0:  # a key names a context: only a miss can hide a bad rank
-            return kind.count_values[kind.count_codes[i]]
+            return _decoded(kind.types)[kind.types.view[i]]
         kind.rank(rank)
         return 0
 
@@ -905,7 +914,7 @@ class CountView:
         base, rank = self.table.base, kind.rank(rank)
         lo = bisect.bisect_left(kind.index, rank * base)
         hi = bisect.bisect_left(kind.index, (rank + 1) * base, lo)
-        return kind.keys[lo:hi] % base, kind.count_table[kind.counts[lo:hi]]
+        return kind.keys[lo:hi] % base, kind.types.table[kind.types.codes[lo:hi]]
 
     # -- bulk queries ----------------------------------------------------
 
@@ -930,13 +939,13 @@ class CountView:
             ranks[:, n - 1] = np.where(hit, idx, -1)
         return ranks, words, sent_of
 
-    def _folds(self, folds, size: int) -> np.ndarray | None:
-        """Per-position fold to exclude, or None for full-table values."""
+    def _folds(self, folds, size: int):
+        """(per-position folds to exclude, F), or (None, None) for full-table values."""
         if folds is None:
-            return None
+            return None, None
         if self.folded is None:
             raise CountError("per-position folds given to a view without fold data")
-        return _integers("fold", folds, size, self.folded.n_folds)
+        return _integers("fold", folds, size, self.folded.n_folds), self.folded.n_folds
 
     def bulk_counts(self, order: int, ranks: np.ndarray, words: np.ndarray,
                     folds: np.ndarray | None = None, continuation: bool = False) -> np.ndarray:
@@ -948,14 +957,7 @@ class CountView:
         words = _integers("word", words, len(ranks), self.table.vocab_size)
         folds = self._folds(folds, len(ranks))
         idx, hit = _find(kind.keys, ranks * self.table.base + words)
-        out = np.take(kind.count_table, np.take(kind.counts, idx))  # the store's width
-        out *= hit
-        if folds is not None:
-            rows = np.take(kind.type_rows, idx)
-            rows *= hit  # a miss reads row 0: its 0 is kept or zeroed alike
-            _leave_out(out, np.take(kind.type_tags, idx), rows, folds, self.folded.n_folds,
-                       kind.type_cells, kind.type_cell_table)
-        return out
+        return _gather(kind.types, idx, *folds, hit)
 
     def bulk_stats(self, order: int, ranks: np.ndarray,
                    folds: np.ndarray | None = None, continuation: bool = False):
@@ -965,9 +967,4 @@ class CountView:
         cell row, with no search (module docstring)."""
         kind = self._kind(order, continuation)
         ranks = kind.ranks(_integers("rank", ranks))
-        folds = self._folds(folds, len(ranks))
-        s = np.take(kind.stat_table, np.take(kind.stats, ranks), axis=0)  # the store's width
-        if folds is not None:
-            _leave_out(s, np.take(kind.stat_tags, ranks), np.take(kind.ctx_rows, ranks), folds,
-                       self.folded.n_folds, kind.stat_cells, kind.stat_cell_table)
-        return ContextStats._make(s.T)
+        return ContextStats._make(_gather(kind.contexts, ranks, *self._folds(folds, len(ranks))).T)

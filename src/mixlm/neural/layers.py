@@ -33,6 +33,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
+def _affine_backward(dz: np.ndarray, b: Tensor, *pairs: tuple[Tensor, Tensor]) -> None:
+    """Send the gradient ``dz`` of z = Σ x W + b on to each input x that needs
+    one, then to each weight W and to the bias."""
+    for x, W in pairs:
+        if x.requires_grad:
+            x._accum(dz @ W.value.T)
+    for x, W in pairs:
+        W._accum(x.value.T @ dz)
+    b._accum(dz.sum(axis=0))
+
+
 def _check_input(x: Tensor, width: int) -> None:
     shape = x.value.shape
     if len(shape) != 2 or shape[1] != width:
@@ -51,15 +62,10 @@ class FeedForward:
         """h as one graph node; the backward pass is dz = g·(1 − h²)."""
         _check_input(x, self.in_size)
         W, b = self.W, self.b
-        xv, Wv = x.value, W.value
-        y = np.tanh(xv @ Wv + b.value)
+        y = np.tanh(x.value @ W.value + b.value)
 
         def backward(g):
-            dz = g * (1.0 - y * y)
-            if x.requires_grad:
-                x._accum(dz @ Wv.T)
-            W._accum(xv.T @ dz)
-            b._accum(dz.sum(axis=0))
+            _affine_backward(g * (1.0 - y * y), b, (x, W))
 
         return Tensor(y, (x, W, b), backward)
 
@@ -103,8 +109,8 @@ class LSTM:
             raise ValueError(f"expected a {want} state, got {h_prev.value.shape} "
                              f"and {c_prev.value.shape}")
         W_x, W_h, b = self.W_x, self.W_h, self.b
-        xv, hv, cv, Wx, Wh = x.value, h_prev.value, c_prev.value, W_x.value, W_h.value
-        act = xv @ Wx + hv @ Wh + b.value
+        cv = c_prev.value
+        act = x.value @ W_x.value + h_prev.value @ W_h.value + b.value
         act[:, :3 * H] = _sigmoid(act[:, :3 * H])
         act[:, 3 * H:] = np.tanh(act[:, 3 * H:])
         i, f, o, g = (act[:, k * H:(k + 1) * H] for k in range(4))
@@ -121,13 +127,7 @@ class LSTM:
             dz[:, 3 * H:] = dc * i * (1.0 - g * g)
             if c_prev.requires_grad:
                 c_prev._accum(dc * f)
-            if x.requires_grad:
-                x._accum(dz @ Wx.T)
-            if h_prev.requires_grad:
-                h_prev._accum(dz @ Wh.T)
-            W_x._accum(xv.T @ dz)
-            W_h._accum(hv.T @ dz)
-            b._accum(dz.sum(axis=0))
+            _affine_backward(dz, b, (x, W_x), (h_prev, W_h))
             dz = None
 
         c = Tensor(c_val, (x, h_prev, c_prev, W_x, W_h, b), c_backward)
@@ -173,8 +173,7 @@ class OutputLayer:
         if len(empty):
             raise ValueError(f"mask row {empty[0]} has no unmasked column")
         W, b = self.W, self.b
-        hv, Wv = h.value, W.value
-        y = hv @ Wv
+        y = h.value @ W.value
         y += b.value
         y[off] = -np.inf
         y -= y.max(axis=1, keepdims=True)
@@ -184,10 +183,7 @@ class OutputLayer:
         def backward(g):
             dz = g - np.einsum("ij,ij->i", g, y)[:, None]
             dz *= y
-            if h.requires_grad:
-                h._accum(dz @ Wv.T)
-            W._accum(hv.T @ dz)
-            b._accum(dz.sum(axis=0))
+            _affine_backward(dz, b, (h, W))
 
         return Tensor(y, (h, W, b), backward)
 

@@ -1252,12 +1252,16 @@ class TestSerialization:
             with pytest.raises(CountError):
                 CountTable.load(str(path))
         # damage behind a valid checksum reaches the checks after it
-        at = first_array_at(data)
+        at, (keys_at, keys_width, _) = first_array_at(data), file_arrays(data)[-3]
         behind_checksum = {
             "not ASCII": data[:FINGERPRINT_AT] + b"\xff" + data[FINGERPRINT_AT + 1:],
             "order must be": data[:8] + struct.pack("<I", 0) + data[12:at] + bytes(4),
             "version 4": data[:4] + struct.pack("<I", 4) + data[8:],
             "width 3": data[:at] + struct.pack("<I", 3) + data[at + 4:],
+            "trailing bytes after the last array": data[:-4] + bytes(12) + data[-4:],
+            # the top order's type keys one short of its count codes
+            "order-3 arrays disagree in length": rewritten(
+                data, keys_at, self.table.orders[3].type_keys[:-1], keys_width),
         }
         for message, bad in behind_checksum.items():
             with pytest.raises(CountError, match=message):
@@ -1485,8 +1489,8 @@ class TestSerialization:
         and compares loaded tables (``bench/checks.tables_equal``) through
         the arrays ``vars()`` finds on ``orders[n]`` and ``fold_data[n]``:
         every array a view reads must be one of them, and no other, but the
-        rows of fold cells that it derives from the tags; the raw and
-        continuation kinds share their key arrays."""
+        rows of fold cells that it derives from the tags; each memoryview
+        reads the array beside it."""
         folded = cv_fold_counts(self.corpus, 3, folds=3)
         from_file = loaded(saved(self.table, tmp_path), tmp_path)
         for table, folds in ((folded.table, folded), (from_file, None)):
@@ -1495,17 +1499,18 @@ class TestSerialization:
                 read = [table.orders[n].ctx_codes]
                 for continuation in (False, True) if n < table.order else (False,):
                     kind = view._kind(n, continuation)
-                    assert kind.index.obj is kind.keys, n  # the memoryview reads the keys
-                    derived = [kind.type_rows, kind.ctx_rows]
-                    if folds is None:
-                        assert derived == [None, None], n
-                    else:
-                        for rows, tags in zip(derived, (kind.type_tags, kind.stat_tags)):
-                            assert rows.dtype == kind.keys.dtype, n
-                            np.testing.assert_array_equal(rows,
-                                                          np.cumsum(tags == 3) * (tags == 3))
-                    read += [a for a in kind if isinstance(a, np.ndarray)
-                             and not any(a is d for d in derived)]
+                    assert kind.index.obj is kind.keys, n
+                    read.append(kind.keys)
+                    for values in (kind.types, kind.contexts):
+                        assert values.view.obj is values.codes, n
+                        if folds is None:
+                            assert values.tags is values.rows is None, n
+                        else:
+                            assert values.rows.dtype == kind.keys.dtype, n
+                            np.testing.assert_array_equal(
+                                values.rows, np.cumsum(values.tags == 3) * (values.tags == 3))
+                        read += [a for a in values if isinstance(a, np.ndarray)
+                                 and a is not values.rows]
                 holders = [table.orders[n]] + ([] if folds is None else [folds.fold_data[n]])
                 found = [v for h in holders for v in vars(h).values() if v is not None]
                 assert all(isinstance(v, np.ndarray) for v in found), n
@@ -1514,16 +1519,17 @@ class TestSerialization:
 
     def test_continuation_kind_reads_the_raw_keys(self):
         """One key set per order: the continuation kind of a view holds the
-        raw kind's key arrays, fold tags and cell rows themselves, with and
-        without fold data."""
+        raw kind's key array, its memoryview, fold tags and cell rows
+        themselves, with and without fold data, and values of its own."""
         folded = cv_fold_counts(self.corpus, 3, folds=3)
         for view in (folded.view(), folded.table.view()):
             for n in (1, 2):
                 raw, cont = view._kind(n, False), view._kind(n, True)
-                for name in ("keys", "index", "type_tags", "type_rows", "stat_tags",
-                             "ctx_rows"):
-                    assert getattr(cont, name) is getattr(raw, name), (n, name)
-                assert cont.counts is not raw.counts and cont.stats is not raw.stats, n
+                assert cont.keys is raw.keys and cont.index is raw.index, n
+                for got, want in ((cont.types, raw.types), (cont.contexts, raw.contexts)):
+                    assert got.tags is want.tags and got.rows is want.rows, n
+                    assert got.codes is not want.codes and got.table is not want.table, n
+                    assert got.view is not want.view and got.decoded is not want.decoded, n
 
 
 def assert_recounted(table, corpus):
@@ -2144,6 +2150,15 @@ class TestInputValidation:
     def test_non_integer_order_or_folds_rejected(self, build):
         with pytest.raises(CountError, match="must be (an )?integers?, not"):
             build(toy_corpus())
+
+    @pytest.mark.parametrize("build", [lambda c: accumulate(c, 2),
+                                       lambda c: cv_fold_counts(c, 2, 2)],
+                             ids=["accumulate", "cv_fold_counts"])
+    def test_corpus_without_sentences_rejected(self, build):
+        """``encode_corpus`` refuses empty text, so only a corpus built
+        without sentences reaches the build's own check."""
+        with pytest.raises(CountError, match="empty corpus"):
+            build(EncodedCorpus([], toy_corpus().vocab))
 
     def test_integral_order_and_folds_are_plain_ints(self):
         """An order or a fold count given as a bool or a NumPy integer is

@@ -282,6 +282,34 @@ class TestFusedLSTMStep:
         for got, want in zip(*grads):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
+    def test_gradients_when_only_the_cell_state_feeds_the_loss(self):
+        """With the loss on c alone, h's backward never runs and c's makes a
+        zeroed gate gradient of its own: every gradient, inputs and state
+        included, equals the unfused graph's and central differences, and
+        the output gate's block of each weight gradient is 0."""
+        lstm, xs = _lstm_and_inputs(14)
+        rng = np.random.default_rng(15)
+        x = T.param(xs[0].value)
+        h0, c0 = (T.param(rng.normal(size=(3, 4))) for _ in range(2))
+        params = [x, h0, c0, *lstm.parameters()]
+
+        def loss_of(step):
+            _, (_, c) = step(x, (h0, c0))
+            return T.tsum(c * c)
+
+        grads = []
+        for step in (lstm.step, lambda x, st: lstm_step_unfused(lstm, x, st)):
+            for p in params:
+                p.grad = None
+            loss_of(step).backward()
+            grads.append([p.grad.copy() for p in params])
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+        assert gradient_check(lambda: loss_of(lstm.step), params, eps=1e-6) < 1e-7
+        H = lstm.hidden_size
+        for grad in grads[0][3:]:  # W_x, W_h and b
+            assert not grad[..., 2 * H:3 * H].any()
+
     def test_adds_two_graph_nodes(self):
         lstm, xs = _lstm_and_inputs(13)
         h0, c0 = lstm.initial_state(3)
